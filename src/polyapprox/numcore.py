@@ -466,7 +466,9 @@ def struct_from_json(d):
     if k == "sum":
         return SSum([poly_from_json(p) for p in d["parts"]])
     if k == "scale":
-        return SScale(mpf_from_hex(d["c"]), poly_from_json(d["base"]))
+        c = d["c"]
+        c = scalar_from_json(c, RATIONAL if "/" in c else FLOAT)
+        return SScale(c, poly_from_json(d["base"]))
     if k == "pow":
         return SPow(poly_from_json(d["base"]), d["k"])
     if k == "comp":
@@ -502,7 +504,7 @@ def recheck(build, prec=DEFAULT_PREC):
     scalars_b = b if isinstance(b, (list, tuple)) else [b]
     tol = mpmath.mpf(2) ** (-(prec // 2))
     with mp.workprec(2 * prec):
-        for x, y in zip(scalars_a, scalars_b):
+        for x, y in zip(scalars_a, scalars_b, strict=True):
             scale = max(1, abs(mpmath.mpf(x)))
             if abs(mpmath.mpf(x) - mpmath.mpf(y)) > tol * scale:
                 raise PrecisionError(

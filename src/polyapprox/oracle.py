@@ -1,5 +1,5 @@
 """Independent ground-truth machinery: exact-rational minimax over finite
-node sets (simplex LP and an alternation-based cross-check), multilinear
+node sets (exact exchange and an alternation-based cross-check), multilinear
 interpolation, symmetrization, and inclusion-exclusion expansion."""
 
 from dataclasses import dataclass
@@ -8,111 +8,6 @@ from itertools import combinations
 import math
 
 from .numcore import UniPoly, as_fraction
-
-
-# ---------------------------------------------------------------------------
-# Exact two-phase simplex, Bland's rule.  Small dense tableaus only.
-
-
-class Infeasible(Exception):
-    pass
-
-
-def _pivot(tab, basis, row, col):
-    m = len(tab)
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
-    for r in range(m):
-        if r != row and tab[r][col] != 0:
-            f = tab[r][col]
-            tab[r] = [a - f * b for a, b in zip(tab[r], tab[row])]
-    basis[row] = col
-
-
-def _run_simplex(tab, basis, ncols):
-    # objective row is tab[-1]; minimize, reduced costs in tab[-1][:-1]
-    while True:
-        col = None
-        for j in range(ncols):
-            if tab[-1][j] < 0:
-                col = j
-                break
-        if col is None:
-            return
-        row = None
-        best = None
-        for r in range(len(tab) - 1):
-            if tab[r][col] > 0:
-                ratio = tab[r][-1] / tab[r][col]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best, row = ratio, r
-        if row is None:
-            raise Infeasible("unbounded")
-        _pivot(tab, basis, row, col)
-
-
-def lp_min(c, A, b):
-    """Minimize c.x subject to A x <= b, x >= 0, all exact rationals.
-    Returns (optimal value, x)."""
-    m, n = len(A), len(c)
-    c = [as_fraction(v) for v in c]
-    A = [[as_fraction(v) for v in row] for row in A]
-    b = [as_fraction(v) for v in b]
-    # columns: x (n) | slack (m) | artificial (k) | rhs
-    art_rows = [i for i in range(m) if b[i] < 0]
-    k = len(art_rows)
-    ncols = n + m + k
-    tab = []
-    art_col = {}
-    for idx, i in enumerate(art_rows):
-        art_col[i] = n + m + idx
-    for i in range(m):
-        neg = i in art_col
-        sgn = -1 if neg else 1
-        row = [sgn * v for v in A[i]]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        if neg:
-            row[n + i] = Fraction(-1)
-        row += [Fraction(0)] * k
-        if neg:
-            row[art_col[i]] = Fraction(1)
-        row.append(sgn * b[i])
-        tab.append(row)
-    basis = [art_col.get(i, n + i) for i in range(m)]
-    # phase 1
-    if k:
-        obj = [Fraction(0)] * (ncols + 1)
-        for r, bi in enumerate(basis):
-            if bi >= n + m:
-                obj = [o - v for o, v in zip(obj, tab[r])]
-        for j in range(n + m, ncols):
-            obj[j] += 1
-        tab.append(obj)
-        _run_simplex(tab, basis, n + m)  # artificials never re-enter
-        if tab[-1][-1] != 0:
-            raise Infeasible("phase 1 ended with positive infeasibility")
-        tab.pop()
-        # drive leftover artificials out of the basis
-        for r in range(m):
-            if basis[r] >= n + m:
-                for j in range(n + m):
-                    if tab[r][j] != 0:
-                        _pivot(tab, basis, r, j)
-                        break
-    # phase 2
-    obj = [Fraction(v) for v in c] + [Fraction(0)] * (m + k) + [Fraction(0)]
-    for r, bi in enumerate(basis):
-        if obj[bi] != 0:
-            f = obj[bi]
-            obj = [o - f * v for o, v in zip(obj, tab[r])]
-    tab.append(obj)
-    _run_simplex(tab, basis, n + m)
-    x = [Fraction(0)] * n
-    for r, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[r][-1]
-    val = sum(ci * xi for ci, xi in zip(c, x))
-    return val, x
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +29,14 @@ class MinimaxResult:
 
 def minimax_lp(nodes, values, degree):
     """Best uniform approximation by a degree <= degree polynomial over the
-    given nodes, solved exactly.  Returns a MinimaxResult."""
+    given nodes, solved exactly by single-point exchange (discrete Remez).
+
+    Polynomials on distinct real nodes satisfy the Haar condition, so the
+    best approximation is unique and each exchange strictly grows the
+    levelled error |h| on a (degree+2)-point reference.  The search ends when
+    |h| equals the maximum error over all nodes: the de la Vallee Poussin
+    certificate that no polynomial of this degree does better.  Raises
+    ArithmeticError rather than return a result without that certificate."""
     nodes = [as_fraction(t) for t in nodes]
     values = [as_fraction(v) for v in values]
     if len(set(nodes)) != len(nodes):
@@ -142,23 +44,49 @@ def minimax_lp(nodes, values, degree):
     if degree >= len(nodes) - 1:
         p = _interp(nodes, values)
         return MinimaxResult(Fraction(0), p, list(nodes))
-    # variables: u_0..u_d, v_0..v_d (coeffs = u - v), e
     d = degree
-    nv = 2 * (d + 1) + 1
-    c = [Fraction(0)] * (2 * (d + 1)) + [Fraction(1)]
-    A, b = [], []
-    for t, f in zip(nodes, values):
-        pows = [t ** j for j in range(d + 1)]
-        A.append(pows + [-p for p in pows] + [Fraction(-1)])
-        b.append(f)
-        A.append([-p for p in pows] + pows + [Fraction(-1)])
-        b.append(-f)
-    val, x = lp_min(c, A, b)
-    coeffs = [x[j] - x[d + 1 + j] for j in range(d + 1)]
-    p = UniPoly(coeffs)
-    eps = val
-    active = [t for t, f in zip(nodes, values) if abs(p.eval(t) - f) == eps]
+    order = sorted(range(len(nodes)), key=nodes.__getitem__)
+    # reference: d+2 node indices in increasing node order, evenly spread
+    ref = [order[j * (len(nodes) - 1) // (d + 1)] for j in range(d + 2)]
+    last = None
+    while True:
+        sol = _level([nodes[i] for i in ref], [values[i] for i in ref], d)
+        if sol is None:
+            raise ArithmeticError("singular levelled system")
+        p, h = sol
+        if last is not None and abs(h) <= last:
+            raise ArithmeticError("exchange did not raise the levelled error")
+        last = abs(h)
+        errs = [f - p.eval(t) for t, f in zip(nodes, values)]
+        worst = max(range(len(nodes)), key=lambda i: abs(errs[i]))
+        if abs(errs[worst]) <= abs(h):
+            break
+        ref = _exchange(ref, worst, errs, nodes, h)
+    eps = abs(h)
+    # certificate: the residual levels at +-eps with alternating sign on the
+    # reference, and no node exceeds eps
+    for j, i in enumerate(ref):
+        if errs[i] != (-1) ** j * h or (j and nodes[ref[j - 1]] >= nodes[i]):
+            raise ArithmeticError("reference does not equioscillate")
+    if p.degree > d or max(map(abs, errs)) != eps:
+        raise ArithmeticError("exchange ended without a certificate")
+    active = [t for t, e in zip(nodes, errs) if abs(e) == eps]
     return MinimaxResult(eps, p, active)
+
+
+def _exchange(ref, new, errs, nodes, h):
+    """Swap node ``new`` into the reference so the residual signs still
+    alternate.  The sign expected at reference position j is that of
+    (-1)^j h; when h == 0 any alternating pattern will do."""
+    up = errs[new] > 0
+    sign = [(j % 2 == 0) == (h >= 0) for j in range(len(ref))]
+    k = sum(nodes[i] < nodes[new] for i in ref)
+    if k == 0:
+        return [new] + (ref[1:] if sign[0] == up else ref[:-1])
+    if k == len(ref):
+        return (ref[:-1] if sign[-1] == up else ref[1:]) + [new]
+    j = k if sign[k] == up else k - 1
+    return ref[:j] + [new] + ref[j + 1:]
 
 
 def _interp(nodes, values):
@@ -177,20 +105,19 @@ def minimax_reference(nodes, values, degree):
     order = sorted(range(len(nodes)), key=lambda i: nodes[i])
     best = Fraction(0)
     for sub in combinations(order, degree + 2):
-        h = _alternation_error([nodes[i] for i in sub], [values[i] for i in sub], degree)
-        if h > best:
-            best = h
+        sol = _level([nodes[i] for i in sub], [values[i] for i in sub], degree)
+        if sol is not None and abs(sol[1]) > best:
+            best = abs(sol[1])
     return best
 
 
-def _alternation_error(ts, fs, d):
-    # solve p(t_j) + (-1)^j h = f_j for a_0..a_d, h
-    n = d + 2
-    M = []
-    for j, t in enumerate(ts):
-        M.append([t ** i for i in range(d + 1)] + [Fraction((-1) ** j)] + [fs[j]])
+def _level(ts, fs, d):
+    """Solve p(t_j) + (-1)^j h = f_j exactly for a degree <= d polynomial p
+    and the level h.  Returns (p, h), or None when the system is singular."""
+    M = [[t ** i for i in range(d + 1)] + [Fraction((-1) ** j), f]
+         for j, (t, f) in enumerate(zip(ts, fs))]
     sol = _gauss(M)
-    return abs(sol[-1]) if sol is not None else Fraction(0)
+    return None if sol is None else (UniPoly(sol[:-1]), sol[-1])
 
 
 def _gauss(M):

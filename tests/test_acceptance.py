@@ -77,7 +77,7 @@ def test_criterion_02_oracle_exactness():
         nodes = list(range(n + 1))
         lp = minimax_lp(nodes, vals, d).eps_star
         ref = minimax_reference(nodes, vals, d)
-        if abs(lp - ref) > Fraction(1, 10 ** 9):
+        if lp != ref:
             ok = False
     _report(2, "minimax-oracle-exactness", ok, t0)
 

@@ -155,6 +155,32 @@ def test_poly_json_round_trip_struct():
             assert abs(r.eval(t, 64) - s.eval(t, 64)) < mpmath.mpf(2) ** -50
 
 
+def test_poly_json_round_trip_every_struct_kind():
+    dense = SDense(UniPoly([1, 2]))
+    with mp.workprec(64):
+        third = mpmath.mpf(1) / 3
+    kinds = {
+        "dense": dense,
+        "prod": SProd([dense, SDense(UniPoly([Fraction(-1, 3), 0, 1]))]),
+        "sum": SSum([dense, SDense(UniPoly([0, 1]).to_float(64))]),
+        "scale-fraction": SScale(Fraction(1, 2), dense),
+        "scale-mpf": SScale(third, dense),
+        "pow": SPow(dense, 3),
+        "comp": SComp(SBinomTail(5, 2, 64), SDense(UniPoly([0, Fraction(1, 2)]))),
+        "binom_tail": SBinomTail(7, 3, 64),
+    }
+    for name, s in kinds.items():
+        text = json.dumps(poly_to_json(s), sort_keys=True)
+        r = poly_from_json(json.loads(text))
+        assert type(r) is type(s), name
+        assert json.dumps(poly_to_json(r), sort_keys=True) == text, name
+        for t in (0, Fraction(1, 3), 1):
+            assert r.eval(t, 64) == s.eval(t, 64), (name, t)
+    r = poly_from_json(json.loads(json.dumps(poly_to_json(kinds["scale-fraction"]))))
+    assert r.c == Fraction(1, 2) and isinstance(r.c, Fraction)
+    assert r.eval(Fraction(1, 3)) == Fraction(5, 6)
+
+
 def test_recheck_accepts_stable_builds():
     vals = recheck(lambda pr: [to_mpf(Fraction(1, 3), pr)], 128)
     with mp.workprec(128):
@@ -164,6 +190,11 @@ def test_recheck_accepts_stable_builds():
 def test_recheck_rejects_precision_dependent_builds():
     with pytest.raises(PrecisionError):
         recheck(lambda pr: [mpmath.mpf(pr)], 64)
+
+
+def test_recheck_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        recheck(lambda pr: [to_mpf(1, pr)] * (pr // 64), 64)
 
 
 def test_checked_max_abs():

@@ -1,29 +1,32 @@
+import hashlib
 import itertools
-import math
+import json
 from fractions import Fraction
 
 import pytest
 
+from polyapprox import oracle
 from polyapprox.numcore import SplitMix64, UniPoly
-from polyapprox.oracle import (Infeasible, MultiPoly, eps_profile,
-                               incl_excl_expand, lp_min, minimax_lp,
-                               minimax_reference, multilinear_interpolant,
-                               sym_eval, sym_to_unipoly, symmetrize)
+from polyapprox.oracle import (MultiPoly, eps_profile, incl_excl_expand,
+                               minimax_lp, minimax_reference,
+                               multilinear_interpolant, sym_eval,
+                               sym_to_unipoly, symmetrize)
+
+# sha256 over the sorted-key JSON of every probe of the AND n=16, OR n=16 and
+# AND n=24 degree ladders, up to the first eps_star <= 1/3.  Recorded with the
+# exact two-phase simplex this oracle replaced; the best approximation is
+# unique, so any exact minimax solver must reproduce it byte for byte.
+LADDER_SHA256 = "866260d72eced407ac701b96b5ceb0c79e8e2679a5a7ec382f6ccf70ed733ae4"
 
 
-def test_lp_min_known_solution():
-    # minimize x + y subject to x + 2y >= 2, 3x + y >= 3, x,y >= 0
-    val, x = lp_min([Fraction(1), Fraction(1)],
-                    [[Fraction(-1), Fraction(-2)], [Fraction(-3), Fraction(-1)]],
-                    [Fraction(-2), Fraction(-3)])
-    assert val == Fraction(7, 5)
-    assert x == [Fraction(4, 5), Fraction(3, 5)]
-
-
-def test_lp_min_infeasible():
-    with pytest.raises(Infeasible):
-        lp_min([Fraction(1)], [[Fraction(1)], [Fraction(-1)]],
-               [Fraction(-1), Fraction(-2)])
+def _certificate_ok(nodes, vals, d, res):
+    errs = [v - res.poly.eval(t) for t, v in zip(nodes, vals)]
+    if res.poly.degree > d or max(map(abs, errs)) != res.eps_star:
+        return False
+    if res.eps_star == 0:
+        return True
+    signs = [e > 0 for _, e in sorted(zip(nodes, errs)) if abs(e) == res.eps_star]
+    return 1 + sum(a != b for a, b in zip(signs, signs[1:])) >= d + 2
 
 
 def test_or2_degree1_error_is_one_quarter():
@@ -49,6 +52,73 @@ def test_lp_matches_alternation_reference_on_random_spectra():
         lp = minimax_lp(nodes, vals, d).eps_star
         ref = minimax_reference(nodes, vals, d)
         assert lp == ref, (n, d, vals)
+
+
+def test_ladder_results_match_golden_hash():
+    digest = hashlib.sha256()
+    stops = []
+    for which, n in (("and", 16), ("or", 16), ("and", 24)):
+        nodes = list(range(n + 1))
+        vals = [0] * n + [1] if which == "and" else [0] + [1] * n
+        for d in range(n + 1):
+            res = minimax_lp(nodes, vals, d)
+            digest.update(json.dumps(res.to_json(), sort_keys=True).encode())
+            if res.eps_star <= Fraction(1, 3):
+                stops.append(d)
+                break
+    assert stops == [3, 3, 4]
+    assert digest.hexdigest() == LADDER_SHA256
+
+
+def test_exchange_certified_on_shuffled_fractional_nodes():
+    rng = SplitMix64(29)
+    for trial in range(40):
+        n = 3 + rng.randint(0, 4)
+        nodes = []
+        while len(nodes) < n:
+            t = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+            if t not in nodes:
+                nodes.append(t)
+        d = rng.randint(0, n - 2)
+        if trial % 4 == 0:
+            # values on a line: eps_star is 0 below the interpolation degree
+            vals = [3 * t - Fraction(1, 2) for t in nodes]
+            d = max(d, 1)
+        else:
+            vals = [rng.fraction() for _ in nodes]
+        res = minimax_lp(nodes, vals, d)
+        assert res.eps_star == minimax_reference(nodes, vals, d), (nodes, vals, d)
+        assert _certificate_ok(nodes, vals, d, res), (nodes, vals, d)
+        assert res.active_points == [
+            t for t, v in zip(nodes, vals)
+            if abs(v - res.poly.eval(t)) == res.eps_star]
+
+
+def test_exchange_raises_without_certificate(monkeypatch):
+    nodes, vals = list(range(5)), [0, 0, 0, 0, 1]
+    level = oracle._level
+
+    def off_level(ts, fs, d):
+        p, h = level(ts, fs, d)
+        return p + UniPoly([Fraction(1, 1000)]), h
+
+    def inflated_level(ts, fs, d):
+        p, h = level(ts, fs, d)
+        return p, 2 * h
+
+    for fake in (off_level, inflated_level):
+        monkeypatch.setattr(oracle, "_level", fake)
+        with pytest.raises(ArithmeticError):
+            minimax_lp(nodes, vals, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_gauss", lambda M: None)
+    with pytest.raises(ArithmeticError):
+        minimax_lp(nodes, vals, 1)
+
+
+def test_repeated_node_rejected():
+    with pytest.raises(ValueError):
+        minimax_lp([0, 1, 1, 2], [0, 1, 1, 0], 1)
 
 
 def test_eps_profile_monotone():
