@@ -85,13 +85,14 @@ def reciprocal_power_approx(d, D):
     1/t^d at t = 1.  Integer coefficients."""
     if d < 1 or D < 0:
         raise ValueError("need d >= 1, D >= 0")
-    base = UniPoly([1, -1])
-    p = UniPoly.zero()
-    pw = UniPoly([1])
+    p = [0] * (D + 1)
+    pw = [1]                            # coefficients of (1-t)^i
     for i in range(D + 1):
-        p = p + pw.scale(math.comb(i + d - 1, i))
-        pw = pw * base
-    return p
+        c = math.comb(i + d - 1, i)
+        for j, w in enumerate(pw):
+            p[j] += c * w
+        pw = [x - y for x, y in zip(pw + [0], [0] + pw)]
+    return UniPoly(p)
 
 
 def reciprocal_power_error_bound(d, D, u):
@@ -167,6 +168,7 @@ def or_continuous_approx(n, eps, prec=DEFAULT_PREC):
 
 
 _INDICATOR_CACHE = {}
+_INDICATOR_CACHE_MAX = 16
 
 
 def interval_indicator(n, d, eps, prec=DEFAULT_PREC):
@@ -177,8 +179,11 @@ def interval_indicator(n, d, eps, prec=DEFAULT_PREC):
     key = (n, d, eps, prec)
     if key in _INDICATOR_CACHE:
         return _INDICATOR_CACHE[key]
-    _INDICATOR_CACHE[key] = _build_indicator(n, d, eps, prec)
-    return _INDICATOR_CACHE[key]
+    out = _build_indicator(n, d, eps, prec)
+    if len(_INDICATOR_CACHE) >= _INDICATOR_CACHE_MAX:
+        _INDICATOR_CACHE.clear()
+    _INDICATOR_CACHE[key] = out
+    return out
 
 
 def _build_indicator(n, d, eps, prec):

@@ -89,9 +89,11 @@ class UniPoly:
     """Dense univariate polynomial over one backend.
 
     coeffs[i] is the coefficient of t^i; the zero polynomial has degree -1.
+    Coefficient lists are never mutated after construction, so a rational
+    polynomial caches its denominator-cleared integer form for eval.
     """
 
-    __slots__ = ("coeffs", "backend", "prec")
+    __slots__ = ("coeffs", "backend", "prec", "_int_form")
 
     def __init__(self, coeffs, backend=RATIONAL, prec=DEFAULT_PREC):
         if backend == RATIONAL:
@@ -103,6 +105,7 @@ class UniPoly:
         self.coeffs = _trim(list(coeffs))
         self.backend = backend
         self.prec = prec if backend == FLOAT else None
+        self._int_form = None
 
     @property
     def degree(self):
@@ -124,7 +127,7 @@ class UniPoly:
     def from_roots(cls, roots, backend=RATIONAL, prec=DEFAULT_PREC):
         p = cls.constant(1, backend, prec)
         for r in roots:
-            p = p * cls([-r, 1] if backend == RATIONAL else [-r, 1], backend, prec)
+            p = p * cls([-r, 1], backend, prec)
         return p
 
     def _check(self, other):
@@ -140,6 +143,7 @@ class UniPoly:
         p.coeffs = _trim(list(coeffs))
         p.backend = self.backend
         p.prec = self.prec
+        p._int_form = None
         return p
 
     def __eq__(self, other):
@@ -212,11 +216,24 @@ class UniPoly:
                 for c in reversed(self.coeffs):
                     acc = acc * tt + c
                 return acc
-        acc = Fraction(0)
         t = as_fraction(t)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        # With c_j = N_j / L and t = a/b, p(t) = sum_j N_j a^j b^(deg-j) /
+        # (L b^deg): homogeneous Horner in integers, one reduction at the end.
+        # Fraction is canonical, so the value equals term-by-term Horner's.
+        if self._int_form is None:
+            lcm = math.lcm(*(c.denominator for c in self.coeffs))
+            self._int_form = ([c.numerator * (lcm // c.denominator)
+                               for c in self.coeffs], lcm)
+        nums, lcm = self._int_form
+        a, b = t.numerator, t.denominator
+        acc = nums[-1]
+        bpow = 1
+        for n in reversed(nums[:-1]):
+            bpow *= b
+            acc = acc * a + n * bpow
+        return Fraction(acc, lcm * bpow)
 
     def compose(self, inner):
         """self(inner(t)) by Horner over polynomials."""
@@ -423,7 +440,6 @@ class SBinomTail(StructPoly):
         self._memo = {}
 
     def eval(self, t, prec=None):
-        d, lo = self.d, self.lo
         prec = prec or self.prec
         key = (t, prec) if isinstance(t, (int, Fraction, mpmath.mpf)) else None
         if key is not None and key in self._memo:
@@ -447,9 +463,27 @@ class SBinomTail(StructPoly):
             term = mpmath.mpf(math.comb(d, lo)) * u ** lo * v ** (d - lo)
             acc = term
             r = u / v
+            abs_r = abs(r)
+            past_mode = False
+            may_exit = 3 * d < 2 ** (prec - 1)
             for i in range(lo, d):
                 term = term * r * (d - i) / (i + 1)
                 acc += term
+                # Early exit that leaves acc bit-for-bit as the full loop
+                # would.  Past the mode, every later exact ratio
+                # |r| (d-j)/(j+1), j > i, is <= 1, so a later term exceeds
+                # |term| only through its three roundings per step: by less
+                # than (1 + 2^-prec)^(3d) < 2 while 3d < 2^(prec-1).  With
+                # |term| < 2^(mag(acc) - prec - 3), each later term is below
+                # 2^(mag(acc) - prec - 2), half an ulp of the binade under
+                # |acc|'s, so round-to-nearest returns acc unchanged at every
+                # later add.  Nothing assumes a sign: it holds for u outside
+                # [0, 1], where the terms alternate.
+                if may_exit and not past_mode:
+                    past_mode = mpmath.fmul(abs_r, d - i - 1, exact=True) <= i + 2
+                if past_mode and (not term or
+                                  mpmath.mag(term) <= mpmath.mag(acc) - prec - 3):
+                    break
             return acc
 
     def to_json(self):
@@ -479,8 +513,6 @@ def struct_from_json(d):
 
 
 def poly_to_json(p):
-    if isinstance(p, UniPoly):
-        return p.to_json()
     return p.to_json()
 
 

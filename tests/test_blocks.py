@@ -5,12 +5,13 @@ import mpmath
 from mpmath import mp
 import pytest
 
+from polyapprox import blocks
 from polyapprox.blocks import (amplifier_poly, binom_tail, dyadic_decay_poly,
                                interval_indicator, or_continuous_approx,
                                reciprocal_approx, reciprocal_corollary,
                                reciprocal_power_approx,
                                reciprocal_power_error_bound)
-from polyapprox.numcore import to_mpf
+from polyapprox.numcore import UniPoly, to_mpf
 
 GRID_DENOM = 4
 
@@ -107,6 +108,44 @@ def test_interval_indicator_cached():
     a = interval_indicator(Fraction(32, 3), 2, Fraction(1, 8), 128)
     b = interval_indicator(Fraction(32, 3), 2, Fraction(1, 8), 128)
     assert a is b
+
+
+def _reciprocal_power_by_poly_arithmetic(d, D):
+    # Reference: the Taylor section summed as Fraction polynomials.
+    base = UniPoly([1, -1])
+    p = UniPoly.zero()
+    pw = UniPoly([1])
+    for i in range(D + 1):
+        p = p + pw.scale(math.comb(i + d - 1, i))
+        pw = pw * base
+    return p
+
+
+@pytest.mark.parametrize("d, D", [(1, 0), (1, 1), (2, 7), (3, 20), (4, 185),
+                                  (7, 36)])
+def test_reciprocal_power_matches_poly_arithmetic(d, D):
+    got = reciprocal_power_approx(d, D)
+    want = _reciprocal_power_by_poly_arithmetic(d, D)
+    assert got == want
+    assert got.degree == D
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_interval_indicator_cache_is_bounded(monkeypatch):
+    built = []
+
+    def fake_build(n, d, eps, prec):
+        built.append((n, d, eps, prec))
+        return object()
+
+    monkeypatch.setattr(blocks, "_build_indicator", fake_build)
+    monkeypatch.setattr(blocks, "_INDICATOR_CACHE", {})
+    for i in range(10 * blocks._INDICATOR_CACHE_MAX):
+        interval_indicator(3 + i, 1, Fraction(1, 8), 64)
+        assert len(blocks._INDICATOR_CACHE) <= blocks._INDICATOR_CACHE_MAX
+    a = interval_indicator(1000, 2, Fraction(1, 8), 64)
+    assert interval_indicator(1000, 2, Fraction(1, 8), 64) is a
+    assert len(built) == 10 * blocks._INDICATOR_CACHE_MAX + 1
 
 
 def test_input_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -92,3 +93,24 @@ def test_selftest_passes(capsys):
     assert run(["selftest"]) == 0
     text = capsys.readouterr().out
     assert "FAIL" not in text
+
+
+GOLDEN_SHAPES = [("sampling", 16, 1, 11), ("sampling", 16, 2, 9),
+                 ("sampling", 16, 3, 5), ("sampling", 32, 1, 11),
+                 ("small-support", 32, 2, 9), ("small-support", 32, 2, 10)]
+GOLDEN_SHA256 = "f8ca9b1ee38faa8a6ef588f63ec7ce336f981f239b6a0e06a86c31ab27048f59"
+
+
+def test_construct_golden_artifact_bytes(tmp_path, capsys):
+    # Pins the artifact bytes of the sampling and small-support targets, so
+    # a change to exact evaluation or to the blocks must leave every
+    # serialized coefficient and certified error unchanged.
+    digest = hashlib.sha256()
+    for i, (target, n, k, seed) in enumerate(GOLDEN_SHAPES):
+        out = tmp_path / ("g%d.json" % i)
+        assert run(["construct", "--target", target, "--n", str(n), "--k",
+                    str(k), "--seed", str(seed), "--eps", "1/8",
+                    "--out", str(out)]) == 0, (target, n, k, seed)
+        digest.update(out.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == GOLDEN_SHA256

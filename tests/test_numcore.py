@@ -63,6 +63,107 @@ def test_unipoly_ring_laws(a, b, t):
     assert p.scale(Fraction(3, 2)).eval(t) == Fraction(3, 2) * p.eval(t)
 
 
+def _fraction_horner(coeffs, t):
+    # Reference: term-by-term Fraction Horner.
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.fractions(max_denominator=10 ** 4),
+    st.builds(Fraction, st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+              st.integers(min_value=1, max_value=10 ** 40)))
+points = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-5, max_value=5, max_denominator=10 ** 6),
+    st.builds(Fraction, st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+              st.integers(min_value=1, max_value=10 ** 30)))
+
+
+@given(st.lists(mixed_coeffs, max_size=12), points)
+@settings(max_examples=200, deadline=None)
+def test_rational_eval_matches_fraction_horner(coeffs, t):
+    p = UniPoly(coeffs)
+    want = _fraction_horner(p.coeffs, Fraction(t))
+    got = p.eval(t)
+    assert type(got) is Fraction and got == want
+    assert p.eval(t) == want         # again, from the cached integer form
+
+
+def test_rational_eval_zero_and_constant():
+    assert UniPoly.zero().eval(Fraction(3, 7)) == 0
+    assert type(UniPoly.zero().eval(2)) is Fraction
+    assert UniPoly([Fraction(-2, 9)]).eval(Fraction(10 ** 20, 3)) == Fraction(-2, 9)
+    for p in (UniPoly.zero(), UniPoly([1, 2])):
+        with pytest.raises(BackendMismatchError):
+            p.eval(0.5)
+
+
+def test_rational_eval_cache_never_stale():
+    p = UniPoly([Fraction(1, 3), Fraction(-2, 5), 0, Fraction(7, 4)])
+    q = UniPoly([Fraction(5, 6), 1])
+    t = Fraction(-7, 11)
+    assert p.eval(t) == _fraction_horner(p.coeffs, t)
+    assert q.eval(t) == _fraction_horner(q.coeffs, t)
+    derived = {
+        "_make": p._make([Fraction(9, 7), 2]),
+        "add": p + q,
+        "sub": p - q,
+        "mul": p * q,
+        "pow": p ** 2,
+        "scale": p.scale(Fraction(-3, 8)),
+        "compose": p.compose(q),
+        "compose_affine": p.compose_affine(Fraction(1, 2), 3),
+        "derivative": p.derivative(),
+        "from_json": UniPoly.from_json(p.to_json()),
+    }
+    for name, r in derived.items():
+        assert r._int_form is None, name
+        for x in (t, Fraction(2, 3), 5):
+            assert r.eval(x) == _fraction_horner(r.coeffs, x), (name, x)
+
+
+def _binom_tail_full_loop(d, lo, t, prec):
+    # The tail loop without the early exit.
+    with mp.workprec(prec):
+        u = to_mpf(t, prec)
+        v = 1 - u
+        if u == 0:
+            return mpmath.mpf(1 if lo <= 0 else 0)
+        if v == 0:
+            return mpmath.mpf(1)
+        term = mpmath.mpf(math.comb(d, lo)) * u ** lo * v ** (d - lo)
+        acc = term
+        r = u / v
+        for i in range(lo, d):
+            term = term * r * (d - i) / (i + 1)
+            acc += term
+        return acc
+
+
+def test_binom_tail_early_exit_is_bit_identical():
+    rng = SplitMix64(20180601)
+    edge_t = [0, 1, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2), 7,
+              Fraction(1, 10 ** 6), Fraction(10 ** 6 - 1, 10 ** 6)]
+    cases = []
+    for d in (1, 2, 9, 40, 181):
+        for lo in sorted({0, 1, d // 3, d // 2, d - 1, d}):
+            for t in edge_t:
+                cases.append((d, lo, t, rng.choice((53, 64, 128, 256, 512))))
+    for _ in range(400):
+        d = rng.randint(1, 400)
+        lo = rng.randint(0, d)
+        t = Fraction(rng.randint(-3 * 2 ** 12, 4 * 2 ** 12), 2 ** 12)
+        cases.append((d, lo, t, rng.randint(53, 512)))
+    for d, lo, t, prec in cases:
+        got = SBinomTail(d, lo, prec)._eval(t, prec)
+        want = _binom_tail_full_loop(d, lo, t, prec)
+        assert got._mpf_ == want._mpf_, (d, lo, t, prec)
+
+
 def test_unipoly_zero_degree_convention():
     assert UniPoly.zero().degree == -1
     assert UniPoly([0, 0]).degree == -1
