@@ -61,20 +61,13 @@ def reciprocal_approx(n, d):
 def reciprocal_corollary(n):
     """(p, d) with 1/(2t) <= p(t) <= 1/t on [1, n], d = floor(sqrt(2(n-1)))."""
     n = as_fraction(n)
-    d = int(math.isqrt(int(2 * (n - 1)))) if n > 1 else 0
-    # guard the float-free isqrt against non-integer 2(n-1)
-    while (d + 1) ** 2 <= 2 * (n - 1):
-        d += 1
-    while d ** 2 > 2 * (n - 1):
-        d -= 1
-    if d < 0:
-        d = 0
+    # isqrt(floor(x)) == floor(sqrt(x)) for rational x >= 0
+    d = math.isqrt(math.floor(2 * (n - 1))) if n > 1 else 0
     p, eps = reciprocal_approx(n, d)
-    if eps > Fraction(1, 3):
-        # tiny ranges: raise the degree until the sandwich 1/(2t)..1/t holds
-        while eps > Fraction(1, 3):
-            d += 1
-            p, eps = reciprocal_approx(n, d)
+    # tiny ranges: raise the degree until the sandwich 1/(2t)..1/t holds
+    while eps > Fraction(1, 3):
+        d += 1
+        p, eps = reciprocal_approx(n, d)
     # (1-eps)/t >= 1/(2t) iff eps <= 1/2; scale down so p <= 1/t exactly
     p = p.scale(Fraction(1) / (1 + eps))
     return p, d

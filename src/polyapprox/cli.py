@@ -15,11 +15,11 @@ import mpmath
 from mpmath import mp
 
 from . import bounds as bounds_mod
-from .numcore import (DEFAULT_PREC, PrecisionError, SplitMix64, UniPoly,
+from .numcore import (DEFAULT_PREC, PrecisionError, SplitMix64,
                       poly_from_json, to_mpf)
 from .oracle import minimax_lp
-from .symmetric import (SymSpec, and_or_approx, exact_weight_approx,
-                        sampling_approx, symmetric_approx)
+from .symmetric import (SymSpec, and_or_approx, and_or_min_degree,
+                        exact_weight_approx, sampling_approx)
 from .extension import small_support_approx
 from .composed import surjectivity_approx, BlockSymApprox, surj_value, _weight_vectors
 
@@ -27,6 +27,8 @@ from .composed import surjectivity_approx, BlockSymApprox, surj_value, _weight_v
 def _parse_fraction(s):
     if "/" in s:
         a, b = s.split("/")
+        if int(b) == 0:
+            raise ValueError("zero denominator in %s" % s)
         return Fraction(int(a), int(b))
     return Fraction(s)
 
@@ -42,13 +44,10 @@ def _emit(obj, path):
 
 def cmd_construct(args):
     eps = _parse_fraction(args.eps)
+    if eps <= 0:
+        raise ValueError("--eps must be positive, got %s" % args.eps)
     if args.target in ("and", "or"):
-        d = 1
-        while True:
-            a = and_or_approx(args.n, d, args.target, args.prec)
-            if float(a.certified_eps) <= float(eps):
-                break
-            d += 1
+        a = and_or_min_degree(args.n, args.target, eps, args.prec)
         _emit(a.to_json(), args.out)
     elif args.target == "exact":
         a = exact_weight_approx(args.n, args.k, args.m if args.m is not None
@@ -113,16 +112,12 @@ def _claimed_eps(doc):
 
 
 def _verify_spectrum(doc, prec, slack):
-    poly = poly_from_json({k: doc[k] for k in doc
-                           if k in ("kind", "backend", "coeffs",
-                                    "precision_bits", "poly", "parts", "base",
-                                    "outer", "inner", "d", "lo", "k", "c")})
+    poly = poly_from_json(doc)
     values = [_parse_fraction(v) for v in doc["values"]]
     claimed = _claimed_eps(doc)
     worst = mpmath.mpf(0)
     for w in range(doc["n"] + 1):
-        v = poly.eval(w) if isinstance(poly, UniPoly) and \
-            poly.backend == "rational" else poly.eval(w, prec)
+        v = poly.eval(w, prec)
         worst = max(worst, abs(to_mpf(v, prec) - to_mpf(values[w], prec)))
     return worst <= claimed + slack
 

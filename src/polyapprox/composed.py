@@ -11,10 +11,10 @@ import math
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, UniPoly, as_fraction,
-                      poly_to_json, recheck, to_mpf)
+from .numcore import (DEFAULT_PREC, RATIONAL, UniPoly, as_fraction,
+                      min_degree, poly_to_json, recheck, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
-from .symmetric import (SymSpec, and_or_approx, restricted_disjunction_approx)
+from .symmetric import and_or_min_degree, restricted_disjunction_approx
 from .oracle import MultiPoly, multilinear_interpolant
 
 
@@ -208,8 +208,6 @@ class BlockSymApprox:
             for ell, mu, q in self.terms:
                 if ell == 0 or q is None:
                     tabs.append(None)
-                elif q.backend == RATIONAL:
-                    tabs.append([q.eval(w) for w in range(self.n + 1)])
                 else:
                     tabs.append([q.eval(w, prec) for w in range(self.n + 1)])
             self._tables = (prec, tabs)
@@ -251,12 +249,7 @@ def _outer_third(r):
 
 def _outer_general(r, eps, prec):
     """Damped AND-style outer polynomial with error <= eps/2 on {0..r-1}."""
-    d = 1
-    while True:
-        a = and_or_approx(r, d, "and", prec)
-        if float(a.certified_eps) <= float(eps) / 2:
-            return a.poly
-        d += 1
+    return and_or_min_degree(r, "and", eps / 2, prec).poly
 
 
 def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
@@ -272,10 +265,7 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
         outer = _outer_general(r, eps, prec)
     exact = outer.backend == RATIONAL
     with mp.workprec(prec):
-        if exact:
-            h = [outer.eval(r - j) for j in range(r + 1)]
-        else:
-            h = [outer.eval(r - j, prec) for j in range(r + 1)]
+        h = [outer.eval(r - j, prec) for j in range(r + 1)]
         outer_err = max(abs(h[j] - surj_value([1] * (r - j) + [0] * j))
                         for j in range(r + 1))
         mu = []
@@ -308,22 +298,11 @@ def _conjunction_poly(n, r, ell, budget, prec):
     """Smallest-degree emptiness indicator for ell columns: q(w) with
     q(0) ~ 1, q(w >= 1) ~ 0, max error <= budget, w = ones in the columns."""
     entries = frozenset(range(ell * n))
-    lo, hi = 1, 2 * n
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        d = restricted_disjunction_approx(ell * n, n, entries, frozenset(),
-                                          mid, prec)
-        if float(d.certified_eps) <= float(budget):
-            best = d
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        raise ArithmeticError("no degree met the replacement budget")
-    one = UniPoly([1]) if best.poly.backend == RATIONAL else \
-        UniPoly([1], FLOAT, prec)
-    return one - best.poly
+    best = min_degree(
+        lambda d: restricted_disjunction_approx(ell * n, n, entries,
+                                                frozenset(), d, prec),
+        budget, 2 * n)
+    return UniPoly([1], best.poly.backend, prec) - best.poly
 
 
 def _certify_surj(out, prec):
@@ -393,18 +372,8 @@ class SelectorApprox:
 def _or_symmetric_coeffs(k, eps, prec):
     """Subset-basis coefficients a_0..a_d of an OR_k approximant with error
     <= eps/2: a_ell is the ell-th finite difference of the weight poly."""
-    d = 1
-    while True:
-        a = and_or_approx(k, d, "or", prec)
-        if float(a.certified_eps) <= float(eps) / 2:
-            break
-        d += 1
-    g = a.poly
-    if g.backend == RATIONAL:
-        gv = [g.eval(w) for w in range(min(a.degree, k) + 1)]
-    else:
-        with mp.workprec(prec):
-            gv = [g.eval(w) for w in range(min(a.degree, k) + 1)]
+    a = and_or_min_degree(k, "or", eps / 2, prec)
+    gv = [a.poly.eval(w, prec) for w in range(min(a.degree, k) + 1)]
     coeffs = []
     for ell in range(len(gv)):
         coeffs.append(sum((-1) ** (ell - i) * math.comb(ell, i) * gv[i]

@@ -305,7 +305,8 @@ def lagrange_interpolate(nodes, values, backend=RATIONAL, prec=DEFAULT_PREC):
 
 
 class StructPoly:
-    backend = FLOAT
+    """A factored polynomial node.  Its backend is derived from its children:
+    rational when all of them are (for SScale, also c), float otherwise."""
 
     def eval(self, t, prec=None):
         raise NotImplementedError
@@ -314,12 +315,8 @@ class StructPoly:
         raise NotImplementedError
 
 
-def _seval(p, t, prec):
-    """Evaluate a UniPoly or StructPoly child, threading precision where the
-    node supports it.  Rational dense evaluation stays exact."""
-    if isinstance(p, UniPoly):
-        return p.eval(t) if p.backend == RATIONAL else p.eval(t, prec)
-    return p.eval(t, prec)
+def _backend_of(*parts):
+    return RATIONAL if all(p.backend == RATIONAL for p in parts) else FLOAT
 
 
 def _as_num(v, prec):
@@ -346,9 +343,10 @@ class SProd(StructPoly):
     def __init__(self, parts):
         self.parts = parts
         self.degree = sum(p.degree for p in parts)
+        self.backend = _backend_of(*parts)
 
     def eval(self, t, prec=None):
-        vals = [_seval(p, t, prec) for p in self.parts]
+        vals = [p.eval(t, prec) for p in self.parts]
         if prec is None:
             acc = 1
             for v in vals:
@@ -368,9 +366,10 @@ class SSum(StructPoly):
     def __init__(self, parts):
         self.parts = parts
         self.degree = max(p.degree for p in parts)
+        self.backend = _backend_of(*parts)
 
     def eval(self, t, prec=None):
-        vals = [_seval(p, t, prec) for p in self.parts]
+        vals = [p.eval(t, prec) for p in self.parts]
         if prec is None:
             return sum(vals)
         with mp.workprec(prec):
@@ -385,12 +384,14 @@ class SScale(StructPoly):
         self.c = c
         self.base = base
         self.degree = base.degree
+        self.backend = (base.backend if isinstance(c, (int, Fraction))
+                        else FLOAT)
 
     def eval(self, t, prec=None):
         if prec is None:
-            return self.c * _seval(self.base, t, prec)
+            return self.c * self.base.eval(t, prec)
         with mp.workprec(prec):
-            return _as_num(self.c, prec) * _as_num(_seval(self.base, t, prec), prec)
+            return _as_num(self.c, prec) * _as_num(self.base.eval(t, prec), prec)
 
     def to_json(self):
         return {"kind": "scale", "c": scalar_to_json(self.c), "base": self.base.to_json()}
@@ -401,9 +402,10 @@ class SPow(StructPoly):
         self.base = base
         self.k = k
         self.degree = base.degree * k
+        self.backend = base.backend
 
     def eval(self, t, prec=None):
-        v = _seval(self.base, t, prec)
+        v = self.base.eval(t, prec)
         if prec is None:
             return v ** self.k
         with mp.workprec(prec):
@@ -420,9 +422,10 @@ class SComp(StructPoly):
         self.outer = outer
         self.inner = inner
         self.degree = outer.degree * inner.degree
+        self.backend = _backend_of(outer, inner)
 
     def eval(self, t, prec=None):
-        return _seval(self.outer, _seval(self.inner, t, prec), prec)
+        return self.outer.eval(self.inner.eval(t, prec), prec)
 
     def to_json(self):
         return {"kind": "comp", "outer": self.outer.to_json(),
@@ -431,6 +434,8 @@ class SComp(StructPoly):
 
 class SBinomTail(StructPoly):
     """sum_{i=lo}^{d} C(d,i) t^i (1-t)^{d-i}, evaluated term by term."""
+
+    backend = FLOAT
 
     def __init__(self, d, lo, prec=DEFAULT_PREC):
         self.d = d
@@ -545,11 +550,37 @@ def recheck(build, prec=DEFAULT_PREC):
     return a
 
 
+def min_degree(build, eps, hi):
+    """build(d) at the smallest d in [1, hi] with certified_eps <= eps, for
+    an error that falls with d: gallop up from 1, then bisect, building no d
+    twice.  Raises ArithmeticError if d = hi misses eps."""
+
+    def probe(d):
+        obj = build(d)
+        return obj if float(obj.certified_eps) <= float(eps) else None
+
+    bad, d, step = 0, 1, 1
+    while (best := probe(d)) is None:
+        if d == hi:
+            raise ArithmeticError("no degree up to %d meets the target" % hi)
+        bad, d = d, min(d + step, hi)
+        step *= 2
+    while d - bad > 1:
+        mid = (bad + d) // 2
+        obj = probe(mid)
+        if obj is None:
+            bad = mid
+        else:
+            d, best = mid, obj
+    return best
+
+
 def checked_max_abs(evaluate, points, prec=DEFAULT_PREC):
     """max |evaluate(t, prec)| over points, verified at doubled precision."""
 
     def build(p):
-        return [abs(evaluate(t, p)) for t in points]
+        with mp.workprec(p):      # abs() rounds to the working precision
+            return [abs(evaluate(t, p)) for t in points]
 
     vals = recheck(build, prec)
     return max(vals) if vals else mpmath.mpf(0)

@@ -14,9 +14,9 @@ import math
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, SComp, SDense, UniPoly,
-                      as_fraction, lagrange_interpolate, poly_to_json, recheck,
-                      to_mpf)
+from .numcore import (DEFAULT_PREC, FLOAT, SComp, SDense, UniPoly,
+                      as_fraction, checked_max_abs, lagrange_interpolate,
+                      min_degree, poly_to_json, recheck, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 
 
@@ -74,31 +74,6 @@ class SymApprox:
         return d
 
 
-def _measure(poly, spec, prec=DEFAULT_PREC, points=None):
-    """Max |poly(w) - values[w]|; exact for rational, rechecked for float."""
-    pts = points if points is not None else range(spec.n + 1)
-    if getattr(poly, "backend", FLOAT) == RATIONAL:
-        errs = [abs(poly.eval(w) - spec.values[w]) for w in pts]
-        return max(errs, default=Fraction(0))
-
-    def build(p):
-        out = []
-        with mp.workprec(p):
-            for w in pts:
-                v = poly.eval(w, p) if not isinstance(poly, UniPoly) else poly.eval(w)
-                out.append(abs(v - to_mpf(spec.values[w], p)))
-        return out
-
-    if isinstance(poly, UniPoly):
-        # dense float polynomials carry their own precision; the recheck
-        # happens at construction time by rebuilding, so measure directly
-        with mp.workprec(poly.prec):
-            return max((abs(poly.eval(w) - to_mpf(spec.values[w], poly.prec))
-                        for w in pts), default=mpmath.mpf(0))
-    vals = recheck(build, prec)
-    return max(vals, default=mpmath.mpf(0))
-
-
 def single_zero_factor(n, m, prec=DEFAULT_PREC):
     """T restricted to one zero: value 1 at n, 0 at m, |.| <= 1 on [0, n].
     Degree ceil((pi/4) sqrt(n/(n-m)))."""
@@ -147,21 +122,29 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
                          set(range(n + 1)))
     ell = d * d // (36 * n) + 1
     ell = min(ell, n - 1)
+    built = {}
 
     def build(pr):
-        base = _and_base(n, d, ell, pr)
+        base = built[pr] = _and_base(n, d, ell, pr)
         with mp.workprec(pr):
             m = max(abs(base.eval(w)) for w in range(n))
         return [m]
 
     M = recheck(build, prec)[0]
-    base = _and_base(n, d, ell, prec)
+    base = built[prec]
     with mp.workprec(prec):
         p = base.scale(1 / (1 + M))
         eps = M / (1 + M)
         if which == "or":
             p = UniPoly([1], FLOAT, prec) - p.compose_affine(-1, n)
     return SymApprox(spec, p, p.degree, eps, "chebyshev-damped", set())
+
+
+def and_or_min_degree(n, which, eps, prec=DEFAULT_PREC):
+    """and_or_approx at the smallest d whose certified error is <= eps.  The
+    error falls with d, and d >= n is the exact interpolant."""
+    return min_degree(lambda d: and_or_approx(n, d, which, prec), eps,
+                      max(n, 1))
 
 
 def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
@@ -178,8 +161,9 @@ def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
         return SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
                          set(range(n + 1)))
     r = math.ceil(math.sqrt(n * lg))
+    built = {}
 
-    def assemble(pr):
+    def build(pr):
         with mp.workprec(pr):
             peak = cheb_eval(r, Fraction(n - k, n - ell), pr)
             p = cheb_poly(r, FLOAT, pr).compose_affine(Fraction(1, n - ell), 0)
@@ -192,16 +176,12 @@ def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
             for i in range(n - k + 1, n + 1):
                 f = single_zero_factor(i, n - k, pr)
                 p = p * (one - f * f)
-        return p
-
-    def build(pr):
-        p = assemble(pr)
-        with mp.workprec(pr):
+            built[pr] = p
             return [max(abs(p.eval(w) - to_mpf(spec.values[w], pr))
                         for w in range(n + 1))]
 
     err = recheck(build, prec)[0]
-    p = assemble(prec)
+    p = built[prec]
     structural = set(range(ell + 1)) | set(range(n - ell, n + 1))
     return SymApprox(spec, p, p.degree, err, "zeroed-chebyshev", structural)
 
@@ -224,21 +204,20 @@ def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
     lam = spec.values[ell + 1]
     slice_eps = eps / (2 * ell + 2)
     total = UniPoly([lam], FLOAT, prec)
-    deg = 0
     for i in range(ell + 1):
         hi = spec.values[n - i] - lam
         lo = spec.values[i] - lam
+        if hi == lo == 0:
+            continue
+        q = exact_weight_approx(n, i, ell, slice_eps, prec).poly.to_float(prec)
         if hi != 0:
-            a = exact_weight_approx(n, i, ell, slice_eps, prec)
-            q = a.poly if a.poly.backend == FLOAT else a.poly.to_float(prec)
             total = total + q.scale(hi)
-            deg = max(deg, a.degree)
         if lo != 0:
-            a = exact_weight_approx(n, i, ell, slice_eps, prec)
-            q = a.poly if a.poly.backend == FLOAT else a.poly.to_float(prec)
             total = total + q.compose_affine(-1, n).scale(lo)
-            deg = max(deg, a.degree)
-    err = _measure(total, spec, prec)
+
+    err = checked_max_abs(
+        lambda w, pr: total.eval(w, pr) - to_mpf(spec.values[w], pr),
+        range(n + 1), prec)
     return SymApprox(spec, total, total.degree, err, "boundary-decomposition", set())
 
 
@@ -274,7 +253,6 @@ def sampling_approx(spec, eps):
     # factored, the dense composition has astronomically large coefficients
     inner = UniPoly([1]) - (UniPoly([1, Fraction(-1, n)]) ** E)
     poly = SComp(SDense(pq), SDense(inner))
-    poly.backend = RATIONAL
     ap = SymApprox(spec, poly, pq.degree * E, err, "sampled-nodes", exact,
                    pi_norm_bound=pi_bound)
     ap.pq_norm = norm
@@ -335,6 +313,7 @@ def restricted_disjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
         return LinearFormApprox(nvars, n, A, B, pol, pol.degree, err, counts)
     ell = d * d // (36 * m2) + 1
     ell = min(ell, m2 - 1)
+    built = {}
 
     def build(pr):
         base = _and_base(m2, d, ell, pr)
@@ -342,20 +321,17 @@ def restricted_disjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
             M = max(abs(base.eval(w)) for w in range(m2))
             pol = UniPoly([1], FLOAT, pr) - base.scale(1 / (1 + M)).compose_affine(-1, m2)
             errs = [abs(pol.eval(s) - (0 if s == 0 else 1)) for s in counts]
+        built[pr] = pol
         return [max(errs)] if errs else [mpmath.mpf(0)]
 
     err = recheck(build, prec)[0]
-    base = _and_base(m2, d, ell, prec)
-    with mp.workprec(prec):
-        M = max(abs(base.eval(w)) for w in range(m2))
-        pol = UniPoly([1], FLOAT, prec) - base.scale(1 / (1 + M)).compose_affine(-1, m2)
+    pol = built[prec]
     return LinearFormApprox(nvars, n, A, B, pol, pol.degree, err, counts)
 
 
 def restricted_conjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
     """AND of the same literal set, via 1 - OR of the negated literals."""
     disj = restricted_disjunction_approx(nvars, n, B, A, d, prec)
-    one = UniPoly([1]) if disj.poly.backend == RATIONAL else UniPoly([1], FLOAT, prec)
-    pol = one - disj.poly
+    pol = UniPoly([1], disj.poly.backend, prec) - disj.poly
     return LinearFormApprox(nvars, n, frozenset(B), frozenset(A), pol,
                             disj.degree, disj.certified_eps, disj.achievable)

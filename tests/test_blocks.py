@@ -49,6 +49,29 @@ def test_reciprocal_corollary_sandwich():
             assert Fraction(1, 2) <= v * t <= 1, (n, t)
 
 
+def _guarded_corollary_degree(n):
+    # The degree choice of reciprocal_corollary with explicit guards around
+    # isqrt for non-integer 2(n - 1), then raised until eps <= 1/3.
+    d = int(math.isqrt(int(2 * (n - 1)))) if n > 1 else 0
+    while (d + 1) ** 2 <= 2 * (n - 1):
+        d += 1
+    while d ** 2 > 2 * (n - 1):
+        d -= 1
+    d = max(d, 0)
+    while reciprocal_approx(n, d)[1] > Fraction(1, 3):
+        d += 1
+    return d
+
+
+def test_reciprocal_corollary_degree_for_non_integer_n():
+    for den in (2, 3, 7, 10):
+        for num in range(den + 1, 40 * den, 3):
+            n = Fraction(num, den)
+            if n.denominator == 1:
+                continue
+            assert reciprocal_corollary(n)[1] == _guarded_corollary_degree(n), n
+
+
 def test_reciprocal_power_taylor_section():
     d, D = 3, 20
     p = reciprocal_power_approx(d, D)

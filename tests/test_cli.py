@@ -26,6 +26,24 @@ def test_invalid_configuration_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target", ["and", "or", "exact", "sampling",
+                                    "small-support", "surjectivity"])
+@pytest.mark.parametrize("eps", ["0", "-1/3"])
+def test_non_positive_eps_exits_2(target, eps, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = run(["construct", "--target", target, "--n", "8", "--k", "1",
+              "--r", "2", "--eps=" + eps, "--out", str(out)])
+    assert rc == 2
+    assert "--eps must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_denominator_eps_exits_2(capsys):
+    assert run(["construct", "--target", "and", "--n", "8",
+                "--eps", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_construct_verify_round_trips(tmp_path, capsys):
     cases = [
         ["construct", "--target", "and", "--n", "12"],
@@ -114,3 +132,28 @@ def test_construct_golden_artifact_bytes(tmp_path, capsys):
         digest.update(out.read_bytes())
     capsys.readouterr()
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+FLOAT_GOLDEN_SHAPES = [
+    ["--target", "and", "--n", "16"],
+    ["--target", "and", "--n", "32"],
+    ["--target", "or", "--n", "24"],
+    ["--target", "exact", "--n", "20", "--k", "2", "--eps", "1/8"],
+    ["--target", "surjectivity", "--n", "8", "--r", "2"],
+    ["--target", "surjectivity", "--n", "12", "--r", "3", "--eps", "1/16"],
+]
+FLOAT_GOLDEN_SHA256 = \
+    "c7d0d0e7144a954a96cc3573aaec409dddb44839f4bcd5be0dc17f4c1e0c0c2f"
+
+
+def test_construct_golden_float_artifact_bytes(tmp_path, capsys):
+    # Pins the artifact bytes of the float targets: the and/or degree search,
+    # the exact-weight and restricted-disjunction builds, and the
+    # surjectivity outer polynomial and conjunction search.
+    digest = hashlib.sha256()
+    for i, shape in enumerate(FLOAT_GOLDEN_SHAPES):
+        out = tmp_path / ("f%d.json" % i)
+        assert run(["construct"] + shape + ["--out", str(out)]) == 0, shape
+        digest.update(out.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == FLOAT_GOLDEN_SHA256

@@ -1,17 +1,18 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 from mpmath import mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyapprox.numcore import (BackendMismatchError, PrecisionError, SplitMix64,
                                 SBinomTail, SComp, SDense, SPow, SProd, SScale,
                                 SSum, UniPoly, as_fraction, checked_max_abs,
-                                lagrange_interpolate, mpf_from_hex, mpf_to_hex,
-                                poly_from_json, poly_to_json, recheck,
+                                lagrange_interpolate, min_degree, mpf_from_hex,
+                                mpf_to_hex, poly_from_json, poly_to_json, recheck,
                                 scalar_from_json, scalar_to_json, to_mpf)
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=64)
@@ -274,6 +275,7 @@ def test_poly_json_round_trip_every_struct_kind():
         text = json.dumps(poly_to_json(s), sort_keys=True)
         r = poly_from_json(json.loads(text))
         assert type(r) is type(s), name
+        assert r.backend == s.backend, name
         assert json.dumps(poly_to_json(r), sort_keys=True) == text, name
         for t in (0, Fraction(1, 3), 1):
             assert r.eval(t, 64) == s.eval(t, 64), (name, t)
@@ -298,10 +300,43 @@ def test_recheck_rejects_length_mismatch():
         recheck(lambda pr: [to_mpf(1, pr)] * (pr // 64), 64)
 
 
+@given(st.integers(min_value=1, max_value=100),
+       st.integers(min_value=0, max_value=110))
+@example(hi=10, threshold=1)       # answer at d = 1
+@example(hi=10, threshold=10)      # answer at hi
+@example(hi=1, threshold=1)        # a single candidate
+@example(hi=10, threshold=11)      # hi misses eps
+@settings(max_examples=150, deadline=None)
+def test_min_degree_matches_linear_scan(hi, threshold):
+    # certified_eps = max(threshold - d, 0) falls with d and meets eps = 0
+    # exactly from d = threshold on
+    built = []
+
+    def build(d):
+        built.append(d)
+        return SimpleNamespace(d=d, certified_eps=max(threshold - d, 0))
+
+    linear = next((d for d in range(1, hi + 1) if d >= threshold), None)
+    if linear is None:
+        with pytest.raises(ArithmeticError):
+            min_degree(build, 0, hi)
+    else:
+        assert min_degree(build, 0, hi).d == linear
+    assert len(built) == len(set(built)) and all(1 <= d <= hi for d in built)
+
+
 def test_checked_max_abs():
     p = UniPoly([0, 1]).to_float(64)
     m = checked_max_abs(lambda t, pr: p.eval(t, pr), [0, Fraction(1, 2), -3], 64)
     assert float(m) == 3.0
+
+
+def test_checked_max_abs_keeps_the_working_precision():
+    # Outside any workprec block the ambient precision is 53 bits; the
+    # maximum must still carry all 128 bits of the values it was given.
+    m = checked_max_abs(lambda t, pr: t * to_mpf(Fraction(-1, 3), pr),
+                        [1, -2], 128)
+    assert m._mpf_ == to_mpf(Fraction(2, 3), 128)._mpf_
 
 
 def test_splitmix_deterministic():

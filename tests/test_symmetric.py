@@ -1,4 +1,6 @@
+import collections
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -6,9 +8,10 @@ import mpmath
 from mpmath import mp
 import pytest
 
-from polyapprox.numcore import RATIONAL, SplitMix64, to_mpf
+from polyapprox import symmetric
+from polyapprox.numcore import RATIONAL, SplitMix64, poly_from_json, to_mpf
 from polyapprox.symmetric import (SymSpec, achievable_counts, and_or_approx,
-                                  exact_weight_approx,
+                                  and_or_min_degree, exact_weight_approx,
                                   restricted_conjunction_approx,
                                   restricted_disjunction_approx,
                                   sampling_approx, single_zero_factor,
@@ -122,6 +125,56 @@ def test_symmetric_approx_general_spectrum():
     assert float(a.certified_eps) <= 1 / 4
 
 
+def test_symmetric_approx_builds_each_slice_once(monkeypatch):
+    # Both boundary values of every slice differ from the middle value, so
+    # each slice feeds two terms; it must still be built once, and the
+    # returned polynomial's error must be measured at the doubled precision
+    # too.
+    n = 16
+    vals = [Fraction(-1, 2), Fraction(1, 5)] + [Fraction(1, 2)] * (n - 3) + \
+        [Fraction(3, 4), Fraction(-1, 3)]
+    built = collections.Counter()
+    measured = set()
+    real_build = symmetric.exact_weight_approx
+    real_measure = symmetric.checked_max_abs
+
+    def build_spy(n, k, m, eps, prec):
+        built[k, prec] += 1
+        return real_build(n, k, m, eps, prec)
+
+    def measure_spy(evaluate, points, prec):
+        def spy(t, pr):
+            measured.add(pr)
+            return evaluate(t, pr)
+        return real_measure(spy, points, prec)
+
+    monkeypatch.setattr(symmetric, "exact_weight_approx", build_spy)
+    monkeypatch.setattr(symmetric, "checked_max_abs", measure_spy)
+    a = symmetric_approx(SymSpec(n, vals), Fraction(1, 4), 128)
+    assert built == {(0, 128): 1, (1, 128): 1}
+    assert measured == {128, 256}
+    _check(a)
+    assert float(a.certified_eps) <= 1 / 4
+
+
+def _linear_and_or_ladder(n, which, eps):
+    d = 1
+    while True:
+        a = and_or_approx(n, d, which)
+        if float(a.certified_eps) <= float(eps):
+            return a
+        d += 1
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
+def test_and_or_min_degree_matches_linear_ladder(n):
+    for which in ("and", "or"):
+        for eps in (Fraction(1, 3), Fraction(1, 6)):
+            want = json.dumps(_linear_and_or_ladder(n, which, eps).to_json())
+            got = json.dumps(and_or_min_degree(n, which, eps).to_json())
+            assert got == want, (n, which, eps)
+
+
 def test_symmetric_approx_constant():
     spec = SymSpec(8, [Fraction(1, 3)] * 9)
     a = symmetric_approx(spec, Fraction(1, 8))
@@ -142,6 +195,8 @@ def test_sampling_exact_at_ends_and_close_between():
         else:
             assert err <= Fraction(1, 8), w
     assert a.pi_norm_bound >= a.pq_norm
+    r = poly_from_json(json.loads(json.dumps(a.poly.to_json())))
+    assert r.backend == a.poly.backend == RATIONAL
 
 
 def test_sampling_passthrough_for_wide_support():
