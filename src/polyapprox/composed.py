@@ -12,7 +12,7 @@ import mpmath
 from mpmath import mp
 
 from .numcore import (DEFAULT_PREC, RATIONAL, UniPoly, as_fraction,
-                      min_degree, poly_to_json, recheck, to_mpf)
+                      checked_max_abs, min_degree, poly_to_json, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 from .symmetric import and_or_min_degree, restricted_disjunction_approx
 from .oracle import MultiPoly, multilinear_interpolant
@@ -256,6 +256,8 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     """Approximant for SURJ on an n x r grid restricted to weight <= n,
     expanded into per-column-subset emptiness terms."""
     eps = as_fraction(eps)
+    if r < 1:
+        raise ValueError("need r >= 1 columns, got %d" % r)
     if r > n:
         out = BlockSymApprox(n, r, [(0, Fraction(0), None)], Fraction(0), 0)
         return out
@@ -290,7 +292,9 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
         terms.append((ell, mu[ell], q))
         deg = max(deg, q.degree)
     out = BlockSymApprox(n, r, terms, None, deg, outer_err)
-    out.certified_eps = _certify_surj(out, prec)
+    out.certified_eps = checked_max_abs(
+        lambda wv, pr: to_mpf(out.eval(wv, pr), pr) - surj_value(wv),
+        list(_weight_vectors(r, n)), prec)
     return out
 
 
@@ -303,20 +307,6 @@ def _conjunction_poly(n, r, ell, budget, prec):
                                                 frozenset(), d, prec),
         budget, 2 * n)
     return UniPoly([1], best.poly.backend, prec) - best.poly
-
-
-def _certify_surj(out, prec):
-    def build(pr):
-        out._tables = None
-        vals = []
-        with mp.workprec(pr):
-            for wv in _weight_vectors(out.r, out.n):
-                v = out.eval(wv, pr)
-                vals.append(abs(to_mpf(v, pr) - surj_value(wv)))
-        out._tables = None
-        return [max(vals)]
-
-    return recheck(build, prec)[0]
 
 
 def surj_outer_eval(n, r, eps, weights, prec=DEFAULT_PREC):
@@ -381,8 +371,7 @@ def _or_symmetric_coeffs(k, eps, prec):
     return coeffs, a.degree
 
 
-def selector_compose(fs, M, N, n, b, eps, inner_policy="exact-interpolant",
-                     prec=DEFAULT_PREC):
+def selector_compose(fs, M, N, n, b, eps, prec=DEFAULT_PREC):
     """Composed approximant for OR_i (y_i and f_i(x)); fs are N boolean
     functions of M variables given as callables on 0/1 tuples.  Toy scale:
     everything is enumerated exactly."""
@@ -394,8 +383,6 @@ def selector_compose(fs, M, N, n, b, eps, inner_policy="exact-interpolant",
     heavy = sum(math.comb(k, ell) * 2 ** ell * abs(a[ell])
                 for ell in range(1, len(a)))
     inner_eps = (eps / 2) / heavy if heavy else eps
-    if inner_policy not in ("exact-interpolant",):
-        raise ValueError("unsupported inner policy %r" % inner_policy)
 
     def f_union(S, x):
         return 1 if any(fs[i](x) for i in S) else 0

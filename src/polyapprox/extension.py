@@ -6,12 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-import mpmath
-from mpmath import mp
-
-from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, SComp, SDense, SPow,
-                      SProd, UniPoly, as_fraction, lagrange_interpolate,
-                      recheck, to_mpf)
+from .numcore import (DEFAULT_PREC, RATIONAL, SComp, SDense, SProd, UniPoly,
+                      as_fraction, checked_max_abs, lagrange_interpolate,
+                      to_mpf)
 from .chebyshev import cheb_poly
 from .blocks import interval_indicator
 from .symmetric import SymApprox, SymSpec
@@ -97,13 +94,9 @@ def extend_approx(approx, n, delta, prec=DEFAULT_PREC):
     phi = approx.poly
     scaled_ind = SComp(ind, SDense(inner))
     full = SProd([SDense(phi) if isinstance(phi, UniPoly) else phi, scaled_ind])
-
-    def build(pr):
-        with mp.workprec(pr):
-            return [abs(full.eval(w, pr) - to_mpf(target.values[w], pr))
-                    for w in range(n + 1)]
-
-    err = max(recheck(build, prec))
+    err = checked_max_abs(
+        lambda w, pr: full.eval(w, pr) - to_mpf(target.values[w], pr),
+        range(n + 1), prec)
     out = SymApprox(target, full, full.degree, err, "extension", set())
     return ExtensionResult(out, n_in, m, delta, ind.degree)
 

@@ -4,8 +4,10 @@ expansion is out of reach.
 
 Two backends only: "rational" (fractions.Fraction, exact) and "float"
 (mpmath mpf at an explicit precision).  Mixed-backend arithmetic is an
-error, never a silent coercion.  Every float-backend certification is
-re-run at doubled precision; disagreement raises PrecisionError.
+error, never a silent coercion.  A float construction builds its polynomial
+once, at its working precision, and certifies its error with
+checked_max_abs: the returned polynomial is evaluated at that precision and
+again at doubled precision, and disagreement raises PrecisionError.
 """
 
 from fractions import Fraction
@@ -333,7 +335,7 @@ class SDense(StructPoly):
         self.prec = poly.prec
 
     def eval(self, t, prec=None):
-        return self.poly.eval(t)
+        return self.poly.eval(t, prec)
 
     def to_json(self):
         return {"kind": "dense", "poly": self.poly.to_json()}
@@ -532,9 +534,9 @@ def poly_from_json(d):
 
 
 def recheck(build, prec=DEFAULT_PREC):
-    """Run build(prec) and build(2*prec); the results (scalars or flat lists)
-    must agree to 2^-(prec/2) relative, else PrecisionError.  Returns the
-    base-precision result."""
+    """Run build(prec) and build(2*prec); the results (scalars or flat lists,
+    mpf or exact) must agree to 2^-(prec/2) relative, else PrecisionError.
+    Returns the base-precision result."""
     a = build(prec)
     b = build(2 * prec)
     scalars_a = a if isinstance(a, (list, tuple)) else [a]
@@ -542,8 +544,8 @@ def recheck(build, prec=DEFAULT_PREC):
     tol = mpmath.mpf(2) ** (-(prec // 2))
     with mp.workprec(2 * prec):
         for x, y in zip(scalars_a, scalars_b, strict=True):
-            scale = max(1, abs(mpmath.mpf(x)))
-            if abs(mpmath.mpf(x) - mpmath.mpf(y)) > tol * scale:
+            x, y = to_mpf(x, 2 * prec), to_mpf(y, 2 * prec)
+            if abs(x - y) > tol * max(1, abs(x)):
                 raise PrecisionError(
                     "doubled-precision recheck failed: %s vs %s at %d bits"
                     % (mpmath.nstr(x, 20), mpmath.nstr(y, 20), prec))
@@ -576,7 +578,8 @@ def min_degree(build, eps, hi):
 
 
 def checked_max_abs(evaluate, points, prec=DEFAULT_PREC):
-    """max |evaluate(t, prec)| over points, verified at doubled precision."""
+    """max |evaluate(t, prec)| over points, each point verified against
+    evaluate(t, 2*prec).  evaluate(t, p) runs under workprec(p)."""
 
     def build(p):
         with mp.workprec(p):      # abs() rounds to the working precision

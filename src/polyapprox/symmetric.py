@@ -16,7 +16,7 @@ from mpmath import mp
 
 from .numcore import (DEFAULT_PREC, FLOAT, SComp, SDense, UniPoly,
                       as_fraction, checked_max_abs, lagrange_interpolate,
-                      min_degree, poly_to_json, recheck, to_mpf)
+                      min_degree, poly_to_json, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 
 
@@ -122,16 +122,8 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
                          set(range(n + 1)))
     ell = d * d // (36 * n) + 1
     ell = min(ell, n - 1)
-    built = {}
-
-    def build(pr):
-        base = built[pr] = _and_base(n, d, ell, pr)
-        with mp.workprec(pr):
-            m = max(abs(base.eval(w)) for w in range(n))
-        return [m]
-
-    M = recheck(build, prec)[0]
-    base = built[prec]
+    base = _and_base(n, d, ell, prec)
+    M = checked_max_abs(base.eval, range(n), prec)
     with mp.workprec(prec):
         p = base.scale(1 / (1 + M))
         eps = M / (1 + M)
@@ -161,27 +153,21 @@ def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
         return SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
                          set(range(n + 1)))
     r = math.ceil(math.sqrt(n * lg))
-    built = {}
-
-    def build(pr):
-        with mp.workprec(pr):
-            peak = cheb_eval(r, Fraction(n - k, n - ell), pr)
-            p = cheb_poly(r, FLOAT, pr).compose_affine(Fraction(1, n - ell), 0)
-            p = p.scale(1 / peak)
-            for i in range(ell + 1):
-                p = p * single_zero_factor(n - k, i, pr)
-            for i in range(n - ell, n - k):
-                p = p * single_zero_factor(n - k, i, pr)
-            one = UniPoly([1], FLOAT, pr)
-            for i in range(n - k + 1, n + 1):
-                f = single_zero_factor(i, n - k, pr)
-                p = p * (one - f * f)
-            built[pr] = p
-            return [max(abs(p.eval(w) - to_mpf(spec.values[w], pr))
-                        for w in range(n + 1))]
-
-    err = recheck(build, prec)[0]
-    p = built[prec]
+    with mp.workprec(prec):
+        peak = cheb_eval(r, Fraction(n - k, n - ell), prec)
+        p = cheb_poly(r, FLOAT, prec).compose_affine(Fraction(1, n - ell), 0)
+        p = p.scale(1 / peak)
+        for i in range(ell + 1):
+            p = p * single_zero_factor(n - k, i, prec)
+        for i in range(n - ell, n - k):
+            p = p * single_zero_factor(n - k, i, prec)
+        one = UniPoly([1], FLOAT, prec)
+        for i in range(n - k + 1, n + 1):
+            f = single_zero_factor(i, n - k, prec)
+            p = p * (one - f * f)
+    err = checked_max_abs(
+        lambda w, pr: p.eval(w, pr) - to_mpf(spec.values[w], pr),
+        range(n + 1), prec)
     structural = set(range(ell + 1)) | set(range(n - ell, n + 1))
     return SymApprox(spec, p, p.degree, err, "zeroed-chebyshev", structural)
 
@@ -306,26 +292,9 @@ def restricted_disjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
         # some negated literal is always satisfied
         return LinearFormApprox(nvars, n, A, B, UniPoly([1]), 0, Fraction(0),
                                 counts)
-    m2 = 2 * n
-    if d >= m2:
-        pol = UniPoly([1]) - _falling_interpolant(m2, m2).compose_affine(-1, m2)
-        err = Fraction(0)
-        return LinearFormApprox(nvars, n, A, B, pol, pol.degree, err, counts)
-    ell = d * d // (36 * m2) + 1
-    ell = min(ell, m2 - 1)
-    built = {}
-
-    def build(pr):
-        base = _and_base(m2, d, ell, pr)
-        with mp.workprec(pr):
-            M = max(abs(base.eval(w)) for w in range(m2))
-            pol = UniPoly([1], FLOAT, pr) - base.scale(1 / (1 + M)).compose_affine(-1, m2)
-            errs = [abs(pol.eval(s) - (0 if s == 0 else 1)) for s in counts]
-        built[pr] = pol
-        return [max(errs)] if errs else [mpmath.mpf(0)]
-
-    err = recheck(build, prec)[0]
-    pol = built[prec]
+    pol = and_or_approx(2 * n, d, "or", prec).poly
+    err = checked_max_abs(
+        lambda s, pr: pol.eval(s, pr) - (0 if s == 0 else 1), counts, prec)
     return LinearFormApprox(nvars, n, A, B, pol, pol.degree, err, counts)
 
 

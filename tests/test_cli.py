@@ -44,6 +44,16 @@ def test_zero_denominator_eps_exits_2(capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r_flag", [[], ["--r", "0"], ["--r", "-1"]])
+def test_surjectivity_without_columns_exits_2(r_flag, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    rc = run(["construct", "--target", "surjectivity", "--n", "8"] + r_flag
+             + ["--out", str(out)])
+    assert rc == 2
+    assert "need r >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_verify_round_trips(tmp_path, capsys):
     cases = [
         ["construct", "--target", "and", "--n", "12"],
@@ -157,3 +167,30 @@ def test_construct_golden_float_artifact_bytes(tmp_path, capsys):
         digest.update(out.read_bytes())
     capsys.readouterr()
     assert digest.hexdigest() == FLOAT_GOLDEN_SHA256
+
+
+PREC_GOLDEN_SHAPES = [
+    ["--target", "and", "--n", "24", "--eps", "1/16"],
+    ["--target", "or", "--n", "24", "--eps", "1/16"],
+    ["--target", "exact", "--n", "20", "--k", "2", "--eps", "1/16"],
+    ["--target", "surjectivity", "--n", "10", "--r", "2", "--eps", "1/16"],
+    ["--target", "surjectivity", "--n", "12", "--r", "2", "--eps", "1/4"],
+]
+PREC_GOLDEN_SHA256 = \
+    "f3dffca0da7de4715ed5bac9dd132ffd916fbd89df4fbadddf41f63b26ac36ae"
+
+
+def test_construct_golden_float_artifact_bytes_at_128_and_512_bits(
+        tmp_path, capsys):
+    # Pins the float targets at working precisions other than the default,
+    # so a change to how --prec reaches the build or the doubled-precision
+    # measure must leave every serialized coefficient unchanged.
+    digest = hashlib.sha256()
+    for prec in ("128", "512"):
+        for i, shape in enumerate(PREC_GOLDEN_SHAPES):
+            out = tmp_path / ("p%s_%d.json" % (prec, i))
+            assert run(["--prec", prec, "construct"] + shape
+                       + ["--out", str(out)]) == 0, (prec, shape)
+            digest.update(out.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == PREC_GOLDEN_SHA256

@@ -300,6 +300,32 @@ def test_recheck_rejects_length_mismatch():
         recheck(lambda pr: [to_mpf(1, pr)] * (pr // 64), 64)
 
 
+def test_recheck_passes_exact_fractions_through():
+    vals = recheck(lambda pr: [Fraction(1, 3), Fraction(0)], 64)
+    assert vals == [Fraction(1, 3), Fraction(0)]
+    assert all(isinstance(v, Fraction) for v in vals)
+    # exact at the base precision, rounded at the doubled one: still agrees
+    assert recheck(lambda pr: Fraction(1, 3) if pr == 64
+                   else to_mpf(Fraction(1, 3), pr), 64) == Fraction(1, 3)
+
+
+def test_recheck_rejects_disagreeing_fractions():
+    with pytest.raises(PrecisionError):
+        recheck(lambda pr: [Fraction(1, 3) + Fraction(1, pr)], 64)
+    with pytest.raises(PrecisionError):
+        recheck(lambda pr: Fraction(pr), 64)
+
+
+def test_sdense_eval_forwards_the_precision():
+    # A float polynomial built at 64 bits, measured at 256: the value must
+    # carry 256 bits, not the 64 the polynomial was built with.
+    p = UniPoly([0, 1], "float", 64)
+    assert SDense(p).eval(Fraction(1, 3), 256) == to_mpf(Fraction(1, 3), 256)
+    assert SDense(p).eval(Fraction(1, 3)) == to_mpf(Fraction(1, 3), 64)
+    assert checked_max_abs(lambda t, pr: SDense(p).eval(t, pr) - to_mpf(t, pr),
+                           [Fraction(1, 3)], 128) == 0
+
+
 @given(st.integers(min_value=1, max_value=100),
        st.integers(min_value=0, max_value=110))
 @example(hi=10, threshold=1)       # answer at d = 1

@@ -9,7 +9,10 @@ from mpmath import mp
 import pytest
 
 from polyapprox import symmetric
-from polyapprox.numcore import RATIONAL, SplitMix64, poly_from_json, to_mpf
+from polyapprox.composed import surjectivity_approx
+from polyapprox.extension import small_support_approx
+from polyapprox.numcore import (FLOAT, RATIONAL, PrecisionError, SplitMix64,
+                                SProd, UniPoly, poly_from_json, to_mpf)
 from polyapprox.symmetric import (SymSpec, achievable_counts, and_or_approx,
                                   and_or_min_degree, exact_weight_approx,
                                   restricted_conjunction_approx,
@@ -239,3 +242,67 @@ def test_restricted_disjunction_exact_at_high_degree():
     nvars, n = 5, 2
     res = restricted_disjunction_approx(nvars, n, {0, 1, 2}, set(), 2 * n)
     assert res.certified_eps == 0
+
+
+FLOAT_BUILDS = {
+    "and_or": lambda prec: and_or_approx(40, 39, "and", prec),
+    "exact_weight": lambda prec: exact_weight_approx(20, 2, 2, Fraction(1, 8),
+                                                     prec),
+    "restricted_disjunction": lambda prec: restricted_disjunction_approx(
+        20, 20, frozenset(range(20)), frozenset(), 39, prec),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_BUILDS))
+def test_float_builds_only_at_the_working_precision(name, monkeypatch):
+    # The polynomial is built once, at prec; the doubled-precision pass
+    # measures that same polynomial and builds nothing.
+    seen = collections.defaultdict(list)
+    real_base, real_factor = symmetric._and_base, symmetric.single_zero_factor
+
+    def base_spy(n, d, ell, prec):
+        seen["_and_base"].append(prec)
+        return real_base(n, d, ell, prec)
+
+    def factor_spy(n, m, prec):
+        seen["single_zero_factor"].append(prec)
+        return real_factor(n, m, prec)
+
+    monkeypatch.setattr(symmetric, "_and_base", base_spy)
+    monkeypatch.setattr(symmetric, "single_zero_factor", factor_spy)
+    a = FLOAT_BUILDS[name](128)
+    assert a.poly.backend == FLOAT and a.poly.prec == 128
+    assert set(seen["single_zero_factor"]) == {128}
+    assert seen["_and_base"] == ([] if name == "exact_weight" else [128])
+
+
+def _drifting(real):
+    """real eval plus 2^-(p/4) at its working precision p: a result that
+    moves with the precision, which the doubled-precision pass must catch."""
+    def drifting_eval(self, t, prec=None):
+        v = real(self, t, prec)
+        p = prec or getattr(self, "prec", None)
+        if self.backend != FLOAT or p is None:
+            return v
+        with mp.workprec(p):
+            return v + mpmath.mpf(2) ** -(p // 4)
+    return drifting_eval
+
+
+MEASURED_BUILDS = dict(
+    FLOAT_BUILDS,
+    surjectivity=lambda prec: surjectivity_approx(8, 2, prec=prec),
+    small_support=lambda prec: small_support_approx(
+        SymSpec(16, [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)]
+                + [0] * 14), Fraction(1, 8), prec),
+)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURED_BUILDS))
+def test_float_measure_catches_precision_dependent_values(name, monkeypatch):
+    # small_support's polynomial has no float UniPoly: its float part is the
+    # binomial tail inside the SProd that extend_approx measures.
+    node = SProd if name == "small_support" else UniPoly
+    monkeypatch.setattr(node, "eval", _drifting(node.eval))
+    with pytest.raises(PrecisionError):
+        MEASURED_BUILDS[name](128)
