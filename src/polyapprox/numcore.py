@@ -6,8 +6,10 @@ Two backends only: "rational" (fractions.Fraction, exact) and "float"
 (mpmath mpf at an explicit precision).  Mixed-backend arithmetic is an
 error, never a silent coercion.  A float construction builds its polynomial
 once, at its working precision, and certifies its error with
-checked_max_abs: the returned polynomial is evaluated at that precision and
-again at doubled precision, and disagreement raises PrecisionError.
+checked_max_abs: the error is evaluated at that precision and again at
+doubled precision, and disagreement raises PrecisionError.  Most
+constructions measure the polynomial they return; the damped AND/OR
+measures its undamped base and derives its error from that maximum.
 """
 
 from fractions import Fraction
