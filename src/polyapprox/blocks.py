@@ -94,17 +94,6 @@ def reciprocal_power_error_bound(d, D, u):
     return abs(1 - u) ** (D + 1) * math.comb(D + d, d) * d
 
 
-def amplifier_poly(d):
-    """B_d(t) = sum_{i >= ceil(2.5 e^-7 d)} C(d,i) t^i (1-t)^(d-i), dense."""
-    lo = int(math.ceil(2.5 * math.exp(-7) * d))
-    t = UniPoly([0, 1])
-    omt = UniPoly([1, -1])
-    p = UniPoly.zero()
-    for i in range(lo, d + 1):
-        p = p + (t ** i) * (omt ** (d - i)).scale(math.comb(d, i))
-    return p
-
-
 def binom_tail(d, lo, u, prec=DEFAULT_PREC):
     """sum_{i=lo}^d C(d,i) u^i (1-u)^(d-i) at scalar u."""
     return SBinomTail(d, lo, prec).eval(u)

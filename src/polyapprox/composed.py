@@ -283,28 +283,27 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     if slack <= 0:
         raise ArithmeticError("outer stage already exhausts the error budget")
     budget = slack / (weight if exact else as_fraction(float(weight)))
-    terms = [(0, mu[0], None)]
-    deg = 0
-    for ell in range(1, r + 1):
-        if mu[ell] == 0:
-            continue
-        q = _conjunction_poly(n, r, ell, budget, prec)
-        terms.append((ell, mu[ell], q))
-        deg = max(deg, q.degree)
-    out = BlockSymApprox(n, r, terms, None, deg, outer_err)
+    # SURJ is invariant under permuting the columns, so every subset size
+    # shares one emptiness indicator q.
+    live = [ell for ell in range(1, r + 1) if mu[ell] != 0]
+    q = _conjunction_poly(n, budget, prec) if live else None
+    terms = [(0, mu[0], None)] + [(ell, mu[ell], q) for ell in live]
+    out = BlockSymApprox(n, r, terms, None, q.degree if live else 0, outer_err)
     out.certified_eps = checked_max_abs(
         lambda wv, pr: to_mpf(out.eval(wv, pr), pr) - surj_value(wv),
         list(_weight_vectors(r, n)), prec)
     return out
 
 
-def _conjunction_poly(n, r, ell, budget, prec):
-    """Smallest-degree emptiness indicator for ell columns: q(w) with
-    q(0) ~ 1, q(w >= 1) ~ 0, max error <= budget, w = ones in the columns."""
-    entries = frozenset(range(ell * n))
+def _conjunction_poly(n, budget, prec):
+    """Smallest-degree emptiness indicator for any nonempty set of columns:
+    q(w) with q(0) ~ 1, q(w >= 1) ~ 0, max error <= budget, w = ones in the
+    columns.  On the weight-<= n slice w takes every value in 0..n whatever
+    the number of columns, so n variables give the same polynomial."""
+    entries = frozenset(range(n))
     best = min_degree(
-        lambda d: restricted_disjunction_approx(ell * n, n, entries,
-                                                frozenset(), d, prec),
+        lambda d: restricted_disjunction_approx(n, n, entries, frozenset(),
+                                                d, prec),
         budget, 2 * n)
     return UniPoly([1], best.poly.backend, prec) - best.poly
 
@@ -350,7 +349,6 @@ class SelectorApprox:
     a: list
     certified_eps: object
     degree: int
-    inner_eps: object
 
     def to_json(self):
         return {"N": self.N, "n": self.n, "b": self.b,
@@ -380,9 +378,6 @@ def selector_compose(fs, M, N, n, b, eps, prec=DEFAULT_PREC):
         raise ValueError("need b | n and N >= n")
     k = n // b
     a, d_out = _or_symmetric_coeffs(k, eps, prec)
-    heavy = sum(math.comb(k, ell) * 2 ** ell * abs(a[ell])
-                for ell in range(1, len(a)))
-    inner_eps = (eps / 2) / heavy if heavy else eps
 
     def f_union(S, x):
         return 1 if any(fs[i](x) for i in S) else 0
@@ -427,7 +422,7 @@ def selector_compose(fs, M, N, n, b, eps, prec=DEFAULT_PREC):
                 err = abs(evaluate(x, y) - truth)
                 if err > worst:
                     worst = err
-    out = SelectorApprox(N, n, b, a, worst, inner_deg + d_out * b, inner_eps)
+    out = SelectorApprox(N, n, b, a, worst, inner_deg + d_out * b)
     out.evaluate = evaluate
     return out
 

@@ -66,7 +66,7 @@ def mpf_from_hex(s):
     exp = int(exp_s)
     with mp.workprec(max(man.bit_length(), 1) + 8):
         v = mpmath.ldexp(mpmath.mpf(man), exp)
-    return -v if neg else v
+        return -v if neg else v
 
 
 def scalar_to_json(x):
@@ -122,10 +122,6 @@ class UniPoly:
     @classmethod
     def constant(cls, c, backend=RATIONAL, prec=DEFAULT_PREC):
         return cls([c], backend, prec)
-
-    @classmethod
-    def x(cls, backend=RATIONAL, prec=DEFAULT_PREC):
-        return cls([0, 1], backend, prec)
 
     @classmethod
     def from_roots(cls, roots, backend=RATIONAL, prec=DEFAULT_PREC):
@@ -278,24 +274,24 @@ class UniPoly:
         return cls(coeffs, backend, prec)
 
 
-def lagrange_interpolate(nodes, values, backend=RATIONAL, prec=DEFAULT_PREC):
-    """Unique degree <= len(nodes)-1 polynomial through the given points."""
+def lagrange_interpolate(nodes, values):
+    """Unique degree <= len(nodes)-1 polynomial through the given points,
+    exact over Fraction.  A node whose value is 0 adds nothing to the sum,
+    so its basis polynomial is never built."""
     if len(set(nodes)) != len(nodes):
         raise ValueError("repeated interpolation node")
-    out = UniPoly.zero(backend, prec)
+    out = UniPoly.zero()
     for i, (ti, fi) in enumerate(zip(nodes, values)):
-        num = UniPoly.constant(1, backend, prec)
+        if fi == 0:
+            continue
+        num = UniPoly.constant(1)
         den = 1
         for j, tj in enumerate(nodes):
             if j == i:
                 continue
-            num = num * UniPoly([-tj, 1], backend, prec)
+            num = num * UniPoly([-tj, 1])
             den = den * (ti - tj)
-        if backend == RATIONAL:
-            out = out + num.scale(as_fraction(fi) / as_fraction(den))
-        else:
-            with mp.workprec(prec):
-                out = out + num.scale(to_mpf(fi, prec) / to_mpf(den, prec))
+        out = out + num.scale(as_fraction(fi) / as_fraction(den))
     return out
 
 
@@ -364,23 +360,6 @@ class SProd(StructPoly):
 
     def to_json(self):
         return {"kind": "prod", "parts": [p.to_json() for p in self.parts]}
-
-
-class SSum(StructPoly):
-    def __init__(self, parts):
-        self.parts = parts
-        self.degree = max(p.degree for p in parts)
-        self.backend = _backend_of(*parts)
-
-    def eval(self, t, prec=None):
-        vals = [p.eval(t, prec) for p in self.parts]
-        if prec is None:
-            return sum(vals)
-        with mp.workprec(prec):
-            return sum((_as_num(v, prec) for v in vals), mpmath.mpf(0))
-
-    def to_json(self):
-        return {"kind": "sum", "parts": [p.to_json() for p in self.parts]}
 
 
 class SScale(StructPoly):
@@ -506,8 +485,6 @@ def struct_from_json(d):
         return SDense(UniPoly.from_json(d["poly"]))
     if k == "prod":
         return SProd([poly_from_json(p) for p in d["parts"]])
-    if k == "sum":
-        return SSum([poly_from_json(p) for p in d["parts"]])
     if k == "scale":
         c = d["c"]
         c = scalar_from_json(c, RATIONAL if "/" in c else FLOAT)

@@ -169,6 +169,20 @@ def test_construct_golden_float_artifact_bytes(tmp_path, capsys):
     assert digest.hexdigest() == FLOAT_GOLDEN_SHA256
 
 
+SURJ_GOLDEN_SHA256 = \
+    "7195775bf33ca0c467a7f43c2e44a08382daa5b3337094a383e65a632bc4d9d4"
+
+
+def test_construct_golden_surjectivity_16_4_bytes(tmp_path, capsys):
+    # Four columns share one conjunction polynomial; building it once must
+    # leave the artifact identical to building it for each subset size.
+    out = tmp_path / "s.json"
+    assert run(["construct", "--target", "surjectivity", "--n", "16", "--r",
+                "4", "--eps", "1/3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SURJ_GOLDEN_SHA256
+
+
 PREC_GOLDEN_SHAPES = [
     ["--target", "and", "--n", "24", "--eps", "1/16"],
     ["--target", "or", "--n", "24", "--eps", "1/16"],

@@ -6,6 +6,7 @@ import mpmath
 from mpmath import mp
 import pytest
 
+from polyapprox import composed
 from polyapprox.composed import (PComp, PConj, PConst, PDisj, PProd, PScale,
                                  PSum, _weight_vectors, expansion_eval,
                                  expansion_norm, homogenize_eval, pi_eval,
@@ -86,6 +87,23 @@ def test_surjectivity_more_columns_than_rows_is_constant_zero():
 def test_surjectivity_general_epsilon_path():
     a = surjectivity_approx(12, 3, Fraction(1, 16))
     assert float(a.certified_eps) <= 1 / 16
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_surjectivity_builds_one_conjunction_polynomial(r, monkeypatch):
+    # Every column subset shares one emptiness indicator, built once.
+    built = []
+    original = composed._conjunction_poly
+
+    def spy(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(composed, "_conjunction_poly", spy)
+    a = surjectivity_approx(8, r)
+    assert len(built) == 1
+    held = [q for ell, _, q in a.terms if ell != 0]
+    assert len(held) >= 2 and all(q is built[0] for q in held)
 
 
 def test_surjectivity_outer_cross_validation():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyapprox.numcore import (BackendMismatchError, PrecisionError, SplitMix64,
                                 SBinomTail, SComp, SDense, SPow, SProd, SScale,
-                                SSum, UniPoly, as_fraction, checked_max_abs,
+                                UniPoly, as_fraction, checked_max_abs,
                                 lagrange_interpolate, min_degree, mpf_from_hex,
                                 mpf_to_hex, poly_from_json, poly_to_json, recheck,
                                 scalar_from_json, scalar_to_json, to_mpf)
@@ -28,22 +28,25 @@ def test_as_fraction():
 def test_mpf_hex_round_trip_is_lossless_at_high_precision():
     with mp.workprec(256):
         x = mpmath.mpf(1) / 9
-    y = mpf_from_hex(mpf_to_hex(x))
-    assert x == y
+        neg = -x
+    # parsed at the ambient 53-bit default: every bit must come back, with
+    # either sign
+    for v in (x, neg):
+        assert mpf_from_hex(mpf_to_hex(v))._mpf_ == v._mpf_
     assert mpf_to_hex(mpmath.mpf(0)) == "0x0p0"
     assert mpf_from_hex("0x0p0") == 0
-    neg = mpf_to_hex(mpmath.mpf(-1.5))
-    assert mpf_from_hex(neg) == -1.5
 
 
 def test_mpf_hex_not_rerounded_at_global_precision():
     # 256-bit values must survive serialization even when the ambient
     # context is the 53-bit default
-    with mp.workprec(256):
-        x = mpmath.mpf(1) / 3
-    h = mpf_to_hex(x)
-    with mp.workprec(256):
-        assert abs(mpf_from_hex(h) - mpmath.mpf(1) / 3) < mpmath.mpf(2) ** -250
+    assert mp.prec == 53
+    for sign in (1, -1):
+        with mp.workprec(256):
+            x = sign * mpmath.mpf(1) / 3
+        y = mpf_from_hex(mpf_to_hex(x))
+        with mp.workprec(256):
+            assert abs(y - x) < mpmath.mpf(2) ** -250
 
 
 def test_scalar_json_round_trip():
@@ -204,12 +207,46 @@ def test_lagrange_interpolation_reproduces_nodes():
     assert p.degree <= 3
 
 
+def _product_form_lagrange(nodes, values):
+    # Reference: every basis polynomial multiplied out, zero values included.
+    out = UniPoly.zero()
+    for i, (ti, fi) in enumerate(zip(nodes, values)):
+        term = UniPoly([fi])
+        for j, tj in enumerate(nodes):
+            if j != i:
+                term = term * UniPoly([-tj, 1]).scale(1 / Fraction(ti - tj))
+        out = out + term
+    return out
+
+
+@st.composite
+def _interpolation_data(draw):
+    nodes = draw(st.lists(st.fractions(min_value=-20, max_value=20,
+                                       max_denominator=12),
+                          min_size=1, max_size=12, unique=True))
+    values = draw(st.lists(st.one_of(st.just(Fraction(0)), fracs),
+                           min_size=len(nodes), max_size=len(nodes)))
+    return nodes, values
+
+
+@given(_interpolation_data())
+@example(([Fraction(-3, 2), 0, Fraction(5, 7)], [0, 0, 0]))
+@example(([-2, Fraction(1, 3), 4, 9], [0, Fraction(-5, 3), 0, 0]))
+@settings(max_examples=100, deadline=None)
+def test_lagrange_matches_product_form(data):
+    nodes, values = data
+    got = lagrange_interpolate(nodes, values)
+    assert got.coeffs == _product_form_lagrange(nodes, values).coeffs
+    assert [got.eval(t) for t in nodes] == [Fraction(v) for v in values]
+    with pytest.raises(ValueError):
+        lagrange_interpolate(nodes + [nodes[-1]], values + [0])
+
+
 def test_struct_poly_matches_dense_expansion():
     a = UniPoly([1, -1])
     b = UniPoly([0, 2, 1])
-    dense = (a ** 3) * b + b.scale(Fraction(1, 2))
-    s = SSum([SProd([SPow(SDense(a), 3), SDense(b)]),
-              SScale(Fraction(1, 2), SDense(b))])
+    dense = ((a ** 3) * b).scale(Fraction(1, 2))
+    s = SScale(Fraction(1, 2), SProd([SPow(SDense(a), 3), SDense(b)]))
     for t in (0, 1, Fraction(3, 7), -2):
         assert s.eval(t) == dense.eval(t)
     assert s.degree == dense.degree
@@ -264,7 +301,6 @@ def test_poly_json_round_trip_every_struct_kind():
     kinds = {
         "dense": dense,
         "prod": SProd([dense, SDense(UniPoly([Fraction(-1, 3), 0, 1]))]),
-        "sum": SSum([dense, SDense(UniPoly([0, 1]).to_float(64))]),
         "scale-fraction": SScale(Fraction(1, 2), dense),
         "scale-mpf": SScale(third, dense),
         "pow": SPow(dense, 3),
