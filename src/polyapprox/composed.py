@@ -362,10 +362,9 @@ def _or_symmetric_coeffs(k, eps, prec):
     <= eps/2: a_ell is the ell-th finite difference of the weight poly."""
     a = and_or_min_degree(k, "or", eps / 2, prec)
     gv = [a.poly.eval(w, prec) for w in range(min(a.degree, k) + 1)]
-    coeffs = []
-    for ell in range(len(gv)):
-        coeffs.append(sum((-1) ** (ell - i) * math.comb(ell, i) * gv[i]
-                          for i in range(ell + 1)))
+    with mp.workprec(prec):
+        coeffs = [sum((-1) ** (ell - i) * math.comb(ell, i) * gv[i]
+                      for i in range(ell + 1)) for ell in range(len(gv))]
     return coeffs, a.degree
 
 

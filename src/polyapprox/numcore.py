@@ -164,6 +164,9 @@ class UniPoly:
         return self._make([x + y for x, y in zip(a, b)])
 
     def __neg__(self):
+        if self.backend == FLOAT:
+            with mp.workprec(self.prec):
+                return self._make([-c for c in self.coeffs])
         return self._make([-c for c in self.coeffs])
 
     def __sub__(self, other):
@@ -255,7 +258,11 @@ class UniPoly:
         return sum((abs(c) for c in self.coeffs), Fraction(0))
 
     def derivative(self):
-        return self._make([i * c for i, c in enumerate(self.coeffs)][1:])
+        terms = list(enumerate(self.coeffs))[1:]
+        if self.backend == FLOAT:
+            with mp.workprec(self.prec):
+                return self._make([i * c for i, c in terms])
+        return self._make([i * c for i, c in terms])
 
     def to_float(self, prec=DEFAULT_PREC):
         return UniPoly(self.coeffs, FLOAT, prec)

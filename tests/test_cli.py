@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+from mpmath import mp
 import pytest
 
 from polyapprox.cli import main
@@ -190,21 +191,15 @@ PREC_GOLDEN_SHAPES = [
     ["--target", "surjectivity", "--n", "10", "--r", "2", "--eps", "1/16"],
     ["--target", "surjectivity", "--n", "12", "--r", "2", "--eps", "1/4"],
 ]
-# The 512-bit (12, 2) surjectivity artifact holds 53-bit conjunction
-# coefficients: float UniPoly.__neg__ rounds at the ambient precision, so
-# the subtraction in composed._conjunction_poly loses the working precision
-# (a FOUND note in CHANGES.md). A fix for that changes these bytes, and must
-# re-record this hash together with FLOAT_GOLDEN_SHA256 and the float-sweep
-# benchmark digest.
+# The (12, 2) eps-1/4 surjectivity artifacts carry float conjunction
+# polynomials, q = 1 - OR, at the full working precision; these are the only
+# bytes here that depend on float UniPoly negation staying inside the
+# working precision (FLOAT_GOLDEN_SHA256 and the other shapes do not).
 PREC_GOLDEN_SHA256 = \
-    "f3dffca0da7de4715ed5bac9dd132ffd916fbd89df4fbadddf41f63b26ac36ae"
+    "7f723220b75e7a3cc0fae893f1bfbff90ef5c686bcf4ebfeaef80b07b15ff956"
 
 
-def test_construct_golden_float_artifact_bytes_at_128_and_512_bits(
-        tmp_path, capsys):
-    # Pins the float targets at working precisions other than the default,
-    # so a change to how --prec reaches the build or the doubled-precision
-    # measure must leave every serialized coefficient unchanged.
+def _prec_golden_digest(tmp_path):
     digest = hashlib.sha256()
     for prec in ("128", "512"):
         for i, shape in enumerate(PREC_GOLDEN_SHAPES):
@@ -212,5 +207,25 @@ def test_construct_golden_float_artifact_bytes_at_128_and_512_bits(
             assert run(["--prec", prec, "construct"] + shape
                        + ["--out", str(out)]) == 0, (prec, shape)
             digest.update(out.read_bytes())
+    return digest.hexdigest()
+
+
+def test_construct_golden_float_artifact_bytes_at_128_and_512_bits(
+        tmp_path, capsys):
+    # Pins the float targets at working precisions other than the default,
+    # so a change to how --prec reaches the build or the doubled-precision
+    # measure must leave every serialized coefficient unchanged.
+    digest = _prec_golden_digest(tmp_path)
     capsys.readouterr()
-    assert digest.hexdigest() == PREC_GOLDEN_SHA256
+    assert digest == PREC_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("ambient", [24, 1024])
+def test_float_artifact_bytes_ignore_the_ambient_precision(
+        ambient, tmp_path, capsys):
+    # --prec alone sets the working precision: a caller's mpmath context,
+    # coarser or finer, must not reach a single serialized bit.
+    with mp.workprec(ambient):
+        digest = _prec_golden_digest(tmp_path)
+    capsys.readouterr()
+    assert digest == PREC_GOLDEN_SHA256

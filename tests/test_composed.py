@@ -15,6 +15,7 @@ from polyapprox.composed import (PComp, PConj, PConst, PDisj, PProd, PScale,
                                  surjectivity_approx)
 from polyapprox.numcore import SplitMix64, to_mpf
 from polyapprox.oracle import MultiPoly
+from polyapprox.symmetric import and_or_min_degree
 
 
 def _random_pi_expr(rng, nvars, depth):
@@ -118,6 +119,20 @@ def test_surjectivity_outer_cross_validation():
             outer = to_mpf(surj_outer_eval(n, r, Fraction(1, 3), wv, 256), 256)
             assert abs(full - outer) <= \
                 to_mpf(a.certified_eps, 256) + mpmath.mpf(2) ** -60
+
+
+def test_or_subset_coefficients_keep_the_working_precision():
+    # a_ell are the finite differences of the OR weight polynomial g, so
+    # sum_ell C(w, ell) a_ell gives g(w) back; the ambient 53 bits must not
+    # reach them.
+    k, eps, prec = 16, Fraction(1, 4), 512
+    coeffs, _ = composed._or_symmetric_coeffs(k, eps, prec)
+    g = and_or_min_degree(k, "or", eps / 2, prec).poly
+    assert g.backend == "float" and len(coeffs) > 2
+    with mp.workprec(prec):
+        for w in range(len(coeffs)):
+            back = sum(math.comb(w, ell) * coeffs[ell] for ell in range(w + 1))
+            assert abs(back - g.eval(w, prec)) < mpmath.mpf(2) ** -400, w
 
 
 def test_homogenize_matches_average():

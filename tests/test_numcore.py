@@ -401,6 +401,16 @@ def test_checked_max_abs_keeps_the_working_precision():
     assert m._mpf_ == to_mpf(Fraction(2, 3), 128)._mpf_
 
 
+def test_float_neg_and_derivative_keep_the_working_precision():
+    # Outside any workprec block the ambient precision is 53 bits; negating
+    # or differentiating a 512-bit polynomial must still round at 512.
+    p = UniPoly([1, Fraction(1, 3), Fraction(1, 3)], "float", 512)
+    assert (-p).coeffs[1]._mpf_ == to_mpf(Fraction(-1, 3), 512)._mpf_
+    assert (UniPoly([1], "float", 512) - p).coeffs[2]._mpf_ == \
+        to_mpf(Fraction(-1, 3), 512)._mpf_
+    assert p.derivative().coeffs[1]._mpf_ == to_mpf(Fraction(2, 3), 512)._mpf_
+
+
 def test_splitmix_deterministic():
     a = SplitMix64(42)
     b = SplitMix64(42)
