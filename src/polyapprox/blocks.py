@@ -13,9 +13,8 @@ import math
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, PrecisionError, SBinomTail,
-                      SComp, SDense, SPow, SProd, UniPoly, as_fraction, recheck,
-                      to_mpf)
+from .numcore import (DEFAULT_PREC, RATIONAL, SBinomTail, SComp, SDense, SPow,
+                      SProd, UniPoly, as_fraction, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 
 
@@ -94,11 +93,6 @@ def reciprocal_power_error_bound(d, D, u):
     return abs(1 - u) ** (D + 1) * math.comb(D + d, d) * d
 
 
-def binom_tail(d, lo, u, prec=DEFAULT_PREC):
-    """sum_{i=lo}^d C(d,i) u^i (1-u)^(d-i) at scalar u."""
-    return SBinomTail(d, lo, prec).eval(u)
-
-
 def _amplifier_degree(u_bad, u_good, eps, prec=DEFAULT_PREC):
     """Smallest (up to a 5% search ladder) degree whose exact-threshold
     binomial tail maps [0, u_bad] below eps and [u_good, 1] above 1 - eps."""
@@ -115,15 +109,10 @@ def _amplifier_degree(u_bad, u_good, eps, prec=DEFAULT_PREC):
     d = max(8, est)
 
     def ok(d):
-        lo = int(math.ceil(mid * d))
-
-        def build(p):
-            bad = binom_tail(d, lo, u_bad, p)
-            good = binom_tail(d, lo, u_good, p)
-            return [bad, good]
-
-        bad, good = recheck(build, prec)
-        return bad <= to_mpf(eps, prec) and 1 - good <= to_mpf(eps, prec)
+        tail = SBinomTail(d, int(math.ceil(mid * d)), prec)
+        bad, bad_r = tail.enclose(u_bad)
+        good, good_r = tail.enclose(u_good)
+        return bad + bad_r <= eps and 1 - (good - good_r) <= eps
 
     while not ok(d):
         d = int(d * 1.05) + 1

@@ -5,17 +5,19 @@ constructions."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 import math
 
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, RATIONAL, UniPoly, as_fraction,
-                      checked_max_abs, min_degree, poly_to_json, to_mpf)
+from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, UniPoly, as_fraction,
+                      certify, exact_value, min_degree, poly_from_json,
+                      poly_to_json, scalar_from_json, scalar_to_json)
 from .chebyshev import cheb_eval, cheb_poly
 from .symmetric import and_or_min_degree, restricted_disjunction_approx
-from .oracle import MultiPoly, multilinear_interpolant
+from .oracle import multilinear_interpolant
 
 
 # ---------------------------------------------------------------------------
@@ -179,56 +181,81 @@ def expansion_norm(expansion):
 
 @dataclass
 class BlockSymApprox:
-    """sum_ell mu_ell sum_{|S|=ell} q_ell(w_S) over column weight vectors."""
+    """sum_ell mu_ell sum_{|S|=ell} q(w_S) over column weight vectors w: every
+    column subset shares the one emptiness indicator q."""
     n: int
     r: int
-    terms: list                  # (ell, mu, q poly or None for the constant)
+    q: object                    # UniPoly, or None with only the constant left
+    terms: list                  # (ell, mu); ell = 0 is the constant term
     certified_eps: object
     degree: int
-    outer_err: object = None
 
-    def eval(self, weights, prec=DEFAULT_PREC):
+    @property
+    def backend(self):
+        exact = all(isinstance(mu, (int, Fraction)) for _, mu in self.terms)
+        return (RATIONAL if exact and (self.q is None or self.q.backend == RATIONAL)
+                else FLOAT)
+
+    @cached_property
+    def _integer_form(self):
+        # value(w) = (sum_ell M_ell sum_S T[w_S]) / den in integers, with
+        # q(k) = T[k] / lq, mu_ell = M_ell / lm and den = lq * lm.
+        mus = [(ell, exact_value(mu)) for ell, mu in self.terms]
+        qs = ([self.q.exact_eval(k) for k in range(self.n + 1)]
+              if self.q is not None else [])
+        lq = math.lcm(*(v.denominator for v in qs))
+        lm = math.lcm(*(mu.denominator for _, mu in mus))
+        table = [v.numerator * (lq // v.denominator) for v in qs]
+        terms = [(ell, mu.numerator * (lm // mu.denominator),
+                  list(combinations(range(self.r), ell))) for ell, mu in mus]
+        return terms, table, lq, lq * lm
+
+    def _numerator(self, weights):
+        terms, table, lq, _ = self._integer_form
+        tot = 0
+        for ell, m, subsets in terms:
+            tot += m * (lq if ell == 0 else
+                        sum(table[sum(weights[j] for j in S)] for S in subsets))
+        return tot
+
+    def eval(self, weights):
+        """The exact value at a column weight vector."""
         assert len(weights) == self.r
-        tables = self.tables(prec)
-        with mp.workprec(prec):
-            tot = 0
-            for (ell, mu, _), table in zip(self.terms, tables):
-                if ell == 0:
-                    tot += mu
-                    continue
-                s = sum(mu * table[sum(weights[j] for j in S)]
-                        for S in combinations(range(self.r), ell))
-                tot += s
-            return tot
+        return Fraction(self._numerator(weights), self._integer_form[3])
 
-    def tables(self, prec=DEFAULT_PREC):
-        cache = getattr(self, "_tables", None)
-        if cache is None or cache[0] != prec:
-            tabs = []
-            for ell, mu, q in self.terms:
-                if ell == 0 or q is None:
-                    tabs.append(None)
-                else:
-                    tabs.append([q.eval(w, prec) for w in range(self.n + 1)])
-            self._tables = (prec, tabs)
-        return self._tables[1]
+    def max_error(self):
+        """The exact max |value - SURJ| over weight vectors with sum <= n.
+        Both are invariant under permuting the columns, so the nonincreasing
+        vectors suffice."""
+        den = self._integer_form[3]
+        worst = max(abs(self._numerator(wv) - surj_value(wv) * den)
+                    for wv in _weight_vectors(self.r, self.n))
+        return Fraction(worst, den)
 
     def to_json(self):
-        from .numcore import scalar_to_json
-        return {"n": self.n, "r": self.r,
-                "terms": [{"ell": ell, "mu": scalar_to_json(mu),
-                           "q": poly_to_json(q) if q is not None else None}
-                          for ell, mu, q in self.terms],
+        return {"n": self.n, "r": self.r, "degree": self.degree,
+                "q": poly_to_json(self.q) if self.q is not None else None,
+                "terms": [{"ell": ell, "mu": scalar_to_json(mu)}
+                          for ell, mu in self.terms],
                 "certified_eps": float(self.certified_eps),
                 "certified_eps_exact": scalar_to_json(self.certified_eps)}
 
+    @classmethod
+    def from_json(cls, doc):
+        """The artifact's polynomial; its certified error is left unread."""
+        q = poly_from_json(doc["q"]) if doc["q"] is not None else None
+        terms = [(t["ell"], scalar_from_json(t["mu"])) for t in doc["terms"]]
+        return cls(doc["n"], doc["r"], q, terms, None, doc["degree"])
 
-def _weight_vectors(r, n):
+
+def _weight_vectors(r, n, cap=math.inf):
+    """Nonincreasing weight vectors w_1 >= ... >= w_r >= 0 with sum <= n
+    and w_1 <= cap."""
     if r == 0:
         yield ()
         return
-    for w in range(n + 1):
-        for rest in _weight_vectors(r - 1, n - w):
+    for w in range(min(n, cap) + 1):
+        for rest in _weight_vectors(r - 1, n - w, w):
             yield (w,) + rest
 
 
@@ -259,8 +286,7 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     if r < 1:
         raise ValueError("need r >= 1 columns, got %d" % r)
     if r > n:
-        out = BlockSymApprox(n, r, [(0, Fraction(0), None)], Fraction(0), 0)
-        return out
+        return BlockSymApprox(n, r, None, [(0, Fraction(0))], Fraction(0), 0)
     if eps == Fraction(1, 3):
         outer = _outer_third(r)
     else:
@@ -287,11 +313,9 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     # shares one emptiness indicator q.
     live = [ell for ell in range(1, r + 1) if mu[ell] != 0]
     q = _conjunction_poly(n, budget, prec) if live else None
-    terms = [(0, mu[0], None)] + [(ell, mu[ell], q) for ell in live]
-    out = BlockSymApprox(n, r, terms, None, q.degree if live else 0, outer_err)
-    out.certified_eps = checked_max_abs(
-        lambda wv, pr: to_mpf(out.eval(wv, pr), pr) - surj_value(wv),
-        list(_weight_vectors(r, n)), prec)
+    terms = [(0, mu[0])] + [(ell, mu[ell]) for ell in live]
+    out = BlockSymApprox(n, r, q, terms, None, q.degree if live else 0)
+    out.certified_eps = certify(out.max_error(), out.backend, prec)
     return out
 
 

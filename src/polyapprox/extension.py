@@ -7,8 +7,7 @@ from fractions import Fraction
 import math
 
 from .numcore import (DEFAULT_PREC, RATIONAL, SComp, SDense, SProd, UniPoly,
-                      as_fraction, checked_max_abs, lagrange_interpolate,
-                      to_mpf)
+                      as_fraction, certify, lagrange_interpolate, max_error)
 from .chebyshev import cheb_poly
 from .blocks import interval_indicator
 from .symmetric import SymApprox, SymSpec
@@ -94,9 +93,8 @@ def extend_approx(approx, n, delta, prec=DEFAULT_PREC):
     phi = approx.poly
     scaled_ind = SComp(ind, SDense(inner))
     full = SProd([SDense(phi) if isinstance(phi, UniPoly) else phi, scaled_ind])
-    err = checked_max_abs(
-        lambda w, pr: full.eval(w, pr) - to_mpf(target.values[w], pr),
-        range(n + 1), prec)
+    err = certify(max_error(full, enumerate(target.values)), full.backend,
+                  prec)
     out = SymApprox(target, full, full.degree, err, "extension", set())
     return ExtensionResult(out, n_in, m, delta, ind.degree)
 

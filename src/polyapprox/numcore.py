@@ -5,18 +5,19 @@ expansion is out of reach.
 Two backends only: "rational" (fractions.Fraction, exact) and "float"
 (mpmath mpf at an explicit precision).  Mixed-backend arithmetic is an
 error, never a silent coercion.  A float construction builds its polynomial
-once, at its working precision, and certifies its error with
-checked_max_abs: the error is evaluated at that precision and again at
-doubled precision, and disagreement raises PrecisionError.  Most
-constructions measure the polynomial they return; the damped AND/OR
-measures its undamped base and derives its error from that maximum.
+once, at its working precision, and certifies it exactly: every mpf is a
+dyadic rational, so enclose() evaluates a dense polynomial in integers at a
+rational point.  The one inexact node, SBinomTail, returns its mpf value
+with a rigorous radius, and the other nodes carry (center, radius) through
+exactly.  max_error() takes the maximum over the measured points, and
+certify() rounds a float construction's maximum up to its working precision.
 """
 
 from fractions import Fraction
 import math
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -29,7 +30,8 @@ class BackendMismatchError(TypeError):
 
 
 class PrecisionError(ArithmeticError):
-    """Doubled-precision recheck disagreed with the base computation."""
+    """The certified error of a construction exceeds the requested eps; for
+    a float construction, a higher working precision may meet it."""
     pass
 
 
@@ -39,6 +41,27 @@ def as_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     raise BackendMismatchError("expected an exact rational, got %r" % type(x))
+
+
+def exact_value(x):
+    """The exact rational value of an int, Fraction or finite mpf: an mpf is
+    man * 2**exp."""
+    if isinstance(x, mpmath.mpf):
+        sign, man, exp, _ = x._mpf_
+        if not man and exp:
+            raise ValueError("no exact value for %r" % x)
+        v = Fraction(int(man) << exp) if exp >= 0 else Fraction(int(man), 1 << -exp)
+        return -v if sign else v
+    return as_fraction(x)
+
+
+def round_up(x, prec):
+    """The smallest prec-bit mpf >= the rational x.  make_mpf keeps the
+    rounded value as it is; mpf(tuple) would round it again, to nearest at
+    the ambient precision."""
+    x = as_fraction(x)
+    return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, prec,
+                                           libmp.round_ceiling))
 
 
 def to_mpf(x, prec):
@@ -76,7 +99,10 @@ def scalar_to_json(x):
     return mpf_to_hex(x)
 
 
-def scalar_from_json(s, backend):
+def scalar_from_json(s, backend=None):
+    """Parse "a/b" or mpf hex; backend None reads it from the format."""
+    if backend is None:
+        backend = RATIONAL if "/" in s else FLOAT
     if backend == RATIONAL:
         num, den = s.split("/")
         return Fraction(int(num), int(den))
@@ -93,8 +119,8 @@ class UniPoly:
     """Dense univariate polynomial over one backend.
 
     coeffs[i] is the coefficient of t^i; the zero polynomial has degree -1.
-    Coefficient lists are never mutated after construction, so a rational
-    polynomial caches its denominator-cleared integer form for eval.
+    Coefficient lists are never mutated after construction, so a polynomial
+    caches its denominator-cleared integer form for exact evaluation.
     """
 
     __slots__ = ("coeffs", "backend", "prec", "_int_form")
@@ -209,26 +235,28 @@ class UniPoly:
         return out
 
     def eval(self, t, prec=None):
-        """Horner evaluation.  Rational backend with rational t is exact.
-        prec overrides the stored float working precision."""
-        if self.backend == FLOAT:
-            wp = prec or self.prec
-            with mp.workprec(wp):
-                tt = to_mpf(t, wp)
-                acc = mpmath.mpf(0)
-                for c in reversed(self.coeffs):
-                    acc = acc * tt + c
-                return acc
+        """Rational backend: the exact value.  Float backend: Horner in mpf
+        at prec, or at the stored working precision."""
+        if self.backend == RATIONAL:
+            return self.exact_eval(t)
+        wp = prec or self.prec
+        with mp.workprec(wp):
+            return mpmath.polyval(self.coeffs[::-1], to_mpf(t, wp))
+
+    def exact_eval(self, t):
+        """The exact value at a rational t, for either backend."""
         t = as_fraction(t)
         if not self.coeffs:
             return Fraction(0)
         # With c_j = N_j / L and t = a/b, p(t) = sum_j N_j a^j b^(deg-j) /
         # (L b^deg): homogeneous Horner in integers, one reduction at the end.
         # Fraction is canonical, so the value equals term-by-term Horner's.
+        # Float coefficients are dyadic, so L is a power of two.
         if self._int_form is None:
-            lcm = math.lcm(*(c.denominator for c in self.coeffs))
+            vals = [exact_value(c) for c in self.coeffs]
+            lcm = math.lcm(*(c.denominator for c in vals))
             self._int_form = ([c.numerator * (lcm // c.denominator)
-                               for c in self.coeffs], lcm)
+                               for c in vals], lcm)
         nums, lcm = self._int_form
         a, b = t.numerator, t.denominator
         acc = nums[-1]
@@ -237,6 +265,16 @@ class UniPoly:
             bpow *= b
             acc = acc * a + n * bpow
         return Fraction(acc, lcm * bpow)
+
+    def enclose(self, t, rad=0):
+        """(center, radius), exact: |self(x) - center| <= radius for every
+        x with |x - t| <= rad.  The center is exact_eval(t)."""
+        c = self.exact_eval(t)
+        if not rad:
+            return c, Fraction(0)
+        # |sum a_k (x^k - t^k)| <= sum |a_k| ((|t| + rad)^k - |t|^k)
+        mag = UniPoly([abs(exact_value(a)) for a in self.coeffs])
+        return c, mag.exact_eval(abs(t) + rad) - mag.exact_eval(abs(t))
 
     def compose(self, inner):
         """self(inner(t)) by Horner over polynomials."""
@@ -313,9 +351,16 @@ def lagrange_interpolate(nodes, values):
 
 class StructPoly:
     """A factored polynomial node.  Its backend is derived from its children:
-    rational when all of them are (for SScale, also c), float otherwise."""
+    rational when all of them are (for SScale, also c), float otherwise.
+
+    eval(t, prec) is the mpf (or, for exact nodes, rational) value.
+    enclose(t, rad) is the certified one, as for UniPoly: an exact (center,
+    radius) with |self(x) - center| <= radius whenever |x - t| <= rad."""
 
     def eval(self, t, prec=None):
+        raise NotImplementedError
+
+    def enclose(self, t, rad=0):
         raise NotImplementedError
 
     def to_json(self):
@@ -342,6 +387,9 @@ class SDense(StructPoly):
     def eval(self, t, prec=None):
         return self.poly.eval(t, prec)
 
+    def enclose(self, t, rad=0):
+        return self.poly.enclose(t, rad)
+
     def to_json(self):
         return {"kind": "dense", "poly": self.poly.to_json()}
 
@@ -365,6 +413,15 @@ class SProd(StructPoly):
                 acc = acc * _as_num(v, prec)
             return acc
 
+    def enclose(self, t, rad=0):
+        # |prod (c_i + e_i) - prod c_i| <= prod (|c_i| + r_i) - prod |c_i|
+        center, bound = Fraction(1), Fraction(1)
+        for p in self.parts:
+            c, r = p.enclose(t, rad)
+            center *= c
+            bound *= abs(c) + r
+        return center, bound - abs(center)
+
     def to_json(self):
         return {"kind": "prod", "parts": [p.to_json() for p in self.parts]}
 
@@ -382,6 +439,11 @@ class SScale(StructPoly):
             return self.c * self.base.eval(t, prec)
         with mp.workprec(prec):
             return _as_num(self.c, prec) * _as_num(self.base.eval(t, prec), prec)
+
+    def enclose(self, t, rad=0):
+        s = exact_value(self.c)
+        c, r = self.base.enclose(t, rad)
+        return s * c, abs(s) * r
 
     def to_json(self):
         return {"kind": "scale", "c": scalar_to_json(self.c), "base": self.base.to_json()}
@@ -401,6 +463,11 @@ class SPow(StructPoly):
         with mp.workprec(prec):
             return _as_num(v, prec) ** self.k
 
+    def enclose(self, t, rad=0):
+        c, r = self.base.enclose(t, rad)
+        ck = c ** self.k
+        return ck, (abs(c) + r) ** self.k - abs(ck)
+
     def to_json(self):
         return {"kind": "pow", "k": self.k, "base": self.base.to_json()}
 
@@ -416,6 +483,9 @@ class SComp(StructPoly):
 
     def eval(self, t, prec=None):
         return self.outer.eval(self.inner.eval(t, prec), prec)
+
+    def enclose(self, t, rad=0):
+        return self.outer.enclose(*self.inner.enclose(t, rad))
 
     def to_json(self):
         return {"kind": "comp", "outer": self.outer.to_json(),
@@ -481,6 +551,42 @@ class SBinomTail(StructPoly):
                     break
             return acc
 
+    def enclose(self, t, rad=0):
+        """The mpf value at prec bits with a rigorous radius.  Rounding: at
+        u in [0, 1] every term of _eval is >= 0, and the computed term i is
+        its exact value at u times at most K factors (1 + delta)^(+-1),
+        |delta| <= mu = 2^-prec:
+          7      forming term lo: C(d, lo) rounded, u^lo and v^(d-lo) at 2
+                 each (the final rounding, plus mpf_pow_int's guard-bit
+                 truncations, which stay below one more unit), two products;
+          d - i  the one rounding of v = 1 - u, raised to the power d - i;
+          i - lo the one rounding of r = u / v, used once per step;
+          3 (i - lo)  three roundings per step;
+          d - i + 1   the additions into acc (d - lo for term lo).
+        The largest count is the last term's, K = 4 (d - lo) + 8.  So
+        |acc - S| <= gamma_K S for the exact tail S at u, and with
+        S <= |acc| / (1 - gamma_K), |acc - S| <= K mu / (1 - 2 K mu) |acc|.
+        The early exit of _eval returns the full loop's acc bit for bit.
+        The input rounding t -> u adds d |t - u| (plus d rad for an input
+        interval): on [0, 1] the tail's derivative, d times a Bernstein
+        basis polynomial of degree d - 1, lies in [0, d].  Outside [0, 1],
+        where the terms alternate, the tail is summed exactly instead."""
+        t, rad = as_fraction(t), as_fraction(rad)
+        d, lo, prec = self.d, self.lo, self.prec
+        k = 4 * max(d - lo, 0) + 8
+        if not (0 <= t - rad and t + rad <= 1 and 4 * k < 2 ** prec):
+            if rad:
+                raise ArithmeticError("no binomial tail enclosure for an "
+                                      "input interval outside [0, 1]")
+            exact = sum((math.comb(d, i) * t ** i * (1 - t) ** (d - i)
+                         for i in range(max(lo, 0), d + 1)), Fraction(0))
+            return exact, Fraction(0)
+        acc = exact_value(self.eval(t))
+        u = exact_value(to_mpf(t, prec))
+        mu = Fraction(1, 2 ** prec)
+        return acc, (k * mu / (1 - 2 * k * mu) * abs(acc)
+                     + d * (abs(t - u) + rad))
+
     def to_json(self):
         return {"kind": "binom_tail", "d": self.d, "lo": self.lo,
                 "precision_bits": self.prec}
@@ -493,9 +599,7 @@ def struct_from_json(d):
     if k == "prod":
         return SProd([poly_from_json(p) for p in d["parts"]])
     if k == "scale":
-        c = d["c"]
-        c = scalar_from_json(c, RATIONAL if "/" in c else FLOAT)
-        return SScale(c, poly_from_json(d["base"]))
+        return SScale(scalar_from_json(d["c"]), poly_from_json(d["base"]))
     if k == "pow":
         return SPow(poly_from_json(d["base"]), d["k"])
     if k == "comp":
@@ -515,29 +619,6 @@ def poly_from_json(d):
     return UniPoly.from_json(d)
 
 
-# ---------------------------------------------------------------------------
-# Doubled-precision verification policy.
-
-
-def recheck(build, prec=DEFAULT_PREC):
-    """Run build(prec) and build(2*prec); the results (scalars or flat lists,
-    mpf or exact) must agree to 2^-(prec/2) relative, else PrecisionError.
-    Returns the base-precision result."""
-    a = build(prec)
-    b = build(2 * prec)
-    scalars_a = a if isinstance(a, (list, tuple)) else [a]
-    scalars_b = b if isinstance(b, (list, tuple)) else [b]
-    tol = mpmath.mpf(2) ** (-(prec // 2))
-    with mp.workprec(2 * prec):
-        for x, y in zip(scalars_a, scalars_b, strict=True):
-            x, y = to_mpf(x, 2 * prec), to_mpf(y, 2 * prec)
-            if abs(x - y) > tol * max(1, abs(x)):
-                raise PrecisionError(
-                    "doubled-precision recheck failed: %s vs %s at %d bits"
-                    % (mpmath.nstr(x, 20), mpmath.nstr(y, 20), prec))
-    return a
-
-
 def min_degree(build, eps, hi):
     """build(d) at the smallest d in [1, hi] with certified_eps <= eps, for
     an error that falls with d: gallop up from 1, then bisect, building no d
@@ -545,7 +626,7 @@ def min_degree(build, eps, hi):
 
     def probe(d):
         obj = build(d)
-        return obj if float(obj.certified_eps) <= float(eps) else None
+        return obj if exact_value(obj.certified_eps) <= eps else None
 
     bad, d, step = 0, 1, 1
     while (best := probe(d)) is None:
@@ -563,16 +644,20 @@ def min_degree(build, eps, hi):
     return best
 
 
-def checked_max_abs(evaluate, points, prec=DEFAULT_PREC):
-    """max |evaluate(t, prec)| over points, each point verified against
-    evaluate(t, 2*prec).  evaluate(t, p) runs under workprec(p)."""
+def max_error(poly, pairs):
+    """max |poly(t) - f| + radius over the (t, f) pairs, as a Fraction:
+    exact for a dense polynomial, a rigorous bound where a node encloses."""
+    worst = Fraction(0)
+    for t, f in pairs:
+        c, r = poly.enclose(t)
+        worst = max(worst, abs(c - f) + r)
+    return worst
 
-    def build(p):
-        with mp.workprec(p):      # abs() rounds to the working precision
-            return [abs(evaluate(t, p)) for t in points]
 
-    vals = recheck(build, prec)
-    return max(vals) if vals else mpmath.mpf(0)
+def certify(err, backend, prec):
+    """The reported error of a construction: err itself if it is rational,
+    else err rounded up to a prec-bit mpf."""
+    return err if backend == RATIONAL else round_up(err, prec)
 
 
 # ---------------------------------------------------------------------------

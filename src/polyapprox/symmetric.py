@@ -2,9 +2,10 @@
 indicators, general symmetric spectra, the sampled low-support construction,
 and weight-restricted disjunctions of literals.
 
-Everything is certified by measurement: the reported error is the exact (or
-doubled-precision-rechecked) maximum deviation over the integer weights,
-never an asymptotic estimate.
+Everything is certified by measurement: the reported error is the exact
+maximum deviation of the returned polynomial over the integer weights (for
+a float polynomial, rounded up to its working precision), never an
+asymptotic estimate.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +16,8 @@ import mpmath
 from mpmath import mp
 
 from .numcore import (DEFAULT_PREC, FLOAT, SComp, SDense, UniPoly,
-                      as_fraction, checked_max_abs, lagrange_interpolate,
-                      min_degree, poly_to_json, to_mpf)
+                      as_fraction, certify, lagrange_interpolate, max_error,
+                      min_degree, poly_to_json)
 from .chebyshev import cheb_eval, cheb_poly
 
 
@@ -110,7 +111,7 @@ def _and_base(n, d, ell, prec):
 
 def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
     """Approximant for AND_n (or OR_n by reflection) built at damping
-    parameter d; certified error is the measured maximum over weights."""
+    parameter d; certified error is the exact maximum over weights 0..n."""
     if which not in ("and", "or"):
         raise ValueError("which must be 'and' or 'or'")
     spec = SymSpec.and_spec(n) if which == "and" else SymSpec.or_spec(n)
@@ -123,12 +124,14 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
     ell = d * d // (36 * n) + 1
     ell = min(ell, n - 1)
     base = _and_base(n, d, ell, prec)
-    M = checked_max_abs(base.eval, range(n), prec)
     with mp.workprec(prec):
+        # One mpf Horner pass fixes the damping factor; it shapes the
+        # polynomial, and the certificate below measures the result.
+        M = max(abs(mpmath.polyval(base.coeffs[::-1], w)) for w in range(n))
         p = base.scale(1 / (1 + M))
-        eps = M / (1 + M)
         if which == "or":
             p = UniPoly([1], FLOAT, prec) - p.compose_affine(-1, n)
+    eps = certify(max_error(p, enumerate(spec.values)), FLOAT, prec)
     return SymApprox(spec, p, p.degree, eps, "chebyshev-damped", set())
 
 
@@ -165,9 +168,7 @@ def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
         for i in range(n - k + 1, n + 1):
             f = single_zero_factor(i, n - k, prec)
             p = p * (one - f * f)
-    err = checked_max_abs(
-        lambda w, pr: p.eval(w, pr) - to_mpf(spec.values[w], pr),
-        range(n + 1), prec)
+    err = certify(max_error(p, enumerate(spec.values)), FLOAT, prec)
     structural = set(range(ell + 1)) | set(range(n - ell, n + 1))
     return SymApprox(spec, p, p.degree, err, "zeroed-chebyshev", structural)
 
@@ -201,9 +202,7 @@ def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
         if lo != 0:
             total = total + q.compose_affine(-1, n).scale(lo)
 
-    err = checked_max_abs(
-        lambda w, pr: total.eval(w, pr) - to_mpf(spec.values[w], pr),
-        range(n + 1), prec)
+    err = certify(max_error(total, enumerate(spec.values)), FLOAT, prec)
     return SymApprox(spec, total, total.degree, err, "boundary-decomposition", set())
 
 
@@ -293,8 +292,8 @@ def restricted_disjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
         return LinearFormApprox(nvars, n, A, B, UniPoly([1]), 0, Fraction(0),
                                 counts)
     pol = and_or_approx(2 * n, d, "or", prec).poly
-    err = checked_max_abs(
-        lambda s, pr: pol.eval(s, pr) - (0 if s == 0 else 1), counts, prec)
+    err = certify(max_error(pol, ((s, int(s != 0)) for s in counts)),
+                  pol.backend, prec)
     return LinearFormApprox(nvars, n, A, B, pol, pol.degree, err, counts)
 
 
@@ -302,5 +301,7 @@ def restricted_conjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
     """AND of the same literal set, via 1 - OR of the negated literals."""
     disj = restricted_disjunction_approx(nvars, n, B, A, d, prec)
     pol = UniPoly([1], disj.poly.backend, prec) - disj.poly
+    err = certify(max_error(pol, ((s, int(s == 0)) for s in disj.achievable)),
+                  pol.backend, prec)
     return LinearFormApprox(nvars, n, frozenset(B), frozenset(A), pol,
-                            disj.degree, disj.certified_eps, disj.achievable)
+                            disj.degree, err, disj.achievable)

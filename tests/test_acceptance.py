@@ -205,7 +205,7 @@ def test_criterion_07_surjectivity():
         with mp.workprec(256):
             worst = mpmath.mpf(0)
             for wv in _weight_vectors(r, n):
-                e = abs(a.eval(wv, 256) - surj_value(wv))
+                e = abs(a.eval(wv) - surj_value(wv))
                 worst = max(worst, to_mpf(e, 256))
             if worst > to_mpf(Fraction(1, 3), 256):
                 ok = False

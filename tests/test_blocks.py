@@ -6,12 +6,12 @@ from mpmath import mp
 import pytest
 
 from polyapprox import blocks
-from polyapprox.blocks import (binom_tail, dyadic_decay_poly,
+from polyapprox.blocks import (dyadic_decay_poly,
                                interval_indicator, or_continuous_approx,
                                reciprocal_approx, reciprocal_corollary,
                                reciprocal_power_approx,
                                reciprocal_power_error_bound)
-from polyapprox.numcore import UniPoly, to_mpf
+from polyapprox.numcore import SBinomTail, UniPoly, to_mpf
 
 GRID_DENOM = 4
 
@@ -89,9 +89,12 @@ def test_amplifier_is_monotone_tail():
     for u in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
         direct = sum(Fraction(math.comb(d, i)) * u ** i * (1 - u) ** (d - i)
                      for i in range(lo, d + 1))
+        tail = SBinomTail(d, lo, 128)
         with mp.workprec(128):
-            bt = binom_tail(d, lo, u, 128)
+            bt = tail.eval(u)
             assert abs(bt - to_mpf(direct, 128)) < mpmath.mpf(2) ** -100
+        center, radius = tail.enclose(u)
+        assert abs(center - direct) <= radius < Fraction(1, 2 ** 100)
 
 
 def test_or_continuous_contract():

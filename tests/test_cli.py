@@ -87,6 +87,58 @@ def test_verify_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _one_step_below(s, prec):
+    """The prec-bit dyadic just below the serialized positive mpf s."""
+    man, exp = s[2:].split("p")
+    man, exp = int(man, 16), int(exp)
+    shift = prec - man.bit_length()
+    man, exp = (man << shift) - 1, exp - shift
+    if man.bit_length() < prec:            # s was a power of two
+        man, exp = 2 * man + 1, exp - 1
+    return "0x%xp%d" % (man, exp)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--target", "and", "--n", "32"],
+    ["--prec", "128", "construct", "--target", "or", "--n", "24"],
+    ["construct", "--target", "exact", "--n", "20", "--k", "2", "--eps", "1/8"],
+    ["construct", "--target", "small-support", "--n", "32", "--k", "2",
+     "--eps", "1/8", "--seed", "9"],
+    ["construct", "--target", "surjectivity", "--n", "12", "--r", "2",
+     "--eps", "1/4"],
+])
+def test_verify_has_no_slack(argv, tmp_path, capsys):
+    # The claim is the measured error rounded up to the working precision;
+    # one step lower at that precision is already below it.
+    out = tmp_path / "a.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    prec = 128 if "128" in argv else 256
+    claim = doc["certified_eps_exact"]
+    assert claim.startswith("0x") and claim != "0x0p0", claim
+    doc["certified_eps_exact"] = _one_step_below(claim, prec)
+    out.write_text(json.dumps(doc))
+    assert run(["verify", str(out)]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n,k,rc", [(128, 4, 0), (256, 2, 0), (256, 4, 4)])
+def test_exit_4_means_the_measured_error_misses_eps(n, k, rc, tmp_path, capsys):
+    # At 256 bits the (128, 4) and (256, 2) builds meet eps = 1/8 (exact
+    # errors 2.3e-5 and 2.4e-4), while the dense (256, 4) build has lost it.
+    out = tmp_path / "e.json"
+    assert run(["construct", "--target", "exact", "--n", str(n), "--k", str(k),
+                "--eps", "1/8", "--out", str(out)]) == rc
+    if rc:
+        assert "exceeds --eps" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert run(["verify", str(out)]) == 0
+        assert float(json.loads(out.read_text())["certified_eps"]) <= 1 / 8
+    capsys.readouterr()
+
+
 def test_construct_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -127,24 +179,6 @@ def test_selftest_passes(capsys):
 GOLDEN_SHAPES = [("sampling", 16, 1, 11), ("sampling", 16, 2, 9),
                  ("sampling", 16, 3, 5), ("sampling", 32, 1, 11),
                  ("small-support", 32, 2, 9), ("small-support", 32, 2, 10)]
-GOLDEN_SHA256 = "f8ca9b1ee38faa8a6ef588f63ec7ce336f981f239b6a0e06a86c31ab27048f59"
-
-
-def test_construct_golden_artifact_bytes(tmp_path, capsys):
-    # Pins the artifact bytes of the sampling and small-support targets, so
-    # a change to exact evaluation or to the blocks must leave every
-    # serialized coefficient and certified error unchanged.
-    digest = hashlib.sha256()
-    for i, (target, n, k, seed) in enumerate(GOLDEN_SHAPES):
-        out = tmp_path / ("g%d.json" % i)
-        assert run(["construct", "--target", target, "--n", str(n), "--k",
-                    str(k), "--seed", str(seed), "--eps", "1/8",
-                    "--out", str(out)]) == 0, (target, n, k, seed)
-        digest.update(out.read_bytes())
-    capsys.readouterr()
-    assert digest.hexdigest() == GOLDEN_SHA256
-
-
 FLOAT_GOLDEN_SHAPES = [
     ["--target", "and", "--n", "16"],
     ["--target", "and", "--n", "32"],
@@ -153,37 +187,6 @@ FLOAT_GOLDEN_SHAPES = [
     ["--target", "surjectivity", "--n", "8", "--r", "2"],
     ["--target", "surjectivity", "--n", "12", "--r", "3", "--eps", "1/16"],
 ]
-FLOAT_GOLDEN_SHA256 = \
-    "c7d0d0e7144a954a96cc3573aaec409dddb44839f4bcd5be0dc17f4c1e0c0c2f"
-
-
-def test_construct_golden_float_artifact_bytes(tmp_path, capsys):
-    # Pins the artifact bytes of the float targets: the and/or degree search,
-    # the exact-weight and restricted-disjunction builds, and the
-    # surjectivity outer polynomial and conjunction search.
-    digest = hashlib.sha256()
-    for i, shape in enumerate(FLOAT_GOLDEN_SHAPES):
-        out = tmp_path / ("f%d.json" % i)
-        assert run(["construct"] + shape + ["--out", str(out)]) == 0, shape
-        digest.update(out.read_bytes())
-    capsys.readouterr()
-    assert digest.hexdigest() == FLOAT_GOLDEN_SHA256
-
-
-SURJ_GOLDEN_SHA256 = \
-    "7195775bf33ca0c467a7f43c2e44a08382daa5b3337094a383e65a632bc4d9d4"
-
-
-def test_construct_golden_surjectivity_16_4_bytes(tmp_path, capsys):
-    # Four columns share one conjunction polynomial; building it once must
-    # leave the artifact identical to building it for each subset size.
-    out = tmp_path / "s.json"
-    assert run(["construct", "--target", "surjectivity", "--n", "16", "--r",
-                "4", "--eps", "1/3", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SURJ_GOLDEN_SHA256
-
-
 PREC_GOLDEN_SHAPES = [
     ["--target", "and", "--n", "24", "--eps", "1/16"],
     ["--target", "or", "--n", "24", "--eps", "1/16"],
@@ -191,41 +194,133 @@ PREC_GOLDEN_SHAPES = [
     ["--target", "surjectivity", "--n", "10", "--r", "2", "--eps", "1/16"],
     ["--target", "surjectivity", "--n", "12", "--r", "2", "--eps", "1/4"],
 ]
+# The argv of every pinned artifact, by group.
+GOLDEN_ARGV = {
+    "exact": [["construct", "--target", target, "--n", str(n), "--k", str(k),
+               "--seed", str(seed), "--eps", "1/8"]
+              for target, n, k, seed in GOLDEN_SHAPES],
+    "float": [["construct"] + shape for shape in FLOAT_GOLDEN_SHAPES],
+    "surj": [["construct", "--target", "surjectivity", "--n", "16", "--r", "4",
+              "--eps", "1/3"]],
+    "prec": [["--prec", prec, "construct"] + shape
+             for prec in ("128", "512") for shape in PREC_GOLDEN_SHAPES],
+}
+
+# sha256 of each group's artifact bytes, concatenated.  Re-recorded when the
+# certificates became exact: every certified_eps_exact is now the exact
+# measured error rounded up to the working precision (or an exact Fraction),
+# and a surjectivity artifact stores its conjunction polynomial q once, with
+# a top-level degree.  The coefficients are pinned apart from that, below.
+GOLDEN_SHA256 = "ffa4b87474c86661ebd24d31c53fac6edcbca3ca9603d3e5504c0db9bae32186"
+FLOAT_GOLDEN_SHA256 = \
+    "b103428aee4a219e32d8a81a21c0a72e2c65d103cf4eb016a46d934c4885643c"
+SURJ_GOLDEN_SHA256 = \
+    "74fd51234101e6eeca7bc8146402b966f442a8913c9cf4f8e90ab44c35549b96"
 # The (12, 2) eps-1/4 surjectivity artifacts carry float conjunction
 # polynomials, q = 1 - OR, at the full working precision; these are the only
 # bytes here that depend on float UniPoly negation staying inside the
 # working precision (FLOAT_GOLDEN_SHA256 and the other shapes do not).
 PREC_GOLDEN_SHA256 = \
-    "7f723220b75e7a3cc0fae893f1bfbff90ef5c686bcf4ebfeaef80b07b15ff956"
+    "8131629e5e4527f7285cd96800bd58249324b6fc48930d9608ac33f78a99d93a"
+
+# sha256 of each group's _canonical() artifacts, recorded from the artifacts
+# written before the certificates became exact (when each surjectivity term
+# held its own copy of q).
+CANONICAL_SHA256 = {
+    "exact": "d5e301964e269f142bf839e427bec6b6cd4fbcfcbb3a12cd3c06937f02e440f5",
+    "float": "fe1a7dd4bd19a8fc52559a522e9da453c647f0a32949463141b819b92b6072b8",
+    "surj": "6364de696e7e7f68817e38bf8bd6b9885cfda5e8ad80b290d620dc418152ebc1",
+    "prec": "37e9b5253408e6123bf7f943b42451ded639429fe95c887a3e14b9daf9327d66",
+}
 
 
-def _prec_golden_digest(tmp_path):
+def _build(argvs, tmp_path):
+    out = []
+    for i, argv in enumerate(argvs):
+        path = tmp_path / ("a%d.json" % i)
+        assert run(argv + ["--out", str(path)]) == 0, argv
+        out.append(path.read_bytes())
+    return out
+
+
+def _digest(artifacts):
     digest = hashlib.sha256()
-    for prec in ("128", "512"):
-        for i, shape in enumerate(PREC_GOLDEN_SHAPES):
-            out = tmp_path / ("p%s_%d.json" % (prec, i))
-            assert run(["--prec", prec, "construct"] + shape
-                       + ["--out", str(out)]) == 0, (prec, shape)
-            digest.update(out.read_bytes())
+    for data in artifacts:
+        digest.update(data)
     return digest.hexdigest()
 
 
-def test_construct_golden_float_artifact_bytes_at_128_and_512_bits(
-        tmp_path, capsys):
+def _canonical(doc):
+    """The artifact without its certified error, with a surjectivity
+    artifact's q stored once whichever layout holds it: an older artifact
+    held one copy per term, and every copy must be the same."""
+    doc = {k: v for k, v in doc.items()
+           if k not in ("certified_eps", "certified_eps_exact")}
+    if "terms" in doc:
+        copies = [t.pop("q") for t in doc["terms"] if "q" in t]
+        held = [q for q in copies if q is not None]
+        assert all(q == held[0] for q in held)
+        if copies:
+            doc["q"] = held[0] if held else None
+        if "degree" in doc:
+            q = doc["q"]
+            assert doc.pop("degree") == (len(q["coeffs"]) - 1 if q else 0)
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    """The artifacts of one GOLDEN_ARGV group, built once per module."""
+    built = {}
+
+    def artifacts(name):
+        if name not in built:
+            built[name] = _build(GOLDEN_ARGV[name],
+                                 tmp_path_factory.mktemp(name))
+        return built[name]
+    return artifacts
+
+
+def test_construct_golden_artifact_bytes(golden):
+    # Pins the artifact bytes of the sampling and small-support targets, so
+    # a change to exact evaluation or to the blocks must leave every
+    # serialized coefficient and certified error unchanged.
+    assert _digest(golden("exact")) == GOLDEN_SHA256
+
+
+def test_construct_golden_float_artifact_bytes(golden):
+    # Pins the artifact bytes of the float targets: the and/or degree search,
+    # the exact-weight and restricted-disjunction builds, and the
+    # surjectivity outer polynomial and conjunction search.
+    assert _digest(golden("float")) == FLOAT_GOLDEN_SHA256
+
+
+def test_construct_golden_surjectivity_16_4_bytes(golden):
+    # Four columns share one conjunction polynomial, stored once.
+    assert _digest(golden("surj")) == SURJ_GOLDEN_SHA256
+
+
+def test_construct_golden_float_artifact_bytes_at_128_and_512_bits(golden):
     # Pins the float targets at working precisions other than the default,
-    # so a change to how --prec reaches the build or the doubled-precision
-    # measure must leave every serialized coefficient unchanged.
-    digest = _prec_golden_digest(tmp_path)
-    capsys.readouterr()
-    assert digest == PREC_GOLDEN_SHA256
+    # so a change to how --prec reaches the build or the measure must leave
+    # every serialized coefficient unchanged.
+    assert _digest(golden("prec")) == PREC_GOLDEN_SHA256
 
 
 @pytest.mark.parametrize("ambient", [24, 1024])
-def test_float_artifact_bytes_ignore_the_ambient_precision(
-        ambient, tmp_path, capsys):
+def test_float_artifact_bytes_ignore_the_ambient_precision(ambient, tmp_path):
     # --prec alone sets the working precision: a caller's mpmath context,
     # coarser or finer, must not reach a single serialized bit.
     with mp.workprec(ambient):
-        digest = _prec_golden_digest(tmp_path)
-    capsys.readouterr()
+        digest = _digest(_build(GOLDEN_ARGV["prec"], tmp_path))
     assert digest == PREC_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_golden_coefficients_match_the_recorded_artifacts(name, golden):
+    # Every coeffs list, mu, structured node, degree and spectrum, with only
+    # the certified error and the layout of q set aside.
+    digest = hashlib.sha256()
+    for data in golden(name):
+        digest.update(_canonical(json.loads(data)).encode())
+    assert digest.hexdigest() == CANONICAL_SHA256[name]

@@ -53,12 +53,35 @@ def test_pi_norm_bounds_expansion():
         assert expansion_norm(pi_expand(e)) <= pi_norm_bound(e), trial
 
 
+def _ordered_weight_vectors(r, n):
+    return [v for v in itertools.product(range(n + 1), repeat=r)
+            if sum(v) <= n]
+
+
 def test_weight_vectors_enumeration():
+    # Nonincreasing vectors only: one per multiset of column weights.
     vecs = list(_weight_vectors(2, 3))
     assert len(vecs) == len({v for v in vecs})
     assert all(sum(v) <= 3 for v in vecs)
-    assert ((0, 0) in vecs) and ((3, 0) in vecs) and ((1, 2) in vecs)
-    assert (2, 2) not in vecs
+    assert ((0, 0) in vecs) and ((3, 0) in vecs) and ((2, 1) in vecs)
+    assert (1, 2) not in vecs and (2, 2) not in vecs
+    for r, n in ((2, 3), (3, 5), (4, 16), (5, 7)):
+        vecs = list(_weight_vectors(r, n))
+        assert vecs == sorted({tuple(sorted(v, reverse=True))
+                               for v in _ordered_weight_vectors(r, n)})
+    assert len(list(_weight_vectors(4, 16))) == 359
+    assert len(_ordered_weight_vectors(4, 16)) == 4845
+
+
+@pytest.mark.parametrize("n,r", [(8, 2), (12, 3), (16, 4)])
+def test_sorted_maximum_equals_the_ordered_maximum(n, r):
+    # SURJ and the block-symmetric form are invariant under permuting the
+    # columns, so the maximum over nonincreasing vectors is the maximum.
+    a = surjectivity_approx(n, r)
+    ordered = max(abs(a.eval(wv) - surj_value(wv))
+                  for wv in _ordered_weight_vectors(r, n))
+    assert a.max_error() == ordered
+    assert a.certified_eps >= ordered
 
 
 def test_surj_value():
@@ -73,8 +96,8 @@ def test_surjectivity_certified_exhaustively(n, r):
     assert float(a.certified_eps) <= 1 / 3
     with mp.workprec(256):
         worst = mpmath.mpf(0)
-        for wv in _weight_vectors(r, n):
-            worst = max(worst, to_mpf(abs(a.eval(wv, 256) - surj_value(wv)), 256))
+        for wv in _ordered_weight_vectors(r, n):
+            worst = max(worst, to_mpf(abs(a.eval(wv) - surj_value(wv)), 256))
         assert worst <= to_mpf(a.certified_eps, 256) + mpmath.mpf(2) ** -100
 
 
@@ -103,8 +126,8 @@ def test_surjectivity_builds_one_conjunction_polynomial(r, monkeypatch):
     monkeypatch.setattr(composed, "_conjunction_poly", spy)
     a = surjectivity_approx(8, r)
     assert len(built) == 1
-    held = [q for ell, _, q in a.terms if ell != 0]
-    assert len(held) >= 2 and all(q is built[0] for q in held)
+    assert len([ell for ell, _ in a.terms if ell != 0]) >= 2
+    assert a.q is built[0]
 
 
 def test_surjectivity_outer_cross_validation():
@@ -115,7 +138,7 @@ def test_surjectivity_outer_cross_validation():
     with mp.workprec(256):
         for j in range(r + 1):
             wv = tuple([1] * (r - j) + [0] * j)
-            full = to_mpf(a.eval(wv, 256), 256)
+            full = to_mpf(a.eval(wv), 256)
             outer = to_mpf(surj_outer_eval(n, r, Fraction(1, 3), wv, 256), 256)
             assert abs(full - outer) <= \
                 to_mpf(a.certified_eps, 256) + mpmath.mpf(2) ** -60

@@ -8,12 +8,13 @@ from mpmath import mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyapprox.numcore import (BackendMismatchError, PrecisionError, SplitMix64,
-                                SBinomTail, SComp, SDense, SPow, SProd, SScale,
-                                UniPoly, as_fraction, checked_max_abs,
-                                lagrange_interpolate, min_degree, mpf_from_hex,
-                                mpf_to_hex, poly_from_json, poly_to_json, recheck,
-                                scalar_from_json, scalar_to_json, to_mpf)
+from polyapprox.numcore import (BackendMismatchError, SplitMix64, SBinomTail,
+                                SComp, SDense, SPow, SProd, SScale, UniPoly,
+                                as_fraction, exact_value, lagrange_interpolate,
+                                max_error, min_degree, mpf_from_hex,
+                                mpf_to_hex, poly_from_json, poly_to_json,
+                                round_up, scalar_from_json, scalar_to_json,
+                                to_mpf)
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=64)
 
@@ -168,6 +169,110 @@ def test_binom_tail_early_exit_is_bit_identical():
         assert got._mpf_ == want._mpf_, (d, lo, t, prec)
 
 
+def _hex_value(s):
+    # Reference: the exact value of a serialized mpf, "[-]0x<man>p<exp>".
+    man, exp = s.lstrip("-")[2:].split("p")
+    v = int(man, 16) * Fraction(2) ** int(exp)
+    return -v if s.startswith("-") else v
+
+
+@given(st.lists(mixed_coeffs, max_size=10), points,
+       st.sampled_from([24, 53, 128, 256]))
+@settings(max_examples=150, deadline=None)
+def test_float_exact_eval_matches_hex_parsed_fraction_sum(coeffs, t, prec):
+    p = UniPoly(coeffs, "float", prec)
+    ref = [_hex_value(c) for c in p.to_json()["coeffs"]]
+    want = sum((c * Fraction(t) ** i for i, c in enumerate(ref)), Fraction(0))
+    assert p.exact_eval(t) == want
+    assert p.enclose(t) == (want, 0)
+    assert [exact_value(c) for c in p.coeffs] == ref
+
+
+def test_exact_value_and_round_up():
+    with mp.workprec(200):
+        x = -mpmath.mpf(5) / 7
+    assert exact_value(x) == _hex_value(mpf_to_hex(x))
+    assert exact_value(mpmath.mpf(0)) == 0 and exact_value(Fraction(2, 3)) == Fraction(2, 3)
+    for v, prec in ((Fraction(1, 3), 24), (Fraction(10 ** 40 + 1, 7), 128),
+                    (Fraction(3, 4), 8), (Fraction(0), 53)):
+        up = round_up(v, prec)
+        assert up._mpf_[3] <= prec              # a prec-bit dyadic ...
+        assert exact_value(up) >= v             # ... at or above v ...
+        assert up == to_mpf(up, prec)
+        if v:                                   # ... with none between
+            man, exp = up.man_exp
+            step = Fraction(2) ** (exp - (prec - up._mpf_[3]))
+            assert exact_value(up) - step < v
+    # built at the caller's 53 bits, mpf(tuple) would round 1/3 to nearest
+    assert exact_value(round_up(Fraction(1, 3), 256)) > Fraction(1, 3)
+
+
+def _exact_tail(d, lo, t):
+    return sum((math.comb(d, i) * t ** i * (1 - t) ** (d - i)
+                for i in range(max(lo, 0), d + 1)), Fraction(0))
+
+
+def test_binom_tail_enclosure_contains_the_exact_tail():
+    # Random d <= 64, t in [0, 1] and 24-512 bits: the mpf center is off by
+    # rounding, and the radius must cover it.
+    rng = SplitMix64(20261018)
+    missed_center = 0
+    for _ in range(300):
+        d = rng.randint(1, 64)
+        lo = rng.randint(0, d)
+        t = Fraction(rng.randint(0, 10 ** 6), 10 ** 6 + rng.randint(0, 7))
+        prec = rng.randint(24, 512)
+        center, radius = SBinomTail(d, lo, prec).enclose(t)
+        exact = _exact_tail(d, lo, t)
+        assert abs(center - exact) <= radius, (d, lo, t, prec)
+        assert radius <= Fraction(8 * d + 16, 2 ** prec) * (1 + abs(center)) + \
+            d * abs(t - exact_value(to_mpf(t, prec)))
+        missed_center += center != exact
+    assert missed_center > 200       # rounding is real: radius 0 would fail
+
+
+def test_binom_tail_enclosure_outside_the_unit_interval_is_exact():
+    for t in (Fraction(-1, 3), Fraction(7, 5)):
+        assert SBinomTail(9, 4, 64).enclose(t) == (_exact_tail(9, 4, t), 0)
+    with pytest.raises(ArithmeticError):
+        SBinomTail(9, 4, 64).enclose(Fraction(1, 2), Fraction(2, 3))
+
+
+def test_struct_enclosures_propagate_radii():
+    # Every point of the input interval maps inside the enclosure: checked
+    # exactly at both ends and the middle, for each node kind.
+    tail = SBinomTail(12, 5, 40)
+    inner = SDense(UniPoly([Fraction(1, 5), Fraction(1, 2)]))
+    dense = SDense(UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40))
+    nodes = {
+        "dense": (dense, lambda x: dense.poly.exact_eval(x)),
+        "comp": (SComp(tail, inner),
+                 lambda x: _exact_tail(12, 5, inner.poly.exact_eval(x))),
+        "prod": (SProd([SComp(tail, inner), dense]),
+                 lambda x: _exact_tail(12, 5, inner.poly.exact_eval(x))
+                 * dense.poly.exact_eval(x)),
+        "pow": (SPow(SComp(tail, inner), 3),
+                lambda x: _exact_tail(12, 5, inner.poly.exact_eval(x)) ** 3),
+        "scale": (SScale(to_mpf(Fraction(-2, 3), 40), SComp(tail, inner)),
+                  lambda x: exact_value(to_mpf(Fraction(-2, 3), 40))
+                  * _exact_tail(12, 5, inner.poly.exact_eval(x))),
+    }
+    for name, (node, exact) in nodes.items():
+        for t, rad in ((Fraction(1, 3), 0), (Fraction(2, 7), Fraction(1, 50))):
+            c, r = node.enclose(t, rad)
+            for x in (t - rad, t, t + rad):
+                assert abs(exact(x) - c) <= r, (name, t, rad, x)
+            assert r > 0 or name == "dense"
+
+
+def test_max_error_is_exact_for_dense_polynomials():
+    p = UniPoly([Fraction(1, 3), -1, Fraction(1, 7)]).to_float(30)
+    pairs = [(w, Fraction(w % 2)) for w in range(6)]
+    assert max_error(p, pairs) == max(abs(p.exact_eval(w) - f)
+                                      for w, f in pairs)
+    assert max_error(UniPoly([Fraction(1, 2)]), [(0, 0), (3, 1)]) == Fraction(1, 2)
+
+
 def test_unipoly_zero_degree_convention():
     assert UniPoly.zero().degree == -1
     assert UniPoly([0, 0]).degree == -1
@@ -320,46 +425,13 @@ def test_poly_json_round_trip_every_struct_kind():
     assert r.eval(Fraction(1, 3)) == Fraction(5, 6)
 
 
-def test_recheck_accepts_stable_builds():
-    vals = recheck(lambda pr: [to_mpf(Fraction(1, 3), pr)], 128)
-    with mp.workprec(128):
-        assert abs(vals[0] - to_mpf(Fraction(1, 3), 128)) < mpmath.mpf(2) ** -100
-
-
-def test_recheck_rejects_precision_dependent_builds():
-    with pytest.raises(PrecisionError):
-        recheck(lambda pr: [mpmath.mpf(pr)], 64)
-
-
-def test_recheck_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        recheck(lambda pr: [to_mpf(1, pr)] * (pr // 64), 64)
-
-
-def test_recheck_passes_exact_fractions_through():
-    vals = recheck(lambda pr: [Fraction(1, 3), Fraction(0)], 64)
-    assert vals == [Fraction(1, 3), Fraction(0)]
-    assert all(isinstance(v, Fraction) for v in vals)
-    # exact at the base precision, rounded at the doubled one: still agrees
-    assert recheck(lambda pr: Fraction(1, 3) if pr == 64
-                   else to_mpf(Fraction(1, 3), pr), 64) == Fraction(1, 3)
-
-
-def test_recheck_rejects_disagreeing_fractions():
-    with pytest.raises(PrecisionError):
-        recheck(lambda pr: [Fraction(1, 3) + Fraction(1, pr)], 64)
-    with pytest.raises(PrecisionError):
-        recheck(lambda pr: Fraction(pr), 64)
-
-
 def test_sdense_eval_forwards_the_precision():
     # A float polynomial built at 64 bits, measured at 256: the value must
     # carry 256 bits, not the 64 the polynomial was built with.
     p = UniPoly([0, 1], "float", 64)
     assert SDense(p).eval(Fraction(1, 3), 256) == to_mpf(Fraction(1, 3), 256)
     assert SDense(p).eval(Fraction(1, 3)) == to_mpf(Fraction(1, 3), 64)
-    assert checked_max_abs(lambda t, pr: SDense(p).eval(t, pr) - to_mpf(t, pr),
-                           [Fraction(1, 3)], 128) == 0
+    assert SDense(p).enclose(Fraction(1, 3)) == (Fraction(1, 3), 0)
 
 
 @given(st.integers(min_value=1, max_value=100),
@@ -385,20 +457,6 @@ def test_min_degree_matches_linear_scan(hi, threshold):
     else:
         assert min_degree(build, 0, hi).d == linear
     assert len(built) == len(set(built)) and all(1 <= d <= hi for d in built)
-
-
-def test_checked_max_abs():
-    p = UniPoly([0, 1]).to_float(64)
-    m = checked_max_abs(lambda t, pr: p.eval(t, pr), [0, Fraction(1, 2), -3], 64)
-    assert float(m) == 3.0
-
-
-def test_checked_max_abs_keeps_the_working_precision():
-    # Outside any workprec block the ambient precision is 53 bits; the
-    # maximum must still carry all 128 bits of the values it was given.
-    m = checked_max_abs(lambda t, pr: t * to_mpf(Fraction(-1, 3), pr),
-                        [1, -2], 128)
-    assert m._mpf_ == to_mpf(Fraction(2, 3), 128)._mpf_
 
 
 def test_float_neg_and_derivative_keep_the_working_precision():

@@ -11,8 +11,8 @@ import pytest
 from polyapprox import symmetric
 from polyapprox.composed import surjectivity_approx
 from polyapprox.extension import small_support_approx
-from polyapprox.numcore import (FLOAT, RATIONAL, PrecisionError, SplitMix64,
-                                SProd, UniPoly, poly_from_json, to_mpf)
+from polyapprox.numcore import (FLOAT, RATIONAL, SplitMix64, SProd, UniPoly,
+                                poly_from_json, to_mpf)
 from polyapprox.symmetric import (SymSpec, achievable_counts, and_or_approx,
                                   and_or_min_degree, exact_weight_approx,
                                   restricted_conjunction_approx,
@@ -131,32 +131,21 @@ def test_symmetric_approx_general_spectrum():
 def test_symmetric_approx_builds_each_slice_once(monkeypatch):
     # Both boundary values of every slice differ from the middle value, so
     # each slice feeds two terms; it must still be built once, and the
-    # returned polynomial's error must be measured at the doubled precision
-    # too.
+    # certified error must be the returned polynomial's exact error.
     n = 16
     vals = [Fraction(-1, 2), Fraction(1, 5)] + [Fraction(1, 2)] * (n - 3) + \
         [Fraction(3, 4), Fraction(-1, 3)]
     built = collections.Counter()
-    measured = set()
     real_build = symmetric.exact_weight_approx
-    real_measure = symmetric.checked_max_abs
 
     def build_spy(n, k, m, eps, prec):
         built[k, prec] += 1
         return real_build(n, k, m, eps, prec)
 
-    def measure_spy(evaluate, points, prec):
-        def spy(t, pr):
-            measured.add(pr)
-            return evaluate(t, pr)
-        return real_measure(spy, points, prec)
-
     monkeypatch.setattr(symmetric, "exact_weight_approx", build_spy)
-    monkeypatch.setattr(symmetric, "checked_max_abs", measure_spy)
     a = symmetric_approx(SymSpec(n, vals), Fraction(1, 4), 128)
     assert built == {(0, 128): 1, (1, 128): 1}
-    assert measured == {128, 256}
-    _check(a)
+    assert _claim(a) == _rounded_up(_exact_error(a), 128)
     assert float(a.certified_eps) <= 1 / 4
 
 
@@ -276,9 +265,53 @@ def test_float_builds_only_at_the_working_precision(name, monkeypatch):
     assert seen["_and_base"] == ([] if name == "exact_weight" else [128])
 
 
+def _hex_value(s):
+    # The exact value of a serialized mpf, "[-]0x<man>p<exp>".
+    man, exp = s.lstrip("-")[2:].split("p")
+    v = int(man, 16) * Fraction(2) ** int(exp)
+    return -v if s.startswith("-") else v
+
+
+def _exact_error(approx):
+    """max |p(w) - f(w)| of a dense approximant, from its serialized
+    coefficients in Fraction arithmetic."""
+    coeffs = [_hex_value(c) for c in approx.poly.to_json()["coeffs"]]
+    return max(abs(sum(c * w ** i for i, c in enumerate(coeffs)) - f)
+               for w, f in enumerate(approx.spec.values))
+
+
+def _claim(approx):
+    return _hex_value(approx.to_json()["certified_eps_exact"])
+
+
+def _rounded_up(x, prec):
+    """The smallest prec-bit dyadic >= x > 0."""
+    e = x.numerator.bit_length() - x.denominator.bit_length() - prec
+    while Fraction(2) ** (e + prec) <= x:
+        e += 1
+    while Fraction(2) ** (e + prec - 1) > x:
+        e -= 1
+    return math.ceil(x / Fraction(2) ** e) * Fraction(2) ** e
+
+
+@pytest.mark.parametrize("build", [
+    lambda prec: and_or_approx(40, 20, "and", prec),
+    lambda prec: and_or_approx(24, 11, "or", prec),
+    lambda prec: exact_weight_approx(20, 2, 2, Fraction(1, 8), prec),
+    lambda prec: symmetric_approx(SymSpec(12, [Fraction(1, 3)] * 2 + [0] * 9
+                                          + [Fraction(-1, 2)] * 2),
+                                  Fraction(1, 4), prec)])
+@pytest.mark.parametrize("prec", [64, 128, 512])
+def test_float_certified_eps_is_the_rounded_up_exact_error(build, prec):
+    a = build(prec)
+    assert a.poly.backend == FLOAT
+    assert a.certified_eps._mpf_ == to_mpf(a.certified_eps, prec)._mpf_
+    assert _claim(a) == _rounded_up(_exact_error(a), prec)
+
+
 def _drifting(real):
     """real eval plus 2^-(p/4) at its working precision p: a result that
-    moves with the precision, which the doubled-precision pass must catch."""
+    moves with the precision, which no certificate may depend on."""
     def drifting_eval(self, t, prec=None):
         v = real(self, t, prec)
         p = prec or getattr(self, "prec", None)
@@ -300,9 +333,18 @@ MEASURED_BUILDS = dict(
 
 @pytest.mark.parametrize("name", sorted(MEASURED_BUILDS))
 def test_float_measure_catches_precision_dependent_values(name, monkeypatch):
-    # small_support's polynomial has no float UniPoly: its float part is the
-    # binomial tail inside the SProd that extend_approx measures.
-    node = SProd if name == "small_support" else UniPoly
-    monkeypatch.setattr(node, "eval", _drifting(node.eval))
-    with pytest.raises(PrecisionError):
-        MEASURED_BUILDS[name](128)
+    # Certificates come from exact evaluation and enclosures, never from an
+    # mpf value, so a value that moves with the precision cannot reach one:
+    # with float UniPoly.eval and SProd.eval drifting, every certified error
+    # and every coefficient stays the same.
+    def build():
+        a = MEASURED_BUILDS[name](128)
+        return getattr(a, "approx", a)      # small_support's ExtensionResult
+
+    want = build()
+    for node in (UniPoly, SProd):
+        monkeypatch.setattr(node, "eval", _drifting(node.eval))
+    assert UniPoly([1], FLOAT, 128).eval(0) != 1          # the drift is live
+    got = build()
+    assert got.certified_eps == want.certified_eps
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
