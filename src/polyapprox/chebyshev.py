@@ -10,16 +10,14 @@ from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, UniPoly, to_mpf)
 
 
 def cheb_poly(d, backend=RATIONAL, prec=DEFAULT_PREC):
-    """T_d as a dense polynomial via the three-term recurrence (exact)."""
+    """T_d as a dense polynomial: the three-term recurrence on integer
+    coefficient lists, converted once (a float coefficient rounds once)."""
     if d < 0:
         raise ValueError("negative degree")
-    t0 = UniPoly([1], backend, prec)
-    if d == 0:
-        return t0
-    t1 = UniPoly([0, 1], backend, prec)
+    t0, t1 = [1], [0, 1]
     for _ in range(d - 1):
-        t0, t1 = t1, t1.scale(2) * UniPoly([0, 1], backend, prec) - t0
-    return t1
+        t0, t1 = t1, [2 * b - a for a, b in zip(t0 + [0, 0], [0] + t1)]
+    return UniPoly(t1 if d else t0, backend, prec)
 
 
 def cheb_eval(d, t, prec=None):

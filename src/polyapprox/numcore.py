@@ -65,11 +65,13 @@ def round_up(x, prec):
 
 
 def to_mpf(x, prec):
-    """Round an int/Fraction/mpf to an mpf at the given precision."""
-    with mp.workprec(prec):
-        if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
-        return mpmath.mpf(x)
+    """The prec-bit mpf nearest an int, Fraction, float or mpf (ties to
+    even), rounded once; the ambient precision never enters."""
+    if isinstance(x, mpmath.mpf):
+        return mp.make_mpf(libmp.mpf_pos(x._mpf_, prec, libmp.round_nearest))
+    x = Fraction(x)
+    return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, prec,
+                                           libmp.round_nearest))
 
 
 def mpf_to_hex(x):
@@ -115,12 +117,40 @@ def _trim(coeffs):
     return coeffs
 
 
+def _kronecker_mul(a, b):
+    """The coefficients of the product of two nonempty integer polynomials,
+    by Kronecker substitution: each is packed into one integer at a stride
+    of w bytes, wide enough for every product coefficient, the two integers
+    are multiplied once, and the product is unpacked.  Adding half a slot
+    to every slot keeps each packed digit nonnegative."""
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length())
+    w = bits // 8 + 1                     # every |c| < 2^bits <= 2^(8w - 1)
+    half = 1 << (8 * w - 1)
+    halves = half.to_bytes(w, "little")
+
+    def pack(c):
+        digits = b"".join((x + half).to_bytes(w, "little") for x in c)
+        return (int.from_bytes(digits, "little")
+                - int.from_bytes(halves * len(c), "little"))
+
+    n = len(a) + len(b) - 1
+    pa = pack(a)
+    prod = pa * (pa if b is a else pack(b))
+    data = (prod + int.from_bytes(halves * n, "little")).to_bytes(n * w,
+                                                                  "little")
+    return [int.from_bytes(data[i:i + w], "little") - half
+            for i in range(0, n * w, w)]
+
+
 class UniPoly:
     """Dense univariate polynomial over one backend.
 
     coeffs[i] is the coefficient of t^i; the zero polynomial has degree -1.
     Coefficient lists are never mutated after construction, so a polynomial
-    caches its denominator-cleared integer form for exact evaluation.
+    caches its denominator-cleared integer form.  Products, scaling and
+    affine composition compute their exact result from it in integers; a
+    float result rounds each coefficient once, to nearest at prec.
     """
 
     __slots__ = ("coeffs", "backend", "prec", "_int_form")
@@ -172,6 +202,39 @@ class UniPoly:
         p._int_form = None
         return p
 
+    def _ints(self):
+        """(nums, den), cached, with coeffs[j] == nums[j] / den: den is the
+        lcm of the denominators, for float coefficients the power of two
+        that puts every mantissa at the smallest exponent."""
+        if self._int_form is None:
+            if self.backend == FLOAT:
+                parts = [c._mpf_ for c in self.coeffs]
+                if any(not man and exp for _, man, exp, _ in parts):
+                    raise ValueError("no exact value for a non-finite mpf")
+                low = min([exp for _, man, exp, _ in parts if man] + [0])
+                nums = [(-int(man) if sign else int(man)) << (exp - low)
+                        for sign, man, exp, _ in parts]
+                den = 1 << -low
+            else:
+                den = math.lcm(*(c.denominator for c in self.coeffs))
+                nums = [c.numerator * (den // c.denominator)
+                        for c in self.coeffs]
+            self._int_form = (nums, den)
+        return self._int_form
+
+    def _from_ints(self, nums, den):
+        """The polynomial sum_i nums[i] / den t^i on this backend: exact, or
+        each float coefficient rounded once, to nearest at prec."""
+        if self.backend == RATIONAL:
+            return self._make([Fraction(n, den) for n in nums])
+        prec, rnd = self.prec, libmp.round_nearest
+        if den & (den - 1):
+            raw = [libmp.from_rational(n, den, prec, rnd) for n in nums]
+        else:
+            exp = 1 - den.bit_length()
+            raw = [libmp.from_man_exp(n, exp, prec, rnd) for n in nums]
+        return self._make([mp.make_mpf(v) for v in raw])
+
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and self.backend == other.backend
                 and self.coeffs == other.coeffs)
@@ -202,30 +265,20 @@ class UniPoly:
         self._check(other)
         if not self.coeffs or not other.coeffs:
             return self._make([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        if self.backend == FLOAT:
-            with mp.workprec(self.prec):
-                for i, a in enumerate(self.coeffs):
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-        else:
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return self._make(out)
+        a, da = self._ints()
+        b, db = other._ints()
+        return self._from_ints(_kronecker_mul(a, b), da * db)
 
     def scale(self, c):
-        if self.backend == FLOAT:
-            c = to_mpf(c, self.prec)
-            with mp.workprec(self.prec):
-                return self._make([c * a for a in self.coeffs])
-        c = as_fraction(c)
-        return self._make([c * a for a in self.coeffs])
+        c = exact_value(c) if self.backend == FLOAT else as_fraction(c)
+        nums, den = self._ints()
+        return self._from_ints([n * c.numerator for n in nums],
+                               den * c.denominator)
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        out = self._make([1])
+        out = UniPoly.constant(1, self.backend, self.prec)
         base = self
         while k:
             if k & 1:
@@ -251,13 +304,7 @@ class UniPoly:
         # With c_j = N_j / L and t = a/b, p(t) = sum_j N_j a^j b^(deg-j) /
         # (L b^deg): homogeneous Horner in integers, one reduction at the end.
         # Fraction is canonical, so the value equals term-by-term Horner's.
-        # Float coefficients are dyadic, so L is a power of two.
-        if self._int_form is None:
-            vals = [exact_value(c) for c in self.coeffs]
-            lcm = math.lcm(*(c.denominator for c in vals))
-            self._int_form = ([c.numerator * (lcm // c.denominator)
-                               for c in vals], lcm)
-        nums, lcm = self._int_form
+        nums, lcm = self._ints()
         a, b = t.numerator, t.denominator
         acc = nums[-1]
         bpow = 1
@@ -276,17 +323,28 @@ class UniPoly:
         mag = UniPoly([abs(exact_value(a)) for a in self.coeffs])
         return c, mag.exact_eval(abs(t) + rad) - mag.exact_eval(abs(t))
 
-    def compose(self, inner):
-        """self(inner(t)) by Horner over polynomials."""
-        self._check(inner)
-        acc = self._make([])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + self._make([c])
-        return acc
-
     def compose_affine(self, a, b):
-        """self(a*t + b)."""
-        return self.compose(self._make([b, a]))
+        """self(a*t + b), exact, each float coefficient rounded once.  With
+        a*t + b = (alpha*t + beta) / D in integers and coeffs[j] = N_j / L,
+        self(a*t + b) = G(alpha*t + beta) / (L D^deg) for the integer
+        polynomial G(y) = sum_j N_j D^(deg-j) y^j: an integer Taylor shift
+        of G by beta (repeated synthetic division), then t scaled by alpha."""
+        a, b = ((exact_value(a), exact_value(b)) if self.backend == FLOAT
+                else (as_fraction(a), as_fraction(b)))
+        nums, den = self._ints()
+        if not nums:
+            return self._make([])
+        deg = len(nums) - 1
+        D = math.lcm(a.denominator, b.denominator)
+        alpha = a.numerator * (D // a.denominator)
+        beta = b.numerator * (D // b.denominator)
+        g = [n * D ** (deg - j) for j, n in enumerate(nums)]
+        if beta:
+            for i in range(deg):
+                for j in range(deg - 1, i - 1, -1):
+                    g[j] += beta * g[j + 1]
+        return self._from_ints([c * alpha ** i for i, c in enumerate(g)],
+                               den * D ** deg)
 
     def norm(self):
         """Sum of absolute coefficient values."""

@@ -124,13 +124,12 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
     ell = d * d // (36 * n) + 1
     ell = min(ell, n - 1)
     base = _and_base(n, d, ell, prec)
-    with mp.workprec(prec):
-        # One mpf Horner pass fixes the damping factor; it shapes the
-        # polynomial, and the certificate below measures the result.
-        M = max(abs(mpmath.polyval(base.coeffs[::-1], w)) for w in range(n))
-        p = base.scale(1 / (1 + M))
-        if which == "or":
-            p = UniPoly([1], FLOAT, prec) - p.compose_affine(-1, n)
+    # The damping factor M is the exact maximum below weight n; scale
+    # divides by 1 + M exactly and rounds each coefficient once.
+    M = max(abs(base.exact_eval(w)) for w in range(n))
+    p = base.scale(1 / (1 + M))
+    if which == "or":
+        p = UniPoly([1], FLOAT, prec) - p.compose_affine(-1, n)
     eps = certify(max_error(p, enumerate(spec.values)), FLOAT, prec)
     return SymApprox(spec, p, p.degree, eps, "chebyshev-damped", set())
 

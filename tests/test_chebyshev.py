@@ -17,6 +17,15 @@ def test_known_coefficients():
                                    Fraction(4)]
 
 
+@given(st.integers(min_value=0, max_value=200),
+       st.sampled_from([24, 53, 256, 512]))
+@settings(max_examples=40, deadline=None)
+def test_float_cheb_poly_rounds_the_exact_coefficients_once(d, prec):
+    got = cheb_poly(d, "float", prec).coeffs
+    assert [c._mpf_ for c in got] == \
+        [c._mpf_ for c in cheb_poly(d).to_float(prec).coeffs]
+
+
 def test_cosine_identity():
     with mp.workprec(256):
         for d in (1, 2, 7, 16, 33, 64):

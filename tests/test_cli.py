@@ -211,9 +211,12 @@ GOLDEN_ARGV = {
 # measured error rounded up to the working precision (or an exact Fraction),
 # and a surjectivity artifact stores its conjunction polynomial q once, with
 # a top-level degree.  The coefficients are pinned apart from that, below.
+# The float and prec groups were re-recorded again when float products,
+# scaling and affine composition began to round each coefficient once, from
+# the exact integer result; every degree and certified_eps float stayed.
 GOLDEN_SHA256 = "ffa4b87474c86661ebd24d31c53fac6edcbca3ca9603d3e5504c0db9bae32186"
 FLOAT_GOLDEN_SHA256 = \
-    "b103428aee4a219e32d8a81a21c0a72e2c65d103cf4eb016a46d934c4885643c"
+    "d0da953d660072bed0d717314242e979d97c770ce65860241278f02da9e1ae1e"
 SURJ_GOLDEN_SHA256 = \
     "74fd51234101e6eeca7bc8146402b966f442a8913c9cf4f8e90ab44c35549b96"
 # The (12, 2) eps-1/4 surjectivity artifacts carry float conjunction
@@ -221,16 +224,17 @@ SURJ_GOLDEN_SHA256 = \
 # bytes here that depend on float UniPoly negation staying inside the
 # working precision (FLOAT_GOLDEN_SHA256 and the other shapes do not).
 PREC_GOLDEN_SHA256 = \
-    "8131629e5e4527f7285cd96800bd58249324b6fc48930d9608ac33f78a99d93a"
+    "6969da0485fff2de6920e2201b882ebd8df5b0413c5cbd5e0d293d0a1650364c"
 
 # sha256 of each group's _canonical() artifacts, recorded from the artifacts
 # written before the certificates became exact (when each surjectivity term
-# held its own copy of q).
+# held its own copy of q); float and prec re-recorded with the once-rounded
+# float coefficients.
 CANONICAL_SHA256 = {
     "exact": "d5e301964e269f142bf839e427bec6b6cd4fbcfcbb3a12cd3c06937f02e440f5",
-    "float": "fe1a7dd4bd19a8fc52559a522e9da453c647f0a32949463141b819b92b6072b8",
+    "float": "5fd7ff03447a0e37efc77753185ce2ac31805a96c15a2336633a2ed91b1bf8ac",
     "surj": "6364de696e7e7f68817e38bf8bd6b9885cfda5e8ad80b290d620dc418152ebc1",
-    "prec": "37e9b5253408e6123bf7f943b42451ded639429fe95c887a3e14b9daf9327d66",
+    "prec": "f76a9876a8a3d6b8b9b685b681aa78b68007ab963e2e398f5cb2164cc452c7ea",
 }
 
 

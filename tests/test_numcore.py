@@ -120,7 +120,7 @@ def test_rational_eval_cache_never_stale():
         "mul": p * q,
         "pow": p ** 2,
         "scale": p.scale(Fraction(-3, 8)),
-        "compose": p.compose(q),
+        "compose_affine_q": p.compose_affine(1, Fraction(5, 6)),   # p(q(t))
         "compose_affine": p.compose_affine(Fraction(1, 2), 3),
         "derivative": p.derivative(),
         "from_json": UniPoly.from_json(p.to_json()),
@@ -283,7 +283,9 @@ def test_unipoly_compose_and_power():
     p = UniPoly([1, 2, 3])
     q = UniPoly([0, 1, 1])
     t = Fraction(2, 5)
-    assert p.compose(q).eval(t) == p.eval(q.eval(t))
+    # p(q(t)) = 1 + 2 q + 3 q^2
+    pq = UniPoly([1]) + q.scale(2) + (q ** 2).scale(3)
+    assert pq.eval(t) == p.eval(q.eval(t))
     assert (p ** 3).eval(t) == p.eval(t) ** 3
     assert p.compose_affine(Fraction(2), Fraction(-1)).eval(t) == \
         p.eval(2 * t - 1)
@@ -467,6 +469,140 @@ def test_float_neg_and_derivative_keep_the_working_precision():
     assert (UniPoly([1], "float", 512) - p).coeffs[2]._mpf_ == \
         to_mpf(Fraction(-1, 3), 512)._mpf_
     assert p.derivative().coeffs[1]._mpf_ == to_mpf(Fraction(2, 3), 512)._mpf_
+
+
+def _nearest(x, prec):
+    # Reference: the prec-bit float nearest the rational x, ties to even, as
+    # a Fraction.
+    if x == 0:
+        return Fraction(0)
+    e = abs(x).numerator.bit_length() - abs(x).denominator.bit_length()
+    if Fraction(2) ** e > abs(x):
+        e -= 1
+    unit = Fraction(2) ** (e + 1 - prec)    # |x| / unit in [2^(prec-1), 2^prec)
+    return round(x / unit) * unit
+
+
+def _mul_ref(a, b):
+    # Reference: the double-loop product of two Fraction coefficient lists.
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _compose_affine_ref(coeffs, a, b):
+    # Reference: Horner over Fraction coefficient lists, p(a t + b).
+    out = []
+    for c in reversed(coeffs):
+        out = _mul_ref(out, [b, a]) or [Fraction(0)]
+        out[0] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _values(p):
+    return [exact_value(c) for c in p.coeffs]
+
+
+def test_to_mpf_rounds_a_fraction_once():
+    # Rounding the numerator first turns 2^60 + 33 into 2^60 at 53 bits, and
+    # the quotient then lands one ulp below the nearest float.
+    x = Fraction(2 ** 60 + 33, 3)
+    assert exact_value(to_mpf(x, 53)) == _nearest(x, 53) == 384307168202282368
+    with mp.workprec(256):
+        wide = mpmath.mpf(x.numerator) / x.denominator
+    assert exact_value(to_mpf(wide, 53)) == _nearest(exact_value(wide), 53)
+
+
+PRECS = [24, 53, 256, 512]
+
+
+@given(st.one_of(mixed_coeffs, st.builds(
+           lambda m, e: m * Fraction(2) ** e,
+           st.integers(min_value=-2 ** 600, max_value=2 ** 600),
+           st.integers(min_value=-700, max_value=700))),
+       st.sampled_from(PRECS), st.sampled_from([24, 53, 1024]))
+@example(Fraction(2 ** 60 + 33, 3), 53, 53)
+@settings(max_examples=100, deadline=None)
+def test_to_mpf_is_the_nearest_float(x, prec, ambient):
+    with mp.workprec(ambient):
+        got = to_mpf(x, prec)
+        again = to_mpf(mp.make_mpf(got._mpf_), prec)
+    assert exact_value(got) == _nearest(Fraction(x), prec)
+    assert again._mpf_ == got._mpf_
+
+
+def _dyadics(prec):
+    # m 2^e with |m| < 2^prec, exact at prec bits: zeros, both signs, and
+    # exponents up to 960 bits apart within one list.
+    coeff = st.one_of(st.just(0), st.builds(
+        lambda m, e: m * Fraction(2) ** e,
+        st.integers(min_value=1 - 2 ** prec, max_value=2 ** prec - 1),
+        st.integers(min_value=-480, max_value=480)))
+    return st.lists(coeff, max_size=7)
+
+
+float_pairs = st.sampled_from(PRECS).flatmap(
+    lambda prec: st.tuples(st.just(prec), _dyadics(prec), _dyadics(prec)))
+scalars = st.one_of(fracs, st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                                     st.integers(1, 10 ** 30)))
+# Exponents 905 and 940 bits apart within one polynomial; zeros and a
+# constant factor.
+SPREAD = [Fraction(3, 2 ** 450), 0, -(2 ** 455 + 1), Fraction(-5, 2 ** 480)]
+
+
+@given(float_pairs, scalars, scalars, scalars)
+@example((512, SPREAD, [Fraction(-1, 2 ** 460), 7]), Fraction(1, 3),
+         Fraction(-7, 5), Fraction(24))
+@example((53, SPREAD, [3]), Fraction(-2, 3), Fraction(1), Fraction(-1, 7))
+@example((24, [], [1, 2]), Fraction(1, 3), Fraction(0), Fraction(5))
+@example((256, [Fraction(1, 3)], [0, 0, -1]), Fraction(0), Fraction(0),
+         Fraction(1, 2))
+@settings(max_examples=80, deadline=None)
+def test_float_arithmetic_is_the_exact_result_rounded_once(pair, c, a, b):
+    prec, xs, ys = pair
+    p, q = UniPoly(xs, "float", prec), UniPoly(ys, "float", prec)
+    ep, eq = _values(p), _values(q)
+    assert _values(p * q) == [_nearest(v, prec) for v in _mul_ref(ep, eq)]
+    assert _values(p.scale(c)) == [_nearest(c * v, prec) for v in ep
+                                   ][:len(ep) if c else 0]
+    want = [_nearest(v, prec) for v in _compose_affine_ref(ep, a, b)]
+    assert _values(p.compose_affine(a, b)) == want
+    ma, mb = to_mpf(a, prec), to_mpf(b, prec)     # mpf arguments: exact values
+    want = [_nearest(v, prec) for v in
+            _compose_affine_ref(ep, exact_value(ma), exact_value(mb))]
+    assert _values(p.compose_affine(ma, mb)) == want
+
+
+@given(float_pairs, scalars, scalars)
+@settings(max_examples=40, deadline=None)
+def test_float_arithmetic_ignores_the_ambient_precision(pair, a, b):
+    prec, xs, ys = pair
+    p, q = UniPoly(xs, "float", prec), UniPoly(ys, "float", prec)
+
+    def results():
+        return [[c._mpf_ for c in r.coeffs]
+                for r in (p * q, p.scale(a), p.compose_affine(a, b), q ** 3)]
+
+    want = results()
+    for ambient in (24, 1024):
+        with mp.workprec(ambient):
+            assert results() == want
+
+
+@given(st.lists(mixed_coeffs, max_size=10), st.lists(mixed_coeffs, max_size=10))
+@example([], [1])
+@example([Fraction(1, 3), 0, Fraction(-7, 2)], [0, 0, 5])
+@settings(max_examples=60, deadline=None)
+def test_rational_product_matches_the_double_loop(a, b):
+    p, q = UniPoly(a), UniPoly(b)
+    assert (p * q).coeffs == _mul_ref(p.coeffs, q.coeffs)
+    assert (p * p).coeffs == _mul_ref(p.coeffs, p.coeffs)
 
 
 def test_splitmix_deterministic():
