@@ -598,6 +598,10 @@ def test_float_arithmetic_ignores_the_ambient_precision(pair, a, b):
 @given(st.lists(mixed_coeffs, max_size=10), st.lists(mixed_coeffs, max_size=10))
 @example([], [1])
 @example([Fraction(1, 3), 0, Fraction(-7, 2)], [0, 0, 5])
+# 64 + 64 + 7 bits: the middle coefficient, 127 (2^64 - 1)^2, just fits the
+# 17-byte slot of the packed product, at either sign.
+@example([2 ** 64 - 1] * 127, [2 ** 64 - 1] * 127)
+@example([-(2 ** 64 - 1)] * 127, [2 ** 64 - 1] * 127)
 @settings(max_examples=60, deadline=None)
 def test_rational_product_matches_the_double_loop(a, b):
     p, q = UniPoly(a), UniPoly(b)
