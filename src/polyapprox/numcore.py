@@ -329,8 +329,8 @@ class UniPoly:
         self(a*t + b) = G(alpha*t + beta) / (L D^deg) for the integer
         polynomial G(y) = sum_j N_j D^(deg-j) y^j: an integer Taylor shift
         of G by beta (repeated synthetic division), then t scaled by alpha."""
-        a, b = ((exact_value(a), exact_value(b)) if self.backend == FLOAT
-                else (as_fraction(a), as_fraction(b)))
+        value = exact_value if self.backend == FLOAT else as_fraction
+        a, b = value(a), value(b)
         nums, den = self._ints()
         if not nums:
             return self._make([])
