@@ -9,12 +9,9 @@ from functools import cached_property
 from itertools import combinations, permutations
 import math
 
-import mpmath
-from mpmath import mp
-
 from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, UniPoly, as_fraction,
                       certify, exact_value, min_degree, poly_from_json,
-                      poly_to_json, scalar_from_json, scalar_to_json)
+                      poly_to_json, scalar_from_json, scalar_to_json, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 from .symmetric import and_or_min_degree, restricted_disjunction_approx
 from .oracle import multilinear_interpolant
@@ -201,7 +198,7 @@ class BlockSymApprox:
         # value(w) = (sum_ell M_ell sum_S T[w_S]) / den in integers, with
         # q(k) = T[k] / lq, mu_ell = M_ell / lm and den = lq * lm.
         mus = [(ell, exact_value(mu)) for ell, mu in self.terms]
-        qs = ([self.q.exact_eval(k) for k in range(self.n + 1)]
+        qs = ([self.q.eval(k) for k in range(self.n + 1)]
               if self.q is not None else [])
         lq = math.lcm(*(v.denominator for v in qs))
         lm = math.lcm(*(mu.denominator for _, mu in mus))
@@ -279,6 +276,13 @@ def _outer_general(r, eps, prec):
     return and_or_min_degree(r, "and", eps / 2, prec).poly
 
 
+def _finite_differences(values):
+    """The exact forward differences sum_i (-1)^(ell-i) C(ell, i) values[i]
+    for ell = 0..len(values) - 1."""
+    return [sum((-1) ** (ell - i) * math.comb(ell, i) * values[i]
+                for i in range(ell + 1)) for ell in range(len(values))]
+
+
 def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     """Approximant for SURJ on an n x r grid restricted to weight <= n,
     expanded into per-column-subset emptiness terms."""
@@ -291,24 +295,20 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
         outer = _outer_third(r)
     else:
         outer = _outer_general(r, eps, prec)
-    exact = outer.backend == RATIONAL
-    with mp.workprec(prec):
-        h = [outer.eval(r - j, prec) for j in range(r + 1)]
-        outer_err = max(abs(h[j] - surj_value([1] * (r - j) + [0] * j))
-                        for j in range(r + 1))
-        mu = []
-        for ell in range(r + 1):
-            v = sum((-1) ** (ell - i) * math.comb(ell, i) * h[i]
-                    for i in range(ell + 1))
-            mu.append(v)
-        if not exact:
-            tiny = mpmath.mpf(2) ** (-(prec // 2))
-            mu = [m if abs(m) > tiny else (m * 0) for m in mu]
-        weight = sum(abs(mu[ell]) * math.comb(r, ell) for ell in range(1, r + 1))
-    slack = as_fraction(eps) - (outer_err if exact else as_fraction(float(outer_err)))
+    h = [outer.eval(r - j) for j in range(r + 1)]
+    outer_err = max(abs(h[j] - surj_value([1] * (r - j) + [0] * j))
+                    for j in range(r + 1))
+    # The exact finite differences vanish above the outer degree; a float
+    # outer rounds each of them once.
+    mu = _finite_differences(h)
+    if outer.backend == FLOAT:
+        mu = [to_mpf(m, prec) for m in mu]
+    weight = sum(abs(exact_value(mu[ell])) * math.comb(r, ell)
+                 for ell in range(1, r + 1))
+    slack = eps - outer_err
     if slack <= 0:
         raise ArithmeticError("outer stage already exhausts the error budget")
-    budget = slack / (weight if exact else as_fraction(float(weight)))
+    budget = slack / weight
     # SURJ is invariant under permuting the columns, so every subset size
     # shares one emptiness indicator q.
     live = [ell for ell in range(1, r + 1) if mu[ell] != 0]
@@ -338,8 +338,7 @@ def surj_outer_eval(n, r, eps, weights, prec=DEFAULT_PREC):
     v = sum(1 for w in weights if w >= 1)
     if eps == Fraction(1, 3):
         return _outer_third(r).eval(v)
-    with mp.workprec(prec):
-        return _outer_general(r, eps, prec).eval(v)
+    return _outer_general(r, eps, prec).eval(v)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +384,8 @@ def _or_symmetric_coeffs(k, eps, prec):
     """Subset-basis coefficients a_0..a_d of an OR_k approximant with error
     <= eps/2: a_ell is the ell-th finite difference of the weight poly."""
     a = and_or_min_degree(k, "or", eps / 2, prec)
-    gv = [a.poly.eval(w, prec) for w in range(min(a.degree, k) + 1)]
-    with mp.workprec(prec):
-        coeffs = [sum((-1) ** (ell - i) * math.comb(ell, i) * gv[i]
-                      for i in range(ell + 1)) for ell in range(len(gv))]
-    return coeffs, a.degree
+    gv = [a.poly.eval(w) for w in range(min(a.degree, k) + 1)]
+    return _finite_differences(gv), a.degree
 
 
 def selector_compose(fs, M, N, n, b, eps, prec=DEFAULT_PREC):
@@ -437,14 +433,11 @@ def selector_compose(fs, M, N, n, b, eps, prec=DEFAULT_PREC):
             tot += scale * mean
         return tot
 
-    worst = 0
-    with mp.workprec(prec):
-        for x in _cube(M):
-            for y in _fixed_weight(N, n):
-                truth = 1 if any(y[i] and fs[i](x) for i in range(N)) else 0
-                err = abs(evaluate(x, y) - truth)
-                if err > worst:
-                    worst = err
+    worst = Fraction(0)
+    for x in _cube(M):
+        for y in _fixed_weight(N, n):
+            truth = 1 if any(y[i] and fs[i](x) for i in range(N)) else 0
+            worst = max(worst, abs(evaluate(x, y) - truth))
     out = SelectorApprox(N, n, b, a, worst, inner_deg + d_out * b)
     out.evaluate = evaluate
     return out

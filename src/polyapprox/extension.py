@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .numcore import (DEFAULT_PREC, RATIONAL, SComp, SDense, SProd, UniPoly,
+from .numcore import (DEFAULT_PREC, SComp, SDense, SProd, UniPoly,
                       as_fraction, certify, lagrange_interpolate, max_error)
 from .chebyshev import cheb_poly
 from .blocks import interval_indicator
@@ -15,12 +15,12 @@ from .symmetric import SymApprox, SymSpec
 
 def coeff_norm_bound(p):
     """8^d * max_i |p(i/d)| over i = 0..d, an upper bound on the coefficient
-    1-norm of any degree-d polynomial.  Exact for rational p."""
+    1-norm of any degree-d polynomial.  Exact."""
     d = p.degree
     if d <= 0:
-        return abs(p.eval(0)) if p.coeffs else (p.eval(0) * 0)
-    m = max(abs(p.eval(Fraction(i, d))) for i in range(d + 1))
-    return Fraction(8) ** d * m if p.backend == RATIONAL else 8 ** d * m
+        return abs(p.eval(0))
+    return Fraction(8) ** d * max(abs(p.eval(Fraction(i, d)))
+                                  for i in range(d + 1))
 
 
 def sym_multilinear_norms(n, a):

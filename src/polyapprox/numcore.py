@@ -6,8 +6,9 @@ Two backends only: "rational" (fractions.Fraction, exact) and "float"
 (mpmath mpf at an explicit precision).  Mixed-backend arithmetic is an
 error, never a silent coercion.  A float construction builds its polynomial
 once, at its working precision, and certifies it exactly: every mpf is a
-dyadic rational, so enclose() evaluates a dense polynomial in integers at a
-rational point.  The one inexact node, SBinomTail, returns its mpf value
+dyadic rational, so UniPoly.eval() returns the exact value at a rational
+point for either backend, in integers.  Structured nodes evaluate only
+through enclose().  The one inexact node, SBinomTail, returns its mpf sum
 with a rigorous radius, and the other nodes carry (center, radius) through
 exactly.  max_error() takes the maximum over the measured points, and
 certify() rounds a float construction's maximum up to its working precision.
@@ -181,9 +182,10 @@ class UniPoly:
 
     @classmethod
     def from_roots(cls, roots, backend=RATIONAL, prec=DEFAULT_PREC):
+        value = exact_value if backend == FLOAT else as_fraction
         p = cls.constant(1, backend, prec)
         for r in roots:
-            p = p * cls([-r, 1], backend, prec)
+            p = p * cls([-value(r), 1], backend, prec)
         return p
 
     def _check(self, other):
@@ -287,16 +289,7 @@ class UniPoly:
             k >>= 1
         return out
 
-    def eval(self, t, prec=None):
-        """Rational backend: the exact value.  Float backend: Horner in mpf
-        at prec, or at the stored working precision."""
-        if self.backend == RATIONAL:
-            return self.exact_eval(t)
-        wp = prec or self.prec
-        with mp.workprec(wp):
-            return mpmath.polyval(self.coeffs[::-1], to_mpf(t, wp))
-
-    def exact_eval(self, t):
+    def eval(self, t):
         """The exact value at a rational t, for either backend."""
         t = as_fraction(t)
         if not self.coeffs:
@@ -315,13 +308,13 @@ class UniPoly:
 
     def enclose(self, t, rad=0):
         """(center, radius), exact: |self(x) - center| <= radius for every
-        x with |x - t| <= rad.  The center is exact_eval(t)."""
-        c = self.exact_eval(t)
+        x with |x - t| <= rad.  The center is eval(t)."""
+        c = self.eval(t)
         if not rad:
             return c, Fraction(0)
         # |sum a_k (x^k - t^k)| <= sum |a_k| ((|t| + rad)^k - |t|^k)
         mag = UniPoly([abs(exact_value(a)) for a in self.coeffs])
-        return c, mag.exact_eval(abs(t) + rad) - mag.exact_eval(abs(t))
+        return c, mag.eval(abs(t) + rad) - mag.eval(abs(t))
 
     def compose_affine(self, a, b):
         """self(a*t + b), exact, each float coefficient rounded once.  With
@@ -347,11 +340,8 @@ class UniPoly:
                                den * D ** deg)
 
     def norm(self):
-        """Sum of absolute coefficient values."""
-        if self.backend == FLOAT:
-            with mp.workprec(self.prec):
-                return sum((abs(c) for c in self.coeffs), mpmath.mpf(0))
-        return sum((abs(c) for c in self.coeffs), Fraction(0))
+        """Sum of absolute coefficient values, exact."""
+        return sum((abs(exact_value(c)) for c in self.coeffs), Fraction(0))
 
     def derivative(self):
         terms = list(enumerate(self.coeffs))[1:]
@@ -411,12 +401,10 @@ class StructPoly:
     """A factored polynomial node.  Its backend is derived from its children:
     rational when all of them are (for SScale, also c), float otherwise.
 
-    eval(t, prec) is the mpf (or, for exact nodes, rational) value.
-    enclose(t, rad) is the certified one, as for UniPoly: an exact (center,
-    radius) with |self(x) - center| <= radius whenever |x - t| <= rad."""
-
-    def eval(self, t, prec=None):
-        raise NotImplementedError
+    A node evaluates only through enclose(t, rad), as UniPoly does: an exact
+    (center, radius) with |self(x) - center| <= radius whenever
+    |x - t| <= rad.  At a point (rad = 0) the radius is 0 unless an
+    SBinomTail lies below; its center is the tail's mpf sum."""
 
     def enclose(self, t, rad=0):
         raise NotImplementedError
@@ -429,21 +417,12 @@ def _backend_of(*parts):
     return RATIONAL if all(p.backend == RATIONAL for p in parts) else FLOAT
 
 
-def _as_num(v, prec):
-    if isinstance(v, Fraction):
-        return to_mpf(v, prec)
-    return v
-
-
 class SDense(StructPoly):
     def __init__(self, poly):
         self.poly = poly
         self.degree = poly.degree
         self.backend = poly.backend
         self.prec = poly.prec
-
-    def eval(self, t, prec=None):
-        return self.poly.eval(t, prec)
 
     def enclose(self, t, rad=0):
         return self.poly.enclose(t, rad)
@@ -457,19 +436,6 @@ class SProd(StructPoly):
         self.parts = parts
         self.degree = sum(p.degree for p in parts)
         self.backend = _backend_of(*parts)
-
-    def eval(self, t, prec=None):
-        vals = [p.eval(t, prec) for p in self.parts]
-        if prec is None:
-            acc = 1
-            for v in vals:
-                acc = acc * v
-            return acc
-        with mp.workprec(prec):
-            acc = mpmath.mpf(1)
-            for v in vals:
-                acc = acc * _as_num(v, prec)
-            return acc
 
     def enclose(self, t, rad=0):
         # |prod (c_i + e_i) - prod c_i| <= prod (|c_i| + r_i) - prod |c_i|
@@ -492,12 +458,6 @@ class SScale(StructPoly):
         self.backend = (base.backend if isinstance(c, (int, Fraction))
                         else FLOAT)
 
-    def eval(self, t, prec=None):
-        if prec is None:
-            return self.c * self.base.eval(t, prec)
-        with mp.workprec(prec):
-            return _as_num(self.c, prec) * _as_num(self.base.eval(t, prec), prec)
-
     def enclose(self, t, rad=0):
         s = exact_value(self.c)
         c, r = self.base.enclose(t, rad)
@@ -513,13 +473,6 @@ class SPow(StructPoly):
         self.k = k
         self.degree = base.degree * k
         self.backend = base.backend
-
-    def eval(self, t, prec=None):
-        v = self.base.eval(t, prec)
-        if prec is None:
-            return v ** self.k
-        with mp.workprec(prec):
-            return _as_num(v, prec) ** self.k
 
     def enclose(self, t, rad=0):
         c, r = self.base.enclose(t, rad)
@@ -539,9 +492,6 @@ class SComp(StructPoly):
         self.degree = outer.degree * inner.degree
         self.backend = _backend_of(outer, inner)
 
-    def eval(self, t, prec=None):
-        return self.outer.eval(self.inner.eval(t, prec), prec)
-
     def enclose(self, t, rad=0):
         return self.outer.enclose(*self.inner.enclose(t, rad))
 
@@ -551,7 +501,8 @@ class SComp(StructPoly):
 
 
 class SBinomTail(StructPoly):
-    """sum_{i=lo}^{d} C(d,i) t^i (1-t)^{d-i}, evaluated term by term."""
+    """sum_{i=lo}^{d} C(d,i) t^i (1-t)^{d-i}, summed term by term in mpf at
+    the node's precision."""
 
     backend = FLOAT
 
@@ -562,20 +513,16 @@ class SBinomTail(StructPoly):
         self.degree = d
         self._memo = {}
 
-    def eval(self, t, prec=None):
-        prec = prec or self.prec
-        key = (t, prec) if isinstance(t, (int, Fraction, mpmath.mpf)) else None
-        if key is not None and key in self._memo:
-            return self._memo[key]
-        out = self._eval(t, prec)
-        if key is not None:
+    def eval(self, t):
+        """The mpf sum at t, memoized: the center of enclose()."""
+        if t not in self._memo:
             if len(self._memo) > 4096:
                 self._memo.clear()
-            self._memo[key] = out
-        return out
+            self._memo[t] = self._eval(t)
+        return self._memo[t]
 
-    def _eval(self, t, prec):
-        d, lo = self.d, self.lo
+    def _eval(self, t):
+        d, lo, prec = self.d, self.lo, self.prec
         with mp.workprec(prec):
             u = to_mpf(t, prec)
             v = 1 - u

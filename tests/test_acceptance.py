@@ -105,12 +105,10 @@ def test_criterion_03_and_vs_oracle():
     rows = []
     for n in (8, 16, 32, 64):
         a = _min_and_construction(n)
-        with mp.workprec(256):
-            worst = max(abs(a.poly.eval(w, 256)
-                            - to_mpf(a.spec.values[w], 256))
-                        for w in range(n + 1))
-            if worst > to_mpf(Fraction(1, 3), 256) + mpmath.mpf(2) ** -100:
-                ok = False
+        worst = max(abs(a.poly.eval(w) - a.spec.values[w])
+                    for w in range(n + 1))
+        if worst > Fraction(1, 3):
+            ok = False
         lower = _oracle_and_degree(n)
         rows.append((n, lower, a.degree, a.degree / lower))
         if not lower <= a.degree <= MAX_AND_RATIO * lower:
@@ -123,23 +121,17 @@ def test_criterion_04_exact_weight():
     t0 = time.time()
     n, eps = 24, Fraction(1, 8)
     ok = True
-    with mp.workprec(256):
-        tol_exact = mpmath.mpf(2) ** -100
-        for k in (0, 2, 4):
-            m = k
-            a = exact_weight_approx(n, k, m, eps)
-            for w in range(n + 1):
-                if a.poly.backend == RATIONAL:
-                    err = abs(to_mpf(a.poly.eval(w), 256)
-                              - to_mpf(a.spec.values[w], 256))
-                else:
-                    err = abs(a.poly.eval(w, 256)
-                              - to_mpf(a.spec.values[w], 256))
-                if w <= m or w >= n - m:
-                    if err > tol_exact:
-                        ok = False
-                elif err > to_mpf(eps, 256):
+    tol_exact = Fraction(1, 2 ** 100)
+    for k in (0, 2, 4):
+        m = k
+        a = exact_weight_approx(n, k, m, eps)
+        for w in range(n + 1):
+            err = abs(a.poly.eval(w) - a.spec.values[w])
+            if w <= m or w >= n - m:
+                if err > tol_exact:
                     ok = False
+            elif err > eps:
+                ok = False
     _report(4, "exact-weight-indicator", ok, t0)
 
 
@@ -156,12 +148,12 @@ def test_criterion_05_extension():
         base = SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
                          set(range(7)))
         res = extend_approx(base, n, delta)
-        with mp.workprec(256):
-            for w in range(n + 1):
-                target = spec.values[w] if w <= 3 else Fraction(0)
-                if abs(res.approx.poly.eval(w, 256) - to_mpf(target, 256)) > \
-                        to_mpf(delta, 256):
-                    ok = False
+        for w in range(n + 1):
+            target = spec.values[w] if w <= 3 else Fraction(0)
+            # the indicator holds a binomial tail: bound center +- radius
+            center, radius = res.approx.poly.enclose(w)
+            if abs(center - target) + radius > delta:
+                ok = False
         ratio = res.degree_ratio(base.degree + 3)   # log2(1/delta) = 3
         worst_ratio = max(worst_ratio, ratio)
         if ratio > K_EXT:
@@ -183,7 +175,8 @@ def test_criterion_06_sampling():
         if a.poly.backend != RATIONAL:
             ok = False
         for w in range(n + 1):
-            err = abs(a.poly.eval(w) - spec.values[w])
+            value, radius = a.poly.enclose(w)
+            err = abs(value - spec.values[w]) + radius
             if w <= k or w >= n - k:
                 if err != 0:
                     ok = False

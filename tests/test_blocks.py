@@ -97,34 +97,39 @@ def test_amplifier_is_monotone_tail():
         assert abs(center - direct) <= radius < Fraction(1, 2 ** 100)
 
 
+def _range(p, t):
+    """(lo, hi), exact, with lo <= p(t) <= hi: center -+ radius."""
+    center, radius = p.enclose(t)
+    return center - radius, center + radius
+
+
 def test_or_continuous_contract():
     n, eps = 64, Fraction(1, 8)
     p = or_continuous_approx(n, eps, 128)
-    with mp.workprec(128):
-        e = to_mpf(eps, 128)
-        for t in _grid(0, 1):
-            v = p.eval(t, 128)
-            assert 1 - e <= v <= 1 + e, t
-        for t in _grid(1, 2):
-            assert abs(p.eval(t, 128)) <= 1 + e, t
-        for t in _grid(3, n):
-            v = p.eval(t, 128)
-            assert -e <= v <= e, t
+    for t in _grid(0, 1):
+        lo, hi = _range(p, t)
+        assert 1 - eps <= lo and hi <= 1 + eps, t
+    for t in _grid(1, 2):
+        lo, hi = _range(p, t)
+        assert -1 - eps <= lo and hi <= 1 + eps, t
+    for t in _grid(3, n):
+        lo, hi = _range(p, t)
+        assert -eps <= lo and hi <= eps, t
 
 
 @pytest.mark.parametrize("d", [0, 2])
 def test_interval_indicator_contract(d):
     n, eps = 64, Fraction(1, 8)
     p = interval_indicator(n, d, eps, 128)
-    with mp.workprec(128):
-        e = to_mpf(eps, 128)
-        for t in _grid(0, 1):
-            assert abs(p.eval(t, 128) - 1) <= e, (d, t)
-        for t in _grid(1, 2):
-            assert abs(p.eval(t, 128)) <= 1 + e, (d, t)
-        for t in _grid(3, n):
-            v = p.eval(t, 128)
-            assert abs(v) * to_mpf(Fraction(t), 128) ** d <= e, (d, t)
+    for t in _grid(0, 1):
+        lo, hi = _range(p, t)
+        assert 1 - eps <= lo and hi <= 1 + eps, (d, t)
+    for t in _grid(1, 2):
+        lo, hi = _range(p, t)
+        assert -1 - eps <= lo and hi <= 1 + eps, (d, t)
+    for t in _grid(3, n):
+        lo, hi = _range(p, t)
+        assert max(-lo, hi) * t ** d <= eps, (d, t)
 
 
 def test_interval_indicator_cached():

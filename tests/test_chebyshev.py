@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from polyapprox.chebyshev import (cheb_eval, cheb_eval_closed, cheb_extrema,
                                   cheb_factored, cheb_poly, cheb_roots,
                                   derivative_lower_bound, growth_lower_bounds)
+from polyapprox.numcore import exact_value
 
 
 def test_known_coefficients():
@@ -53,23 +54,23 @@ def test_closed_form_matches_recurrence_outside_unit_interval():
 
 
 def test_roots_and_extrema():
+    # exact values of the 128-bit polynomial at the 128-bit nodes
     d = 9
-    with mp.workprec(128):
-        p = cheb_poly(d, backend="float", prec=128)
-        for r in cheb_roots(d, 128):
-            assert abs(p.eval(r, 128)) < mpmath.mpf(2) ** -110
-        for e in cheb_extrema(d, 128):
-            assert abs(abs(p.eval(e, 128)) - 1) < mpmath.mpf(2) ** -110
+    p = cheb_poly(d, backend="float", prec=128)
+    tol = Fraction(1, 2 ** 110)
+    for r in cheb_roots(d, 128):
+        assert abs(p.eval(exact_value(r))) < tol
+    for e in cheb_extrema(d, 128):
+        assert abs(abs(p.eval(exact_value(e))) - 1) < tol
 
 
 def test_factored_form_matches_dense():
     d = 8
+    f = cheb_factored(d, 128)
     with mp.workprec(128):
-        f = cheb_factored(d, 128)
-        for t in (mpmath.mpf(1) / 3, mpmath.mpf(-4) / 5, mpmath.mpf(2)):
-            a = f.eval(t, 128)
-            b = cheb_eval(d, t, 128)
-            assert abs(a - b) < mpmath.mpf(2) ** -90
+        points = (mpmath.mpf(1) / 3, mpmath.mpf(-4) / 5, mpmath.mpf(2))
+    for t in map(exact_value, points):
+        assert abs(f.eval(t) - cheb_eval(d, t)) < Fraction(1, 2 ** 90)
 
 
 @given(st.integers(min_value=1, max_value=50),

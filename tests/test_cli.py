@@ -74,6 +74,23 @@ def test_construct_verify_round_trips(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_surjectivity_with_a_float_outer_constructs_and_verifies(tmp_path,
+                                                                 capsys):
+    # At eps 1/2 and r = 6 the outer polynomial is the damped AND, built in
+    # floats; every pinned surjectivity shape has a rational outer.  The
+    # exact finite differences above its degree, 3, vanish.
+    out = tmp_path / "s.json"
+    assert run(["construct", "--target", "surjectivity", "--n", "8", "--r",
+                "6", "--eps", "1/2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+    doc = json.loads(out.read_text())
+    assert [t["ell"] for t in doc["terms"]] == [0, 1, 2, 3]
+    assert not any("/" in t["mu"] for t in doc["terms"])    # mpf, rounded once
+    assert doc["certified_eps"] <= 0.5
+
+
 def test_verify_detects_tampering(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert run(["construct", "--target", "surjectivity", "--n", "8", "--r",

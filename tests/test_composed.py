@@ -145,17 +145,19 @@ def test_surjectivity_outer_cross_validation():
 
 
 def test_or_subset_coefficients_keep_the_working_precision():
-    # a_ell are the finite differences of the OR weight polynomial g, so
-    # sum_ell C(w, ell) a_ell gives g(w) back; the ambient 53 bits must not
-    # reach them.
+    # a_ell are the exact finite differences of the OR weight polynomial g,
+    # so sum_ell C(w, ell) a_ell gives g(w) back exactly, and a selector's
+    # JSON keeps every bit of them.
     k, eps, prec = 16, Fraction(1, 4), 512
-    coeffs, _ = composed._or_symmetric_coeffs(k, eps, prec)
+    coeffs, degree = composed._or_symmetric_coeffs(k, eps, prec)
     g = and_or_min_degree(k, "or", eps / 2, prec).poly
     assert g.backend == "float" and len(coeffs) > 2
-    with mp.workprec(prec):
-        for w in range(len(coeffs)):
-            back = sum(math.comb(w, ell) * coeffs[ell] for ell in range(w + 1))
-            assert abs(back - g.eval(w, prec)) < mpmath.mpf(2) ** -400, w
+    assert all(type(a) is Fraction for a in coeffs)
+    for w in range(len(coeffs)):
+        back = sum(math.comb(w, ell) * coeffs[ell] for ell in range(w + 1))
+        assert back == g.eval(w), w
+    doc = composed.SelectorApprox(k, k, 1, coeffs, Fraction(0), degree).to_json()
+    assert [Fraction(s) for s in doc["a"]] == coeffs
 
 
 def test_homogenize_matches_average():
@@ -189,5 +191,5 @@ def test_selector_compose_exhaustive():
     tables = _random_tables(rng, M, N)
     fs = [(lambda tb: (lambda x: tb[tuple(x)]))(tb) for tb in tables]
     s = selector_compose(fs, M, N, n, b, Fraction(1, 4))
-    assert float(s.certified_eps) <= 1 / 4
+    assert type(s.certified_eps) is Fraction and s.certified_eps <= Fraction(1, 4)
     assert s.degree >= 1

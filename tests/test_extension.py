@@ -1,15 +1,13 @@
 import math
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
 import pytest
 
 from polyapprox.extension import (coeff_norm_bound, extend_approx,
                                   extrapolation_bound, small_support_approx,
                                   sym_multilinear_norms)
-from polyapprox.numcore import (RATIONAL, SplitMix64, UniPoly,
-                                lagrange_interpolate, to_mpf)
+from polyapprox.numcore import (SplitMix64, UniPoly, exact_value,
+                                lagrange_interpolate)
 from polyapprox.symmetric import SymApprox, SymSpec
 
 
@@ -91,12 +89,11 @@ def test_extend_certified_error_holds_exhaustively():
     res = extend_approx(_interpolant_approx(spec), n, delta)
     a = res.approx
     assert float(a.certified_eps) <= 1 / 8
-    with mp.workprec(256):
-        for w in range(n + 1):
-            target = spec.values[w] if w <= 3 else Fraction(0)
-            got = a.poly.eval(w, 256)
-            assert abs(got - to_mpf(target, 256)) <= \
-                to_mpf(a.certified_eps, 256) + mpmath.mpf(2) ** -100
+    for w in range(n + 1):
+        target = spec.values[w] if w <= 3 else Fraction(0)
+        # the indicator holds a binomial tail: bound center +- radius
+        center, radius = a.poly.enclose(w)
+        assert abs(center - target) + radius <= exact_value(a.certified_eps)
 
 
 def test_small_support_pipeline():
@@ -107,11 +104,10 @@ def test_small_support_pipeline():
     a = res.approx
     assert float(a.certified_eps) <= 1 / 8
     assert res.m == k
-    with mp.workprec(256):
-        for w in range(n + 1):
-            got = a.poly.eval(w, 256)
-            assert abs(got - to_mpf(spec.values[w], 256)) <= \
-                to_mpf(a.certified_eps, 256) + mpmath.mpf(2) ** -100
+    for w in range(n + 1):
+        center, radius = a.poly.enclose(w)
+        assert abs(center - spec.values[w]) + radius <= \
+            exact_value(a.certified_eps)
 
 
 def test_small_support_zero_function():

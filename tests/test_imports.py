@@ -1,0 +1,53 @@
+"""Every name a polyapprox module imports is read in that module.
+
+No linter ships with the package, so this ast scan stands in for an
+unused-import check: an import left behind by a deletion fails here.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "polyapprox"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported(tree):
+    """{bound name: line} for every import statement of the module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _read(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_module_is_scanned():
+    assert {p.stem for p in MODULES} >= {"numcore", "composed", "extension",
+                                         "blocks", "symmetric", "cli"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(), str(path))
+    read = _read(tree)
+    unused = sorted("%s (line %d)" % (name, line)
+                    for name, line in _imported(tree).items()
+                    if name not in read)
+    assert not unused, "%s imports names it never reads: %s" % (
+        path.name, ", ".join(unused))
+
+
+def test_the_scan_sees_an_unused_import():
+    tree = ast.parse("import math\nfrom fractions import Fraction as F\n"
+                     "x = F(1)\n")
+    assert set(_imported(tree)) - _read(tree) == {"math"}

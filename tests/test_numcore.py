@@ -164,7 +164,7 @@ def test_binom_tail_early_exit_is_bit_identical():
         t = Fraction(rng.randint(-3 * 2 ** 12, 4 * 2 ** 12), 2 ** 12)
         cases.append((d, lo, t, rng.randint(53, 512)))
     for d, lo, t, prec in cases:
-        got = SBinomTail(d, lo, prec)._eval(t, prec)
+        got = SBinomTail(d, lo, prec)._eval(t)
         want = _binom_tail_full_loop(d, lo, t, prec)
         assert got._mpf_ == want._mpf_, (d, lo, t, prec)
 
@@ -183,7 +183,7 @@ def test_float_exact_eval_matches_hex_parsed_fraction_sum(coeffs, t, prec):
     p = UniPoly(coeffs, "float", prec)
     ref = [_hex_value(c) for c in p.to_json()["coeffs"]]
     want = sum((c * Fraction(t) ** i for i, c in enumerate(ref)), Fraction(0))
-    assert p.exact_eval(t) == want
+    assert p.eval(t) == want
     assert p.enclose(t) == (want, 0)
     assert [exact_value(c) for c in p.coeffs] == ref
 
@@ -245,17 +245,17 @@ def test_struct_enclosures_propagate_radii():
     inner = SDense(UniPoly([Fraction(1, 5), Fraction(1, 2)]))
     dense = SDense(UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40))
     nodes = {
-        "dense": (dense, lambda x: dense.poly.exact_eval(x)),
+        "dense": (dense, lambda x: dense.poly.eval(x)),
         "comp": (SComp(tail, inner),
-                 lambda x: _exact_tail(12, 5, inner.poly.exact_eval(x))),
+                 lambda x: _exact_tail(12, 5, inner.poly.eval(x))),
         "prod": (SProd([SComp(tail, inner), dense]),
-                 lambda x: _exact_tail(12, 5, inner.poly.exact_eval(x))
-                 * dense.poly.exact_eval(x)),
+                 lambda x: _exact_tail(12, 5, inner.poly.eval(x))
+                 * dense.poly.eval(x)),
         "pow": (SPow(SComp(tail, inner), 3),
-                lambda x: _exact_tail(12, 5, inner.poly.exact_eval(x)) ** 3),
+                lambda x: _exact_tail(12, 5, inner.poly.eval(x)) ** 3),
         "scale": (SScale(to_mpf(Fraction(-2, 3), 40), SComp(tail, inner)),
                   lambda x: exact_value(to_mpf(Fraction(-2, 3), 40))
-                  * _exact_tail(12, 5, inner.poly.exact_eval(x))),
+                  * _exact_tail(12, 5, inner.poly.eval(x))),
     }
     for name, (node, exact) in nodes.items():
         for t, rad in ((Fraction(1, 3), 0), (Fraction(2, 7), Fraction(1, 50))):
@@ -268,7 +268,7 @@ def test_struct_enclosures_propagate_radii():
 def test_max_error_is_exact_for_dense_polynomials():
     p = UniPoly([Fraction(1, 3), -1, Fraction(1, 7)]).to_float(30)
     pairs = [(w, Fraction(w % 2)) for w in range(6)]
-    assert max_error(p, pairs) == max(abs(p.exact_eval(w) - f)
+    assert max_error(p, pairs) == max(abs(p.eval(w) - f)
                                       for w, f in pairs)
     assert max_error(UniPoly([Fraction(1, 2)]), [(0, 0), (3, 1)]) == Fraction(1, 2)
 
@@ -355,7 +355,7 @@ def test_struct_poly_matches_dense_expansion():
     dense = ((a ** 3) * b).scale(Fraction(1, 2))
     s = SScale(Fraction(1, 2), SProd([SPow(SDense(a), 3), SDense(b)]))
     for t in (0, 1, Fraction(3, 7), -2):
-        assert s.eval(t) == dense.eval(t)
+        assert s.enclose(t) == (dense.eval(t), 0)
     assert s.degree == dense.degree
 
 
@@ -364,7 +364,7 @@ def test_struct_comp_matches_dense():
     inner = UniPoly([0, 1, 1])
     s = SComp(SDense(outer), SDense(inner))
     for t in (0, Fraction(1, 3), 2):
-        assert s.eval(t) == outer.eval(inner.eval(t))
+        assert s.enclose(t) == (outer.eval(inner.eval(t)), 0)
 
 
 def test_binom_tail_matches_direct_sum():
@@ -373,16 +373,16 @@ def test_binom_tail_matches_direct_sum():
     for u in (Fraction(1, 3), Fraction(7, 8)):
         direct = sum(Fraction(math.comb(d, i)) * u ** i * (1 - u) ** (d - i)
                      for i in range(lo, d + 1))
-        with mp.workprec(128):
-            got = tail.eval(u, 128)
-            assert abs(got - to_mpf(direct, 128)) < mpmath.mpf(2) ** -100
+        center, radius = tail.enclose(u)
+        assert center == exact_value(tail.eval(u))
+        assert abs(center - direct) <= radius < Fraction(1, 2 ** 100)
 
 
 def test_binom_tail_endpoints():
     t = SBinomTail(9, 4, 64)
-    assert t.eval(0, 64) == 0
-    assert t.eval(1, 64) == 1
-    assert SBinomTail(9, 0, 64).eval(0, 64) == 1
+    assert t.eval(0) == 0
+    assert t.eval(1) == 1
+    assert SBinomTail(9, 0, 64).eval(0) == 1
 
 
 def test_poly_json_round_trip_dense():
@@ -397,8 +397,7 @@ def test_poly_json_round_trip_struct():
                SComp(SBinomTail(6, 3, 64), SDense(UniPoly([0, Fraction(1, 2)])))])
     r = poly_from_json(json.loads(json.dumps(poly_to_json(s))))
     for t in (0, Fraction(1, 2), 1):
-        with mp.workprec(64):
-            assert abs(r.eval(t, 64) - s.eval(t, 64)) < mpmath.mpf(2) ** -50
+        assert r.enclose(t) == s.enclose(t)
 
 
 def test_poly_json_round_trip_every_struct_kind():
@@ -421,19 +420,18 @@ def test_poly_json_round_trip_every_struct_kind():
         assert r.backend == s.backend, name
         assert json.dumps(poly_to_json(r), sort_keys=True) == text, name
         for t in (0, Fraction(1, 3), 1):
-            assert r.eval(t, 64) == s.eval(t, 64), (name, t)
+            assert r.enclose(t) == s.enclose(t), (name, t)
     r = poly_from_json(json.loads(json.dumps(poly_to_json(kinds["scale-fraction"]))))
     assert r.c == Fraction(1, 2) and isinstance(r.c, Fraction)
-    assert r.eval(Fraction(1, 3)) == Fraction(5, 6)
+    assert r.enclose(Fraction(1, 3)) == (Fraction(5, 6), 0)
 
 
 def test_sdense_eval_forwards_the_precision():
-    # A float polynomial built at 64 bits, measured at 256: the value must
-    # carry 256 bits, not the 64 the polynomial was built with.
+    # A float polynomial built at 64 bits must not hand its measure a 64-bit
+    # value: the value at 1/3 is exactly 1/3, through SDense and UniPoly.
     p = UniPoly([0, 1], "float", 64)
-    assert SDense(p).eval(Fraction(1, 3), 256) == to_mpf(Fraction(1, 3), 256)
-    assert SDense(p).eval(Fraction(1, 3)) == to_mpf(Fraction(1, 3), 64)
     assert SDense(p).enclose(Fraction(1, 3)) == (Fraction(1, 3), 0)
+    assert p.eval(Fraction(1, 3)) == Fraction(1, 3)
 
 
 @given(st.integers(min_value=1, max_value=100),
@@ -469,6 +467,15 @@ def test_float_neg_and_derivative_keep_the_working_precision():
     assert (UniPoly([1], "float", 512) - p).coeffs[2]._mpf_ == \
         to_mpf(Fraction(-1, 3), 512)._mpf_
     assert p.derivative().coeffs[1]._mpf_ == to_mpf(Fraction(2, 3), 512)._mpf_
+
+
+def test_float_from_roots_keeps_the_working_precision():
+    # A 512-bit root negated at the ambient 53 bits would keep 53 of them.
+    assert mp.prec == 53
+    r = to_mpf(Fraction(1, 3), 512)
+    p = UniPoly.from_roots([r, r], "float", 512)
+    v = exact_value(r)
+    assert _values(p) == [_nearest(v * v, 512), -2 * v, 1]
 
 
 def _nearest(x, prec):

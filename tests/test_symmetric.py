@@ -4,14 +4,10 @@ import json
 import math
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
 import pytest
 
 from polyapprox import symmetric
-from polyapprox.composed import surjectivity_approx
-from polyapprox.extension import small_support_approx
-from polyapprox.numcore import (FLOAT, RATIONAL, SplitMix64, SProd, UniPoly,
+from polyapprox.numcore import (FLOAT, RATIONAL, SplitMix64, exact_value,
                                 poly_from_json, to_mpf)
 from polyapprox.symmetric import (SymSpec, achievable_counts, and_or_approx,
                                   and_or_min_degree, exact_weight_approx,
@@ -29,19 +25,12 @@ def _spec_or(n):
     return SymSpec(n, [0] + [1] * n)
 
 
-def _check(approx, tol=0):
+def _check(approx):
+    # the exact error of the returned polynomial is within its certificate
     spec = approx.spec
-    n = spec.n
-    with mp.workprec(256):
-        worst = mpmath.mpf(0)
-        for w in range(n + 1):
-            if approx.poly.backend == RATIONAL:
-                v = to_mpf(approx.poly.eval(w), 256)
-            else:
-                v = approx.poly.eval(w, 256)
-            worst = max(worst, abs(v - to_mpf(spec.values[w], 256)))
-        assert worst <= to_mpf(approx.certified_eps, 256) + mpmath.mpf(2) ** -100
-    return worst
+    worst = max(abs(approx.poly.eval(w) - spec.values[w])
+                for w in range(spec.n + 1))
+    assert worst <= exact_value(approx.certified_eps)
 
 
 def test_spec_validation():
@@ -53,12 +42,12 @@ def test_spec_validation():
 
 def test_single_zero_factor_contract():
     n, m = 20, 15
-    with mp.workprec(128):
-        f = single_zero_factor(n, m, 128)
-        assert abs(f.eval(n) - 1) < mpmath.mpf(2) ** -100
-        assert abs(f.eval(m)) < mpmath.mpf(2) ** -100
-        for w in range(n + 1):
-            assert abs(f.eval(w)) <= 1 + mpmath.mpf(2) ** -100
+    tol = Fraction(1, 2 ** 100)
+    f = single_zero_factor(n, m, 128)
+    assert abs(f.eval(n) - 1) < tol
+    assert abs(f.eval(m)) < tol
+    for w in range(n + 1):
+        assert abs(f.eval(w)) <= 1 + tol
 
 
 def test_and_approx_certified_error_is_honest():
@@ -80,10 +69,9 @@ def test_or_is_reflected_and():
     o = and_or_approx(n, 5, "or")
     assert o.spec.values == _spec_or(n).values
     _check(o)
-    with mp.workprec(128):
-        for w in range(n + 1):
-            assert abs(o.poly.eval(w) - (1 - a.poly.eval(n - w))) < \
-                mpmath.mpf(2) ** -60
+    for w in range(n + 1):
+        assert abs(o.poly.eval(w) - (1 - a.poly.eval(n - w))) < \
+            Fraction(1, 2 ** 60)
 
 
 def test_and_error_decreases_with_degree():
@@ -101,12 +89,9 @@ def test_exact_weight_construction():
         _check(a)
         assert float(a.certified_eps) <= 1 / 8
         # structurally exact near the boundary
-        with mp.workprec(256):
-            for w in sorted(a.exact_on):
-                v = a.poly.eval(w) if a.poly.backend == RATIONAL \
-                    else a.poly.eval(w, 256)
-                assert abs(to_mpf(v, 256) - to_mpf(a.spec.values[w], 256)) < \
-                    mpmath.mpf(2) ** -100
+        for w in sorted(a.exact_on):
+            assert abs(a.poly.eval(w) - a.spec.values[w]) < \
+                Fraction(1, 2 ** 100)
 
 
 def test_exact_weight_small_n_is_interpolant():
@@ -181,7 +166,9 @@ def test_sampling_exact_at_ends_and_close_between():
     a = sampling_approx(spec, Fraction(1, 8))
     assert a.poly.backend == RATIONAL
     for w in range(n + 1):
-        err = abs(a.poly.eval(w) - spec.values[w])
+        value, radius = a.poly.enclose(w)
+        assert radius == 0
+        err = abs(value - spec.values[w])
         if w <= k or w >= n - k:
             assert err == 0, w
         else:
@@ -213,8 +200,8 @@ def test_restricted_linear_form_approx(which):
         res = restricted_disjunction_approx(nvars, n, A, B, d)
     else:
         res = restricted_conjunction_approx(nvars, n, A, B, d)
-    eps = float(res.certified_eps)
-    assert eps <= 1 / 2
+    eps = exact_value(res.certified_eps)
+    assert eps <= Fraction(1, 2)
     for x in itertools.product((0, 1), repeat=nvars):
         if sum(x) > n:
             continue
@@ -222,9 +209,7 @@ def test_restricted_linear_form_approx(which):
         truth = (1 if any(sat) else 0) if which == "disjunction" else \
             (1 if all(sat) else 0)
         s = res.count(x)
-        v = float(res.poly.eval(s)) if res.poly.backend == RATIONAL else \
-            float(res.poly.eval(s, 256))
-        assert abs(v - truth) <= eps + 1e-12, (x, which)
+        assert abs(res.poly.eval(s) - truth) <= eps, (x, which)
 
 
 def test_restricted_disjunction_exact_at_high_degree():
@@ -307,44 +292,3 @@ def test_float_certified_eps_is_the_rounded_up_exact_error(build, prec):
     assert a.poly.backend == FLOAT
     assert a.certified_eps._mpf_ == to_mpf(a.certified_eps, prec)._mpf_
     assert _claim(a) == _rounded_up(_exact_error(a), prec)
-
-
-def _drifting(real):
-    """real eval plus 2^-(p/4) at its working precision p: a result that
-    moves with the precision, which no certificate may depend on."""
-    def drifting_eval(self, t, prec=None):
-        v = real(self, t, prec)
-        p = prec or getattr(self, "prec", None)
-        if self.backend != FLOAT or p is None:
-            return v
-        with mp.workprec(p):
-            return v + mpmath.mpf(2) ** -(p // 4)
-    return drifting_eval
-
-
-MEASURED_BUILDS = dict(
-    FLOAT_BUILDS,
-    surjectivity=lambda prec: surjectivity_approx(8, 2, prec=prec),
-    small_support=lambda prec: small_support_approx(
-        SymSpec(16, [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)]
-                + [0] * 14), Fraction(1, 8), prec),
-)
-
-
-@pytest.mark.parametrize("name", sorted(MEASURED_BUILDS))
-def test_float_measure_catches_precision_dependent_values(name, monkeypatch):
-    # Certificates come from exact evaluation and enclosures, never from an
-    # mpf value, so a value that moves with the precision cannot reach one:
-    # with float UniPoly.eval and SProd.eval drifting, every certified error
-    # and every coefficient stays the same.
-    def build():
-        a = MEASURED_BUILDS[name](128)
-        return getattr(a, "approx", a)      # small_support's ExtensionResult
-
-    want = build()
-    for node in (UniPoly, SProd):
-        monkeypatch.setattr(node, "eval", _drifting(node.eval))
-    assert UniPoly([1], FLOAT, 128).eval(0) != 1          # the drift is live
-    got = build()
-    assert got.certified_eps == want.certified_eps
-    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
