@@ -13,8 +13,8 @@ import math
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, RATIONAL, SBinomTail, SComp, SDense, SPow,
-                      SProd, UniPoly, as_fraction, to_mpf)
+from .numcore import (DEFAULT_PREC, RATIONAL, SBinomTail, SComp, SPow, SProd,
+                      UniPoly, as_fraction, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 
 
@@ -51,9 +51,9 @@ def reciprocal_approx(n, d):
     # q(0) = 1 exactly (the Chebyshev argument at t = 0 is the normalization
     # point), so 1 - q is divisible by t
     one_minus_q = UniPoly([1]) - q
-    if one_minus_q.coeffs and one_minus_q.eval(0) != 0:
+    if one_minus_q.eval(0) != 0:
         raise ArithmeticError("reciprocal construction lost its root at 0")
-    p = UniPoly(one_minus_q.coeffs[1:]) if one_minus_q.coeffs else UniPoly.zero()
+    p = UniPoly(one_minus_q.coeffs[1:])
     return p, Fraction(1) / peak
 
 
@@ -135,7 +135,7 @@ def or_continuous_approx(n, eps, prec=DEFAULT_PREC):
     u_bad = Fraction(2) / (peak + 1)
     u_good = Fraction(3) / (peak + 1)
     d_amp, lo = _amplifier_degree(u_bad, u_good, eps, prec)
-    return SComp(SBinomTail(d_amp, lo, prec), SDense(qstar))
+    return SComp(SBinomTail(d_amp, lo, prec), qstar)
 
 
 _INDICATOR_CACHE = {}
@@ -171,4 +171,4 @@ def _build_indicator(n, d, eps, prec):
     p2 = reciprocal_power_approx(d, D)
     eps3 = min(eps / (2 * math.comb(D + d, d)), eps / 4)
     p3 = or_continuous_approx(n, eps3, prec)
-    return SProd([SPow(SDense(p1), d), SComp(SDense(p2), SDense(p1)), p3])
+    return SProd([SPow(p1, d), SComp(p2, p1), p3])

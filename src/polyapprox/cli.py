@@ -37,6 +37,13 @@ def _parse_fraction(s):
     return Fraction(s)
 
 
+def _precision(s):
+    prec = int(s)
+    if prec < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %s" % s)
+    return prec
+
+
 def _emit(obj, path):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
@@ -188,7 +195,7 @@ def cmd_selftest(args):
 
 def make_parser():
     ap = argparse.ArgumentParser(prog="polyapprox")
-    ap.add_argument("--prec", type=int, default=DEFAULT_PREC)
+    ap.add_argument("--prec", type=_precision, default=DEFAULT_PREC)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("construct")

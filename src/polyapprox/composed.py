@@ -11,7 +11,7 @@ import math
 
 from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, UniPoly, as_fraction,
                       certify, exact_value, min_degree, poly_from_json,
-                      poly_to_json, scalar_from_json, scalar_to_json, to_mpf)
+                      scalar_from_json, scalar_to_json, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 from .symmetric import and_or_min_degree, restricted_disjunction_approx
 from .oracle import multilinear_interpolant
@@ -231,7 +231,7 @@ class BlockSymApprox:
 
     def to_json(self):
         return {"n": self.n, "r": self.r, "degree": self.degree,
-                "q": poly_to_json(self.q) if self.q is not None else None,
+                "q": self.q.to_json() if self.q is not None else None,
                 "terms": [{"ell": ell, "mu": scalar_to_json(mu)}
                           for ell, mu in self.terms],
                 "certified_eps": float(self.certified_eps),
@@ -438,9 +438,7 @@ def selector_compose(fs, M, N, n, b, eps, prec=DEFAULT_PREC):
         for y in _fixed_weight(N, n):
             truth = 1 if any(y[i] and fs[i](x) for i in range(N)) else 0
             worst = max(worst, abs(evaluate(x, y) - truth))
-    out = SelectorApprox(N, n, b, a, worst, inner_deg + d_out * b)
-    out.evaluate = evaluate
-    return out
+    return SelectorApprox(N, n, b, a, worst, inner_deg + d_out * b)
 
 
 def _cube(m):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .numcore import (DEFAULT_PREC, SComp, SDense, SProd, UniPoly,
+from .numcore import (DEFAULT_PREC, SComp, SProd, UniPoly,
                       as_fraction, certify, lagrange_interpolate, max_error)
 from .chebyshev import cheb_poly
 from .blocks import interval_indicator
@@ -89,10 +89,7 @@ def extend_approx(approx, n, delta, prec=DEFAULT_PREC):
     d = max(approx.degree, 1)
     alpha = delta / int(math.ceil((4 * math.e) ** (d + 1)))
     ind = interval_indicator(Fraction(n, m), d, alpha, prec)
-    inner = UniPoly([0, Fraction(1, m)])
-    phi = approx.poly
-    scaled_ind = SComp(ind, SDense(inner))
-    full = SProd([SDense(phi) if isinstance(phi, UniPoly) else phi, scaled_ind])
+    full = SProd([approx.poly, SComp(ind, UniPoly([0, Fraction(1, m)]))])
     err = certify(max_error(full, enumerate(target.values)), full.backend,
                   prec)
     out = SymApprox(target, full, full.degree, err, "extension", set())

@@ -4,17 +4,20 @@ expansion is out of reach.
 
 Two backends only: "rational" (fractions.Fraction, exact) and "float"
 (mpmath mpf at an explicit precision).  Mixed-backend arithmetic is an
-error, never a silent coercion.  A float construction builds its polynomial
-once, at its working precision, and certifies it exactly: every mpf is a
-dyadic rational, so UniPoly.eval() returns the exact value at a rational
-point for either backend, in integers.  Structured nodes evaluate only
-through enclose().  The one inexact node, SBinomTail, returns its mpf sum
-with a rigorous radius, and the other nodes carry (center, radius) through
-exactly.  max_error() takes the maximum over the measured points, and
-certify() rounds a float construction's maximum up to its working precision.
+error, never a silent coercion.  Every mpf is a dyadic rational, so a
+UniPoly is one exact integer form on either backend and all its arithmetic
+runs in integers, a float result rounded once per coefficient.  A float
+construction builds its polynomial once and certifies it exactly: eval()
+is the exact value at a rational point.  Structured nodes, with UniPolys
+or nodes as children, evaluate only through enclose().  The one inexact
+node, SBinomTail, returns its mpf sum with a rigorous radius, and the other
+nodes carry (center, radius) through exactly.  max_error() takes the
+maximum over the measured points, and certify() rounds a float
+construction's maximum up to its working precision.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 import math
 
 import mpmath
@@ -89,10 +92,7 @@ def mpf_from_hex(s):
         s = s[1:]
     mant_s, exp_s = s[2:].split("p")
     man = int(mant_s, 16)
-    exp = int(exp_s)
-    with mp.workprec(max(man.bit_length(), 1) + 8):
-        v = mpmath.ldexp(mpmath.mpf(man), exp)
-        return -v if neg else v
+    return mp.make_mpf(libmp.from_man_exp(-man if neg else man, int(exp_s)))
 
 
 def scalar_to_json(x):
@@ -112,10 +112,39 @@ def scalar_from_json(s, backend=None):
     return mpf_from_hex(s)
 
 
-def _trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _lowest(nums, den, prec):
+    """(nums, den) for sum_i nums[i] / den t^i in lowest terms, with no
+    trailing zero: exact if prec is None, else each coefficient rounded
+    once, to nearest at prec bits (to an odd mantissa times 2^exp)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if prec is None:
+        g = math.gcd(den, *nums)
+        return ([n // g for n in nums], den // g) if g > 1 else (nums, den)
+    rnd = libmp.round_nearest
+    if den & (den - 1):
+        parts = [libmp.from_rational(n, den, prec, rnd) for n in nums]
+    else:
+        e = 1 - den.bit_length()
+        parts = [libmp.from_man_exp(n, e, prec, rnd) for n in nums]
+    low = min([exp for _, man, exp, _ in parts if man] + [0])
+    return ([(-int(man) if sign else int(man)) << (exp - low)
+             for sign, man, exp, _ in parts], 1 << -low)
+
+
+def _horner(nums, den, t):
+    """sum_j nums[j] t^j / den at a rational t = a/b, exact: homogeneous
+    Horner in integers, sum_j nums[j] a^j b^(deg-j) / (den b^deg), reduced
+    once, so the Fraction equals term-by-term Horner's."""
+    if not nums:
+        return Fraction(0)
+    a, b = t.numerator, t.denominator
+    acc = nums[-1]
+    bpow = 1
+    for n in reversed(nums[:-1]):
+        bpow *= b
+        acc = acc * a + n * bpow
+    return Fraction(acc, den * bpow)
 
 
 def _kronecker_mul(a, b):
@@ -145,32 +174,41 @@ def _kronecker_mul(a, b):
 
 
 class UniPoly:
-    """Dense univariate polynomial over one backend.
-
-    coeffs[i] is the coefficient of t^i; the zero polynomial has degree -1.
-    Coefficient lists are never mutated after construction, so a polynomial
-    caches its denominator-cleared integer form.  Products, scaling and
-    affine composition compute their exact result from it in integers; a
-    float result rounds each coefficient once, to nearest at prec.
+    """Dense univariate polynomial over one backend: the coefficient of t^i
+    is nums[i] / den, in lowest terms (den > 0, gcd(den, *nums) == 1) with
+    no trailing zero, so the zero polynomial has degree -1.  For floats den
+    is a power of two.  The form is never mutated.  Every operation passes
+    its exact integer result through _from_ints: a rational one is reduced
+    by one gcd, a float one rounds each coefficient once, to nearest at prec.
     """
 
-    __slots__ = ("coeffs", "backend", "prec", "_int_form")
+    __slots__ = ("nums", "den", "backend", "prec")
 
     def __init__(self, coeffs, backend=RATIONAL, prec=DEFAULT_PREC):
         if backend == RATIONAL:
-            coeffs = [as_fraction(c) for c in coeffs]
+            values = [as_fraction(c) for c in coeffs]
         elif backend == FLOAT:
-            coeffs = [to_mpf(c, prec) for c in coeffs]
+            values = [exact_value(c) if isinstance(c, mpmath.mpf)
+                      else Fraction(c) for c in coeffs]
         else:
             raise ValueError("unknown backend %r" % backend)
-        self.coeffs = _trim(list(coeffs))
         self.backend = backend
         self.prec = prec if backend == FLOAT else None
-        self._int_form = None
+        den = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        self.nums, self.den = _lowest(nums, den, self.prec)
+
+    @property
+    def coeffs(self):
+        """Read-only: Fractions, or mpfs holding the exact dyadic values."""
+        if self.backend == RATIONAL:
+            return [Fraction(n, self.den) for n in self.nums]
+        exp = 1 - self.den.bit_length()
+        return [mp.make_mpf(libmp.from_man_exp(n, exp)) for n in self.nums]
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @classmethod
     def zero(cls, backend=RATIONAL, prec=DEFAULT_PREC):
@@ -196,86 +234,45 @@ class UniPoly:
             raise BackendMismatchError("mixed float precisions %r / %r"
                                        % (self.prec, other.prec))
 
-    def _make(self, coeffs):
-        p = UniPoly.__new__(UniPoly)
-        p.coeffs = _trim(list(coeffs))
-        p.backend = self.backend
-        p.prec = self.prec
-        p._int_form = None
-        return p
-
-    def _ints(self):
-        """(nums, den), cached, with coeffs[j] == nums[j] / den: den is the
-        lcm of the denominators, for float coefficients the power of two
-        that puts every mantissa at the smallest exponent."""
-        if self._int_form is None:
-            if self.backend == FLOAT:
-                parts = [c._mpf_ for c in self.coeffs]
-                if any(not man and exp for _, man, exp, _ in parts):
-                    raise ValueError("no exact value for a non-finite mpf")
-                low = min([exp for _, man, exp, _ in parts if man] + [0])
-                nums = [(-int(man) if sign else int(man)) << (exp - low)
-                        for sign, man, exp, _ in parts]
-                den = 1 << -low
-            else:
-                den = math.lcm(*(c.denominator for c in self.coeffs))
-                nums = [c.numerator * (den // c.denominator)
-                        for c in self.coeffs]
-            self._int_form = (nums, den)
-        return self._int_form
-
     def _from_ints(self, nums, den):
         """The polynomial sum_i nums[i] / den t^i on this backend: exact, or
         each float coefficient rounded once, to nearest at prec."""
-        if self.backend == RATIONAL:
-            return self._make([Fraction(n, den) for n in nums])
-        prec, rnd = self.prec, libmp.round_nearest
-        if den & (den - 1):
-            raw = [libmp.from_rational(n, den, prec, rnd) for n in nums]
-        else:
-            exp = 1 - den.bit_length()
-            raw = [libmp.from_man_exp(n, exp, prec, rnd) for n in nums]
-        return self._make([mp.make_mpf(v) for v in raw])
+        p = UniPoly.__new__(UniPoly)
+        p.backend, p.prec = self.backend, self.prec
+        p.nums, p.den = _lowest(nums, den, self.prec)
+        return p
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and self.backend == other.backend
-                and self.coeffs == other.coeffs)
+                and (self.den, self.nums) == (other.den, other.nums))
 
     def __repr__(self):
         return "UniPoly(deg=%d, %s)" % (self.degree, self.backend)
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        if self.backend == FLOAT:
-            with mp.workprec(self.prec):
-                return self._make([x + y for x, y in zip(a, b)])
-        return self._make([x + y for x, y in zip(a, b)])
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return self._from_ints([x * sa + y * sb for x, y in zip_longest(
+            self.nums, other.nums, fillvalue=0)], den)
 
     def __neg__(self):
-        if self.backend == FLOAT:
-            with mp.workprec(self.prec):
-                return self._make([-c for c in self.coeffs])
-        return self._make([-c for c in self.coeffs])
+        return self._from_ints([-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return self._make([])
-        a, da = self._ints()
-        b, db = other._ints()
-        return self._from_ints(_kronecker_mul(a, b), da * db)
+        if not self.nums or not other.nums:
+            return self._from_ints([], 1)
+        return self._from_ints(_kronecker_mul(self.nums, other.nums),
+                               self.den * other.den)
 
     def scale(self, c):
         c = exact_value(c) if self.backend == FLOAT else as_fraction(c)
-        nums, den = self._ints()
-        return self._from_ints([n * c.numerator for n in nums],
-                               den * c.denominator)
+        return self._from_ints([n * c.numerator for n in self.nums],
+                               self.den * c.denominator)
 
     def __pow__(self, k):
         if k < 0:
@@ -291,20 +288,7 @@ class UniPoly:
 
     def eval(self, t):
         """The exact value at a rational t, for either backend."""
-        t = as_fraction(t)
-        if not self.coeffs:
-            return Fraction(0)
-        # With c_j = N_j / L and t = a/b, p(t) = sum_j N_j a^j b^(deg-j) /
-        # (L b^deg): homogeneous Horner in integers, one reduction at the end.
-        # Fraction is canonical, so the value equals term-by-term Horner's.
-        nums, lcm = self._ints()
-        a, b = t.numerator, t.denominator
-        acc = nums[-1]
-        bpow = 1
-        for n in reversed(nums[:-1]):
-            bpow *= b
-            acc = acc * a + n * bpow
-        return Fraction(acc, lcm * bpow)
+        return _horner(self.nums, self.den, as_fraction(t))
 
     def enclose(self, t, rad=0):
         """(center, radius), exact: |self(x) - center| <= radius for every
@@ -313,8 +297,9 @@ class UniPoly:
         if not rad:
             return c, Fraction(0)
         # |sum a_k (x^k - t^k)| <= sum |a_k| ((|t| + rad)^k - |t|^k)
-        mag = UniPoly([abs(exact_value(a)) for a in self.coeffs])
-        return c, mag.eval(abs(t) + rad) - mag.eval(abs(t))
+        at = abs(as_fraction(t))
+        mag = [abs(n) for n in self.nums]
+        return c, _horner(mag, self.den, at + rad) - _horner(mag, self.den, at)
 
     def compose_affine(self, a, b):
         """self(a*t + b), exact, each float coefficient rounded once.  With
@@ -324,9 +309,9 @@ class UniPoly:
         of G by beta (repeated synthetic division), then t scaled by alpha."""
         value = exact_value if self.backend == FLOAT else as_fraction
         a, b = value(a), value(b)
-        nums, den = self._ints()
+        nums, den = self.nums, self.den
         if not nums:
-            return self._make([])
+            return self._from_ints([], 1)
         deg = len(nums) - 1
         D = math.lcm(a.denominator, b.denominator)
         alpha = a.numerator * (D // a.denominator)
@@ -341,14 +326,11 @@ class UniPoly:
 
     def norm(self):
         """Sum of absolute coefficient values, exact."""
-        return sum((abs(exact_value(c)) for c in self.coeffs), Fraction(0))
+        return Fraction(sum(map(abs, self.nums)), self.den)
 
     def derivative(self):
-        terms = list(enumerate(self.coeffs))[1:]
-        if self.backend == FLOAT:
-            with mp.workprec(self.prec):
-                return self._make([i * c for i, c in terms])
-        return self._make([i * c for i, c in terms])
+        return self._from_ints([i * n for i, n in enumerate(self.nums)][1:],
+                               self.den)
 
     def to_float(self, prec=DEFAULT_PREC):
         return UniPoly(self.coeffs, FLOAT, prec)
@@ -399,7 +381,8 @@ def lagrange_interpolate(nodes, values):
 
 class StructPoly:
     """A factored polynomial node.  Its backend is derived from its children:
-    rational when all of them are (for SScale, also c), float otherwise.
+    rational when all of them are, float otherwise.  A child is a UniPoly or
+    another node.
 
     A node evaluates only through enclose(t, rad), as UniPoly does: an exact
     (center, radius) with |self(x) - center| <= radius whenever
@@ -417,18 +400,11 @@ def _backend_of(*parts):
     return RATIONAL if all(p.backend == RATIONAL for p in parts) else FLOAT
 
 
-class SDense(StructPoly):
-    def __init__(self, poly):
-        self.poly = poly
-        self.degree = poly.degree
-        self.backend = poly.backend
-        self.prec = poly.prec
-
-    def enclose(self, t, rad=0):
-        return self.poly.enclose(t, rad)
-
-    def to_json(self):
-        return {"kind": "dense", "poly": self.poly.to_json()}
+def _child_json(p):
+    """A node's child as JSON; a dense child is wrapped as a "dense" node."""
+    if isinstance(p, UniPoly):
+        return {"kind": "dense", "poly": p.to_json()}
+    return p.to_json()
 
 
 class SProd(StructPoly):
@@ -447,24 +423,7 @@ class SProd(StructPoly):
         return center, bound - abs(center)
 
     def to_json(self):
-        return {"kind": "prod", "parts": [p.to_json() for p in self.parts]}
-
-
-class SScale(StructPoly):
-    def __init__(self, c, base):
-        self.c = c
-        self.base = base
-        self.degree = base.degree
-        self.backend = (base.backend if isinstance(c, (int, Fraction))
-                        else FLOAT)
-
-    def enclose(self, t, rad=0):
-        s = exact_value(self.c)
-        c, r = self.base.enclose(t, rad)
-        return s * c, abs(s) * r
-
-    def to_json(self):
-        return {"kind": "scale", "c": scalar_to_json(self.c), "base": self.base.to_json()}
+        return {"kind": "prod", "parts": [_child_json(p) for p in self.parts]}
 
 
 class SPow(StructPoly):
@@ -480,7 +439,7 @@ class SPow(StructPoly):
         return ck, (abs(c) + r) ** self.k - abs(ck)
 
     def to_json(self):
-        return {"kind": "pow", "k": self.k, "base": self.base.to_json()}
+        return {"kind": "pow", "k": self.k, "base": _child_json(self.base)}
 
 
 class SComp(StructPoly):
@@ -496,8 +455,8 @@ class SComp(StructPoly):
         return self.outer.enclose(*self.inner.enclose(t, rad))
 
     def to_json(self):
-        return {"kind": "comp", "outer": self.outer.to_json(),
-                "inner": self.inner.to_json()}
+        return {"kind": "comp", "outer": _child_json(self.outer),
+                "inner": _child_json(self.inner)}
 
 
 class SBinomTail(StructPoly):
@@ -597,14 +556,14 @@ class SBinomTail(StructPoly):
                 "precision_bits": self.prec}
 
 
-def struct_from_json(d):
-    k = d["kind"]
+def poly_from_json(d):
+    k = d.get("kind")
+    if k is None:
+        return UniPoly.from_json(d)
     if k == "dense":
-        return SDense(UniPoly.from_json(d["poly"]))
+        return UniPoly.from_json(d["poly"])
     if k == "prod":
         return SProd([poly_from_json(p) for p in d["parts"]])
-    if k == "scale":
-        return SScale(scalar_from_json(d["c"]), poly_from_json(d["base"]))
     if k == "pow":
         return SPow(poly_from_json(d["base"]), d["k"])
     if k == "comp":
@@ -612,16 +571,6 @@ def struct_from_json(d):
     if k == "binom_tail":
         return SBinomTail(d["d"], d["lo"], d["precision_bits"])
     raise ValueError("unknown structured polynomial kind %r" % k)
-
-
-def poly_to_json(p):
-    return p.to_json()
-
-
-def poly_from_json(d):
-    if "kind" in d:
-        return struct_from_json(d)
-    return UniPoly.from_json(d)
 
 
 def min_degree(build, eps, hi):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 import math
 
-from .numcore import UniPoly, as_fraction
+from .numcore import UniPoly, as_fraction, lagrange_interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,7 @@ def minimax_lp(nodes, values, degree):
     if len(set(nodes)) != len(nodes):
         raise ValueError("repeated node")
     if degree >= len(nodes) - 1:
-        p = _interp(nodes, values)
+        p = lagrange_interpolate(nodes, values)
         return MinimaxResult(Fraction(0), p, list(nodes))
     d = degree
     order = sorted(range(len(nodes)), key=nodes.__getitem__)
@@ -87,11 +87,6 @@ def _exchange(ref, new, errs, nodes, h):
         return (ref[:-1] if sign[-1] == up else ref[1:]) + [new]
     j = k if sign[k] == up else k - 1
     return ref[:j] + [new] + ref[j + 1:]
-
-
-def _interp(nodes, values):
-    from .numcore import lagrange_interpolate
-    return lagrange_interpolate(nodes, values)
 
 
 def minimax_reference(nodes, values, degree):

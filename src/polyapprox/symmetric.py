@@ -15,9 +15,9 @@ import math
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, FLOAT, SComp, SDense, UniPoly,
-                      as_fraction, certify, lagrange_interpolate, max_error,
-                      min_degree, poly_to_json)
+from .numcore import (DEFAULT_PREC, FLOAT, SComp, UniPoly, as_fraction,
+                      certify, lagrange_interpolate, max_error, min_degree,
+                      scalar_to_json)
 from .chebyshev import cheb_eval, cheb_poly
 
 
@@ -64,8 +64,7 @@ class SymApprox:
     pi_norm_bound: object = None
 
     def to_json(self):
-        from .numcore import scalar_to_json
-        d = poly_to_json(self.poly)
+        d = self.poly.to_json()
         d.update(self.spec.to_json())
         d["degree"] = self.degree
         d["certified_eps"] = float(self.certified_eps)
@@ -236,11 +235,10 @@ def sampling_approx(spec, eps):
     # poly in the weight w is pq composed with w -> 1 - (1 - w/n)^E; kept
     # factored, the dense composition has astronomically large coefficients
     inner = UniPoly([1]) - (UniPoly([1, Fraction(-1, n)]) ** E)
-    poly = SComp(SDense(pq), SDense(inner))
+    poly = SComp(pq, inner)
     ap = SymApprox(spec, poly, pq.degree * E, err, "sampled-nodes", exact,
                    pi_norm_bound=pi_bound)
     ap.pq_norm = norm
-    ap.pq_degree = pq.degree
     return ap
 
 
@@ -261,7 +259,7 @@ class LinearFormApprox:
         return sum(x[i] for i in self.A) + sum(1 - x[i] for i in self.B)
 
     def to_json(self):
-        d = poly_to_json(self.poly)
+        d = self.poly.to_json()
         d.update({"nvars": self.nvars, "n": self.n, "A": sorted(self.A),
                   "B": sorted(self.B), "degree": self.degree,
                   "certified_eps": float(self.certified_eps)})

@@ -39,6 +39,17 @@ def test_non_positive_eps_exits_2(target, eps, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("prec", ["0", "-5"])
+def test_non_positive_prec_exits_2(prec, tmp_path, capsys):
+    # At 0 bits mpmath divides exactly, so 1/3 would never finish rounding.
+    out = tmp_path / "x.json"
+    rc = run(["--prec", prec, "construct", "--target", "and", "--n", "8",
+              "--out", str(out)])
+    assert rc == 2
+    assert "--prec: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_denominator_eps_exits_2(capsys):
     assert run(["construct", "--target", "and", "--n", "8",
                 "--eps", "1/0"]) == 2

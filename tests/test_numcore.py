@@ -9,12 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyapprox.numcore import (BackendMismatchError, SplitMix64, SBinomTail,
-                                SComp, SDense, SPow, SProd, SScale, UniPoly,
+                                SComp, SPow, SProd, StructPoly, UniPoly,
                                 as_fraction, exact_value, lagrange_interpolate,
                                 max_error, min_degree, mpf_from_hex,
-                                mpf_to_hex, poly_from_json, poly_to_json,
-                                round_up, scalar_from_json, scalar_to_json,
-                                to_mpf)
+                                mpf_to_hex, poly_from_json, round_up,
+                                scalar_from_json, scalar_to_json, to_mpf)
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=64)
 
@@ -114,7 +113,6 @@ def test_rational_eval_cache_never_stale():
     assert p.eval(t) == _fraction_horner(p.coeffs, t)
     assert q.eval(t) == _fraction_horner(q.coeffs, t)
     derived = {
-        "_make": p._make([Fraction(9, 7), 2]),
         "add": p + q,
         "sub": p - q,
         "mul": p * q,
@@ -126,7 +124,6 @@ def test_rational_eval_cache_never_stale():
         "from_json": UniPoly.from_json(p.to_json()),
     }
     for name, r in derived.items():
-        assert r._int_form is None, name
         for x in (t, Fraction(2, 3), 5):
             assert r.eval(x) == _fraction_horner(r.coeffs, x), (name, x)
 
@@ -242,20 +239,16 @@ def test_struct_enclosures_propagate_radii():
     # Every point of the input interval maps inside the enclosure: checked
     # exactly at both ends and the middle, for each node kind.
     tail = SBinomTail(12, 5, 40)
-    inner = SDense(UniPoly([Fraction(1, 5), Fraction(1, 2)]))
-    dense = SDense(UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40))
+    inner = UniPoly([Fraction(1, 5), Fraction(1, 2)])
+    dense = UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40)
     nodes = {
-        "dense": (dense, lambda x: dense.poly.eval(x)),
+        "dense": (dense, lambda x: dense.eval(x)),
         "comp": (SComp(tail, inner),
-                 lambda x: _exact_tail(12, 5, inner.poly.eval(x))),
+                 lambda x: _exact_tail(12, 5, inner.eval(x))),
         "prod": (SProd([SComp(tail, inner), dense]),
-                 lambda x: _exact_tail(12, 5, inner.poly.eval(x))
-                 * dense.poly.eval(x)),
+                 lambda x: _exact_tail(12, 5, inner.eval(x)) * dense.eval(x)),
         "pow": (SPow(SComp(tail, inner), 3),
-                lambda x: _exact_tail(12, 5, inner.poly.eval(x)) ** 3),
-        "scale": (SScale(to_mpf(Fraction(-2, 3), 40), SComp(tail, inner)),
-                  lambda x: exact_value(to_mpf(Fraction(-2, 3), 40))
-                  * _exact_tail(12, 5, inner.poly.eval(x))),
+                lambda x: _exact_tail(12, 5, inner.eval(x)) ** 3),
     }
     for name, (node, exact) in nodes.items():
         for t, rad in ((Fraction(1, 3), 0), (Fraction(2, 7), Fraction(1, 50))):
@@ -353,7 +346,7 @@ def test_struct_poly_matches_dense_expansion():
     a = UniPoly([1, -1])
     b = UniPoly([0, 2, 1])
     dense = ((a ** 3) * b).scale(Fraction(1, 2))
-    s = SScale(Fraction(1, 2), SProd([SPow(SDense(a), 3), SDense(b)]))
+    s = SProd([UniPoly([Fraction(1, 2)]), SPow(a, 3), b])
     for t in (0, 1, Fraction(3, 7), -2):
         assert s.enclose(t) == (dense.eval(t), 0)
     assert s.degree == dense.degree
@@ -362,7 +355,7 @@ def test_struct_poly_matches_dense_expansion():
 def test_struct_comp_matches_dense():
     outer = UniPoly([1, 0, -2])
     inner = UniPoly([0, 1, 1])
-    s = SComp(SDense(outer), SDense(inner))
+    s = SComp(outer, inner)
     for t in (0, Fraction(1, 3), 2):
         assert s.enclose(t) == (outer.eval(inner.eval(t)), 0)
 
@@ -387,51 +380,51 @@ def test_binom_tail_endpoints():
 
 def test_poly_json_round_trip_dense():
     p = UniPoly([Fraction(1, 3), Fraction(-2)])
-    q = poly_from_json(json.loads(json.dumps(poly_to_json(p))))
+    q = poly_from_json(json.loads(json.dumps(p.to_json())))
     assert q.coeffs == p.coeffs
     assert q.backend == p.backend
 
 
 def test_poly_json_round_trip_struct():
-    s = SProd([SPow(SDense(UniPoly([0, 1])), 2),
-               SComp(SBinomTail(6, 3, 64), SDense(UniPoly([0, Fraction(1, 2)])))])
-    r = poly_from_json(json.loads(json.dumps(poly_to_json(s))))
+    s = SProd([SPow(UniPoly([0, 1]), 2),
+               SComp(SBinomTail(6, 3, 64), UniPoly([0, Fraction(1, 2)]))])
+    r = poly_from_json(json.loads(json.dumps(s.to_json())))
     for t in (0, Fraction(1, 2), 1):
         assert r.enclose(t) == s.enclose(t)
 
 
 def test_poly_json_round_trip_every_struct_kind():
-    dense = SDense(UniPoly([1, 2]))
-    with mp.workprec(64):
-        third = mpmath.mpf(1) / 3
+    # A node kind added without JSON support, or without a case here, fails.
+    dense = UniPoly([1, 2])
     kinds = {
-        "dense": dense,
-        "prod": SProd([dense, SDense(UniPoly([Fraction(-1, 3), 0, 1]))]),
-        "scale-fraction": SScale(Fraction(1, 2), dense),
-        "scale-mpf": SScale(third, dense),
-        "pow": SPow(dense, 3),
-        "comp": SComp(SBinomTail(5, 2, 64), SDense(UniPoly([0, Fraction(1, 2)]))),
-        "binom_tail": SBinomTail(7, 3, 64),
+        SProd: SProd([dense, UniPoly([Fraction(-1, 3), 0, 1])]),
+        SPow: SPow(dense, 3),
+        SComp: SComp(SBinomTail(5, 2, 64), UniPoly([0, Fraction(1, 2)])),
+        SBinomTail: SBinomTail(7, 3, 64),
     }
-    for name, s in kinds.items():
-        text = json.dumps(poly_to_json(s), sort_keys=True)
+    assert set(kinds) == set(StructPoly.__subclasses__())
+    for kind, s in kinds.items():
+        text = json.dumps(s.to_json(), sort_keys=True)
         r = poly_from_json(json.loads(text))
-        assert type(r) is type(s), name
-        assert r.backend == s.backend, name
-        assert json.dumps(poly_to_json(r), sort_keys=True) == text, name
+        assert type(r) is kind
+        assert r.backend == s.backend, kind
+        assert json.dumps(r.to_json(), sort_keys=True) == text, kind
         for t in (0, Fraction(1, 3), 1):
-            assert r.enclose(t) == s.enclose(t), (name, t)
-    r = poly_from_json(json.loads(json.dumps(poly_to_json(kinds["scale-fraction"]))))
-    assert r.c == Fraction(1, 2) and isinstance(r.c, Fraction)
-    assert r.enclose(Fraction(1, 3)) == (Fraction(5, 6), 0)
+            assert r.enclose(t) == s.enclose(t), (kind, t)
+    # A dense child is written as a "dense" node and read back as a UniPoly.
+    child = kinds[SPow].to_json()["base"]
+    assert child == {"kind": "dense", "poly": dense.to_json()}
+    assert poly_from_json(child) == dense
 
 
-def test_sdense_eval_forwards_the_precision():
+def test_dense_child_enclosure_is_exact_at_its_precision():
     # A float polynomial built at 64 bits must not hand its measure a 64-bit
-    # value: the value at 1/3 is exactly 1/3, through SDense and UniPoly.
+    # value: the value at 1/3 is exactly 1/3, alone and as a node's child.
     p = UniPoly([0, 1], "float", 64)
-    assert SDense(p).enclose(Fraction(1, 3)) == (Fraction(1, 3), 0)
     assert p.eval(Fraction(1, 3)) == Fraction(1, 3)
+    assert p.enclose(Fraction(1, 3)) == (Fraction(1, 3), 0)
+    assert SComp(p, UniPoly([0, 1])).enclose(Fraction(1, 3)) == \
+        (Fraction(1, 3), 0)
 
 
 @given(st.integers(min_value=1, max_value=100),
@@ -613,6 +606,41 @@ def test_rational_product_matches_the_double_loop(a, b):
     p, q = UniPoly(a), UniPoly(b)
     assert (p * q).coeffs == _mul_ref(p.coeffs, q.coeffs)
     assert (p * p).coeffs == _mul_ref(p.coeffs, p.coeffs)
+
+
+backends = st.one_of(st.just(("rational", None)),
+                     st.tuples(st.just("float"), st.sampled_from(PRECS)))
+
+
+@given(backends, st.lists(mixed_coeffs, max_size=8),
+       st.lists(mixed_coeffs, max_size=8), scalars, scalars, scalars,
+       st.integers(min_value=0, max_value=3))
+@example(("float", 24), [Fraction(1, 3), 4], [Fraction(-1, 3), -4], 0,
+         Fraction(1, 2), 0, 2)
+@example(("rational", None), [Fraction(3, 4), Fraction(5, 4)],
+         [Fraction(1, 4), Fraction(-5, 4)], 4, 2, Fraction(-1, 3), 0)
+@settings(max_examples=80, deadline=None)
+def test_every_result_is_in_lowest_terms(backend, xs, ys, c, a, b, k):
+    kind, prec = backend
+    p = UniPoly(xs, kind, prec) if prec else UniPoly(xs)
+    q = UniPoly(ys, kind, prec) if prec else UniPoly(ys)
+    results = {
+        "p": p, "q": q, "p + q": p + q, "q + p": q + p, "p - q": p - q,
+        "-p": -p, "p - p": p - p, "p * q": p * q, "scale": p.scale(c),
+        "pow": p ** k, "compose_affine": p.compose_affine(a, b),
+        "derivative": p.derivative(),
+        "from_json": UniPoly.from_json(json.loads(json.dumps(p.to_json()))),
+    }
+    for name, r in results.items():
+        assert r.backend == kind and r.prec == prec, name
+        assert r.den > 0 and math.gcd(r.den, *r.nums) == 1, name
+        assert not r.nums or r.nums[-1] != 0, name
+        values = [exact_value(v) for v in r.coeffs]
+        assert values == [Fraction(n, r.den) for n in r.nums], name
+        assert r.den == math.lcm(*(v.denominator for v in values)), name
+        for other, s in results.items():
+            assert (r == s) == (r.coeffs == s.coeffs), (name, other)
+    assert results["from_json"] == p and results["p + q"] == results["q + p"]
 
 
 def test_splitmix_deterministic():
