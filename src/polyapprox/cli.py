@@ -11,6 +11,7 @@ and compares it with the claim with no slack.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -193,7 +194,10 @@ def cmd_selftest(args):
     return 0 if ok else 3
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process.  It holds no handler:
+    main looks cmd_<name> up when it runs, so a rebound handler is used."""
     ap = argparse.ArgumentParser(prog="polyapprox")
     ap.add_argument("--prec", type=_precision, default=DEFAULT_PREC)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -209,18 +213,15 @@ def make_parser():
     c.add_argument("--eps", default="1/3")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None)
-    c.set_defaults(fn=cmd_construct)
 
     v = sub.add_parser("verify")
     v.add_argument("artifact")
-    v.set_defaults(fn=cmd_verify)
 
     o = sub.add_parser("oracle")
     o.add_argument("--nodes", required=True)
     o.add_argument("--values", required=True)
     o.add_argument("--degree", type=int, required=True)
     o.add_argument("--out", default=None)
-    o.set_defaults(fn=cmd_oracle)
 
     b = sub.add_parser("bounds")
     b.add_argument("--family",
@@ -231,25 +232,21 @@ def make_parser():
     b.add_argument("--delta", type=float, default=1.0)
     b.add_argument("--c-sel", type=float, default=4.0)
     b.add_argument("--sweep", action="store_true")
-    b.set_defaults(fn=cmd_bounds)
 
     t = sub.add_parser("table")
     t.add_argument("--out", default=None)
-    t.set_defaults(fn=cmd_table)
 
-    s = sub.add_parser("selftest")
-    s.set_defaults(fn=cmd_selftest)
+    sub.add_parser("selftest")
     return ap
 
 
 def main(argv=None):
-    ap = make_parser()
     try:
-        args = ap.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.cmd](args)
     except PrecisionError as exc:
         print("rejected: %s" % exc, file=sys.stderr)
         return 4

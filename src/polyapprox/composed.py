@@ -10,8 +10,8 @@ from itertools import combinations, permutations
 import math
 
 from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, UniPoly, as_fraction,
-                      certify, exact_value, min_degree, poly_from_json,
-                      scalar_from_json, scalar_to_json, to_mpf)
+                      certify, exact_value, horner_ints, min_degree,
+                      poly_from_json, scalar_from_json, scalar_to_json, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 from .symmetric import and_or_min_degree, restricted_disjunction_approx
 from .oracle import multilinear_interpolant
@@ -196,13 +196,13 @@ class BlockSymApprox:
     @cached_property
     def _integer_form(self):
         # value(w) = (sum_ell M_ell sum_S T[w_S]) / den in integers, with
-        # q(k) = T[k] / lq, mu_ell = M_ell / lm and den = lq * lm.
+        # q(k) = T[k] / lq, mu_ell = M_ell / lm and den = lq * lm: at an
+        # integer k every q(k) has the denominator lq = q.den.
         mus = [(ell, exact_value(mu)) for ell, mu in self.terms]
-        qs = ([self.q.eval(k) for k in range(self.n + 1)]
-              if self.q is not None else [])
-        lq = math.lcm(*(v.denominator for v in qs))
+        q = self.q if self.q is not None else UniPoly.zero()
+        lq = q.den
+        table = [horner_ints(q.nums, lq, k)[0] for k in range(self.n + 1)]
         lm = math.lcm(*(mu.denominator for _, mu in mus))
-        table = [v.numerator * (lq // v.denominator) for v in qs]
         terms = [(ell, mu.numerator * (lm // mu.denominator),
                   list(combinations(range(self.r), ell))) for ell, mu in mus]
         return terms, table, lq, lq * lm

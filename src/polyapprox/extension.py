@@ -19,8 +19,8 @@ def coeff_norm_bound(p):
     d = p.degree
     if d <= 0:
         return abs(p.eval(0))
-    return Fraction(8) ** d * max(abs(p.eval(Fraction(i, d)))
-                                  for i in range(d + 1))
+    return Fraction(8) ** d * max_error(p, ((Fraction(i, d), 0)
+                                            for i in range(d + 1)))
 
 
 def sym_multilinear_norms(n, a):
@@ -105,8 +105,7 @@ def _extend_from_point(approx, target, n, delta):
     T = cheb_poly(c).compose_affine(Fraction(-1, n), 1 + Fraction(1, n))
     T = T ** reps
     poly = T.scale(approx.spec.values[0] / T.eval(0))
-    err = max((abs(poly.eval(w) - target.values[w]) for w in range(n + 1)),
-              default=Fraction(0))
+    err = max_error(poly, enumerate(target.values))
     out = SymApprox(target, poly, poly.degree, err, "extension-point", {0})
     return ExtensionResult(out, approx.spec.n, 0, delta, T.degree)
 

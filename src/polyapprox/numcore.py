@@ -12,8 +12,9 @@ is the exact value at a rational point.  Structured nodes, with UniPolys
 or nodes as children, evaluate only through enclose().  The one inexact
 node, SBinomTail, returns its mpf sum with a rigorous radius, and the other
 nodes carry (center, radius) through exactly.  max_error() takes the
-maximum over the measured points, and certify() rounds a float
-construction's maximum up to its working precision.
+maximum over the measured points, for a UniPoly over integer numerators
+reduced once, and certify() rounds a float construction's maximum up to its
+working precision.
 """
 
 from fractions import Fraction
@@ -132,19 +133,30 @@ def _lowest(nums, den, prec):
              for sign, man, exp, _ in parts], 1 << -low)
 
 
-def _horner(nums, den, t):
-    """sum_j nums[j] t^j / den at a rational t = a/b, exact: homogeneous
-    Horner in integers, sum_j nums[j] a^j b^(deg-j) / (den b^deg), reduced
-    once, so the Fraction equals term-by-term Horner's."""
+def horner_ints(nums, den, t):
+    """(numerator, denominator) of sum_j nums[j] t^j / den at a rational
+    t = a/b (an int or a Fraction), unreduced: homogeneous Horner in
+    integers, sum_j nums[j] a^j b^(deg-j) / (den b^deg).  At an integer t
+    the denominator is den itself."""
     if not nums:
-        return Fraction(0)
+        return 0, den
     a, b = t.numerator, t.denominator
     acc = nums[-1]
+    if b == 1:
+        for n in reversed(nums[:-1]):
+            acc = acc * a + n
+        return acc, den
     bpow = 1
     for n in reversed(nums[:-1]):
         bpow *= b
         acc = acc * a + n * bpow
-    return Fraction(acc, den * bpow)
+    return acc, den * bpow
+
+
+def _horner(nums, den, t):
+    """sum_j nums[j] t^j / den at a rational t, exact and reduced once, so
+    the Fraction equals term-by-term Horner's."""
+    return Fraction(*horner_ints(nums, den, t))
 
 
 def _kronecker_mul(a, b):
@@ -188,6 +200,9 @@ class UniPoly:
         if backend == RATIONAL:
             values = [as_fraction(c) for c in coeffs]
         elif backend == FLOAT:
+            if prec < 1:
+                raise ValueError("float precision must be at least 1 bit, "
+                                 "got %r" % prec)
             values = [exact_value(c) if isinstance(c, mpmath.mpf)
                       else Fraction(c) for c in coeffs]
         else:
@@ -599,13 +614,26 @@ def min_degree(build, eps, hi):
 
 
 def max_error(poly, pairs):
-    """max |poly(t) - f| + radius over the (t, f) pairs, as a Fraction:
-    exact for a dense polynomial, a rigorous bound where a node encloses."""
-    worst = Fraction(0)
+    """max |poly(t) - f| + radius over the (t, f) pairs, ints or Fractions,
+    as a Fraction: exact for a dense polynomial, a rigorous bound where a
+    node encloses.
+    A dense polynomial's errors stay integer pairs: at p(t) = v / d,
+    |p(t) - f| = |v f.den - f.num d| / (d f.den).  They are compared by
+    cross-multiplication, and the largest is reduced once."""
+    if not isinstance(poly, UniPoly):
+        worst = Fraction(0)
+        for t, f in pairs:
+            c, r = poly.enclose(t)
+            worst = max(worst, abs(c - f) + r)
+        return worst
+    nums, den = poly.nums, poly.den
+    wn, wd = 0, 1
     for t, f in pairs:
-        c, r = poly.enclose(t)
-        worst = max(worst, abs(c - f) + r)
-    return worst
+        v, d = horner_ints(nums, den, t)
+        e, ed = abs(v * f.denominator - f.numerator * d), d * f.denominator
+        if e * wd > wn * ed:
+            wn, wd = e, ed
+    return Fraction(wn, wd)
 
 
 def certify(err, backend, prec):

@@ -125,7 +125,7 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
     base = _and_base(n, d, ell, prec)
     # The damping factor M is the exact maximum below weight n; scale
     # divides by 1 + M exactly and rounds each coefficient once.
-    M = max(abs(base.eval(w)) for w in range(n))
+    M = max_error(base, ((w, 0) for w in range(n)))
     p = base.scale(1 / (1 + M))
     if which == "or":
         p = UniPoly([1], FLOAT, prec) - p.compose_affine(-1, n)

@@ -5,6 +5,7 @@ import os
 from mpmath import mp
 import pytest
 
+from polyapprox import cli
 from polyapprox.cli import main
 
 
@@ -176,6 +177,35 @@ def test_construct_deterministic(tmp_path, capsys):
     assert run(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_holds_no_handler(tmp_path, monkeypatch,
+                                                  capsys):
+    argv = ["construct", "--target", "exact", "--n", "20", "--k", "2",
+            "--eps", "1/8"]
+    cli.make_parser.cache_clear()
+    assert run(["construct", "--target", "nope", "--n", "4"]) == 2
+    assert run(argv + ["--eps", "0"]) == 2
+    assert run(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    assert run(["verify", str(tmp_path / "a.json")]) == 0
+    assert cli.make_parser.cache_info().misses == 1
+    # the cached parser writes the bytes a fresh one does
+    cli.make_parser.cache_clear()
+    assert run(argv + ["--out", str(tmp_path / "b.json")]) == 0
+    assert ((tmp_path / "a.json").read_bytes()
+            == (tmp_path / "b.json").read_bytes())
+    # a handler rebound after the first call is the one that runs
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+    assert run(["verify", str(tmp_path / "a.json")]) == 7
+    capsys.readouterr()
+
+
+def test_every_subcommand_has_a_handler():
+    sub = next(a for a in cli.make_parser()._actions if a.dest == "cmd")
+    assert sorted(sub.choices) == ["bounds", "construct", "oracle",
+                                   "selftest", "table", "verify"]
+    for name in sub.choices:
+        assert callable(getattr(cli, "cmd_" + name))
 
 
 def test_oracle_subcommand(tmp_path, capsys):

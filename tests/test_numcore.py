@@ -264,6 +264,52 @@ def test_max_error_is_exact_for_dense_polynomials():
     assert max_error(p, pairs) == max(abs(p.eval(w) - f)
                                       for w, f in pairs)
     assert max_error(UniPoly([Fraction(1, 2)]), [(0, 0), (3, 1)]) == Fraction(1, 2)
+    # int and Fraction points and targets in one call, on both backends
+    mixed = [(2, Fraction(1, 3)), (Fraction(1, 2), 1), (-3, -1),
+             (Fraction(-7, 5), Fraction(2, 9))]
+    for q in (UniPoly([Fraction(1, 3), -1, Fraction(1, 7)]), p):
+        got = max_error(q, mixed)
+        assert type(got) is Fraction
+        assert got == max(abs(q.eval(t) - f) for t, f in mixed)
+    assert max_error(UniPoly.zero(), mixed) == 1
+    assert max_error(p, []) == 0
+
+
+@given(st.lists(mixed_coeffs, max_size=10),
+       st.lists(st.tuples(points, mixed_coeffs), max_size=12),
+       st.sampled_from([None, 24, 128]))
+@settings(max_examples=150, deadline=None)
+# a later error with a smaller numerator but a larger value
+@example([], [(0, Fraction(2, 7)), (1, Fraction(1, 2))], None)
+@example([1, Fraction(1, 3)], [(Fraction(1, 3), 1), (2, 0)], 53)
+@example([Fraction(1, 3)], [], 24)
+def test_max_error_dense_path_matches_the_fraction_reference(coeffs, pairs,
+                                                              prec):
+    # The dense path compares integer numerators over their denominators;
+    # the reference builds one Fraction per point.
+    p = UniPoly(coeffs) if prec is None else UniPoly(coeffs, "float", prec)
+    want = max((abs(p.eval(t) - f) for t, f in pairs), default=Fraction(0))
+    got = max_error(p, pairs)
+    assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("prec", [0, -3])
+def test_float_precision_below_one_bit_is_rejected(prec):
+    # At 0 bits the result depended on the inputs' denominators, and at
+    # -3 bits libmp never returned.
+    with pytest.raises(ValueError, match="at least 1 bit"):
+        UniPoly([Fraction(1, 3), 5], "float", prec)
+    with pytest.raises(ValueError, match="at least 1 bit"):
+        UniPoly([Fraction(1, 3)]).to_float(prec)
+    doc = UniPoly([Fraction(1, 3), 5], "float", 24).to_json()
+    doc["precision_bits"] = prec
+    with pytest.raises(ValueError, match="at least 1 bit"):
+        UniPoly.from_json(doc)
+
+
+def test_one_bit_float_precision_still_builds():
+    p = UniPoly([Fraction(1, 3), 5], "float", 1)
+    assert [exact_value(c) for c in p.coeffs] == [Fraction(1, 4), 4]
 
 
 def test_unipoly_zero_degree_convention():
