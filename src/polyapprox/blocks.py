@@ -13,14 +13,9 @@ import math
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, RATIONAL, SBinomTail, SComp, SPow, SProd,
-                      UniPoly, as_fraction, to_mpf)
+from .numcore import (DEFAULT_PREC, SBinomTail, SComp, SPow, SProd, UniPoly,
+                      as_fraction, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
-
-
-def _cheb_affine(c, a, b, backend=RATIONAL, prec=DEFAULT_PREC):
-    """T_c(a*t + b) as a dense polynomial."""
-    return cheb_poly(c, backend, prec).compose_affine(a, b)
 
 
 def dyadic_decay_poly(n, d):
@@ -34,7 +29,8 @@ def dyadic_decay_poly(n, d):
     prod = UniPoly([1])
     for i in range(levels + 1):
         c = int(math.ceil(math.sqrt(n / 2 ** i)))
-        prod = prod * _cheb_affine(c, Fraction(-1, n), 1 + Fraction(2 ** i, n))
+        prod = prod * cheb_poly(c).compose_affine(Fraction(-1, n),
+                                                  1 + Fraction(2 ** i, n))
     prod = prod ** d
     return prod.scale(1 / prod.eval(0))
 
@@ -46,7 +42,8 @@ def reciprocal_approx(n, d):
     if n <= 1 or d < 0:
         raise ValueError("need n > 1, d >= 0")
     peak = cheb_eval(d + 1, (n + 1) / (n - 1))
-    q = _cheb_affine(d + 1, Fraction(-2, 1) / (n - 1), 1 + Fraction(2, 1) / (n - 1))
+    q = cheb_poly(d + 1).compose_affine(Fraction(-2, 1) / (n - 1),
+                                        1 + Fraction(2, 1) / (n - 1))
     q = q.scale(Fraction(1) / peak)
     # q(0) = 1 exactly (the Chebyshev argument at t = 0 is the normalization
     # point), so 1 - q is divisible by t
@@ -129,7 +126,7 @@ def or_continuous_approx(n, eps, prec=DEFAULT_PREC):
     c = int(math.ceil(math.sqrt(n)))
     while (c - 1) ** 2 >= n:
         c -= 1
-    q = _cheb_affine(c, Fraction(-1, 1) / n, 1 + Fraction(2, 1) / n)
+    q = cheb_poly(c).compose_affine(Fraction(-1, 1) / n, 1 + Fraction(2, 1) / n)
     peak = q.eval(0)          # exact maximum of q on [0, n]
     qstar = (q + UniPoly([1])).scale(Fraction(1) / (peak + 1))
     u_bad = Fraction(2) / (peak + 1)

@@ -6,18 +6,18 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, UniPoly, to_mpf)
+from .numcore import DEFAULT_PREC, UniPoly, to_mpf
 
 
-def cheb_poly(d, backend=RATIONAL, prec=DEFAULT_PREC):
-    """T_d as a dense polynomial: the three-term recurrence on integer
-    coefficient lists, converted once (a float coefficient rounds once)."""
+def cheb_poly(d, prec=None):
+    """T_d as a dense polynomial, exact when prec is None: the recurrence on
+    integer coefficient lists, converted once (a float rounds once)."""
     if d < 0:
         raise ValueError("negative degree")
     t0, t1 = [1], [0, 1]
     for _ in range(d - 1):
         t0, t1 = t1, [2 * b - a for a, b in zip(t0 + [0, 0], [0] + t1)]
-    return UniPoly(t1 if d else t0, backend, prec)
+    return UniPoly(t1 if d else t0, prec)
 
 
 def cheb_eval(d, t, prec=None):
@@ -59,8 +59,8 @@ def cheb_extrema(d, prec=DEFAULT_PREC):
 def cheb_factored(d, prec=DEFAULT_PREC):
     """2^(d-1) * prod (t - r_i) over the d roots, as a dense float polynomial."""
     if d == 0:
-        return UniPoly([1], FLOAT, prec)
-    p = UniPoly.from_roots(cheb_roots(d, prec), FLOAT, prec)
+        return UniPoly([1], prec)
+    p = UniPoly.from_roots(cheb_roots(d, prec), prec)
     return p.scale(Fraction(2) ** (d - 1))
 
 

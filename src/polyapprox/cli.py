@@ -92,9 +92,8 @@ def cmd_verify(args):
     if "terms" in doc:
         worst = BlockSymApprox.from_json(doc).max_error()
     elif doc.get("target") == "spectrum":
-        values = [_parse_fraction(v) for v in doc["values"]]
-        worst = max_error(poly_from_json(doc),
-                          ((w, values[w]) for w in range(doc["n"] + 1)))
+        spec = SymSpec(doc["n"], [_parse_fraction(v) for v in doc["values"]])
+        worst = max_error(poly_from_json(doc), enumerate(spec.values))
     else:
         print("unrecognized artifact", file=sys.stderr)
         return 2

@@ -9,9 +9,9 @@ from functools import cached_property
 from itertools import combinations, permutations
 import math
 
-from .numcore import (DEFAULT_PREC, FLOAT, RATIONAL, UniPoly, as_fraction,
-                      certify, exact_value, horner_ints, min_degree,
-                      poly_from_json, scalar_from_json, scalar_to_json, to_mpf)
+from .numcore import (DEFAULT_PREC, UniPoly, as_fraction, certify,
+                      exact_value, horner_ints, min_degree, scalar_from_json,
+                      scalar_to_json, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 from .symmetric import and_or_min_degree, restricted_disjunction_approx
 from .oracle import multilinear_interpolant
@@ -187,12 +187,6 @@ class BlockSymApprox:
     certified_eps: object
     degree: int
 
-    @property
-    def backend(self):
-        exact = all(isinstance(mu, (int, Fraction)) for _, mu in self.terms)
-        return (RATIONAL if exact and (self.q is None or self.q.backend == RATIONAL)
-                else FLOAT)
-
     @cached_property
     def _integer_form(self):
         # value(w) = (sum_ell M_ell sum_S T[w_S]) / den in integers, with
@@ -240,7 +234,7 @@ class BlockSymApprox:
     @classmethod
     def from_json(cls, doc):
         """The artifact's polynomial; its certified error is left unread."""
-        q = poly_from_json(doc["q"]) if doc["q"] is not None else None
+        q = UniPoly.from_json(doc["q"]) if doc["q"] is not None else None
         terms = [(t["ell"], scalar_from_json(t["mu"])) for t in doc["terms"]]
         return cls(doc["n"], doc["r"], q, terms, None, doc["degree"])
 
@@ -301,8 +295,8 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     # The exact finite differences vanish above the outer degree; a float
     # outer rounds each of them once.
     mu = _finite_differences(h)
-    if outer.backend == FLOAT:
-        mu = [to_mpf(m, prec) for m in mu]
+    if outer.prec is not None:
+        mu = [to_mpf(m, outer.prec) for m in mu]
     weight = sum(abs(exact_value(mu[ell])) * math.comb(r, ell)
                  for ell in range(1, r + 1))
     slack = eps - outer_err
@@ -315,7 +309,8 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     q = _conjunction_poly(n, budget, prec) if live else None
     terms = [(0, mu[0])] + [(ell, mu[ell]) for ell in live]
     out = BlockSymApprox(n, r, q, terms, None, q.degree if live else 0)
-    out.certified_eps = certify(out.max_error(), out.backend, prec)
+    exact = outer.prec is None and (q is None or q.prec is None)
+    out.certified_eps = certify(out.max_error(), None if exact else prec)
     return out
 
 
@@ -329,7 +324,7 @@ def _conjunction_poly(n, budget, prec):
         lambda d: restricted_disjunction_approx(n, n, entries, frozenset(),
                                                 d, prec),
         budget, 2 * n)
-    return UniPoly([1], best.poly.backend, prec) - best.poly
+    return UniPoly([1], best.poly.prec) - best.poly
 
 
 def surj_outer_eval(n, r, eps, weights, prec=DEFAULT_PREC):

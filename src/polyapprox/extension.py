@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .numcore import (DEFAULT_PREC, SComp, SProd, UniPoly,
-                      as_fraction, certify, lagrange_interpolate, max_error)
+from .numcore import (DEFAULT_PREC, SComp, SProd, UniPoly, as_fraction,
+                      certify, max_error)
 from .chebyshev import cheb_poly
 from .blocks import interval_indicator
 from .symmetric import SymApprox, SymSpec
@@ -90,8 +90,7 @@ def extend_approx(approx, n, delta, prec=DEFAULT_PREC):
     alpha = delta / int(math.ceil((4 * math.e) ** (d + 1)))
     ind = interval_indicator(Fraction(n, m), d, alpha, prec)
     full = SProd([approx.poly, SComp(ind, UniPoly([0, Fraction(1, m)]))])
-    err = certify(max_error(full, enumerate(target.values)), full.backend,
-                  prec)
+    err = certify(max_error(full, enumerate(target.values)), prec)
     out = SymApprox(target, full, full.degree, err, "extension", set())
     return ExtensionResult(out, n_in, m, delta, ind.degree)
 
@@ -121,12 +120,6 @@ def small_support_approx(spec, eps, prec=DEFAULT_PREC):
                         set(range(n + 1)))
         return ExtensionResult(out, 0, 0, eps, 0)
     if 2 * k >= n:
-        p = lagrange_interpolate(list(range(n + 1)), spec.values)
-        out = SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
-                        set(range(n + 1)))
-        return ExtensionResult(out, n, k, eps, 0)
-    m = k
-    phi = lagrange_interpolate(list(range(2 * m + 1)), spec.values[:2 * m + 1])
-    base = SymApprox(SymSpec(2 * m, spec.values[:2 * m + 1]), phi, phi.degree,
-                     Fraction(0), "interpolant", set(range(2 * m + 1)))
+        return ExtensionResult(SymApprox.interpolant(spec), n, k, eps, 0)
+    base = SymApprox.interpolant(SymSpec(2 * k, spec.values[:2 * k + 1]))
     return extend_approx(base, n, eps, prec)

@@ -1,20 +1,19 @@
-"""Exact-rational and big-float scalar backends, dense univariate polynomials,
-and structured (factored) polynomials for constructions whose dense monomial
-expansion is out of reach.
+"""Exact and big-float polynomials: dense univariate ones, and structured
+(factored) ones for constructions whose dense expansion is out of reach.
 
-Two backends only: "rational" (fractions.Fraction, exact) and "float"
-(mpmath mpf at an explicit precision).  Mixed-backend arithmetic is an
-error, never a silent coercion.  Every mpf is a dyadic rational, so a
-UniPoly is one exact integer form on either backend and all its arithmetic
-runs in integers, a float result rounded once per coefficient.  A float
-construction builds its polynomial once and certifies it exactly: eval()
-is the exact value at a rational point.  Structured nodes, with UniPolys
-or nodes as children, evaluate only through enclose().  The one inexact
-node, SBinomTail, returns its mpf sum with a rigorous radius, and the other
-nodes carry (center, radius) through exactly.  max_error() takes the
-maximum over the measured points, for a UniPoly over integer numerators
-reduced once, and certify() rounds a float construction's maximum up to its
-working precision.
+Precision is the one scalar knob: None is exact (fractions.Fraction), an
+integer is mpmath mpf at that many bits, and only this module names the
+derived backend, "rational" or "float".  Mixing precisions is an error,
+never a silent coercion.  Every mpf is a dyadic rational, so a UniPoly is
+one exact integer form at any precision, its arithmetic runs in integers,
+and a float result rounds once per coefficient.  A float construction
+builds its polynomial once and certifies it exactly: eval() is the exact
+value at a rational point.  Structured nodes, with UniPolys or nodes as
+children, evaluate only through enclose().  The one inexact node,
+SBinomTail, returns its mpf sum with a rigorous radius, and the other nodes
+carry (center, radius) through exactly.  max_error() takes the maximum over
+the measured points, for a UniPoly over integer numerators reduced once,
+and certify() rounds a float construction's maximum up to its precision.
 """
 
 from fractions import Fraction
@@ -103,11 +102,9 @@ def scalar_to_json(x):
     return mpf_to_hex(x)
 
 
-def scalar_from_json(s, backend=None):
-    """Parse "a/b" or mpf hex; backend None reads it from the format."""
-    if backend is None:
-        backend = RATIONAL if "/" in s else FLOAT
-    if backend == RATIONAL:
+def scalar_from_json(s):
+    """Parse "a/b" as a Fraction, or mpf hex as an mpf."""
+    if "/" in s:
         num, den = s.split("/")
         return Fraction(int(num), int(den))
     return mpf_from_hex(s)
@@ -186,37 +183,39 @@ def _kronecker_mul(a, b):
 
 
 class UniPoly:
-    """Dense univariate polynomial over one backend: the coefficient of t^i
-    is nums[i] / den, in lowest terms (den > 0, gcd(den, *nums) == 1) with
-    no trailing zero, so the zero polynomial has degree -1.  For floats den
-    is a power of two.  The form is never mutated.  Every operation passes
-    its exact integer result through _from_ints: a rational one is reduced
-    by one gcd, a float one rounds each coefficient once, to nearest at prec.
-    """
+    """Dense univariate polynomial, exact (prec None) or float at prec bits.
+    Coefficient i is nums[i] / den in lowest terms (den > 0, gcd(den, *nums)
+    == 1) with no trailing zero, so the zero polynomial has degree -1; for
+    floats den is a power of two.  The form is never mutated.  Every
+    operation passes its exact integer result through _from_ints: an exact
+    one is reduced by one gcd, a float one rounds each coefficient once, to
+    nearest at prec."""
 
-    __slots__ = ("nums", "den", "backend", "prec")
+    __slots__ = ("nums", "den", "prec")
 
-    def __init__(self, coeffs, backend=RATIONAL, prec=DEFAULT_PREC):
-        if backend == RATIONAL:
+    def __init__(self, coeffs, prec=None):
+        if prec is None:
             values = [as_fraction(c) for c in coeffs]
-        elif backend == FLOAT:
+        else:
             if prec < 1:
                 raise ValueError("float precision must be at least 1 bit, "
                                  "got %r" % prec)
             values = [exact_value(c) if isinstance(c, mpmath.mpf)
                       else Fraction(c) for c in coeffs]
-        else:
-            raise ValueError("unknown backend %r" % backend)
-        self.backend = backend
-        self.prec = prec if backend == FLOAT else None
+        self.prec = prec
         den = math.lcm(*(v.denominator for v in values))
         nums = [v.numerator * (den // v.denominator) for v in values]
-        self.nums, self.den = _lowest(nums, den, self.prec)
+        self.nums, self.den = _lowest(nums, den, prec)
+
+    @property
+    def backend(self):
+        """Read-only, derived from prec: exact or float."""
+        return RATIONAL if self.prec is None else FLOAT
 
     @property
     def coeffs(self):
         """Read-only: Fractions, or mpfs holding the exact dyadic values."""
-        if self.backend == RATIONAL:
+        if self.prec is None:
             return [Fraction(n, self.den) for n in self.nums]
         exp = 1 - self.den.bit_length()
         return [mp.make_mpf(libmp.from_man_exp(n, exp)) for n in self.nums]
@@ -226,34 +225,31 @@ class UniPoly:
         return len(self.nums) - 1
 
     @classmethod
-    def zero(cls, backend=RATIONAL, prec=DEFAULT_PREC):
-        return cls([], backend, prec)
+    def zero(cls, prec=None):
+        return cls([], prec)
 
     @classmethod
-    def constant(cls, c, backend=RATIONAL, prec=DEFAULT_PREC):
-        return cls([c], backend, prec)
+    def constant(cls, c, prec=None):
+        return cls([c], prec)
 
     @classmethod
-    def from_roots(cls, roots, backend=RATIONAL, prec=DEFAULT_PREC):
-        value = exact_value if backend == FLOAT else as_fraction
-        p = cls.constant(1, backend, prec)
+    def from_roots(cls, roots, prec=None):
+        value = as_fraction if prec is None else exact_value
+        p = cls.constant(1, prec)
         for r in roots:
-            p = p * cls([-value(r), 1], backend, prec)
+            p = p * cls([-value(r), 1], prec)
         return p
 
     def _check(self, other):
-        if self.backend != other.backend:
-            raise BackendMismatchError(
-                "cannot mix %s and %s polynomials" % (self.backend, other.backend))
-        if self.backend == FLOAT and self.prec != other.prec:
-            raise BackendMismatchError("mixed float precisions %r / %r"
-                                       % (self.prec, other.prec))
+        if self.prec != other.prec:
+            raise BackendMismatchError("mixed precisions %r / %r (None is "
+                                       "exact)" % (self.prec, other.prec))
 
     def _from_ints(self, nums, den):
-        """The polynomial sum_i nums[i] / den t^i on this backend: exact, or
-        each float coefficient rounded once, to nearest at prec."""
+        """The polynomial sum_i nums[i] / den t^i at this precision: exact,
+        or each float coefficient rounded once, to nearest at prec."""
         p = UniPoly.__new__(UniPoly)
-        p.backend, p.prec = self.backend, self.prec
+        p.prec = self.prec
         p.nums, p.den = _lowest(nums, den, self.prec)
         return p
 
@@ -285,14 +281,14 @@ class UniPoly:
                                self.den * other.den)
 
     def scale(self, c):
-        c = exact_value(c) if self.backend == FLOAT else as_fraction(c)
+        c = as_fraction(c) if self.prec is None else exact_value(c)
         return self._from_ints([n * c.numerator for n in self.nums],
                                self.den * c.denominator)
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        out = UniPoly.constant(1, self.backend, self.prec)
+        out = UniPoly.constant(1, self.prec)
         base = self
         while k:
             if k & 1:
@@ -322,7 +318,7 @@ class UniPoly:
         self(a*t + b) = G(alpha*t + beta) / (L D^deg) for the integer
         polynomial G(y) = sum_j N_j D^(deg-j) y^j: an integer Taylor shift
         of G by beta (repeated synthetic division), then t scaled by alpha."""
-        value = exact_value if self.backend == FLOAT else as_fraction
+        value = as_fraction if self.prec is None else exact_value
         a, b = value(a), value(b)
         nums, den = self.nums, self.den
         if not nums:
@@ -348,20 +344,25 @@ class UniPoly:
                                self.den)
 
     def to_float(self, prec=DEFAULT_PREC):
-        return UniPoly(self.coeffs, FLOAT, prec)
+        return UniPoly(self.coeffs, prec)
 
     def to_json(self):
         d = {"backend": self.backend, "coeffs": [scalar_to_json(c) for c in self.coeffs]}
-        if self.backend == FLOAT:
+        if self.prec is not None:
             d["precision_bits"] = self.prec
         return d
 
     @classmethod
     def from_json(cls, d):
         backend = d["backend"]
-        prec = d.get("precision_bits", DEFAULT_PREC)
-        coeffs = [scalar_from_json(s, backend) for s in d["coeffs"]]
-        return cls(coeffs, backend, prec)
+        if backend not in (RATIONAL, FLOAT):
+            raise ValueError("unknown backend %r" % backend)
+        prec = d.get("precision_bits", DEFAULT_PREC) if backend == FLOAT else None
+        coeffs = [scalar_from_json(s) for s in d["coeffs"]]
+        if any(isinstance(c, Fraction) != (prec is None) for c in coeffs):
+            raise ValueError("%s polynomial with a coefficient in the other "
+                             "format" % backend)
+        return cls(coeffs, prec)
 
 
 def lagrange_interpolate(nodes, values):
@@ -636,10 +637,10 @@ def max_error(poly, pairs):
     return Fraction(wn, wd)
 
 
-def certify(err, backend, prec):
-    """The reported error of a construction: err itself if it is rational,
-    else err rounded up to a prec-bit mpf."""
-    return err if backend == RATIONAL else round_up(err, prec)
+def certify(err, prec):
+    """The reported error of a construction: err itself if it is exact
+    (prec None), else err rounded up to a prec-bit mpf."""
+    return err if prec is None else round_up(err, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def sym_eval(sym, weights):
     return tot
 
 
-def sym_to_unipoly(sym, backend="rational"):
+def sym_to_unipoly(sym):
     """Single-block symmetrization as a dense polynomial in the weight,
     using C(t, s) = t(t-1)...(t-s+1)/s!."""
     p = UniPoly.zero()

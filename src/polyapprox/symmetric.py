@@ -8,15 +8,15 @@ a float polynomial, rounded up to its working precision), never an
 asymptotic estimate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 import math
 
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, FLOAT, SComp, UniPoly, as_fraction,
-                      certify, lagrange_interpolate, max_error, min_degree,
+from .numcore import (DEFAULT_PREC, SComp, UniPoly, as_fraction, certify,
+                      lagrange_interpolate, max_error, min_degree,
                       scalar_to_json)
 from .chebyshev import cheb_eval, cheb_poly
 
@@ -63,6 +63,13 @@ class SymApprox:
     exact_on: set = field(default_factory=set)
     pi_norm_bound: object = None
 
+    @classmethod
+    def interpolant(cls, spec):
+        """The exact interpolant of spec on every weight 0..n: error 0."""
+        p = lagrange_interpolate(range(spec.n + 1), spec.values)
+        return cls(spec, p, p.degree, Fraction(0), "interpolant",
+                   set(range(spec.n + 1)))
+
     def to_json(self):
         d = self.poly.to_json()
         d.update(self.spec.to_json())
@@ -85,14 +92,7 @@ def single_zero_factor(n, m, prec=DEFAULT_PREC):
         cm = mpmath.cos(mpmath.pi / (2 * d))
         a = (1 - cm) / (n - m)
         b = cm - a * m
-        return cheb_poly(d, FLOAT, prec).compose_affine(a, b)
-
-
-def _falling_interpolant(n, w):
-    """Degree-n interpolant of the weight-w indicator on {0..n}.  Exact."""
-    nodes = [i for i in range(n + 1)]
-    vals = [1 if i == w else 0 for i in range(n + 1)]
-    return lagrange_interpolate(nodes, vals)
+        return cheb_poly(d, prec).compose_affine(a, b)
 
 
 def _and_base(n, d, ell, prec):
@@ -101,7 +101,7 @@ def _and_base(n, d, ell, prec):
     r = max(1, -(-d // 2))
     with mp.workprec(prec):
         peak = cheb_eval(r, Fraction(n, n - ell), prec)
-        p = cheb_poly(r, FLOAT, prec).compose_affine(Fraction(1, n - ell), 0)
+        p = cheb_poly(r, prec).compose_affine(Fraction(1, n - ell), 0)
         p = p.scale(1 / peak)
         for i in range(n - ell + 1, n):
             p = p * single_zero_factor(n, i, prec)
@@ -115,11 +115,10 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
         raise ValueError("which must be 'and' or 'or'")
     spec = SymSpec.and_spec(n) if which == "and" else SymSpec.or_spec(n)
     if d >= n:
-        p = _falling_interpolant(n, n)
-        if which == "or":
-            p = UniPoly([1]) - p.compose_affine(-1, n)
-        return SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
-                         set(range(n + 1)))
+        a = SymApprox.interpolant(SymSpec.and_spec(n))
+        # OR reflects the AND interpolant: one basis polynomial, not n
+        return a if which == "and" else replace(
+            a, spec=spec, poly=UniPoly([1]) - a.poly.compose_affine(-1, n))
     ell = d * d // (36 * n) + 1
     ell = min(ell, n - 1)
     base = _and_base(n, d, ell, prec)
@@ -128,8 +127,8 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
     M = max_error(base, ((w, 0) for w in range(n)))
     p = base.scale(1 / (1 + M))
     if which == "or":
-        p = UniPoly([1], FLOAT, prec) - p.compose_affine(-1, n)
-    eps = certify(max_error(p, enumerate(spec.values)), FLOAT, prec)
+        p = UniPoly([1], p.prec) - p.compose_affine(-1, n)
+    eps = certify(max_error(p, enumerate(spec.values)), p.prec)
     return SymApprox(spec, p, p.degree, eps, "chebyshev-damped", set())
 
 
@@ -150,23 +149,21 @@ def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
     lg = math.log2(float(2 / eps))
     ell = math.ceil(m + lg)
     if 2 * ell >= n:
-        p = _falling_interpolant(n, n - k)
-        return SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
-                         set(range(n + 1)))
+        return SymApprox.interpolant(spec)
     r = math.ceil(math.sqrt(n * lg))
     with mp.workprec(prec):
         peak = cheb_eval(r, Fraction(n - k, n - ell), prec)
-        p = cheb_poly(r, FLOAT, prec).compose_affine(Fraction(1, n - ell), 0)
+        p = cheb_poly(r, prec).compose_affine(Fraction(1, n - ell), 0)
         p = p.scale(1 / peak)
         for i in range(ell + 1):
             p = p * single_zero_factor(n - k, i, prec)
         for i in range(n - ell, n - k):
             p = p * single_zero_factor(n - k, i, prec)
-        one = UniPoly([1], FLOAT, prec)
+        one = UniPoly([1], p.prec)
         for i in range(n - k + 1, n + 1):
             f = single_zero_factor(i, n - k, prec)
             p = p * (one - f * f)
-    err = certify(max_error(p, enumerate(spec.values)), FLOAT, prec)
+    err = certify(max_error(p, enumerate(spec.values)), p.prec)
     structural = set(range(ell + 1)) | set(range(n - ell, n + 1))
     return SymApprox(spec, p, p.degree, err, "zeroed-chebyshev", structural)
 
@@ -183,12 +180,10 @@ def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
             break
         ell += 1
     if 2 * ell + 2 > n:
-        p = lagrange_interpolate(list(range(n + 1)), spec.values)
-        return SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
-                         set(range(n + 1)))
+        return SymApprox.interpolant(spec)
     lam = spec.values[ell + 1]
     slice_eps = eps / (2 * ell + 2)
-    total = UniPoly([lam], FLOAT, prec)
+    total = UniPoly([lam], prec)
     for i in range(ell + 1):
         hi = spec.values[n - i] - lam
         lo = spec.values[i] - lam
@@ -200,7 +195,7 @@ def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
         if lo != 0:
             total = total + q.compose_affine(-1, n).scale(lo)
 
-    err = certify(max_error(total, enumerate(spec.values)), FLOAT, prec)
+    err = certify(max_error(total, enumerate(spec.values)), total.prec)
     return SymApprox(spec, total, total.degree, err, "boundary-decomposition", set())
 
 
@@ -212,10 +207,8 @@ def sampling_approx(spec, eps):
     n = spec.n
     k = max((w for w in range(n + 1) if spec.values[w] != 0), default=-1)
     if k <= 0 or 4 * k >= n:
-        p = lagrange_interpolate(list(range(n + 1)), spec.values)
-        pi = sum(abs(spec.values[w]) * math.comb(n, w) for w in range(k + 1))
-        return SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
-                         set(range(n + 1)), pi_norm_bound=pi)
+        return replace(SymApprox.interpolant(spec), pi_norm_bound=sum(
+            abs(spec.values[w]) * math.comb(n, w) for w in range(k + 1)))
     E = n // (2 * k)
     t = [1 - (1 - Fraction(i, n)) ** E for i in range(n + 1)]
     d = 5 * math.ceil(8 * k + math.log(1 / float(eps)))
@@ -290,15 +283,15 @@ def restricted_disjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
                                 counts)
     pol = and_or_approx(2 * n, d, "or", prec).poly
     err = certify(max_error(pol, ((s, int(s != 0)) for s in counts)),
-                  pol.backend, prec)
+                  pol.prec)
     return LinearFormApprox(nvars, n, A, B, pol, pol.degree, err, counts)
 
 
 def restricted_conjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
     """AND of the same literal set, via 1 - OR of the negated literals."""
     disj = restricted_disjunction_approx(nvars, n, B, A, d, prec)
-    pol = UniPoly([1], disj.poly.backend, prec) - disj.poly
+    pol = UniPoly([1], disj.poly.prec) - disj.poly
     err = certify(max_error(pol, ((s, int(s == 0)) for s in disj.achievable)),
-                  pol.backend, prec)
+                  pol.prec)
     return LinearFormApprox(nvars, n, frozenset(B), frozenset(A), pol,
                             disj.degree, err, disj.achievable)

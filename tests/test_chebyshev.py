@@ -22,7 +22,7 @@ def test_known_coefficients():
        st.sampled_from([24, 53, 256, 512]))
 @settings(max_examples=40, deadline=None)
 def test_float_cheb_poly_rounds_the_exact_coefficients_once(d, prec):
-    got = cheb_poly(d, "float", prec).coeffs
+    got = cheb_poly(d, prec).coeffs
     assert [c._mpf_ for c in got] == \
         [c._mpf_ for c in cheb_poly(d).to_float(prec).coeffs]
 
@@ -56,7 +56,7 @@ def test_closed_form_matches_recurrence_outside_unit_interval():
 def test_roots_and_extrema():
     # exact values of the 128-bit polynomial at the 128-bit nodes
     d = 9
-    p = cheb_poly(d, backend="float", prec=128)
+    p = cheb_poly(d, prec=128)
     tol = Fraction(1, 2 ** 110)
     for r in cheb_roots(d, 128):
         assert abs(p.eval(exact_value(r))) < tol

@@ -116,6 +116,41 @@ def test_verify_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _wrap_q_in_a_product(doc):
+    doc["q"] = {"kind": "prod", "parts": [doc["q"]]}
+
+
+def _drop_two_values(doc):
+    del doc["values"][-2:]
+
+
+def _unknown_backend(doc):
+    doc["backend"] = "decimal"
+
+
+def _rational_coefficient_in_a_float_poly(doc):
+    doc["coeffs"][0] = "1/3"
+
+
+@pytest.mark.parametrize("argv, tamper", [
+    (["--target", "surjectivity", "--n", "8", "--r", "2"],
+     _wrap_q_in_a_product),
+    (["--target", "and", "--n", "8"], _drop_two_values),
+    (["--target", "and", "--n", "8"], _unknown_backend),
+    (["--target", "and", "--n", "8"], _rational_coefficient_in_a_float_poly),
+])
+def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
+                                                         tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert run(["construct"] + argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    tamper(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def _one_step_below(s, prec):
     """The prec-bit dyadic just below the serialized positive mpf s."""
     man, exp = s[2:].split("p")

@@ -1,4 +1,5 @@
-"""Every name a polyapprox module imports is read in that module.
+"""Every name a polyapprox module imports is read in that module, and only
+numcore knows the scalar backends.
 
 No linter ships with the package, so this ast scan stands in for an
 unused-import check: an import left behind by a deletion fails here.
@@ -45,6 +46,21 @@ def test_every_imported_name_is_read(path):
                     if name not in read)
     assert not unused, "%s imports names it never reads: %s" % (
         path.name, ", ".join(unused))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numcore"],
+                         ids=lambda p: p.stem)
+def test_only_numcore_names_a_backend(path):
+    # A polynomial is exact (prec None) or a float at prec bits; the backend
+    # name is derived from prec inside numcore, so no caller picks or reads it.
+    tree = ast.parse(path.read_text(), str(path))
+    named = sorted(
+        "%s (line %d)" % (alias.name, node.lineno)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in ("RATIONAL", "FLOAT"))
+    named += sorted("backend (line %d)" % node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "backend")
+    assert not named, "%s names a backend: %s" % (path.name, ", ".join(named))
 
 
 def test_the_scan_sees_an_unused_import():

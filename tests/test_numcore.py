@@ -8,6 +8,7 @@ from mpmath import mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polyapprox import numcore
 from polyapprox.numcore import (BackendMismatchError, SplitMix64, SBinomTail,
                                 SComp, SPow, SProd, StructPoly, UniPoly,
                                 as_fraction, exact_value, lagrange_interpolate,
@@ -51,10 +52,10 @@ def test_mpf_hex_not_rerounded_at_global_precision():
 
 def test_scalar_json_round_trip():
     s = scalar_to_json(Fraction(-5, 9))
-    assert scalar_from_json(s, "rational") == Fraction(-5, 9)
+    assert scalar_from_json(s) == Fraction(-5, 9)
     with mp.workprec(128):
         x = mpmath.mpf(7) / 11
-    assert scalar_from_json(scalar_to_json(x), "float") == x
+    assert scalar_from_json(scalar_to_json(x)) == x
 
 
 @given(st.lists(fracs, max_size=6), st.lists(fracs, max_size=6), fracs)
@@ -177,7 +178,7 @@ def _hex_value(s):
        st.sampled_from([24, 53, 128, 256]))
 @settings(max_examples=150, deadline=None)
 def test_float_exact_eval_matches_hex_parsed_fraction_sum(coeffs, t, prec):
-    p = UniPoly(coeffs, "float", prec)
+    p = UniPoly(coeffs, prec)
     ref = [_hex_value(c) for c in p.to_json()["coeffs"]]
     want = sum((c * Fraction(t) ** i for i, c in enumerate(ref)), Fraction(0))
     assert p.eval(t) == want
@@ -287,7 +288,7 @@ def test_max_error_dense_path_matches_the_fraction_reference(coeffs, pairs,
                                                               prec):
     # The dense path compares integer numerators over their denominators;
     # the reference builds one Fraction per point.
-    p = UniPoly(coeffs) if prec is None else UniPoly(coeffs, "float", prec)
+    p = UniPoly(coeffs, prec)
     want = max((abs(p.eval(t) - f) for t, f in pairs), default=Fraction(0))
     got = max_error(p, pairs)
     assert type(got) is Fraction and got == want
@@ -298,17 +299,33 @@ def test_float_precision_below_one_bit_is_rejected(prec):
     # At 0 bits the result depended on the inputs' denominators, and at
     # -3 bits libmp never returned.
     with pytest.raises(ValueError, match="at least 1 bit"):
-        UniPoly([Fraction(1, 3), 5], "float", prec)
+        UniPoly([Fraction(1, 3), 5], prec)
     with pytest.raises(ValueError, match="at least 1 bit"):
         UniPoly([Fraction(1, 3)]).to_float(prec)
-    doc = UniPoly([Fraction(1, 3), 5], "float", 24).to_json()
+    doc = UniPoly([Fraction(1, 3), 5], 24).to_json()
     doc["precision_bits"] = prec
     with pytest.raises(ValueError, match="at least 1 bit"):
         UniPoly.from_json(doc)
 
 
+@pytest.mark.parametrize("make", [
+    lambda *a: UniPoly([Fraction(1, 3), 5], *a), UniPoly.zero,
+    lambda *a: UniPoly.constant(3, *a), lambda *a: UniPoly.from_roots([2], *a)])
+@pytest.mark.parametrize("stale", [("float", 128), ("float",), ("rational",)])
+def test_a_backend_name_in_place_of_a_precision_is_a_type_error(make, stale,
+                                                                monkeypatch):
+    # The precision is the only scalar argument: None is exact, an int is a
+    # float at that many bits.  A stale call fails before any coefficient is
+    # reduced.
+    reduced = []
+    monkeypatch.setattr(numcore, "_lowest", lambda *a: reduced.append(a))
+    with pytest.raises(TypeError):
+        make(*stale)
+    assert not reduced
+
+
 def test_one_bit_float_precision_still_builds():
-    p = UniPoly([Fraction(1, 3), 5], "float", 1)
+    p = UniPoly([Fraction(1, 3), 5], 1)
     assert [exact_value(c) for c in p.coeffs] == [Fraction(1, 4), 4]
 
 
@@ -338,7 +355,7 @@ def test_unipoly_derivative_and_norm():
 
 def test_backend_mismatch_raises():
     p = UniPoly([1, 2])
-    q = UniPoly([1.0, 2.0], backend="float")
+    q = UniPoly([1.0, 2.0], 256)
     with pytest.raises(BackendMismatchError):
         p + q
     with pytest.raises(BackendMismatchError):
@@ -466,7 +483,7 @@ def test_poly_json_round_trip_every_struct_kind():
 def test_dense_child_enclosure_is_exact_at_its_precision():
     # A float polynomial built at 64 bits must not hand its measure a 64-bit
     # value: the value at 1/3 is exactly 1/3, alone and as a node's child.
-    p = UniPoly([0, 1], "float", 64)
+    p = UniPoly([0, 1], 64)
     assert p.eval(Fraction(1, 3)) == Fraction(1, 3)
     assert p.enclose(Fraction(1, 3)) == (Fraction(1, 3), 0)
     assert SComp(p, UniPoly([0, 1])).enclose(Fraction(1, 3)) == \
@@ -501,9 +518,9 @@ def test_min_degree_matches_linear_scan(hi, threshold):
 def test_float_neg_and_derivative_keep_the_working_precision():
     # Outside any workprec block the ambient precision is 53 bits; negating
     # or differentiating a 512-bit polynomial must still round at 512.
-    p = UniPoly([1, Fraction(1, 3), Fraction(1, 3)], "float", 512)
+    p = UniPoly([1, Fraction(1, 3), Fraction(1, 3)], 512)
     assert (-p).coeffs[1]._mpf_ == to_mpf(Fraction(-1, 3), 512)._mpf_
-    assert (UniPoly([1], "float", 512) - p).coeffs[2]._mpf_ == \
+    assert (UniPoly([1], 512) - p).coeffs[2]._mpf_ == \
         to_mpf(Fraction(-1, 3), 512)._mpf_
     assert p.derivative().coeffs[1]._mpf_ == to_mpf(Fraction(2, 3), 512)._mpf_
 
@@ -512,7 +529,7 @@ def test_float_from_roots_keeps_the_working_precision():
     # A 512-bit root negated at the ambient 53 bits would keep 53 of them.
     assert mp.prec == 53
     r = to_mpf(Fraction(1, 3), 512)
-    p = UniPoly.from_roots([r, r], "float", 512)
+    p = UniPoly.from_roots([r, r], 512)
     v = exact_value(r)
     assert _values(p) == [_nearest(v * v, 512), -2 * v, 1]
 
@@ -611,7 +628,7 @@ SPREAD = [Fraction(3, 2 ** 450), 0, -(2 ** 455 + 1), Fraction(-5, 2 ** 480)]
 @settings(max_examples=80, deadline=None)
 def test_float_arithmetic_is_the_exact_result_rounded_once(pair, c, a, b):
     prec, xs, ys = pair
-    p, q = UniPoly(xs, "float", prec), UniPoly(ys, "float", prec)
+    p, q = UniPoly(xs, prec), UniPoly(ys, prec)
     ep, eq = _values(p), _values(q)
     assert _values(p * q) == [_nearest(v, prec) for v in _mul_ref(ep, eq)]
     assert _values(p.scale(c)) == ([_nearest(c * v, prec) for v in ep]
@@ -628,7 +645,7 @@ def test_float_arithmetic_is_the_exact_result_rounded_once(pair, c, a, b):
 @settings(max_examples=40, deadline=None)
 def test_float_arithmetic_ignores_the_ambient_precision(pair, a, b):
     prec, xs, ys = pair
-    p, q = UniPoly(xs, "float", prec), UniPoly(ys, "float", prec)
+    p, q = UniPoly(xs, prec), UniPoly(ys, prec)
 
     def results():
         return [[c._mpf_ for c in r.coeffs]
@@ -668,8 +685,7 @@ backends = st.one_of(st.just(("rational", None)),
 @settings(max_examples=80, deadline=None)
 def test_every_result_is_in_lowest_terms(backend, xs, ys, c, a, b, k):
     kind, prec = backend
-    p = UniPoly(xs, kind, prec) if prec else UniPoly(xs)
-    q = UniPoly(ys, kind, prec) if prec else UniPoly(ys)
+    p, q = UniPoly(xs, prec), UniPoly(ys, prec)
     results = {
         "p": p, "q": q, "p + q": p + q, "q + p": q + p, "p - q": p - q,
         "-p": -p, "p - p": p - p, "p * q": p * q, "scale": p.scale(c),
