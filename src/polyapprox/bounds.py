@@ -7,27 +7,14 @@ means log2(1/eps).  Every closed form is clamped above by n, the trivial
 interpolation degree.
 """
 
-from dataclasses import dataclass
+from itertools import product
 import math
 
-
-@dataclass
-class BoundConstants:
-    """Leading constants.  c_sel seeds everything: it is the measured
-    toy-scale selector/extension constant; the derived constants follow the
-    recurrence-solving relations."""
-    c_sel: float = 4.0
-
-    @property
-    def c_kdnf(self):
-        return 2 * (self.c_sel + 1) ** 2
-
-    @property
-    def c_ed(self):
-        return (4 * self.c_sel) ** 2
-
-
-DEFAULTS = BoundConstants()
+# The measured toy-scale selector/extension constant.  It seeds every other
+# leading constant through the recurrence-solving relations
+# c_kdnf = 2 (C_SEL + 1)^2 and c_ed = (4 C_SEL)^2, derived when a bound is
+# evaluated.
+C_SEL = 4.0
 
 
 def entropy_binom_check(n, k):
@@ -40,16 +27,16 @@ def entropy_binom_check(n, k):
 # Closed forms.
 
 
-def symmetric_closed(n, k, delta, consts=DEFAULTS):
+def symmetric_closed(n, k, delta):
     """Symmetric functions constant between weights k and n-k."""
-    return min(n, consts.c_sel * (math.sqrt(n * max(k, 0))
-                                  + math.sqrt(n * max(delta, 0))))
+    return min(n, C_SEL * (math.sqrt(n * max(k, 0))
+                           + math.sqrt(n * max(delta, 0))))
 
 
-def kdnf_closed(n, k, delta, consts=DEFAULTS):
+def kdnf_closed(n, k, delta):
     if k == 0:
         return 0.0
-    c = consts.c_kdnf
+    c = 2 * (C_SEL + 1) ** 2
     return min(n, c * math.sqrt(2) ** k * n ** (k / (k + 1))
                * delta ** (1 / (k + 1)))
 
@@ -58,19 +45,19 @@ def _ed_exponent(k):
     return 1 / (4 * (1 - 2.0 ** (-k)))
 
 
-def ed_closed(n, k, delta, consts=DEFAULTS):
+def ed_closed(n, k, delta):
     """Unbounded-range k-element distinctness."""
     if k == 1:
-        return min(n, consts.c_sel * math.sqrt(n * delta))
+        return min(n, C_SEL * math.sqrt(n * delta))
     a = _ed_exponent(k)
-    return min(n, consts.c_ed ** k * math.sqrt(math.factorial(k))
+    return min(n, ((4 * C_SEL) ** 2) ** k * math.sqrt(math.factorial(k))
                * n ** (1 - a) * delta ** a)
 
 
-def ed_range_closed(n, r, k, delta, consts=DEFAULTS):
+def ed_range_closed(n, r, k, delta):
     """Range [r]; reduces to ed_closed when kr >= n."""
     a = _ed_exponent(k)
-    return min(n, consts.c_ed ** k * math.sqrt(math.factorial(k))
+    return min(n, ((4 * C_SEL) ** 2) ** k * math.sqrt(math.factorial(k))
                * (math.sqrt(n) * min(n, k * r) ** (0.5 - a) * delta ** a
                   + math.sqrt(n * delta)))
 
@@ -94,12 +81,12 @@ def _b_grid(n, extra):
     return sorted(pts)
 
 
-def kdnf_step(n, k, delta, inner, consts=DEFAULTS):
+def kdnf_step(n, k, delta, inner):
     """min over b of C sqrt(n b Delta) + inner(n, k-1, Delta + C sqrt(n Delta / b)),
     clamped at n.  inner(n, k, delta) is the bound used for (k-1)-DNFs."""
     if k == 0:
         return 0.0
-    C = consts.c_sel
+    C = C_SEL
     b_opt = (C + 1) ** 2 * 2 ** k * (n / max(delta, 1e-9)) ** (1 - 2 / (k + 1))
     best = float(n)
     for b in _b_grid(n, [b_opt]):
@@ -109,19 +96,18 @@ def kdnf_step(n, k, delta, inner, consts=DEFAULTS):
     return best
 
 
-def ed_small_range_step(n, r, k, delta, inner, consts=DEFAULTS):
+def ed_small_range_step(n, r, k, delta, inner):
     """C sqrt(1 + n/(kr)) * (inner(2kr, r, k, Delta+1) + Delta)."""
-    C = consts.c_sel
-    return min(n, C * math.sqrt(1 + n / (k * r))
+    return min(n, C_SEL * math.sqrt(1 + n / (k * r))
                * (inner(2 * k * r, r, k, delta + 1) + delta))
 
 
-def ed_large_range_step(n, k, delta, inner, consts=DEFAULTS):
+def ed_large_range_step(n, k, delta, inner):
     """min over b of the two-stage split: solve b columns directly, recurse
     on the ~ C k sqrt(n b Delta) cells that survive."""
+    C = C_SEL
     if k == 1:
-        return min(n, consts.c_sel * math.sqrt(n * delta))
-    C = consts.c_sel
+        return min(n, C * math.sqrt(n * delta))
     best = float(n)
     for b in _b_grid(n, []):
         m = math.floor(C * k * math.sqrt(n * b * delta))
@@ -138,53 +124,43 @@ def ed_large_range_step(n, k, delta, inner, consts=DEFAULTS):
 # with the (k-1)-closed form plugged in as inner.
 
 
-def kdnf_sweep(grid=None, consts=DEFAULTS):
-    grid = grid or [(n, k, d) for n in (64, 256, 1024, 4096, 16384)
-                    for k in (1, 2, 3, 4) for d in (1, 4, 16, 64)]
+def kdnf_sweep():
     violations = []
-    for n, k, d in grid:
-        closed = kdnf_closed(n, k, d, consts)
-        step = kdnf_step(n, k, d,
-                         lambda nn, kk, dd: kdnf_closed(nn, kk, dd, consts),
-                         consts)
+    for n, k, d in product((64, 256, 1024, 4096, 16384), (1, 2, 3, 4),
+                           (1, 4, 16, 64)):
+        closed = kdnf_closed(n, k, d)
+        step = kdnf_step(n, k, d, kdnf_closed)
         if closed < step * (1 - 1e-12):
             violations.append((n, k, d, closed, step))
     return violations
 
 
-def ed_sweep(grid=None, consts=DEFAULTS):
-    grid = grid or [(n, k, d) for n in (256, 1024, 4096, 16384)
-                    for k in (2, 3, 4) for d in (1, 4, 16)]
+def ed_sweep():
     violations = []
-    for n, k, d in grid:
-        closed = ed_closed(n, k, d, consts)
-        step = ed_large_range_step(n, k, d,
-                                   lambda nn, kk, dd: ed_closed(max(nn, 1), kk, dd, consts),
-                                   consts)
+    for n, k, d in product((256, 1024, 4096, 16384), (2, 3, 4), (1, 4, 16)):
+        closed = ed_closed(n, k, d)
+        step = ed_large_range_step(
+            n, k, d, lambda nn, kk, dd: ed_closed(max(nn, 1), kk, dd))
         if closed < step * (1 - 1e-12):
             violations.append((n, k, d, closed, step))
     return violations
 
 
-def ed_range_sweep(grid=None, consts=DEFAULTS):
-    grid = grid or [(n, r, k, d) for n in (1024, 4096) for r in (8, 32, 128)
-                    for k in (2, 3) for d in (1, 4, 16) if 2 * k * r <= n]
+def ed_range_sweep():
     violations = []
-    for n, r, k, d in grid:
-        closed = ed_range_closed(n, r, k, d, consts)
-        step = ed_small_range_step(n, r, k, d,
-                                   lambda nn, rr, kk, dd:
-                                   ed_closed(nn, kk, dd, consts),
-                                   consts)
+    for n, r, k, d in product((1024, 4096), (8, 32, 128), (2, 3), (1, 4, 16)):
+        if 2 * k * r > n:
+            continue
+        closed = ed_range_closed(n, r, k, d)
+        step = ed_small_range_step(
+            n, r, k, d, lambda nn, rr, kk, dd: ed_closed(nn, kk, dd))
         if closed < step * (1 - 1e-12):
             violations.append((n, r, k, d, closed, step))
     return violations
 
 
-def consistency_sweep(consts=DEFAULTS):
+def consistency_sweep():
     """All families; returns the violation list (empty on success)."""
-    out = []
-    out += [("kdnf",) + v for v in kdnf_sweep(consts=consts)]
-    out += [("ed",) + v for v in ed_sweep(consts=consts)]
-    out += [("ed-range",) + v for v in ed_range_sweep(consts=consts)]
-    return out
+    return ([("kdnf",) + v for v in kdnf_sweep()]
+            + [("ed",) + v for v in ed_sweep()]
+            + [("ed-range",) + v for v in ed_range_sweep()])

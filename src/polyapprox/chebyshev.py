@@ -64,11 +64,11 @@ def cheb_factored(d, prec=DEFAULT_PREC):
     return p.scale(Fraction(2) ** (d - 1))
 
 
-def growth_lower_bounds(d, delta, prec=DEFAULT_PREC):
+def growth_lower_bounds(d, delta):
     """Lower bounds on T_d(1 + delta) for delta in [0, 1]:
-    returns (1 + d^2 delta, 2^(d sqrt(delta) - 1))."""
-    with mp.workprec(prec):
-        dd = to_mpf(delta, prec)
+    returns (1 + d^2 delta, 2^(d sqrt(delta) - 1)) at DEFAULT_PREC bits."""
+    with mp.workprec(DEFAULT_PREC):
+        dd = to_mpf(delta, DEFAULT_PREC)
         return (1 + d * d * dd, mpmath.mpf(2) ** (d * mpmath.sqrt(dd) - 1))
 
 

@@ -89,18 +89,25 @@ def _random_low_support(n, k, seed):
 def cmd_verify(args):
     with open(args.artifact) as fh:
         doc = json.load(fh)
-    if "terms" in doc:
-        worst = BlockSymApprox.from_json(doc).max_error()
-    elif doc.get("target") == "spectrum":
-        spec = SymSpec(doc["n"], [_parse_fraction(v) for v in doc["values"]])
-        worst = max_error(poly_from_json(doc), enumerate(spec.values))
-    else:
-        print("unrecognized artifact", file=sys.stderr)
-        return 2
-    if "certified_eps_exact" in doc:
-        claimed = exact_value(scalar_from_json(doc["certified_eps_exact"]))
-    else:
-        claimed = Fraction(doc["certified_eps"])   # the float's exact value
+    if not isinstance(doc, dict):
+        raise ValueError("artifact is not a JSON object")
+    try:
+        if "terms" in doc:
+            worst = BlockSymApprox.from_json(doc).max_error()
+        elif doc.get("target") == "spectrum":
+            spec = SymSpec(doc["n"],
+                           [_parse_fraction(v) for v in doc["values"]])
+            worst = max_error(poly_from_json(doc), enumerate(spec.values))
+        else:
+            print("unrecognized artifact", file=sys.stderr)
+            return 2
+        if "certified_eps_exact" in doc:
+            claimed = exact_value(scalar_from_json(doc["certified_eps_exact"]))
+        else:
+            claimed = Fraction(doc["certified_eps"])   # the float's exact value
+    except TypeError as exc:
+        # well-formed JSON with a field of the wrong type
+        raise ValueError("artifact field of the wrong type: %s" % exc) from exc
     if worst > claimed:
         print("FAIL: certified error claim does not hold")
         return 3
@@ -117,23 +124,21 @@ def cmd_oracle(args):
 
 
 def cmd_bounds(args):
-    consts = bounds_mod.BoundConstants(args.c_sel)
     if args.sweep:
-        v = bounds_mod.consistency_sweep(consts)
+        v = bounds_mod.consistency_sweep()
         print("violations: %d" % len(v))
         for row in v:
             print(row)
         return 0 if not v else 3
     fam = args.family
     if fam == "symmetric":
-        val = bounds_mod.symmetric_closed(args.n, args.k, args.delta, consts)
+        val = bounds_mod.symmetric_closed(args.n, args.k, args.delta)
     elif fam == "kdnf":
-        val = bounds_mod.kdnf_closed(args.n, args.k, args.delta, consts)
+        val = bounds_mod.kdnf_closed(args.n, args.k, args.delta)
     elif fam == "ed":
-        val = bounds_mod.ed_closed(args.n, args.k, args.delta, consts)
+        val = bounds_mod.ed_closed(args.n, args.k, args.delta)
     elif fam == "ed-range":
-        val = bounds_mod.ed_range_closed(args.n, args.r, args.k, args.delta,
-                                         consts)
+        val = bounds_mod.ed_range_closed(args.n, args.r, args.k, args.delta)
     else:
         return 2
     print("%.6f" % val)
@@ -229,7 +234,6 @@ def make_parser():
     b.add_argument("--k", type=int, default=0)
     b.add_argument("--r", type=int, default=0)
     b.add_argument("--delta", type=float, default=1.0)
-    b.add_argument("--c-sel", type=float, default=4.0)
     b.add_argument("--sweep", action="store_true")
 
     t = sub.add_parser("table")

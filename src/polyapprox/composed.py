@@ -321,13 +321,13 @@ def _conjunction_poly(n, budget, prec):
     the number of columns, so n variables give the same polynomial."""
     entries = frozenset(range(n))
     best = min_degree(
-        lambda d: restricted_disjunction_approx(n, n, entries, frozenset(),
-                                                d, prec),
+        lambda d: restricted_disjunction_approx(n, entries, frozenset(), d,
+                                                prec),
         budget, 2 * n)
     return UniPoly([1], best.poly.prec) - best.poly
 
 
-def surj_outer_eval(n, r, eps, weights, prec=DEFAULT_PREC):
+def surj_outer_eval(r, eps, weights, prec=DEFAULT_PREC):
     """Unexpanded composition: outer polynomial applied to the number of
     nonempty columns.  Cross-validation target for the expanded form."""
     v = sum(1 for w in weights if w >= 1)
@@ -383,7 +383,7 @@ def _or_symmetric_coeffs(k, eps, prec):
     return _finite_differences(gv), a.degree
 
 
-def selector_compose(fs, M, N, n, b, eps, prec=DEFAULT_PREC):
+def selector_compose(fs, M, N, n, b, eps):
     """Composed approximant for OR_i (y_i and f_i(x)); fs are N boolean
     functions of M variables given as callables on 0/1 tuples.  Toy scale:
     everything is enumerated exactly."""
@@ -391,7 +391,7 @@ def selector_compose(fs, M, N, n, b, eps, prec=DEFAULT_PREC):
     if n % b or N < n:
         raise ValueError("need b | n and N >= n")
     k = n // b
-    a, d_out = _or_symmetric_coeffs(k, eps, prec)
+    a, d_out = _or_symmetric_coeffs(k, eps, DEFAULT_PREC)
 
     def f_union(S, x):
         return 1 if any(fs[i](x) for i in S) else 0

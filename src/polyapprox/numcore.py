@@ -670,9 +670,9 @@ class SplitMix64:
             if u < lim:
                 return a + u % span
 
-    def fraction(self, denom=2 ** 16):
-        """Uniform Fraction in [-1, 1] with the given denominator."""
-        return Fraction(self.randint(-denom, denom), denom)
+    def fraction(self):
+        """Uniform Fraction in [-1, 1] with denominator 2^16."""
+        return Fraction(self.randint(-2 ** 16, 2 ** 16), 2 ** 16)
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]

@@ -50,10 +50,7 @@ def minimax_lp(nodes, values, degree):
     ref = [order[j * (len(nodes) - 1) // (d + 1)] for j in range(d + 2)]
     last = None
     while True:
-        sol = _level([nodes[i] for i in ref], [values[i] for i in ref], d)
-        if sol is None:
-            raise ArithmeticError("singular levelled system")
-        p, h = sol
+        p, h = _level([nodes[i] for i in ref], [values[i] for i in ref], d)
         if last is not None and abs(h) <= last:
             raise ArithmeticError("exchange did not raise the levelled error")
         last = abs(h)
@@ -100,36 +97,23 @@ def minimax_reference(nodes, values, degree):
     order = sorted(range(len(nodes)), key=lambda i: nodes[i])
     best = Fraction(0)
     for sub in combinations(order, degree + 2):
-        sol = _level([nodes[i] for i in sub], [values[i] for i in sub], degree)
-        if sol is not None and abs(sol[1]) > best:
-            best = abs(sol[1])
+        _, h = _level([nodes[i] for i in sub], [values[i] for i in sub], degree)
+        best = max(best, abs(h))
     return best
 
 
 def _level(ts, fs, d):
-    """Solve p(t_j) + (-1)^j h = f_j exactly for a degree <= d polynomial p
-    and the level h.  Returns (p, h), or None when the system is singular."""
-    M = [[t ** i for i in range(d + 1)] + [Fraction((-1) ** j), f]
-         for j, (t, f) in enumerate(zip(ts, fs))]
-    sol = _gauss(M)
-    return None if sol is None else (UniPoly(sol[:-1]), sol[-1])
-
-
-def _gauss(M):
-    n = len(M)
-    M = [row[:] for row in M]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+    """The degree <= d polynomial p and level h with p(t_j) + (-1)^j h = f_j
+    on the d+2 increasing nodes ts, in closed form.  The (d+1)-th divided
+    difference sum_j w_j g(t_j), w_j = 1 / prod_{k != j} (t_j - t_k),
+    vanishes for g = p, so h = sum_j w_j f_j / sum_j (-1)^j w_j.  On
+    increasing nodes the w_j alternate in sign, so that sum is never 0."""
+    w = [1 / math.prod(t - u for u in ts if u != t) for t in ts]
+    h = (sum(wj * f for wj, f in zip(w, fs))
+         / sum(wj if j % 2 == 0 else -wj for j, wj in enumerate(w)))
+    p = lagrange_interpolate(ts[:d + 1], [f - (-1) ** j * h
+                                          for j, f in enumerate(fs[:d + 1])])
+    return p, h
 
 
 def eps_profile(nodes, values, max_degree):
@@ -170,14 +154,11 @@ class MultiPoly:
             self.terms[s] = c
 
 
-def multilinear_interpolant(nvars, f, max_weight=None):
-    """The unique multilinear polynomial agreeing with f on all 0/1 inputs of
-    weight <= max_weight (all inputs when max_weight is None).  Built by the
-    weight-ascending correction recursion."""
-    if max_weight is None:
-        max_weight = nvars
+def multilinear_interpolant(nvars, f):
+    """The unique multilinear polynomial agreeing with f on all 0/1 inputs.
+    Built by the weight-ascending correction recursion."""
     p = MultiPoly()
-    for w in range(max_weight + 1):
+    for w in range(nvars + 1):
         for sup in combinations(range(nvars), w):
             x = [0] * nvars
             for i in sup:

@@ -61,7 +61,6 @@ class SymApprox:
     certified_eps: object
     construction: str
     exact_on: set = field(default_factory=set)
-    pi_norm_bound: object = None
 
     @classmethod
     def interpolant(cls, spec):
@@ -201,14 +200,13 @@ def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
 
 def sampling_approx(spec, eps):
     """Low-support symmetric functions (zero above weight k) through the
-    sampled-node reparametrization; exact rational, with a conjunction-norm
-    ledger entry.  Exact at weights <= 2k and >= n-k."""
+    sampled-node reparametrization; exact rational, recording the coefficient
+    norm of its dense factor as pq_norm.  Exact at weights <= 2k and >= n-k."""
     eps = as_fraction(eps)
     n = spec.n
     k = max((w for w in range(n + 1) if spec.values[w] != 0), default=-1)
     if k <= 0 or 4 * k >= n:
-        return replace(SymApprox.interpolant(spec), pi_norm_bound=sum(
-            abs(spec.values[w]) * math.comb(n, w) for w in range(k + 1)))
+        return SymApprox.interpolant(spec)
     E = n // (2 * k)
     t = [1 - (1 - Fraction(i, n)) ** E for i in range(n + 1)]
     d = 5 * math.ceil(8 * k + math.log(1 / float(eps)))
@@ -223,15 +221,12 @@ def sampling_approx(spec, eps):
     err = max((abs(values_at[i] - spec.values[i]) for i in range(n + 1)),
               default=Fraction(0))
     exact = {i for i in range(n + 1) if values_at[i] == spec.values[i]}
-    norm = pq.norm()
-    pi_bound = norm * Fraction(2) ** pq.degree
     # poly in the weight w is pq composed with w -> 1 - (1 - w/n)^E; kept
     # factored, the dense composition has astronomically large coefficients
     inner = UniPoly([1]) - (UniPoly([1, Fraction(-1, n)]) ** E)
     poly = SComp(pq, inner)
-    ap = SymApprox(spec, poly, pq.degree * E, err, "sampled-nodes", exact,
-                   pi_norm_bound=pi_bound)
-    ap.pq_norm = norm
+    ap = SymApprox(spec, poly, pq.degree * E, err, "sampled-nodes", exact)
+    ap.pq_norm = pq.norm()
     return ap
 
 
@@ -239,7 +234,6 @@ def sampling_approx(spec, eps):
 class LinearFormApprox:
     """Approximant expressed as a univariate polynomial in the literal count
     s = sum_A x_i + sum_B (1 - x_i), valid on inputs of weight <= n."""
-    nvars: int
     n: int
     A: frozenset
     B: frozenset
@@ -251,15 +245,8 @@ class LinearFormApprox:
     def count(self, x):
         return sum(x[i] for i in self.A) + sum(1 - x[i] for i in self.B)
 
-    def to_json(self):
-        d = self.poly.to_json()
-        d.update({"nvars": self.nvars, "n": self.n, "A": sorted(self.A),
-                  "B": sorted(self.B), "degree": self.degree,
-                  "certified_eps": float(self.certified_eps)})
-        return d
 
-
-def achievable_counts(nvars, n, A, B):
+def achievable_counts(n, A, B):
     """Values of sum_A x + sum_B (1-x) over inputs of weight <= n."""
     A, B = frozenset(A), frozenset(B)
     if A & B:
@@ -272,26 +259,25 @@ def achievable_counts(nvars, n, A, B):
     return sorted(out)
 
 
-def restricted_disjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
+def restricted_disjunction_approx(n, A, B, d, prec=DEFAULT_PREC):
     """OR of the literals {x_i : i in A} and {not x_i : i in B} on the
     weight-<= n slice, as a polynomial in the literal count over {0..2n}."""
     A, B = frozenset(A), frozenset(B)
-    counts = achievable_counts(nvars, n, A, B)
+    counts = achievable_counts(n, A, B)
     if len(B) > n:
         # some negated literal is always satisfied
-        return LinearFormApprox(nvars, n, A, B, UniPoly([1]), 0, Fraction(0),
-                                counts)
+        return LinearFormApprox(n, A, B, UniPoly([1]), 0, Fraction(0), counts)
     pol = and_or_approx(2 * n, d, "or", prec).poly
     err = certify(max_error(pol, ((s, int(s != 0)) for s in counts)),
                   pol.prec)
-    return LinearFormApprox(nvars, n, A, B, pol, pol.degree, err, counts)
+    return LinearFormApprox(n, A, B, pol, pol.degree, err, counts)
 
 
-def restricted_conjunction_approx(nvars, n, A, B, d, prec=DEFAULT_PREC):
+def restricted_conjunction_approx(n, A, B, d):
     """AND of the same literal set, via 1 - OR of the negated literals."""
-    disj = restricted_disjunction_approx(nvars, n, B, A, d, prec)
+    disj = restricted_disjunction_approx(n, B, A, d)
     pol = UniPoly([1], disj.poly.prec) - disj.poly
     err = certify(max_error(pol, ((s, int(s == 0)) for s in disj.achievable)),
                   pol.prec)
-    return LinearFormApprox(nvars, n, frozenset(B), frozenset(A), pol,
-                            disj.degree, err, disj.achievable)
+    return LinearFormApprox(n, frozenset(B), frozenset(A), pol, disj.degree,
+                            err, disj.achievable)

@@ -16,8 +16,7 @@ import mpmath
 from mpmath import mp
 
 from polyapprox.blocks import interval_indicator
-from polyapprox.bounds import (BoundConstants, consistency_sweep, ed_closed,
-                               kdnf_closed)
+from polyapprox.bounds import C_SEL, consistency_sweep, ed_closed, kdnf_closed
 from polyapprox.chebyshev import cheb_eval
 from polyapprox.cli import main as cli_main
 from polyapprox.composed import (_weight_vectors, selector_compose, surj_value,
@@ -278,9 +277,8 @@ def test_criterion_10_bounds_consistency():
     t0 = time.time()
     ok = consistency_sweep() == []
     ok = ok and kdnf_closed(64, 0, 0.5) == 0
-    c = BoundConstants()
     for nn in (64, 256):
-        expect = min(nn, c.c_sel * math.sqrt(nn * 2))
+        expect = min(nn, C_SEL * math.sqrt(nn * 2))
         if abs(ed_closed(nn, 1, 2) - expect) > 1e-9:
             ok = False
     _report(10, "bounds-consistency-sweep", ok, t0)

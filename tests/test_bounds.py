@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from polyapprox.bounds import (BoundConstants, consistency_sweep, ed_closed,
+from polyapprox import bounds
+from polyapprox.bounds import (C_SEL, consistency_sweep, ed_closed,
                                ed_large_range_step, ed_range_closed,
                                ed_range_sweep, ed_small_range_step, ed_sweep,
                                entropy_binom_check, kdnf_closed, kdnf_step,
@@ -23,10 +24,9 @@ def test_kdnf_closed_form_base_cases():
 
 
 def test_ed_closed_k1_is_sqrt():
-    c = BoundConstants()
     for n in (64, 256, 1024):
         for delta in (1, 4):
-            expect = min(n, c.c_sel * math.sqrt(n * delta))
+            expect = min(n, C_SEL * math.sqrt(n * delta))
             assert ed_closed(n, 1, delta) == pytest.approx(expect, rel=1e-9)
 
 
@@ -47,20 +47,18 @@ def test_consistency_sweep_clean():
     assert consistency_sweep() == []
 
 
-def test_sweeps_do_flag_deficient_constants():
-    weak = BoundConstants(c_sel=0.01)
-    assert kdnf_sweep(consts=weak) or ed_sweep(consts=weak) or \
-        ed_range_sweep(consts=weak)
+def test_sweeps_do_flag_deficient_constants(monkeypatch):
+    monkeypatch.setattr(bounds, "C_SEL", 0.01)
+    assert kdnf_sweep() or ed_sweep() or ed_range_sweep()
 
 
 def test_step_functions_monotone_in_inner():
-    c = BoundConstants()
-    a = kdnf_step(64, 2, 0.5, lambda *args: 1.0, c)
-    b = kdnf_step(64, 2, 0.5, lambda *args: 2.0, c)
+    a = kdnf_step(64, 2, 0.5, lambda *args: 1.0)
+    b = kdnf_step(64, 2, 0.5, lambda *args: 2.0)
     assert a <= b
-    a = ed_small_range_step(64, 4, 2, 1, lambda *args: 1.0, c)
-    b = ed_small_range_step(64, 4, 2, 1, lambda *args: 2.0, c)
+    a = ed_small_range_step(64, 4, 2, 1, lambda *args: 1.0)
+    b = ed_small_range_step(64, 4, 2, 1, lambda *args: 2.0)
     assert a <= b
-    a = ed_large_range_step(64, 2, 1, lambda *args: 1.0, c)
-    b = ed_large_range_step(64, 2, 1, lambda *args: 2.0, c)
+    a = ed_large_range_step(64, 2, 1, lambda *args: 1.0)
+    b = ed_large_range_step(64, 2, 1, lambda *args: 2.0)
     assert a <= b

@@ -132,12 +132,51 @@ def _rational_coefficient_in_a_float_poly(doc):
     doc["coeffs"][0] = "1/3"
 
 
+def _string_n(doc):
+    doc["n"] = "8"
+
+
+def _numeric_values(doc):
+    doc["values"] = [0] * len(doc["values"])
+
+
+def _numeric_coefficient(doc):
+    doc["coeffs"][0] = 0
+
+
+def _string_precision(doc):
+    doc["precision_bits"] = "256"
+
+
+def _string_r(doc):
+    doc["r"] = "2"
+
+
+def _numeric_mu(doc):
+    doc["terms"][0]["mu"] = 0
+
+
+def _numeric_exact_claim(doc):
+    doc["certified_eps_exact"] = 0
+
+
+AND_8 = ["--target", "and", "--n", "8"]
+SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
+
+
 @pytest.mark.parametrize("argv, tamper", [
-    (["--target", "surjectivity", "--n", "8", "--r", "2"],
-     _wrap_q_in_a_product),
-    (["--target", "and", "--n", "8"], _drop_two_values),
-    (["--target", "and", "--n", "8"], _unknown_backend),
-    (["--target", "and", "--n", "8"], _rational_coefficient_in_a_float_poly),
+    (SURJ_8_2, _wrap_q_in_a_product),
+    (AND_8, _drop_two_values),
+    (AND_8, _unknown_backend),
+    (AND_8, _rational_coefficient_in_a_float_poly),
+    # well-formed JSON with a field of the wrong type
+    (AND_8, _string_n),
+    (AND_8, _numeric_values),
+    (AND_8, _numeric_coefficient),
+    (AND_8, _string_precision),
+    (SURJ_8_2, _string_r),
+    (SURJ_8_2, _numeric_mu),
+    (AND_8, _numeric_exact_claim),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -149,6 +188,15 @@ def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", "\"terms\""])
+def test_verify_rejects_an_artifact_that_is_not_an_object(text, tmp_path,
+                                                          capsys):
+    out = tmp_path / "l.json"
+    out.write_text(text)
+    assert run(["verify", str(out)]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
 
 
 def _one_step_below(s, prec):
@@ -261,6 +309,41 @@ def test_bounds_sweep_and_table(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("family,")
     assert len(lines) > 1
+
+
+# The printed bound for each family, and the sha256 of the table CSV.  The
+# last three shapes are large enough that c_kdnf and c_ed, both derived from
+# C_SEL, are not clamped at n.
+BOUNDS_PRINTED = [
+    (["symmetric", "--n", "1024", "--k", "3", "--r", "16", "--delta", "8"],
+     "583.741175"),
+    (["kdnf", "--n", "1024", "--k", "3", "--r", "16", "--delta", "8"],
+     "1024.000000"),
+    (["ed", "--n", "1024", "--k", "3", "--r", "16", "--delta", "8"],
+     "1024.000000"),
+    (["ed-range", "--n", "1024", "--k", "3", "--r", "16", "--delta", "8"],
+     "1024.000000"),
+    (["kdnf", "--n", str(10 ** 6), "--k", "1", "--delta", "1"],
+     "70710.678119"),
+    (["ed", "--n", str(10 ** 27), "--k", "3", "--delta", "1"],
+     "793432173136092569177948160.000000"),
+    (["ed-range", "--n", str(10 ** 17), "--r", "4", "--k", "3", "--delta",
+      "1"], "35129001752753664.000000"),
+]
+TABLE_SHA256 = \
+    "d9082da544c8a3aa2d9f610168f7f8f3bb99742f378c27adca871db1de432311"
+
+
+@pytest.mark.parametrize("argv, printed", BOUNDS_PRINTED)
+def test_bounds_prints_the_pinned_value(argv, printed, capsys):
+    assert run(["bounds", "--family"] + argv) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+def test_table_bytes_are_pinned(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run(["table", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_SHA256
 
 
 def test_selftest_passes(capsys):

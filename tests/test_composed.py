@@ -139,7 +139,7 @@ def test_surjectivity_outer_cross_validation():
         for j in range(r + 1):
             wv = tuple([1] * (r - j) + [0] * j)
             full = to_mpf(a.eval(wv), 256)
-            outer = to_mpf(surj_outer_eval(n, r, Fraction(1, 3), wv, 256), 256)
+            outer = to_mpf(surj_outer_eval(r, Fraction(1, 3), wv, 256), 256)
             assert abs(full - outer) <= \
                 to_mpf(a.certified_eps, 256) + mpmath.mpf(2) ** -60
 

@@ -1,8 +1,10 @@
-"""Every name a polyapprox module imports is read in that module, and only
-numcore knows the scalar backends.
+"""Every name a polyapprox module imports is read in that module, every
+parameter of its functions is read in the function's body, and only numcore
+knows the scalar backends.
 
-No linter ships with the package, so this ast scan stands in for an
-unused-import check: an import left behind by a deletion fails here.
+No linter ships with the package, so these ast scans stand in for
+unused-import and unused-argument checks: an import or a parameter left
+behind by a deletion fails here.
 """
 
 import ast
@@ -61,6 +63,51 @@ def test_only_numcore_names_a_backend(path):
     named += sorted("backend (line %d)" % node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == "backend")
     assert not named, "%s names a backend: %s" % (path.name, ", ".join(named))
+
+
+def _is_stub(fn):
+    """A body that only raises NotImplementedError, after its docstring."""
+    body = fn.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)):
+        body = body[1:]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in ast.unparse(body[0]))
+
+
+def _unread_parameters(tree):
+    """'name(param)' for every parameter of a def that its body never reads.
+    The cmd_* handlers share one dispatch signature and stubs read nothing,
+    so both are exempt; a lambda matches the callable it is passed as."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if fn.name.startswith("cmd_") or _is_stub(fn):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = set().union(*(_read(stmt) for stmt in fn.body))
+        out += ["%s(%s) (line %d)" % (fn.name, p, fn.lineno)
+                for p in params if p not in read]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    unread = _unread_parameters(ast.parse(path.read_text(), str(path)))
+    assert not unread, "%s has parameters no body reads: %s" % (
+        path.name, ", ".join(unread))
+
+
+def test_the_scan_sees_an_unread_parameter():
+    tree = ast.parse(
+        "def f(a, b, *rest, c=1):\n    return a + c\n"
+        "def cmd_x(args):\n    return 0\n"
+        "class S:\n    def g(self, t):\n        'stub'\n"
+        "        raise NotImplementedError(type(self))\n")
+    assert _unread_parameters(tree) == ["f(b) (line 1)", "f(rest) (line 1)"]
 
 
 def test_the_scan_sees_an_unused_import():

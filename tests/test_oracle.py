@@ -110,10 +110,22 @@ def test_exchange_raises_without_certificate(monkeypatch):
         monkeypatch.setattr(oracle, "_level", fake)
         with pytest.raises(ArithmeticError):
             minimax_lp(nodes, vals, 1)
-    monkeypatch.undo()
-    monkeypatch.setattr(oracle, "_gauss", lambda M: None)
-    with pytest.raises(ArithmeticError):
-        minimax_lp(nodes, vals, 1)
+
+
+def test_level_solves_its_defining_system():
+    # p(t_j) + (-1)^j h = f_j on d + 2 increasing rational nodes, deg p <= d
+    rng = SplitMix64(41)
+    for trial in range(60):
+        d = rng.randint(0, 5)
+        ts = set()
+        while len(ts) < d + 2:
+            ts.add(Fraction(rng.randint(-40, 40), rng.randint(1, 7)))
+        ts = sorted(ts)
+        fs = [rng.fraction() for _ in ts]
+        p, h = oracle._level(ts, fs, d)
+        assert p.degree <= d, trial
+        assert all(p.eval(t) + (-1) ** j * h == f
+                   for j, (t, f) in enumerate(zip(ts, fs))), trial
 
 
 def test_repeated_node_rejected():
