@@ -6,7 +6,8 @@ exactly; for a float target a higher --prec may meet it).
 
 verify recomputes the certified error from the artifact alone, with the
 same exact measure construct used, at the precisions the artifact records,
-and compares it with the claim with no slack.
+and compares it with the claim with no slack.  It also checks the claimed
+degree against the degree of the serialized polynomial.
 """
 
 import argparse
@@ -93,11 +94,13 @@ def cmd_verify(args):
         raise ValueError("artifact is not a JSON object")
     try:
         if "terms" in doc:
-            worst = BlockSymApprox.from_json(doc).max_error()
+            poly = BlockSymApprox.from_json(doc)
+            worst = poly.max_error()
         elif doc.get("target") == "spectrum":
             spec = SymSpec(doc["n"],
                            [_parse_fraction(v) for v in doc["values"]])
-            worst = max_error(poly_from_json(doc), enumerate(spec.values))
+            poly = poly_from_json(doc)
+            worst = max_error(poly, enumerate(spec.values))
         else:
             print("unrecognized artifact", file=sys.stderr)
             return 2
@@ -108,6 +111,10 @@ def cmd_verify(args):
     except TypeError as exc:
         # well-formed JSON with a field of the wrong type
         raise ValueError("artifact field of the wrong type: %s" % exc) from exc
+    if doc["degree"] != poly.degree:
+        print("FAIL: claimed degree %r, the polynomial has degree %d"
+              % (doc["degree"], poly.degree))
+        return 3
     if worst > claimed:
         print("FAIL: certified error claim does not hold")
         return 3
@@ -131,16 +138,20 @@ def cmd_bounds(args):
             print(row)
         return 0 if not v else 3
     fam = args.family
+    for flag in ("n", "r", "k", "delta"):
+        if not getattr(args, flag) >= 0:
+            raise ValueError("--%s must be nonnegative, got %s"
+                             % (flag, getattr(args, flag)))
+    if fam in ("ed", "ed-range") and args.k < 1:
+        raise ValueError("--family %s needs --k >= 1, got %d" % (fam, args.k))
     if fam == "symmetric":
         val = bounds_mod.symmetric_closed(args.n, args.k, args.delta)
     elif fam == "kdnf":
         val = bounds_mod.kdnf_closed(args.n, args.k, args.delta)
     elif fam == "ed":
         val = bounds_mod.ed_closed(args.n, args.k, args.delta)
-    elif fam == "ed-range":
-        val = bounds_mod.ed_range_closed(args.n, args.r, args.k, args.delta)
     else:
-        return 2
+        val = bounds_mod.ed_range_closed(args.n, args.r, args.k, args.delta)
     print("%.6f" % val)
     return 0
 
@@ -228,13 +239,14 @@ def make_parser():
     o.add_argument("--out", default=None)
 
     b = sub.add_parser("bounds")
-    b.add_argument("--family",
-                   choices=["symmetric", "kdnf", "ed", "ed-range"])
+    what = b.add_mutually_exclusive_group(required=True)
+    what.add_argument("--family",
+                      choices=["symmetric", "kdnf", "ed", "ed-range"])
+    what.add_argument("--sweep", action="store_true")
     b.add_argument("--n", type=int, default=0)
     b.add_argument("--k", type=int, default=0)
     b.add_argument("--r", type=int, default=0)
     b.add_argument("--delta", type=float, default=1.0)
-    b.add_argument("--sweep", action="store_true")
 
     t = sub.add_parser("table")
     t.add_argument("--out", default=None)

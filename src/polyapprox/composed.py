@@ -10,10 +10,10 @@ from itertools import combinations, permutations
 import math
 
 from .numcore import (DEFAULT_PREC, UniPoly, as_fraction, certify,
-                      exact_value, horner_ints, min_degree, scalar_from_json,
+                      exact_value, horner_ints, scalar_from_json,
                       scalar_to_json, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
-from .symmetric import and_or_min_degree, restricted_disjunction_approx
+from .symmetric import and_or_min_degree
 from .oracle import multilinear_interpolant
 
 
@@ -185,7 +185,13 @@ class BlockSymApprox:
     q: object                    # UniPoly, or None with only the constant left
     terms: list                  # (ell, mu); ell = 0 is the constant term
     certified_eps: object
-    degree: int
+
+    @property
+    def degree(self):
+        """q's degree, or 0 with only the constant term left."""
+        if self.q is None or all(ell == 0 for ell, _ in self.terms):
+            return 0
+        return self.q.degree
 
     @cached_property
     def _integer_form(self):
@@ -233,10 +239,11 @@ class BlockSymApprox:
 
     @classmethod
     def from_json(cls, doc):
-        """The artifact's polynomial; its certified error is left unread."""
+        """The artifact's polynomial; its certified error and degree are left
+        unread."""
         q = UniPoly.from_json(doc["q"]) if doc["q"] is not None else None
         terms = [(t["ell"], scalar_from_json(t["mu"])) for t in doc["terms"]]
-        return cls(doc["n"], doc["r"], q, terms, None, doc["degree"])
+        return cls(doc["n"], doc["r"], q, terms, None)
 
 
 def _weight_vectors(r, n, cap=math.inf):
@@ -265,8 +272,11 @@ def _outer_third(r):
     return p.scale(Fraction(1) / peak)
 
 
-def _outer_general(r, eps, prec):
-    """Damped AND-style outer polynomial with error <= eps/2 on {0..r-1}."""
+def _outer(r, eps, prec):
+    """Outer polynomial in the number of nonempty columns: the Chebyshev one
+    at eps 1/3, else the damped AND with error <= eps/2 on {0..r-1}."""
+    if eps == Fraction(1, 3):
+        return _outer_third(r)
     return and_or_min_degree(r, "and", eps / 2, prec).poly
 
 
@@ -281,14 +291,13 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     """Approximant for SURJ on an n x r grid restricted to weight <= n,
     expanded into per-column-subset emptiness terms."""
     eps = as_fraction(eps)
+    if n < 0:
+        raise ValueError("need n >= 0 rows, got %d" % n)
     if r < 1:
         raise ValueError("need r >= 1 columns, got %d" % r)
     if r > n:
-        return BlockSymApprox(n, r, None, [(0, Fraction(0))], Fraction(0), 0)
-    if eps == Fraction(1, 3):
-        outer = _outer_third(r)
-    else:
-        outer = _outer_general(r, eps, prec)
+        return BlockSymApprox(n, r, None, [(0, Fraction(0))], Fraction(0))
+    outer = _outer(r, eps, prec)
     h = [outer.eval(r - j) for j in range(r + 1)]
     outer_err = max(abs(h[j] - surj_value([1] * (r - j) + [0] * j))
                     for j in range(r + 1))
@@ -308,7 +317,7 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     live = [ell for ell in range(1, r + 1) if mu[ell] != 0]
     q = _conjunction_poly(n, budget, prec) if live else None
     terms = [(0, mu[0])] + [(ell, mu[ell]) for ell in live]
-    out = BlockSymApprox(n, r, q, terms, None, q.degree if live else 0)
+    out = BlockSymApprox(n, r, q, terms, None)
     exact = outer.prec is None and (q is None or q.prec is None)
     out.certified_eps = certify(out.max_error(), None if exact else prec)
     return out
@@ -318,22 +327,16 @@ def _conjunction_poly(n, budget, prec):
     """Smallest-degree emptiness indicator for any nonempty set of columns:
     q(w) with q(0) ~ 1, q(w >= 1) ~ 0, max error <= budget, w = ones in the
     columns.  On the weight-<= n slice w takes every value in 0..n whatever
-    the number of columns, so n variables give the same polynomial."""
-    entries = frozenset(range(n))
-    best = min_degree(
-        lambda d: restricted_disjunction_approx(n, entries, frozenset(), d,
-                                                prec),
-        budget, 2 * n)
-    return UniPoly([1], best.poly.prec) - best.poly
+    the number of columns, so it is 1 - OR on n weights."""
+    p = and_or_min_degree(n, "or", budget, prec).poly
+    return UniPoly([1], p.prec) - p
 
 
 def surj_outer_eval(r, eps, weights, prec=DEFAULT_PREC):
     """Unexpanded composition: outer polynomial applied to the number of
     nonempty columns.  Cross-validation target for the expanded form."""
     v = sum(1 for w in weights if w >= 1)
-    if eps == Fraction(1, 3):
-        return _outer_third(r).eval(v)
-    return _outer_general(r, eps, prec).eval(v)
+    return _outer(r, eps, prec).eval(v)
 
 
 # ---------------------------------------------------------------------------

@@ -581,6 +581,9 @@ def poly_from_json(d):
     if k == "prod":
         return SProd([poly_from_json(p) for p in d["parts"]])
     if k == "pow":
+        if type(d["k"]) is not int or d["k"] < 0:
+            raise ValueError("a pow node needs a nonnegative integer "
+                             "exponent, got %r" % (d["k"],))
         return SPow(poly_from_json(d["base"]), d["k"])
     if k == "comp":
         return SComp(poly_from_json(d["outer"]), poly_from_json(d["inner"]))

@@ -1,6 +1,6 @@
 """Approximants for symmetric boolean functions: AND/OR, single-weight
-indicators, general symmetric spectra, the sampled low-support construction,
-and weight-restricted disjunctions of literals.
+indicators, general symmetric spectra and the sampled low-support
+construction.
 
 Everything is certified by measurement: the reported error is the exact
 maximum deviation of the returned polynomial over the integer weights (for
@@ -228,56 +228,3 @@ def sampling_approx(spec, eps):
     ap = SymApprox(spec, poly, pq.degree * E, err, "sampled-nodes", exact)
     ap.pq_norm = pq.norm()
     return ap
-
-
-@dataclass
-class LinearFormApprox:
-    """Approximant expressed as a univariate polynomial in the literal count
-    s = sum_A x_i + sum_B (1 - x_i), valid on inputs of weight <= n."""
-    n: int
-    A: frozenset
-    B: frozenset
-    poly: object
-    degree: int
-    certified_eps: object
-    achievable: list
-
-    def count(self, x):
-        return sum(x[i] for i in self.A) + sum(1 - x[i] for i in self.B)
-
-
-def achievable_counts(n, A, B):
-    """Values of sum_A x + sum_B (1-x) over inputs of weight <= n."""
-    A, B = frozenset(A), frozenset(B)
-    if A & B:
-        raise ValueError("a variable cannot appear plain and negated")
-    out = set()
-    for a in range(min(len(A), n) + 1):
-        for zb in range(len(B) + 1):
-            if a + (len(B) - zb) <= n:
-                out.add(a + zb)
-    return sorted(out)
-
-
-def restricted_disjunction_approx(n, A, B, d, prec=DEFAULT_PREC):
-    """OR of the literals {x_i : i in A} and {not x_i : i in B} on the
-    weight-<= n slice, as a polynomial in the literal count over {0..2n}."""
-    A, B = frozenset(A), frozenset(B)
-    counts = achievable_counts(n, A, B)
-    if len(B) > n:
-        # some negated literal is always satisfied
-        return LinearFormApprox(n, A, B, UniPoly([1]), 0, Fraction(0), counts)
-    pol = and_or_approx(2 * n, d, "or", prec).poly
-    err = certify(max_error(pol, ((s, int(s != 0)) for s in counts)),
-                  pol.prec)
-    return LinearFormApprox(n, A, B, pol, pol.degree, err, counts)
-
-
-def restricted_conjunction_approx(n, A, B, d):
-    """AND of the same literal set, via 1 - OR of the negated literals."""
-    disj = restricted_disjunction_approx(n, B, A, d)
-    pol = UniPoly([1], disj.poly.prec) - disj.poly
-    err = certify(max_error(pol, ((s, int(s == 0)) for s in disj.achievable)),
-                  pol.prec)
-    return LinearFormApprox(n, frozenset(B), frozenset(A), pol, disj.degree,
-                            err, disj.achievable)

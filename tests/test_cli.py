@@ -160,6 +160,14 @@ def _numeric_exact_claim(doc):
     doc["certified_eps_exact"] = 0
 
 
+def _negative_power(doc):
+    # 1/(2 + w) is no polynomial, though its error is within the raised claim
+    doc.update({"kind": "pow", "k": -1, "certified_eps_exact": "1/1",
+                "base": {"kind": "dense", "poly": {"backend": "rational",
+                                                   "coeffs": ["2/1", "1/1"]}}})
+
+
+AND_4 = ["--target", "and", "--n", "4"]
 AND_8 = ["--target", "and", "--n", "8"]
 SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
 
@@ -177,6 +185,7 @@ SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
     (SURJ_8_2, _string_r),
     (SURJ_8_2, _numeric_mu),
     (AND_8, _numeric_exact_claim),
+    (AND_4, _negative_power),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -188,6 +197,20 @@ def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [AND_4, SURJ_8_2])
+def test_verify_rejects_a_wrong_degree_claim_with_exit_3(argv, tmp_path,
+                                                         capsys):
+    out = tmp_path / "d.json"
+    assert run(["construct"] + argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["degree"] > 0
+    doc["degree"] = 0
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    assert "claimed degree 0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", ["[1]", "null", "\"terms\""])
@@ -216,7 +239,7 @@ def _one_step_below(s, prec):
     ["construct", "--target", "exact", "--n", "20", "--k", "2", "--eps", "1/8"],
     ["construct", "--target", "small-support", "--n", "32", "--k", "2",
      "--eps", "1/8", "--seed", "9"],
-    ["construct", "--target", "surjectivity", "--n", "12", "--r", "2",
+    ["construct", "--target", "surjectivity", "--n", "24", "--r", "2",
      "--eps", "1/4"],
 ])
 def test_verify_has_no_slack(argv, tmp_path, capsys):
@@ -330,6 +353,7 @@ BOUNDS_PRINTED = [
     (["ed-range", "--n", str(10 ** 17), "--r", "4", "--k", "3", "--delta",
       "1"], "35129001752753664.000000"),
 ]
+
 TABLE_SHA256 = \
     "d9082da544c8a3aa2d9f610168f7f8f3bb99742f378c27adca871db1de432311"
 
@@ -338,6 +362,22 @@ TABLE_SHA256 = \
 def test_bounds_prints_the_pinned_value(argv, printed, capsys):
     assert run(["bounds", "--family"] + argv) == 0
     assert capsys.readouterr().out == printed + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "ed", "--n", "64", "--k", "0"], "needs --k >= 1"),
+    (["--family", "ed-range", "--n", "64", "--r", "4", "--k", "0"],
+     "needs --k >= 1"),
+    (["--family", "kdnf", "--n", "64", "--k", "2", "--delta", "-1"],
+     "--delta must be nonnegative"),
+    (["--family", "symmetric", "--n", "-1"], "--n must be nonnegative"),
+    (["--family", "ed-range", "--n", "64", "--r", "-1", "--k", "2"],
+     "--r must be nonnegative"),
+    ([], "one of the arguments --family --sweep is required"),
+])
+def test_bounds_rejects_bad_input_with_exit_2(argv, message, capsys):
+    assert run(["bounds"] + argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_table_bytes_are_pinned(tmp_path):
@@ -369,6 +409,7 @@ PREC_GOLDEN_SHAPES = [
     ["--target", "exact", "--n", "20", "--k", "2", "--eps", "1/16"],
     ["--target", "surjectivity", "--n", "10", "--r", "2", "--eps", "1/16"],
     ["--target", "surjectivity", "--n", "12", "--r", "2", "--eps", "1/4"],
+    ["--target", "surjectivity", "--n", "24", "--r", "2", "--eps", "1/4"],
 ]
 # The argv of every pinned artifact, by group.
 GOLDEN_ARGV = {
@@ -390,27 +431,31 @@ GOLDEN_ARGV = {
 # The float and prec groups were re-recorded again when float products,
 # scaling and affine composition began to round each coefficient once, from
 # the exact integer result; every degree and certified_eps float stayed.
+# Their surjectivity artifacts, and the surj group, were re-recorded when the
+# emptiness indicator q became the OR on the n + 1 column weights instead of
+# on 2n literal counts: each one's degree fell to at most n, and every other
+# artifact kept its bytes.
 GOLDEN_SHA256 = "ffa4b87474c86661ebd24d31c53fac6edcbca3ca9603d3e5504c0db9bae32186"
 FLOAT_GOLDEN_SHA256 = \
-    "d0da953d660072bed0d717314242e979d97c770ce65860241278f02da9e1ae1e"
+    "a4c51323697b78595d2cdfe54cf5df85ae09ac1c8ee76f280b8bb07f23661b75"
 SURJ_GOLDEN_SHA256 = \
-    "74fd51234101e6eeca7bc8146402b966f442a8913c9cf4f8e90ab44c35549b96"
-# The (12, 2) eps-1/4 surjectivity artifacts carry float conjunction
+    "8c8d9d86ab55a77cac95dfa9326de8934ff2c3d3cb4904e35cce4a6e799d446c"
+# The (24, 2) eps-1/4 surjectivity artifacts carry float conjunction
 # polynomials, q = 1 - OR, at the full working precision; these are the only
 # bytes here that depend on float UniPoly negation staying inside the
 # working precision (FLOAT_GOLDEN_SHA256 and the other shapes do not).
 PREC_GOLDEN_SHA256 = \
-    "6969da0485fff2de6920e2201b882ebd8df5b0413c5cbd5e0d293d0a1650364c"
+    "e6e79c6f501456c8dd82d633fa99cf6a8a6cbb1aca831059ccd2be5c8083f2bb"
 
 # sha256 of each group's _canonical() artifacts, recorded from the artifacts
 # written before the certificates became exact (when each surjectivity term
 # held its own copy of q); float and prec re-recorded with the once-rounded
-# float coefficients.
+# float coefficients, and float, prec and surj again with q on n weights.
 CANONICAL_SHA256 = {
     "exact": "d5e301964e269f142bf839e427bec6b6cd4fbcfcbb3a12cd3c06937f02e440f5",
-    "float": "5fd7ff03447a0e37efc77753185ce2ac31805a96c15a2336633a2ed91b1bf8ac",
-    "surj": "6364de696e7e7f68817e38bf8bd6b9885cfda5e8ad80b290d620dc418152ebc1",
-    "prec": "f76a9876a8a3d6b8b9b685b681aa78b68007ab963e2e398f5cb2164cc452c7ea",
+    "float": "a66564793ca1306bbff42b087cd54c27c5fa0b8ac0a755257b553f3c8138864e",
+    "surj": "c6ddd99af1e7a91a1effeb7b68eff86674720dda445674d8d4f8dbda8964c35d",
+    "prec": "d016cfb41e8ab35f2c083e582a1cea72d361376baa3d69184da1b9b99ccb2295",
 }
 
 
@@ -470,8 +515,8 @@ def test_construct_golden_artifact_bytes(golden):
 
 def test_construct_golden_float_artifact_bytes(golden):
     # Pins the artifact bytes of the float targets: the and/or degree search,
-    # the exact-weight and restricted-disjunction builds, and the
-    # surjectivity outer polynomial and conjunction search.
+    # the exact-weight build, and the surjectivity outer polynomial and
+    # conjunction search.
     assert _digest(golden("float")) == FLOAT_GOLDEN_SHA256
 
 

@@ -13,7 +13,7 @@ from polyapprox.composed import (PComp, PConj, PConst, PDisj, PProd, PScale,
                                  pi_expand, pi_norm_bound, selector_compose,
                                  surj_outer_eval, surj_value,
                                  surjectivity_approx)
-from polyapprox.numcore import SplitMix64, to_mpf
+from polyapprox.numcore import SplitMix64, exact_value, to_mpf
 from polyapprox.oracle import MultiPoly
 from polyapprox.symmetric import and_or_min_degree
 
@@ -111,6 +111,30 @@ def test_surjectivity_more_columns_than_rows_is_constant_zero():
 def test_surjectivity_general_epsilon_path():
     a = surjectivity_approx(12, 3, Fraction(1, 16))
     assert float(a.certified_eps) <= 1 / 16
+
+
+def test_surjectivity_rejects_negative_rows():
+    with pytest.raises(ValueError):
+        surjectivity_approx(-1, 1)
+
+
+@pytest.mark.parametrize("n,r,eps", [
+    (8, 2, Fraction(1, 3)), (12, 3, Fraction(1, 3)), (16, 4, Fraction(1, 3)),
+    (16, 6, Fraction(1, 3)), (8, 6, Fraction(1, 2)), (48, 6, Fraction(1, 3)),
+    (24, 2, Fraction(1, 4)), (12, 2, Fraction(1, 4)), (32, 4, Fraction(1, 3))])
+def test_surjectivity_degree_is_at_most_n(n, r, eps):
+    # The emptiness indicator q is the OR on the n + 1 weights a column can
+    # hold, so its exact interpolant has degree n and no search goes beyond.
+    a = surjectivity_approx(n, r, eps)
+    assert a.degree <= n
+    assert exact_value(a.certified_eps) <= eps
+    if (n, r) == (16, 4):
+        assert a.degree == 16
+    if (n, r) == (12, 2):
+        # the budget needs the exact interpolant: 1 - OR on 0..n at degree n
+        assert a.degree == n and a.certified_eps == 0
+    if (n, r) == (24, 2):
+        assert a.degree == 11 and a.q.prec is not None
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

@@ -1,10 +1,10 @@
 """Every name a polyapprox module imports is read in that module, every
-parameter of its functions is read in the function's body, and only numcore
-knows the scalar backends.
+parameter of its functions is read in the function's body, every top-level
+definition is used somewhere, and only numcore knows the scalar backends.
 
 No linter ships with the package, so these ast scans stand in for
-unused-import and unused-argument checks: an import or a parameter left
-behind by a deletion fails here.
+unused-import, unused-argument and unused-definition checks: an import, a
+parameter or a definition left behind by a deletion fails here.
 """
 
 import ast
@@ -14,6 +14,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "polyapprox"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported(tree):
@@ -114,3 +115,53 @@ def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import math\nfrom fractions import Fraction as F\n"
                      "x = F(1)\n")
     assert set(_imported(tree)) - _read(tree) == {"math"}
+
+
+def _referenced(node):
+    """Every name the subtree reads, binds by import or looks up as an
+    attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def _orphans(modules, others):
+    """'module.name' for every top-level def or class of the modules ({name:
+    tree}) that no other top-level statement of its module, and no other
+    tree, references.  main dispatches the cmd_* handlers through
+    globals(), so they are exempt."""
+    names = [_referenced(tree) for tree in list(modules.values()) + others]
+    out = []
+    for i, (mod, tree) in enumerate(modules.items()):
+        elsewhere = set().union(*(n for j, n in enumerate(names) if j != i))
+        stmts = [(stmt, _referenced(stmt)) for stmt in tree.body]
+        for stmt, _ in stmts:
+            if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    or stmt.name.startswith("cmd_")):
+                continue
+            used = elsewhere.union(*(n for s, n in stmts if s is not stmt))
+            if stmt.name not in used:
+                out.append("%s.%s (line %d)" % (mod, stmt.name, stmt.lineno))
+    return out
+
+
+def test_every_top_level_definition_is_used():
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
+    tests = [ast.parse(p.read_text(), str(p)) for p in TESTS]
+    orphans = _orphans(modules, tests)
+    assert not orphans, "defined but never used: %s" % ", ".join(orphans)
+
+
+def test_the_scan_sees_an_orphaned_definition():
+    mod = ast.parse("def f(n):\n    return f(n - 1)\n"
+                    "def g():\n    return 0\n"
+                    "def cmd_x(args):\n    return 0\n"
+                    "class C:\n    pass\n")
+    test = ast.parse("from m import g\n")
+    assert _orphans({"m": mod}, [test]) == ["m.f (line 1)", "m.C (line 7)"]

@@ -1,5 +1,4 @@
 import collections
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -9,12 +8,9 @@ import pytest
 from polyapprox import symmetric
 from polyapprox.numcore import (FLOAT, RATIONAL, SplitMix64, exact_value,
                                 poly_from_json, to_mpf)
-from polyapprox.symmetric import (SymSpec, achievable_counts, and_or_approx,
-                                  and_or_min_degree, exact_weight_approx,
-                                  restricted_conjunction_approx,
-                                  restricted_disjunction_approx,
-                                  sampling_approx, single_zero_factor,
-                                  symmetric_approx)
+from polyapprox.symmetric import (SymSpec, and_or_approx, and_or_min_degree,
+                                  exact_weight_approx, sampling_approx,
+                                  single_zero_factor, symmetric_approx)
 
 
 def _spec_and(n):
@@ -184,45 +180,11 @@ def test_sampling_passthrough_for_wide_support():
     assert a.certified_eps == 0
 
 
-def test_achievable_counts():
-    assert achievable_counts(2, {0, 1}, {2}) == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        achievable_counts(2, {0}, {0})
-
-
-@pytest.mark.parametrize("which", ["disjunction", "conjunction"])
-def test_restricted_linear_form_approx(which):
-    nvars, n = 5, 2
-    A, B = frozenset({0, 1}), frozenset({2})
-    d = 4
-    if which == "disjunction":
-        res = restricted_disjunction_approx(n, A, B, d)
-    else:
-        res = restricted_conjunction_approx(n, A, B, d)
-    eps = exact_value(res.certified_eps)
-    assert eps <= Fraction(1, 2)
-    for x in itertools.product((0, 1), repeat=nvars):
-        if sum(x) > n:
-            continue
-        sat = [x[i] for i in A] + [1 - x[i] for i in B]
-        truth = (1 if any(sat) else 0) if which == "disjunction" else \
-            (1 if all(sat) else 0)
-        s = res.count(x)
-        assert abs(res.poly.eval(s) - truth) <= eps, (x, which)
-
-
-def test_restricted_disjunction_exact_at_high_degree():
-    n = 2
-    res = restricted_disjunction_approx(n, {0, 1, 2}, set(), 2 * n)
-    assert res.certified_eps == 0
-
-
 FLOAT_BUILDS = {
     "and_or": lambda prec: and_or_approx(40, 39, "and", prec),
     "exact_weight": lambda prec: exact_weight_approx(20, 2, 2, Fraction(1, 8),
                                                      prec),
-    "restricted_disjunction": lambda prec: restricted_disjunction_approx(
-        20, frozenset(range(20)), frozenset(), 39, prec),
+    "or": lambda prec: and_or_approx(40, 39, "or", prec),
 }
 
 
