@@ -10,8 +10,9 @@ and a float result rounds once per coefficient.  A float construction
 builds its polynomial once and certifies it exactly: eval() is the exact
 value at a rational point.  Structured nodes, with UniPolys or nodes as
 children, evaluate only through enclose().  The one inexact node,
-SBinomTail, returns its mpf sum with a rigorous radius, and the other nodes
-carry (center, radius) through exactly.  max_error() takes the maximum over
+SBinomTail, returns its prec-bit sum (summed on integer mantissas with
+mpf's roundings) with a rigorous radius, and the other nodes carry
+(center, radius) through exactly.  max_error() takes the maximum over
 the measured points, for a UniPoly over integer numerators reduced once,
 and certify() rounds a float construction's maximum up to its precision.
 """
@@ -430,13 +431,18 @@ class SProd(StructPoly):
         self.backend = _backend_of(*parts)
 
     def enclose(self, t, rad=0):
-        # |prod (c_i + e_i) - prod c_i| <= prod (|c_i| + r_i) - prod |c_i|
-        center, bound = Fraction(1), Fraction(1)
+        # |prod (c_i + e_i) - prod c_i| <= prod (|c_i| + r_i) - prod |c_i|,
+        # carried factor by factor: with C and R the product and radius so
+        # far, R' = (R + |C|) (|c| + r) - |C c| = R (|c| + r) + |C| r.
+        center, radius = Fraction(1), Fraction(0)
         for p in self.parts:
             c, r = p.enclose(t, rad)
+            if r:
+                radius = radius * (abs(c) + r) + abs(center) * r
+            elif radius:
+                radius *= abs(c)
             center *= c
-            bound *= abs(c) + r
-        return center, bound - abs(center)
+        return center, radius
 
     def to_json(self):
         return {"kind": "prod", "parts": [_child_json(p) for p in self.parts]}
@@ -452,6 +458,8 @@ class SPow(StructPoly):
     def enclose(self, t, rad=0):
         c, r = self.base.enclose(t, rad)
         ck = c ** self.k
+        if not r:
+            return ck, Fraction(0)
         return ck, (abs(c) + r) ** self.k - abs(ck)
 
     def to_json(self):
@@ -476,12 +484,17 @@ class SComp(StructPoly):
 
 
 class SBinomTail(StructPoly):
-    """sum_{i=lo}^{d} C(d,i) t^i (1-t)^{d-i}, summed term by term in mpf at
-    the node's precision."""
+    """sum_{i=lo}^{d} C(d,i) t^i (1-t)^{d-i}, summed term by term at the
+    node's precision: on integer mantissas, with the roundings of mpf
+    arithmetic, bit for bit."""
 
     backend = FLOAT
 
     def __init__(self, d, lo, prec=DEFAULT_PREC):
+        for name, x, least in (("d", d, 0), ("lo", lo, 0), ("prec", prec, 1)):
+            if type(x) is not int or x < least:
+                raise ValueError("a binomial tail needs an integer %s >= %d, "
+                                 "got %r" % (name, least, x))
         self.d = d
         self.lo = lo
         self.prec = prec
@@ -497,45 +510,101 @@ class SBinomTail(StructPoly):
         return self._memo[t]
 
     def _eval(self, t):
+        """The sum of the mpf loop
+
+            term = C(d, lo) * u**lo * v**(d - lo);  acc = term
+            for i in lo..d-1:  term = term * r * (d - i) / (i + 1);  acc += term
+
+        at u = t rounded to prec bits, v = 1 - u and r = u / v, with every
+        operation rounded to nearest (ties to even) at prec bits.  The
+        setup runs in libmp.  The loop holds |term| and acc as integer
+        mantissas and exponents, and rounds each of its four operations
+        exactly as libmp does: the exact result, cut to prec bits.  So it
+        returns the mpf loop's sum bit for bit.
+
+        A cut of n > 0 bits from a >= 0 is (a + 2^(n-1) - 1 + b) >> n, with
+        b the last kept bit: it carries when the cut part exceeds half a
+        unit, or equals it with an odd last bit.  Or-ing a sticky bit into
+        b rounds a value just above a, as a division remainder says.  A
+        mantissa that rounds up to 2^prec keeps its prec + 1 bits: the same
+        value, a power of two."""
         d, lo, prec = self.d, self.lo, self.prec
-        with mp.workprec(prec):
-            u = to_mpf(t, prec)
-            v = 1 - u
-            if u == 0:
-                return mpmath.mpf(1 if lo <= 0 else 0)
-            if v == 0:
-                return mpmath.mpf(1)
-            term = mpmath.mpf(math.comb(d, lo)) * u ** lo * v ** (d - lo)
-            acc = term
-            r = u / v
-            abs_r = abs(r)
-            past_mode = False
-            may_exit = 3 * d < 2 ** (prec - 1)
-            for i in range(lo, d):
-                term = term * r * (d - i) / (i + 1)
-                acc += term
-                # Early exit that leaves acc bit-for-bit as the full loop
-                # would.  Past the mode, every later exact ratio
-                # |r| (d-j)/(j+1), j > i, is <= 1, so a later term exceeds
-                # |term| only through its three roundings per step: by less
-                # than (1 + 2^-prec)^(3d) < 2 while 3d < 2^(prec-1).  With
-                # |term| < 2^(mag(acc) - prec - 3), each later term is below
-                # 2^(mag(acc) - prec - 2), half an ulp of the binade under
-                # |acc|'s, so round-to-nearest returns acc unchanged at every
-                # later add.  Nothing assumes a sign: it holds for u outside
-                # [0, 1], where the terms alternate.
-                if may_exit and not past_mode:
-                    past_mode = mpmath.fmul(abs_r, d - i - 1, exact=True) <= i + 2
-                if past_mode and (not term or
-                                  mpmath.mag(term) <= mpmath.mag(acc) - prec - 3):
-                    break
-            return acc
+        rnd = libmp.round_nearest
+        u = to_mpf(t, prec)._mpf_
+        v = libmp.mpf_sub(libmp.fone, u, prec, rnd)
+        # at u = 0 only term 0 is nonzero, at u = 1 only term d: 1 if summed
+        if u == libmp.fzero:
+            return mp.make_mpf(libmp.fone if lo == 0 else libmp.fzero)
+        if v == libmp.fzero:
+            return mp.make_mpf(libmp.fone if lo <= d else libmp.fzero)
+        term = libmp.mpf_mul(
+            libmp.mpf_mul(libmp.from_int(math.comb(d, lo), prec, rnd),
+                          libmp.mpf_pow_int(u, lo, prec, rnd), prec, rnd),
+            libmp.mpf_pow_int(v, d - lo, prec, rnd), prec, rnd)
+        ts, ta, te, _ = term                  # term = (-1)^ts ta 2^te
+        rs, ra, re, _ = libmp.mpf_div(u, v, prec, rnd)
+        ta, ra = int(ta), int(ra)
+        am, ae = -ta if ts else ta, te        # acc = am 2^ae
+        past_mode = False
+        may_exit = 3 * d < 2 ** (prec - 1)
+        for i in range(lo, d):
+            # term * r, then * (d - i): exact products, cut to prec bits
+            a, e = ta * ra, te + re
+            n = a.bit_length() - prec
+            if n > 0:
+                a = (a + (1 << n - 1) - 1 + (a >> n & 1)) >> n
+                e += n
+            a *= d - i
+            n = a.bit_length() - prec
+            if n > 0:
+                a = (a + (1 << n - 1) - 1 + (a >> n & 1)) >> n
+                e += n
+            # / (i + 1): a quotient of more than prec bits, cut with the
+            # remainder as its sticky bit
+            s = prec + 1 + (i + 1).bit_length() - a.bit_length()
+            a, rem = divmod(a << s, i + 1)
+            n = a.bit_length() - prec
+            ta = (a + (1 << n - 1) - 1 + (a >> n & 1 | (rem != 0))) >> n
+            te = e - s + n
+            ts ^= rs
+            # acc + term: the exact sum, cut to prec bits
+            tm = -ta if ts else ta
+            if ae >= te:
+                m, e = (am << ae - te) + tm, te
+            else:
+                m, e = am + (tm << te - ae), ae
+            n = m.bit_length() - prec
+            if n > 0:
+                a = -m if m < 0 else m
+                a = (a + (1 << n - 1) - 1 + (a >> n & 1)) >> n
+                m, e = -a if m < 0 else a, e + n
+            am, ae = m, e
+            # Early exit that leaves acc bit-for-bit as the full loop
+            # would.  Past the mode, every later exact ratio
+            # |r| (d-j)/(j+1), j > i, is <= 1, so a later term exceeds
+            # |term| only through its three roundings per step: by less
+            # than (1 + 2^-prec)^(3d) < 2 while 3d < 2^(prec-1).  With
+            # |term| < 2^(mag(acc) - prec - 3), each later term is below
+            # 2^(mag(acc) - prec - 2), half an ulp of the binade under
+            # |acc|'s, so round-to-nearest returns acc unchanged at every
+            # later add.  Nothing assumes a sign: it holds for u outside
+            # [0, 1], where the terms alternate.  The mode test
+            # |r| (d-i-1) <= i + 2 is exact, and mag(m 2^e) = e + bits(m).
+            if may_exit and not past_mode:
+                x = ra * (d - i - 1)
+                past_mode = (x << re <= i + 2 if re >= 0
+                             else x <= i + 2 << -re)
+            if past_mode and am and (te + ta.bit_length()
+                                     <= ae + am.bit_length() - prec - 3):
+                break
+        return mp.make_mpf(libmp.from_man_exp(am, ae))
 
     def enclose(self, t, rad=0):
-        """The mpf value at prec bits with a rigorous radius.  Rounding: at
-        u in [0, 1] every term of _eval is >= 0, and the computed term i is
-        its exact value at u times at most K factors (1 + delta)^(+-1),
-        |delta| <= mu = 2^-prec:
+        """The prec-bit sum of _eval with a rigorous radius.  _eval makes
+        the mpf loop's roundings, so they are counted here as mpf
+        operations.  Rounding: at u in [0, 1] every term of _eval is >= 0,
+        and the computed term i is its exact value at u times at most K
+        factors (1 + delta)^(+-1), |delta| <= mu = 2^-prec:
           7      forming term lo: C(d, lo) rounded, u^lo and v^(d-lo) at 2
                  each (the final rounding, plus mpf_pow_int's guard-bit
                  truncations, which stay below one more unit), two products;
@@ -559,7 +628,7 @@ class SBinomTail(StructPoly):
                 raise ArithmeticError("no binomial tail enclosure for an "
                                       "input interval outside [0, 1]")
             exact = sum((math.comb(d, i) * t ** i * (1 - t) ** (d - i)
-                         for i in range(max(lo, 0), d + 1)), Fraction(0))
+                         for i in range(lo, d + 1)), Fraction(0))
             return exact, Fraction(0)
         acc = exact_value(self.eval(t))
         u = exact_value(to_mpf(t, prec))

@@ -167,6 +167,16 @@ def _negative_power(doc):
                                                    "coeffs": ["2/1", "1/1"]}}})
 
 
+def _binom_tail(**fields):
+    # A binomial tail node with one field the tail cannot be evaluated with;
+    # the degree and the claim are ones the node would otherwise meet.
+    def tamper(doc):
+        doc.update({"kind": "binom_tail", "d": 4, "lo": 0,
+                    "precision_bits": 64, "degree": 4,
+                    "certified_eps_exact": "1/1"}, **fields)
+    return tamper
+
+
 AND_4 = ["--target", "and", "--n", "4"]
 AND_8 = ["--target", "and", "--n", "8"]
 SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
@@ -186,6 +196,10 @@ SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
     (SURJ_8_2, _numeric_mu),
     (AND_8, _numeric_exact_claim),
     (AND_4, _negative_power),
+    (AND_4, _binom_tail(lo=-1)),
+    (AND_4, _binom_tail(d=-1, degree=-1)),
+    (AND_4, _binom_tail(precision_bits=0)),
+    (AND_4, _binom_tail(precision_bits="64")),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):

@@ -161,6 +161,20 @@ def test_binom_tail_early_exit_is_bit_identical():
         lo = rng.randint(0, d)
         t = Fraction(rng.randint(-3 * 2 ** 12, 4 * 2 ** 12), 2 ** 12)
         cases.append((d, lo, t, rng.randint(53, 512)))
+    # non-dyadic t, lo above d, and prec < 8, where the early exit is off
+    for _ in range(300):
+        d = rng.randint(1, 300)
+        lo = rng.randint(0, d + 2)
+        den = rng.choice((784 ** 2, 3 ** 13))
+        t = Fraction(rng.randint(-3 * den, 4 * den), den)
+        cases.append((d, lo, t, rng.choice((2, 3, 5, 7, 53, 256))))
+    for d in (1, 5, 40):
+        for t in (Fraction(1, 3), Fraction(-5, 3), Fraction(1, 784 ** 2)):
+            cases += [(d, d + 1, t, 64), (d, d + 2, t, 3)]
+    cases += [(40, lo, Fraction(k, 7), prec) for lo in (0, 13) for k in
+              (-4, 1, 3, 6, 11) for prec in range(2, 8)]
+    # the amplifier of the small-support target at n = 32, at t = k^2/784
+    cases += [(1416, 755, Fraction(k * k, 784), 256) for k in range(29)]
     for d, lo, t, prec in cases:
         got = SBinomTail(d, lo, prec)._eval(t)
         want = _binom_tail_full_loop(d, lo, t, prec)
@@ -229,6 +243,24 @@ def test_binom_tail_enclosure_contains_the_exact_tail():
     assert missed_center > 200       # rounding is real: radius 0 would fail
 
 
+@pytest.mark.parametrize("d, lo, prec", [
+    (10, -1, 64), (-1, 0, 64), (10, 2, 0), (10, 2, -3), (10.0, 2, 64),
+    (10, Fraction(2), 64), (10, 2, "64"), (True, 0, 64)])
+def test_binom_tail_rejects_what_it_cannot_evaluate(d, lo, prec):
+    # a tail with lo = -1 has no value at 1/2 (math.comb raises), though
+    # its endpoint and outside-[0, 1] sums exist
+    with pytest.raises(ValueError):
+        SBinomTail(d, lo, prec)
+
+
+def test_binom_tail_accepts_every_nonnegative_shape():
+    assert SBinomTail(0, 0, 1).enclose(Fraction(1, 2)) == (1, 0)
+    # lo > d sums no term: the tail is 0 everywhere, at t = 1 too
+    for t in (0, Fraction(1, 2), 1, 3):
+        assert SBinomTail(3, 5, 64).enclose(t)[0] == 0
+    assert SBinomTail(10, 0, 64).enclose(Fraction(1, 2))[0] == 1
+
+
 def test_binom_tail_enclosure_outside_the_unit_interval_is_exact():
     for t in (Fraction(-1, 3), Fraction(7, 5)):
         assert SBinomTail(9, 4, 64).enclose(t) == (_exact_tail(9, 4, t), 0)
@@ -257,6 +289,32 @@ def test_struct_enclosures_propagate_radii():
             for x in (t - rad, t, t + rad):
                 assert abs(exact(x) - c) <= r, (name, t, rad, x)
             assert r > 0 or name == "dense"
+
+
+def test_product_radii_match_the_reference_formulas():
+    # SProd and SPow carry their radii incrementally; each must equal
+    # prod (|c_i| + r_i) - |prod c_i| and (|c| + r)^k - |c|^k exactly.
+    tail = SComp(SBinomTail(12, 5, 40),
+                 UniPoly([Fraction(1, 5), Fraction(1, 2)]))
+    exact = UniPoly([Fraction(2, 3), -1, Fraction(1, 4)])
+    flt = UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40)
+    const = UniPoly([Fraction(-7, 2)])
+    part_sets = [[exact, const], [tail], [exact, tail, const, flt],
+                 [tail, SPow(tail, 2), exact], [const, tail, tail]]
+    seen = set()
+    for t, rad in ((Fraction(1, 3), 0), (Fraction(2, 7), Fraction(1, 50))):
+        for parts in part_sets:
+            encs = [p.enclose(t, rad) for p in parts]
+            seen.update((rad > 0, r > 0) for _, r in encs)
+            center = math.prod((c for c, _ in encs), start=Fraction(1))
+            bound = math.prod((abs(c) + r for c, r in encs), start=Fraction(1))
+            assert SProd(parts).enclose(t, rad) == (center, bound - abs(center))
+            for base, (c, r) in zip(parts, encs):
+                for k in (0, 1, 3):
+                    assert SPow(base, k).enclose(t, rad) == \
+                        (c ** k, (abs(c) + r) ** k - abs(c) ** k)
+    # parts with and without a radius, at a point and on an interval
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_max_error_is_exact_for_dense_polynomials():
