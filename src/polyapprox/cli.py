@@ -25,7 +25,7 @@ from .numcore import (DEFAULT_PREC, PrecisionError, SplitMix64, exact_value,
                       max_error, poly_from_json, scalar_from_json)
 from .oracle import minimax_lp
 from .symmetric import (SymSpec, and_or_approx, and_or_min_degree,
-                        exact_weight_approx, sampling_approx)
+                        exact_weight_approx, sampling_min_degree)
 from .extension import small_support_approx
 from .composed import surjectivity_approx, BlockSymApprox
 
@@ -66,7 +66,7 @@ def cmd_construct(args):
                                 else args.k, eps, args.prec)
     elif args.target == "sampling":
         spec = _random_low_support(args.n, args.k, args.seed)
-        a = sampling_approx(spec, eps)
+        a = sampling_min_degree(spec, eps)
     elif args.target == "small-support":
         spec = _random_low_support(args.n, args.k, args.seed)
         a = small_support_approx(spec, eps, args.prec).approx

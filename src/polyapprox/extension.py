@@ -7,7 +7,7 @@ from fractions import Fraction
 import math
 
 from .numcore import (DEFAULT_PREC, SComp, SProd, UniPoly, as_fraction,
-                      certify, max_error)
+                      certify, exact_value, max_error)
 from .chebyshev import cheb_poly
 from .blocks import interval_indicator
 from .symmetric import SymApprox, SymSpec
@@ -89,10 +89,15 @@ def extend_approx(approx, n, delta, prec=DEFAULT_PREC):
     d = max(approx.degree, 1)
     alpha = delta / int(math.ceil((4 * math.e) ** (d + 1)))
     ind = interval_indicator(Fraction(n, m), d, alpha, prec)
+    return _extended(approx, target, m, ind, delta, prec)
+
+
+def _extended(approx, target, m, ind, delta, prec):
+    """approx times ind(w/m), certified by the exact measure on target."""
     full = SProd([approx.poly, SComp(ind, UniPoly([0, Fraction(1, m)]))])
     err = certify(max_error(full, enumerate(target.values)), prec)
     out = SymApprox(target, full, full.degree, err, "extension", set())
-    return ExtensionResult(out, n_in, m, delta, ind.degree)
+    return ExtensionResult(out, approx.spec.n, m, delta, ind.degree)
 
 
 def _extend_from_point(approx, target, n, delta):
@@ -122,4 +127,15 @@ def small_support_approx(spec, eps, prec=DEFAULT_PREC):
     if 2 * k >= n:
         return ExtensionResult(SymApprox.interpolant(spec), n, k, eps, 0)
     base = SymApprox.interpolant(SymSpec(2 * k, spec.values[:2 * k + 1]))
+    # The recipe's alpha is a worst case.  base = f on 0..k, base = 0 on
+    # k+1..2k and |base| <= B on 0..n, so an indicator within 2^-j of 1 on
+    # [0, 1] and of 0 above 2 meets eps once B 2^-j <= eps.  Its enclosure
+    # radius is not in that sum: the measure decides, and a miss falls back.
+    B = max_error(base.poly, ((w, 0) for w in range(n + 1)))
+    ratio = -(-B.numerator * eps.denominator // (B.denominator * eps.numerator))
+    j = (ratio - 1).bit_length()
+    ind = interval_indicator(Fraction(n, k), 0, Fraction(1, 2 ** j), prec)
+    res = _extended(base, spec, k, ind, eps, prec)
+    if exact_value(res.approx.certified_eps) <= eps:
+        return res
     return extend_approx(base, n, eps, prec)

@@ -500,6 +500,7 @@ class SBinomTail(StructPoly):
         self.prec = prec
         self.degree = d
         self._memo = {}
+        self._comb = None               # C(d, lo) at prec bits, made once
 
     def eval(self, t):
         """The mpf sum at t, memoized: the center of enclose()."""
@@ -537,9 +538,11 @@ class SBinomTail(StructPoly):
             return mp.make_mpf(libmp.fone if lo == 0 else libmp.fzero)
         if v == libmp.fzero:
             return mp.make_mpf(libmp.fone if lo <= d else libmp.fzero)
+        if self._comb is None:
+            self._comb = libmp.from_int(math.comb(d, lo), prec, rnd)
         term = libmp.mpf_mul(
-            libmp.mpf_mul(libmp.from_int(math.comb(d, lo), prec, rnd),
-                          libmp.mpf_pow_int(u, lo, prec, rnd), prec, rnd),
+            libmp.mpf_mul(self._comb, libmp.mpf_pow_int(u, lo, prec, rnd),
+                          prec, rnd),
             libmp.mpf_pow_int(v, d - lo, prec, rnd), prec, rnd)
         ts, ta, te, _ = term                  # term = (-1)^ts ta 2^te
         rs, ra, re, _ = libmp.mpf_div(u, v, prec, rnd)
@@ -664,7 +667,7 @@ def poly_from_json(d):
 def min_degree(build, eps, hi):
     """build(d) at the smallest d in [1, hi] with certified_eps <= eps, for
     an error that falls with d: gallop up from 1, then bisect, building no d
-    twice.  Raises ArithmeticError if d = hi misses eps."""
+    twice.  Raises PrecisionError if d = hi misses eps."""
 
     def probe(d):
         obj = build(d)
@@ -673,7 +676,7 @@ def min_degree(build, eps, hi):
     bad, d, step = 0, 1, 1
     while (best := probe(d)) is None:
         if d == hi:
-            raise ArithmeticError("no degree up to %d meets the target" % hi)
+            raise PrecisionError("no degree up to %d meets the target" % hi)
         bad, d = d, min(d + step, hi)
         step *= 2
     while d - bad > 1:

@@ -198,18 +198,38 @@ def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
     return SymApprox(spec, total, total.degree, err, "boundary-decomposition", set())
 
 
+def _sampling_exponent(spec, eps):
+    """The paper's exponent 5 ceil(8k + ln(1/eps)), at least 0, with k the
+    top of the support."""
+    k = max((w for w in range(spec.n + 1) if spec.values[w]), default=0)
+    eps = as_fraction(eps)
+    return max(0, 5 * math.ceil(8 * k + math.log(1 / float(eps))))
+
+
 def sampling_approx(spec, eps):
     """Low-support symmetric functions (zero above weight k) through the
-    sampled-node reparametrization; exact rational, recording the coefficient
-    norm of its dense factor as pq_norm.  Exact at weights <= 2k and >= n-k."""
-    eps = as_fraction(eps)
+    sampled-node reparametrization at the paper's exponent."""
+    return sampled_nodes_approx(spec, _sampling_exponent(spec, eps))
+
+
+def sampling_min_degree(spec, eps):
+    """sampled_nodes_approx at the smallest exponent d in [0, the paper's]
+    whose exact error is <= eps; min_degree starts at 1, so it searches
+    d + 1.  The degree rises with d."""
+    return min_degree(lambda d: sampled_nodes_approx(spec, d - 1), eps,
+                      _sampling_exponent(spec, eps) + 1)
+
+
+def sampled_nodes_approx(spec, d):
+    """The sampled-node approximant at exponent d; exact rational, recording
+    the coefficient norm of its dense factor as pq_norm.  Exact at weights
+    <= 2k and >= n-k, with k the top of the support."""
     n = spec.n
     k = max((w for w in range(n + 1) if spec.values[w] != 0), default=-1)
     if k <= 0 or 4 * k >= n:
         return SymApprox.interpolant(spec)
     E = n // (2 * k)
     t = [1 - (1 - Fraction(i, n)) ** E for i in range(n + 1)]
-    d = 5 * math.ceil(8 * k + math.log(1 / float(eps)))
     p = UniPoly([1, -1]) ** d
     for i in range(n - k, n + 1):
         p = p * UniPoly([-t[i], 1])

@@ -1,12 +1,16 @@
+from fractions import Fraction
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 from mpmath import mp
 import pytest
 
-from polyapprox import cli
+from polyapprox import cli, extension, symmetric
 from polyapprox.cli import main
+from polyapprox.extension import extend_approx
+from polyapprox.symmetric import SymApprox, SymSpec, sampling_approx
 
 
 def run(argv):
@@ -448,8 +452,12 @@ GOLDEN_ARGV = {
 # Their surjectivity artifacts, and the surj group, were re-recorded when the
 # emptiness indicator q became the OR on the n + 1 column weights instead of
 # on 2n literal counts: each one's degree fell to at most n, and every other
-# artifact kept its bytes.
-GOLDEN_SHA256 = "ffa4b87474c86661ebd24d31c53fac6edcbca3ca9603d3e5504c0db9bae32186"
+# artifact kept its bytes.  The exact group was re-recorded when sampling's
+# exponent and small-support's indicator came to be sized by the exact
+# measure: every degree fell (sampling 472/408/290/944 -> 32/28/26/64,
+# small-support 6613 -> 2304/2424), and the float, surj and prec groups kept
+# their bytes.
+GOLDEN_SHA256 = "0f75cdbfa08b5d9ec7f5a8a25fbfd6de30c37507e947495d44d2495eae3fa70d"
 FLOAT_GOLDEN_SHA256 = \
     "a4c51323697b78595d2cdfe54cf5df85ae09ac1c8ee76f280b8bb07f23661b75"
 SURJ_GOLDEN_SHA256 = \
@@ -464,9 +472,10 @@ PREC_GOLDEN_SHA256 = \
 # sha256 of each group's _canonical() artifacts, recorded from the artifacts
 # written before the certificates became exact (when each surjectivity term
 # held its own copy of q); float and prec re-recorded with the once-rounded
-# float coefficients, and float, prec and surj again with q on n weights.
+# float coefficients, and float, prec and surj again with q on n weights;
+# exact again with the measured sampling exponent and small-support indicator.
 CANONICAL_SHA256 = {
-    "exact": "d5e301964e269f142bf839e427bec6b6cd4fbcfcbb3a12cd3c06937f02e440f5",
+    "exact": "065549e9134b72c6c9477291b216b729f9a0e7a1a4afd264cb11f132ed0e43b0",
     "float": "a66564793ca1306bbff42b087cd54c27c5fa0b8ac0a755257b553f3c8138864e",
     "surj": "c6ddd99af1e7a91a1effeb7b68eff86674720dda445674d8d4f8dbda8964c35d",
     "prec": "d016cfb41e8ab35f2c083e582a1cea72d361376baa3d69184da1b9b99ccb2295",
@@ -563,3 +572,72 @@ def test_golden_coefficients_match_the_recorded_artifacts(name, golden):
     for data in golden(name):
         digest.update(_canonical(json.loads(data)).encode())
     assert digest.hexdigest() == CANONICAL_SHA256[name]
+
+
+def _recipe_degree(target, n, k, seed, eps):
+    """The degree the paper's recipe gives the CLI's spectrum."""
+    spec = cli._random_low_support(n, k, seed)
+    if target == "sampling":
+        return sampling_approx(spec, eps).degree
+    base = SymApprox.interpolant(SymSpec(2 * k, spec.values[:2 * k + 1]))
+    return extend_approx(base, n, eps).approx.degree
+
+
+SWEEP_SHAPES = [(target, n, k, seed) for target in ("sampling", "small-support")
+                for n, k in ((16, 2), (32, 1), (32, 2)) for seed in range(21, 26)]
+
+
+@pytest.mark.parametrize("target, n, k, seed", GOLDEN_SHAPES + SWEEP_SHAPES)
+def test_measured_parameters_never_raise_the_recipe_degree(target, n, k, seed,
+                                                           tmp_path, capsys):
+    # sampling and small-support size their parameters by the exact measure,
+    # with the paper's recipe as the upper end: no degree may rise, and what
+    # is written meets eps and verifies with no slack.
+    out = tmp_path / "a.json"
+    assert run(["construct", "--target", target, "--n", str(n), "--k", str(k),
+                "--seed", str(seed), "--eps", "1/8", "--out", str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert Fraction(doc["certified_eps"]) <= Fraction(1, 8)
+    assert doc["degree"] <= _recipe_degree(target, n, k, seed, Fraction(1, 8))
+
+
+# sha256 of the small-support (32, 2) seed-9 artifact that the paper's recipe
+# writes: every small-support artifact was this recipe's before the indicator
+# was sized by the measure.
+RECIPE_SMALL_SUPPORT_SHA256 = \
+    "003b19e6e50d89cc4a7ce34c6412c5706c2019e2d2a352f819e607a761171b25"
+
+
+def test_small_support_probe_miss_writes_the_recipe_artifact(monkeypatch,
+                                                             tmp_path):
+    # The probe's measured certificate is made to miss eps; the recipe's
+    # artifact follows, byte for byte.
+    certified = []
+    real = extension.certify
+
+    def miss_first(err, prec):
+        certified.append(err)
+        return Fraction(1) if len(certified) == 1 else real(err, prec)
+
+    monkeypatch.setattr(extension, "certify", miss_first)
+    out = tmp_path / "a.json"
+    assert run(["construct", "--target", "small-support", "--n", "32", "--k",
+                "2", "--seed", "9", "--eps", "1/8", "--out", str(out)]) == 0
+    assert len(certified) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        RECIPE_SMALL_SUPPORT_SHA256
+
+
+def test_sampling_with_no_exponent_meeting_eps_exits_4(monkeypatch, tmp_path,
+                                                      capsys):
+    # Up to the paper's exponent every probe misses eps: a certificate above
+    # --eps, rejected with exit 4 like any other.
+    monkeypatch.setattr(symmetric, "sampled_nodes_approx",
+                        lambda spec, d: SimpleNamespace(certified_eps=1))
+    out = tmp_path / "a.json"
+    assert run(["construct", "--target", "sampling", "--n", "16", "--k", "1",
+                "--eps", "1/8", "--out", str(out)]) == 4
+    assert "no degree up to" in capsys.readouterr().err
+    assert not out.exists()

@@ -173,7 +173,8 @@ def test_binom_tail_early_exit_is_bit_identical():
             cases += [(d, d + 1, t, 64), (d, d + 2, t, 3)]
     cases += [(40, lo, Fraction(k, 7), prec) for lo in (0, 13) for k in
               (-4, 1, 3, 6, 11) for prec in range(2, 8)]
-    # the amplifier of the small-support target at n = 32, at t = k^2/784
+    # the amplifier of the paper's extension recipe (extend_approx from
+    # weights 0..4 to n = 32, small-support's fallback), at t = k^2/784
     cases += [(1416, 755, Fraction(k * k, 784), 256) for k in range(29)]
     for d, lo, t, prec in cases:
         got = SBinomTail(d, lo, prec)._eval(t)
@@ -566,7 +567,7 @@ def test_min_degree_matches_linear_scan(hi, threshold):
 
     linear = next((d for d in range(1, hi + 1) if d >= threshold), None)
     if linear is None:
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(numcore.PrecisionError):
             min_degree(build, 0, hi)
     else:
         assert min_degree(build, 0, hi).d == linear
