@@ -13,8 +13,8 @@ import math
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, SBinomTail, SComp, SPow, SProd, UniPoly,
-                      as_fraction, to_mpf)
+from .numcore import (DEFAULT_PREC, PrecisionError, SBinomTail, SComp, SPow,
+                      SProd, UniPoly, as_fraction, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 
 
@@ -91,8 +91,10 @@ def reciprocal_power_error_bound(d, D, u):
 
 
 def _amplifier_degree(u_bad, u_good, eps, prec=DEFAULT_PREC):
-    """Smallest (up to a 5% search ladder) degree whose exact-threshold
-    binomial tail maps [0, u_bad] below eps and [u_good, 1] above 1 - eps."""
+    """The Chernoff-Hoeffding degree d = ln(1/eps)/KL + 1, at least 8, of the
+    exact-threshold binomial tail that maps [0, u_bad] below eps and
+    [u_good, 1] above 1 - eps (Hoeffding 1963).  Exactly, that bound holds;
+    an enclosure that misses it is precision loss, and raises PrecisionError."""
     mid = (u_bad + u_good) / 2
 
     def kl(a, b):
@@ -104,16 +106,14 @@ def _amplifier_degree(u_bad, u_good, eps, prec=DEFAULT_PREC):
         rate = min(kl(mid, u_bad), kl(mid, u_good))
         est = int(mpmath.log(1 / to_mpf(eps, prec)) / rate) + 1
     d = max(8, est)
-
-    def ok(d):
-        tail = SBinomTail(d, int(math.ceil(mid * d)), prec)
-        bad, bad_r = tail.enclose(u_bad)
-        good, good_r = tail.enclose(u_good)
-        return bad + bad_r <= eps and 1 - (good - good_r) <= eps
-
-    while not ok(d):
-        d = int(d * 1.05) + 1
-    return d, int(math.ceil(mid * d))
+    lo = int(math.ceil(mid * d))
+    tail = SBinomTail(d, lo, prec)
+    bad, bad_r = tail.enclose(u_bad)
+    good, good_r = tail.enclose(u_good)
+    if bad + bad_r > eps or 1 - (good - good_r) > eps:
+        raise PrecisionError("the degree-%d binomial amplifier misses its "
+                             "target at %d bits" % (d, prec))
+    return d, lo
 
 
 def or_continuous_approx(n, eps, prec=DEFAULT_PREC):

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification failure,
-4 certified error above --eps (the error of the built polynomial, measured
-exactly; for a float target a higher --prec may meet it).
+4 certified error above --eps, measured exactly, or an amplifier missing at
+--prec bits (for a float target or an amplifier a higher --prec may help).
 
 verify recomputes the certified error from the artifact alone, with the
 same exact measure construct used, at the precisions the artifact records,
@@ -69,7 +69,7 @@ def cmd_construct(args):
         a = sampling_min_degree(spec, eps)
     elif args.target == "small-support":
         spec = _random_low_support(args.n, args.k, args.seed)
-        a = small_support_approx(spec, eps, args.prec).approx
+        a = small_support_approx(spec, eps, args.prec)
     elif args.target == "surjectivity":
         a = surjectivity_approx(args.n, args.r, eps, args.prec)
     else:

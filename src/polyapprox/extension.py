@@ -2,7 +2,6 @@
 hypercube, together with the coefficient-norm and extrapolation lemmas that
 make leaving the certified range safe."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -45,19 +44,9 @@ def extrapolation_bound(d, m, weight):
     return Fraction(2) ** d * math.comb(-(-weight // block), d)
 
 
-@dataclass
-class ExtensionResult:
-    approx: SymApprox
-    n_in: int
-    m: int
-    delta: Fraction
-    indicator_degree: int
-
-    def degree_ratio(self, eps_delta_bits):
-        """degree / (sqrt(n/(m+1)) * (input degree + log2(1/delta)))."""
-        n = self.approx.spec.n
-        denom = math.sqrt(n / (self.m + 1)) * eps_delta_bits
-        return self.approx.degree / denom
+def _log2_ceil(x):
+    """The least j >= 0 with 2^j >= x, for a Fraction x > 0."""
+    return (-(-x.numerator // x.denominator) - 1).bit_length()
 
 
 def _zero_certified(approx, m):
@@ -80,29 +69,27 @@ def extend_approx(approx, n, delta, prec=DEFAULT_PREC):
     target = SymSpec(n, [approx.spec.values[w] if w <= m else 0
                          for w in range(n + 1)])
     if n <= n_in:
-        out = SymApprox(target, approx.poly, approx.degree,
-                        approx.certified_eps, "extension-passthrough",
-                        set(approx.exact_on))
-        return ExtensionResult(out, n_in, m, delta, 0)
+        return SymApprox(target, approx.poly, approx.degree,
+                         approx.certified_eps, "extension-passthrough",
+                         set(approx.exact_on))
     if m == 0:
         return _extend_from_point(approx, target, n, delta)
     d = max(approx.degree, 1)
     alpha = delta / int(math.ceil((4 * math.e) ** (d + 1)))
     ind = interval_indicator(Fraction(n, m), d, alpha, prec)
-    return _extended(approx, target, m, ind, delta, prec)
+    return _extended(approx, target, m, ind, prec)
 
 
-def _extended(approx, target, m, ind, delta, prec):
+def _extended(approx, target, m, ind, prec):
     """approx times ind(w/m), certified by the exact measure on target."""
     full = SProd([approx.poly, SComp(ind, UniPoly([0, Fraction(1, m)]))])
     err = certify(max_error(full, enumerate(target.values)), prec)
-    out = SymApprox(target, full, full.degree, err, "extension", set())
-    return ExtensionResult(out, approx.spec.n, m, delta, ind.degree)
+    return SymApprox(target, full, full.degree, err, "extension", set())
 
 
 def _extend_from_point(approx, target, n, delta):
     # one certified weight only: damp with a normalized Chebyshev power
-    reps = max(1, math.ceil(math.log2(1 / float(delta))))
+    reps = max(1, _log2_ceil(1 / delta))
     c = math.isqrt(n)
     if c * c < n:
         c += 1
@@ -110,8 +97,7 @@ def _extend_from_point(approx, target, n, delta):
     T = T ** reps
     poly = T.scale(approx.spec.values[0] / T.eval(0))
     err = max_error(poly, enumerate(target.values))
-    out = SymApprox(target, poly, poly.degree, err, "extension-point", {0})
-    return ExtensionResult(out, approx.spec.n, 0, delta, T.degree)
+    return SymApprox(target, poly, poly.degree, err, "extension-point", {0})
 
 
 def small_support_approx(spec, eps, prec=DEFAULT_PREC):
@@ -121,21 +107,21 @@ def small_support_approx(spec, eps, prec=DEFAULT_PREC):
     n = spec.n
     k = max((w for w in range(n + 1) if spec.values[w] != 0), default=-1)
     if k < 0:
-        out = SymApprox(spec, UniPoly.zero(), -1, Fraction(0), "zero",
-                        set(range(n + 1)))
-        return ExtensionResult(out, 0, 0, eps, 0)
+        return SymApprox(spec, UniPoly.zero(), -1, Fraction(0), "zero",
+                         set(range(n + 1)))
     if 2 * k >= n:
-        return ExtensionResult(SymApprox.interpolant(spec), n, k, eps, 0)
+        return SymApprox.interpolant(spec)
     base = SymApprox.interpolant(SymSpec(2 * k, spec.values[:2 * k + 1]))
+    if k == 0:
+        return extend_approx(base, n, eps, prec)
     # The recipe's alpha is a worst case.  base = f on 0..k, base = 0 on
     # k+1..2k and |base| <= B on 0..n, so an indicator within 2^-j of 1 on
     # [0, 1] and of 0 above 2 meets eps once B 2^-j <= eps.  Its enclosure
     # radius is not in that sum: the measure decides, and a miss falls back.
     B = max_error(base.poly, ((w, 0) for w in range(n + 1)))
-    ratio = -(-B.numerator * eps.denominator // (B.denominator * eps.numerator))
-    j = (ratio - 1).bit_length()
+    j = _log2_ceil(B / eps)
     ind = interval_indicator(Fraction(n, k), 0, Fraction(1, 2 ** j), prec)
-    res = _extended(base, spec, k, ind, eps, prec)
-    if exact_value(res.approx.certified_eps) <= eps:
+    res = _extended(base, spec, k, ind, prec)
+    if exact_value(res.certified_eps) <= eps:
         return res
     return extend_approx(base, n, eps, prec)

@@ -664,16 +664,16 @@ def poly_from_json(d):
     raise ValueError("unknown structured polynomial kind %r" % k)
 
 
-def min_degree(build, eps, hi):
-    """build(d) at the smallest d in [1, hi] with certified_eps <= eps, for
-    an error that falls with d: gallop up from 1, then bisect, building no d
-    twice.  Raises PrecisionError if d = hi misses eps."""
+def min_degree(build, eps, lo, hi):
+    """build(d) at the smallest d in [lo, hi] with certified_eps <= eps, for
+    an error that falls with d: gallop up from lo, then bisect, building no
+    d twice.  Raises PrecisionError if d = hi misses eps."""
 
     def probe(d):
         obj = build(d)
         return obj if exact_value(obj.certified_eps) <= eps else None
 
-    bad, d, step = 0, 1, 1
+    bad, d, step = lo - 1, lo, 1
     while (best := probe(d)) is None:
         if d == hi:
             raise PrecisionError("no degree up to %d meets the target" % hi)

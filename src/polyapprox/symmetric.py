@@ -134,7 +134,7 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
 def and_or_min_degree(n, which, eps, prec=DEFAULT_PREC):
     """and_or_approx at the smallest d whose certified error is <= eps.  The
     error falls with d, and d >= n is the exact interpolant."""
-    return min_degree(lambda d: and_or_approx(n, d, which, prec), eps,
+    return min_degree(lambda d: and_or_approx(n, d, which, prec), eps, 1,
                       max(n, 1))
 
 
@@ -145,7 +145,7 @@ def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
     if not (0 <= k <= m <= n) or eps <= 0:
         raise ValueError("need 0 <= k <= m <= n and eps > 0")
     spec = SymSpec.exact_spec(n, n - k)
-    lg = math.log2(float(2 / eps))
+    lg = math.log2(2 * eps.denominator) - math.log2(eps.numerator)
     ell = math.ceil(m + lg)
     if 2 * ell >= n:
         return SymApprox.interpolant(spec)
@@ -203,7 +203,8 @@ def _sampling_exponent(spec, eps):
     top of the support."""
     k = max((w for w in range(spec.n + 1) if spec.values[w]), default=0)
     eps = as_fraction(eps)
-    return max(0, 5 * math.ceil(8 * k + math.log(1 / float(eps))))
+    ln = math.log(eps.denominator) - math.log(eps.numerator)
+    return max(0, 5 * math.ceil(8 * k + ln))
 
 
 def sampling_approx(spec, eps):
@@ -214,10 +215,9 @@ def sampling_approx(spec, eps):
 
 def sampling_min_degree(spec, eps):
     """sampled_nodes_approx at the smallest exponent d in [0, the paper's]
-    whose exact error is <= eps; min_degree starts at 1, so it searches
-    d + 1.  The degree rises with d."""
-    return min_degree(lambda d: sampled_nodes_approx(spec, d - 1), eps,
-                      _sampling_exponent(spec, eps) + 1)
+    whose exact error is <= eps.  The degree rises with d."""
+    return min_degree(lambda d: sampled_nodes_approx(spec, d), eps, 0,
+                      _sampling_exponent(spec, eps))
 
 
 def sampled_nodes_approx(spec, d):

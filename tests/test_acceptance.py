@@ -137,23 +137,24 @@ def test_criterion_04_exact_weight():
 def test_criterion_05_extension():
     t0 = time.time()
     rng = SplitMix64(1)
-    n, delta = 32, Fraction(1, 8)
+    n, m, delta = 32, 3, Fraction(1, 8)
     ok = True
     worst_ratio = 0.0
     for trial in range(50):
-        vals = [rng.fraction() for _ in range(4)] + [0, 0, 0]
-        spec = SymSpec(6, vals)
-        p = lagrange_interpolate(list(range(7)), spec.values)
+        vals = [rng.fraction() for _ in range(m + 1)] + [0] * m
+        spec = SymSpec(2 * m, vals)
+        p = lagrange_interpolate(list(range(2 * m + 1)), spec.values)
         base = SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
-                         set(range(7)))
-        res = extend_approx(base, n, delta)
+                         set(range(2 * m + 1)))
+        ext = extend_approx(base, n, delta)
         for w in range(n + 1):
-            target = spec.values[w] if w <= 3 else Fraction(0)
+            target = spec.values[w] if w <= m else Fraction(0)
             # the indicator holds a binomial tail: bound center +- radius
-            center, radius = res.approx.poly.enclose(w)
+            center, radius = ext.poly.enclose(w)
             if abs(center - target) + radius > delta:
                 ok = False
-        ratio = res.degree_ratio(base.degree + 3)   # log2(1/delta) = 3
+        # degree / (sqrt(n/(m+1)) (input degree + log2(1/delta)))
+        ratio = ext.degree / (math.sqrt(n / (m + 1)) * (base.degree + 3))
         worst_ratio = max(worst_ratio, ratio)
         if ratio > K_EXT:
             ok = False

@@ -2,6 +2,9 @@ from fractions import Fraction
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 from mpmath import mp
@@ -580,7 +583,7 @@ def _recipe_degree(target, n, k, seed, eps):
     if target == "sampling":
         return sampling_approx(spec, eps).degree
     base = SymApprox.interpolant(SymSpec(2 * k, spec.values[:2 * k + 1]))
-    return extend_approx(base, n, eps).approx.degree
+    return extend_approx(base, n, eps).degree
 
 
 SWEEP_SHAPES = [(target, n, k, seed) for target in ("sampling", "small-support")
@@ -641,3 +644,62 @@ def test_sampling_with_no_exponent_meeting_eps_exits_4(monkeypatch, tmp_path,
                 "--eps", "1/8", "--out", str(out)]) == 4
     assert "no degree up to" in capsys.readouterr().err
     assert not out.exists()
+
+
+# 1/10^400: 0.0 as a float, and below every 256-bit enclosure radius
+TINY_EPS = "1/1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["--prec", "28", "construct", "--target", "small-support", "--n", "32",
+     "--k", "2", "--seed", "9", "--eps", "1/8"],
+    ["construct", "--target", "small-support", "--n", "16", "--k", "2",
+     "--seed", "1", "--eps", TINY_EPS],
+], ids=["prec-28", "eps-1e-400"])
+def test_amplifier_precision_loss_exits_4(argv):
+    # Chernoff's degree meets eps in exact arithmetic, so an enclosure that
+    # misses it is precision loss: one probe, then exit 4.  A child process
+    # with a timeout turns a search that never ends into a failure here.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "polyapprox.cli"] + argv,
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 4
+    prec = argv[1] if argv[0] == "--prec" else "256"
+    assert "binomial amplifier misses its target at %s bits" % prec \
+        in proc.stderr
+    assert "the degree-" in proc.stderr and "0.0" not in proc.stderr
+
+
+def test_exact_at_an_eps_below_every_float(tmp_path, capsys):
+    # ell = m + log2(2/eps) is taken from eps's numerator and denominator;
+    # here 2 ell >= n, so the exact interpolant is written.
+    out = tmp_path / "e.json"
+    assert run(["construct", "--target", "exact", "--n", "32", "--k", "2",
+                "--eps", TINY_EPS, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["construction"] == "interpolant"
+    assert run(["verify", str(out)]) == 0
+    capsys.readouterr()
+
+
+# sha256 of the small-support (16, 0) seed-1 artifact at eps 1/8: the point
+# extension of the value at weight 0, degree 12.
+POINT_SMALL_SUPPORT_SHA256 = \
+    "20c22193b9c6c06f929abd4a35cd0cead7e0e99052d8eb68812c3572d8ad3541"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_small_support_with_k_0_writes_the_point_extension(seed, tmp_path,
+                                                           capsys):
+    out = tmp_path / "a.json"
+    assert run(["construct", "--target", "small-support", "--n", "16", "--k",
+                "0", "--seed", str(seed), "--eps", "1/8", "--out",
+                str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["construction"] == "extension-point" and doc["degree"] == 12
+    if seed == 1:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            POINT_SMALL_SUPPORT_SHA256

@@ -68,15 +68,14 @@ def test_extend_rejects_bad_inputs():
 
 def test_extend_passthrough():
     spec = SymSpec(6, [Fraction(1, 2), 0, 0, 0, 0, 0, 0])
-    res = extend_approx(_interpolant_approx(spec), 6, Fraction(1, 8))
-    assert res.approx.construction == "extension-passthrough"
-    assert res.approx.certified_eps == 0
+    a = extend_approx(_interpolant_approx(spec), 6, Fraction(1, 8))
+    assert a.construction == "extension-passthrough"
+    assert a.certified_eps == 0
 
 
 def test_extend_from_single_point():
     spec = SymSpec(0, [Fraction(1)])
-    res = extend_approx(_interpolant_approx(spec), 16, Fraction(1, 8))
-    a = res.approx
+    a = extend_approx(_interpolant_approx(spec), 16, Fraction(1, 8))
     assert a.poly.eval(0) == 1
     for w in range(1, 17):
         assert abs(a.poly.eval(w)) <= Fraction(1, 8)
@@ -86,8 +85,7 @@ def test_extend_certified_error_holds_exhaustively():
     rng = SplitMix64(31)
     n, delta = 24, Fraction(1, 8)
     spec = _low_support_spec(6, 3, rng)
-    res = extend_approx(_interpolant_approx(spec), n, delta)
-    a = res.approx
+    a = extend_approx(_interpolant_approx(spec), n, delta)
     assert float(a.certified_eps) <= 1 / 8
     for w in range(n + 1):
         target = spec.values[w] if w <= 3 else Fraction(0)
@@ -100,10 +98,8 @@ def test_small_support_pipeline():
     rng = SplitMix64(33)
     n, k = 20, 2
     spec = _low_support_spec(n, k, rng)
-    res = small_support_approx(spec, Fraction(1, 8))
-    a = res.approx
+    a = small_support_approx(spec, Fraction(1, 8))
     assert float(a.certified_eps) <= 1 / 8
-    assert res.m == k
     for w in range(n + 1):
         center, radius = a.poly.enclose(w)
         assert abs(center - spec.values[w]) + radius <= \
@@ -112,6 +108,6 @@ def test_small_support_pipeline():
 
 def test_small_support_zero_function():
     spec = SymSpec(6, [0] * 7)
-    res = small_support_approx(spec, Fraction(1, 8))
-    assert res.approx.certified_eps == 0
-    assert res.approx.degree == -1
+    a = small_support_approx(spec, Fraction(1, 8))
+    assert a.certified_eps == 0
+    assert a.degree == -1

@@ -1,10 +1,11 @@
 """Every name a polyapprox module imports is read in that module, every
 parameter of its functions is read in the function's body, every top-level
-definition is used somewhere, and only numcore knows the scalar backends.
+definition is used somewhere, every dataclass field is read, and only
+numcore knows the scalar backends.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
-parameter or a definition left behind by a deletion fails here.
+parameter, a definition or a field left behind by a deletion fails here.
 """
 
 import ast
@@ -165,3 +166,43 @@ def test_the_scan_sees_an_orphaned_definition():
                     "class C:\n    pass\n")
     test = ast.parse("from m import g\n")
     assert _orphans({"m": mod}, [test]) == ["m.f (line 1)", "m.C (line 7)"]
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) for every annotated field of a @dataclass."""
+    out = []
+    for cls in ast.walk(tree):
+        if (isinstance(cls, ast.ClassDef)
+                and any("dataclass" in ast.unparse(d)
+                        for d in cls.decorator_list)):
+            out += [(cls.name, stmt.target.id, stmt.lineno)
+                    for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def _unread_fields(modules, others):
+    """'module.class.field' for every dataclass field of the modules ({name:
+    tree}) that no tree reads as an attribute."""
+    read = {node.attr for tree in list(modules.values()) + others
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return ["%s.%s.%s (line %d)" % (mod, cls, field, line)
+            for mod, tree in modules.items()
+            for cls, field, line in _dataclass_fields(tree) if field not in read]
+
+
+def test_every_dataclass_field_is_read():
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
+    tests = [ast.parse(p.read_text(), str(p)) for p in TESTS]
+    unread = _unread_fields(modules, tests)
+    assert not unread, "fields never read: %s" % ", ".join(unread)
+
+
+def test_the_scan_sees_an_unread_field():
+    mod = ast.parse("from dataclasses import dataclass\n"
+                    "@dataclass\nclass R:\n    a: int\n    b: int\n"
+                    "    c: int = 0\n"
+                    "def f(r):\n    r.c = 1\n    return r.a\n")
+    assert _unread_fields({"m": mod}, []) == ["m.R.b (line 5)",
+                                              "m.R.c (line 6)"]

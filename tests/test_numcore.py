@@ -549,14 +549,17 @@ def test_dense_child_enclosure_is_exact_at_its_precision():
         (Fraction(1, 3), 0)
 
 
-@given(st.integers(min_value=1, max_value=100),
+@given(st.sampled_from([0, 1]), st.integers(min_value=1, max_value=100),
        st.integers(min_value=0, max_value=110))
-@example(hi=10, threshold=1)       # answer at d = 1
-@example(hi=10, threshold=10)      # answer at hi
-@example(hi=1, threshold=1)        # a single candidate
-@example(hi=10, threshold=11)      # hi misses eps
+@example(lo=0, hi=10, threshold=0)     # answer at d = lo = 0
+@example(lo=1, hi=10, threshold=1)     # answer at d = lo = 1
+@example(lo=0, hi=10, threshold=10)    # answer at hi
+@example(lo=1, hi=10, threshold=10)
+@example(lo=1, hi=1, threshold=1)      # a single candidate
+@example(lo=0, hi=10, threshold=11)    # hi misses eps
+@example(lo=1, hi=10, threshold=11)
 @settings(max_examples=150, deadline=None)
-def test_min_degree_matches_linear_scan(hi, threshold):
+def test_min_degree_matches_linear_scan(lo, hi, threshold):
     # certified_eps = max(threshold - d, 0) falls with d and meets eps = 0
     # exactly from d = threshold on
     built = []
@@ -565,13 +568,13 @@ def test_min_degree_matches_linear_scan(hi, threshold):
         built.append(d)
         return SimpleNamespace(d=d, certified_eps=max(threshold - d, 0))
 
-    linear = next((d for d in range(1, hi + 1) if d >= threshold), None)
+    linear = next((d for d in range(lo, hi + 1) if d >= threshold), None)
     if linear is None:
         with pytest.raises(numcore.PrecisionError):
-            min_degree(build, 0, hi)
+            min_degree(build, 0, lo, hi)
     else:
-        assert min_degree(build, 0, hi).d == linear
-    assert len(built) == len(set(built)) and all(1 <= d <= hi for d in built)
+        assert min_degree(build, 0, lo, hi).d == linear
+    assert len(built) == len(set(built)) and all(lo <= d <= hi for d in built)
 
 
 def test_float_neg_and_derivative_keep_the_working_precision():

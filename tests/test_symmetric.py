@@ -8,9 +8,10 @@ import pytest
 from polyapprox import symmetric
 from polyapprox.numcore import (FLOAT, RATIONAL, SplitMix64, exact_value,
                                 poly_from_json, to_mpf)
-from polyapprox.symmetric import (SymSpec, and_or_approx, and_or_min_degree,
-                                  exact_weight_approx, sampling_approx,
-                                  single_zero_factor, symmetric_approx)
+from polyapprox.symmetric import (SymSpec, _sampling_exponent, and_or_approx,
+                                  and_or_min_degree, exact_weight_approx,
+                                  sampling_approx, single_zero_factor,
+                                  symmetric_approx)
 
 
 def _spec_and(n):
@@ -253,3 +254,10 @@ def test_float_certified_eps_is_the_rounded_up_exact_error(build, prec):
     assert a.poly.backend == FLOAT
     assert a.certified_eps._mpf_ == to_mpf(a.certified_eps, prec)._mpf_
     assert _claim(a) == _rounded_up(_exact_error(a), prec)
+
+
+def test_sampling_exponent_at_an_eps_below_every_float():
+    # 1/10^400 is 0.0 as a float; ln(1/eps) = 400 ln 10 = 921.03 is taken
+    # from the numerator and the denominator.
+    spec = SymSpec(16, [Fraction(1, 2), Fraction(1, 3)] + [0] * 15)
+    assert _sampling_exponent(spec, Fraction(1, 10 ** 400)) == 5 * 930
