@@ -13,8 +13,8 @@ import math
 import mpmath
 from mpmath import mp
 
-from .numcore import (DEFAULT_PREC, PrecisionError, SBinomTail, SComp, SPow,
-                      SProd, UniPoly, as_fraction, to_mpf)
+from .numcore import (DEFAULT_PREC, PrecisionError, SBinomTail, SComp, SProd,
+                      UniPoly, as_fraction, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 
 
@@ -168,4 +168,4 @@ def _build_indicator(n, d, eps, prec):
     p2 = reciprocal_power_approx(d, D)
     eps3 = min(eps / (2 * math.comb(D + d, d)), eps / 4)
     p3 = or_continuous_approx(n, eps3, prec)
-    return SProd([SPow(p1, d), SComp(p2, p1), p3])
+    return SProd([p1 ** d, SComp(p2, p1), p3])

@@ -1,13 +1,15 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification failure,
-4 certified error above --eps, measured exactly, or an amplifier missing at
---prec bits (for a float target or an amplifier a higher --prec may help).
+4 certified error above --eps, measured exactly, or an amplifier or
+small-support indicator missing its target at --prec bits (for a float
+target or a binomial tail a higher --prec may help).
 
-verify recomputes the certified error from the artifact alone, with the
-same exact measure construct used, at the precisions the artifact records,
-and compares it with the claim with no slack.  It also checks the claimed
-degree against the degree of the serialized polynomial.
+verify reads an artifact with its class's from_json, recomputes the
+certified error with the same exact measure construct used (max_error(), at
+the precisions the artifact records), and compares it with the exact claim,
+certified_eps_exact, with no slack.  It also checks the claimed degree
+against the degree of the serialized polynomial.
 """
 
 import argparse
@@ -22,21 +24,16 @@ from mpmath import mp
 
 from . import bounds as bounds_mod
 from .numcore import (DEFAULT_PREC, PrecisionError, SplitMix64, exact_value,
-                      max_error, poly_from_json, scalar_from_json)
+                      scalar_from_json)
 from .oracle import minimax_lp
-from .symmetric import (SymSpec, and_or_approx, and_or_min_degree,
+from .symmetric import (SymApprox, SymSpec, and_or_approx, and_or_min_degree,
                         exact_weight_approx, sampling_min_degree)
 from .extension import small_support_approx
 from .composed import surjectivity_approx, BlockSymApprox
 
 
 def _parse_fraction(s):
-    if "/" in s:
-        a, b = s.split("/")
-        if int(b) == 0:
-            raise ValueError("zero denominator in %s" % s)
-        return Fraction(int(a), int(b))
-    return Fraction(s)
+    return scalar_from_json(s) if "/" in s else Fraction(s)
 
 
 def _precision(s):
@@ -62,8 +59,7 @@ def cmd_construct(args):
     if args.target in ("and", "or"):
         a = and_or_min_degree(args.n, args.target, eps, args.prec)
     elif args.target == "exact":
-        a = exact_weight_approx(args.n, args.k, args.m if args.m is not None
-                                else args.k, eps, args.prec)
+        a = exact_weight_approx(args.n, args.k, args.k, eps, args.prec)
     elif args.target == "sampling":
         spec = _random_low_support(args.n, args.k, args.seed)
         a = sampling_min_degree(spec, eps)
@@ -92,28 +88,22 @@ def cmd_verify(args):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("artifact is not a JSON object")
+    if "terms" in doc:
+        cls = BlockSymApprox
+    elif doc.get("target") == "spectrum":
+        cls = SymApprox
+    else:
+        raise ValueError("unrecognized artifact")
     try:
-        if "terms" in doc:
-            poly = BlockSymApprox.from_json(doc)
-            worst = poly.max_error()
-        elif doc.get("target") == "spectrum":
-            spec = SymSpec(doc["n"],
-                           [_parse_fraction(v) for v in doc["values"]])
-            poly = poly_from_json(doc)
-            worst = max_error(poly, enumerate(spec.values))
-        else:
-            print("unrecognized artifact", file=sys.stderr)
-            return 2
-        if "certified_eps_exact" in doc:
-            claimed = exact_value(scalar_from_json(doc["certified_eps_exact"]))
-        else:
-            claimed = Fraction(doc["certified_eps"])   # the float's exact value
+        approx = cls.from_json(doc)
+        worst = approx.max_error()
+        claimed = exact_value(approx.certified_eps)
     except TypeError as exc:
         # well-formed JSON with a field of the wrong type
         raise ValueError("artifact field of the wrong type: %s" % exc) from exc
-    if doc["degree"] != poly.degree:
+    if doc["degree"] != approx.degree:
         print("FAIL: claimed degree %r, the polynomial has degree %d"
-              % (doc["degree"], poly.degree))
+              % (doc["degree"], approx.degree))
         return 3
     if worst > claimed:
         print("FAIL: certified error claim does not hold")
@@ -223,7 +213,6 @@ def make_parser():
                             "surjectivity"])
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, default=0)
-    c.add_argument("--m", type=int, default=None)
     c.add_argument("--r", type=int, default=0)
     c.add_argument("--eps", default="1/3")
     c.add_argument("--seed", type=int, default=0)

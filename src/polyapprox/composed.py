@@ -239,11 +239,11 @@ class BlockSymApprox:
 
     @classmethod
     def from_json(cls, doc):
-        """The artifact's polynomial; its certified error and degree are left
-        unread."""
+        """The inverse of to_json; the degree is q's."""
         q = UniPoly.from_json(doc["q"]) if doc["q"] is not None else None
         terms = [(t["ell"], scalar_from_json(t["mu"])) for t in doc["terms"]]
-        return cls(doc["n"], doc["r"], q, terms, None)
+        return cls(doc["n"], doc["r"], q, terms,
+                   scalar_from_json(doc["certified_eps_exact"]))
 
 
 def _weight_vectors(r, n, cap=math.inf):

@@ -5,8 +5,8 @@ make leaving the certified range safe."""
 from fractions import Fraction
 import math
 
-from .numcore import (DEFAULT_PREC, SComp, SProd, UniPoly, as_fraction,
-                      certify, exact_value, max_error)
+from .numcore import (DEFAULT_PREC, PrecisionError, SComp, SProd, UniPoly,
+                      as_fraction, certify, exact_value, max_error)
 from .chebyshev import cheb_poly
 from .blocks import interval_indicator
 from .symmetric import SymApprox, SymSpec
@@ -69,9 +69,8 @@ def extend_approx(approx, n, delta, prec=DEFAULT_PREC):
     target = SymSpec(n, [approx.spec.values[w] if w <= m else 0
                          for w in range(n + 1)])
     if n <= n_in:
-        return SymApprox(target, approx.poly, approx.degree,
-                         approx.certified_eps, "extension-passthrough",
-                         set(approx.exact_on))
+        return SymApprox(target, approx.poly, approx.certified_eps,
+                         "extension-passthrough", set(approx.exact_on))
     if m == 0:
         return _extend_from_point(approx, target, n, delta)
     d = max(approx.degree, 1)
@@ -84,7 +83,7 @@ def _extended(approx, target, m, ind, prec):
     """approx times ind(w/m), certified by the exact measure on target."""
     full = SProd([approx.poly, SComp(ind, UniPoly([0, Fraction(1, m)]))])
     err = certify(max_error(full, enumerate(target.values)), prec)
-    return SymApprox(target, full, full.degree, err, "extension", set())
+    return SymApprox(target, full, err, "extension", set())
 
 
 def _extend_from_point(approx, target, n, delta):
@@ -97,17 +96,18 @@ def _extend_from_point(approx, target, n, delta):
     T = T ** reps
     poly = T.scale(approx.spec.values[0] / T.eval(0))
     err = max_error(poly, enumerate(target.values))
-    return SymApprox(target, poly, poly.degree, err, "extension-point", {0})
+    return SymApprox(target, poly, err, "extension-point", {0})
 
 
 def small_support_approx(spec, eps, prec=DEFAULT_PREC):
     """Symmetric f vanishing above a low weight k: interpolate exactly on the
-    2k-slice and extend, total certified error <= eps."""
+    2k-slice and extend, total certified error <= eps.  Raises
+    PrecisionError where the indicator's enclosure at prec bits misses it."""
     eps = as_fraction(eps)
     n = spec.n
     k = max((w for w in range(n + 1) if spec.values[w] != 0), default=-1)
     if k < 0:
-        return SymApprox(spec, UniPoly.zero(), -1, Fraction(0), "zero",
+        return SymApprox(spec, UniPoly.zero(), Fraction(0), "zero",
                          set(range(n + 1)))
     if 2 * k >= n:
         return SymApprox.interpolant(spec)
@@ -117,11 +117,12 @@ def small_support_approx(spec, eps, prec=DEFAULT_PREC):
     # The recipe's alpha is a worst case.  base = f on 0..k, base = 0 on
     # k+1..2k and |base| <= B on 0..n, so an indicator within 2^-j of 1 on
     # [0, 1] and of 0 above 2 meets eps once B 2^-j <= eps.  Its enclosure
-    # radius is not in that sum: the measure decides, and a miss falls back.
+    # radius is not in that sum, so a miss is precision loss.
     B = max_error(base.poly, ((w, 0) for w in range(n + 1)))
     j = _log2_ceil(B / eps)
     ind = interval_indicator(Fraction(n, k), 0, Fraction(1, 2 ** j), prec)
     res = _extended(base, spec, k, ind, prec)
-    if exact_value(res.certified_eps) <= eps:
-        return res
-    return extend_approx(base, n, eps, prec)
+    if exact_value(res.certified_eps) > eps:
+        raise PrecisionError("the small-support indicator misses eps at %d "
+                             "bits" % prec)
+    return res

@@ -107,6 +107,8 @@ def scalar_from_json(s):
     """Parse "a/b" as a Fraction, or mpf hex as an mpf."""
     if "/" in s:
         num, den = s.split("/")
+        if int(den) == 0:
+            raise ValueError("zero denominator in %s" % s)
         return Fraction(int(num), int(den))
     return mpf_from_hex(s)
 
@@ -358,7 +360,7 @@ class UniPoly:
         backend = d["backend"]
         if backend not in (RATIONAL, FLOAT):
             raise ValueError("unknown backend %r" % backend)
-        prec = d.get("precision_bits", DEFAULT_PREC) if backend == FLOAT else None
+        prec = d["precision_bits"] if backend == FLOAT else None
         coeffs = [scalar_from_json(s) for s in d["coeffs"]]
         if any(isinstance(c, Fraction) != (prec is None) for c in coeffs):
             raise ValueError("%s polynomial with a coefficient in the other "
@@ -446,24 +448,6 @@ class SProd(StructPoly):
 
     def to_json(self):
         return {"kind": "prod", "parts": [_child_json(p) for p in self.parts]}
-
-
-class SPow(StructPoly):
-    def __init__(self, base, k):
-        self.base = base
-        self.k = k
-        self.degree = base.degree * k
-        self.backend = base.backend
-
-    def enclose(self, t, rad=0):
-        c, r = self.base.enclose(t, rad)
-        ck = c ** self.k
-        if not r:
-            return ck, Fraction(0)
-        return ck, (abs(c) + r) ** self.k - abs(ck)
-
-    def to_json(self):
-        return {"kind": "pow", "k": self.k, "base": _child_json(self.base)}
 
 
 class SComp(StructPoly):
@@ -652,11 +636,6 @@ def poly_from_json(d):
         return UniPoly.from_json(d["poly"])
     if k == "prod":
         return SProd([poly_from_json(p) for p in d["parts"]])
-    if k == "pow":
-        if type(d["k"]) is not int or d["k"] < 0:
-            raise ValueError("a pow node needs a nonnegative integer "
-                             "exponent, got %r" % (d["k"],))
-        return SPow(poly_from_json(d["base"]), d["k"])
     if k == "comp":
         return SComp(poly_from_json(d["outer"]), poly_from_json(d["inner"]))
     if k == "binom_tail":

@@ -7,7 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 import math
 
-from .numcore import UniPoly, as_fraction, lagrange_interpolate
+from .numcore import (UniPoly, as_fraction, lagrange_interpolate,
+                      scalar_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +23,7 @@ class MinimaxResult:
 
     def to_json(self):
         d = self.poly.to_json()
-        d["eps_star"] = "%d/%d" % (self.eps_star.numerator, self.eps_star.denominator)
+        d["eps_star"] = scalar_to_json(self.eps_star)
         d["active_points"] = [str(t) for t in self.active_points]
         return d
 

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .numcore import (DEFAULT_PREC, SComp, UniPoly, as_fraction, certify,
                       lagrange_interpolate, max_error, min_degree,
-                      scalar_to_json)
+                      poly_from_json, scalar_from_json, scalar_to_json)
 from .chebyshev import cheb_eval, cheb_poly
 
 
@@ -50,14 +50,13 @@ class SymSpec:
 
     def to_json(self):
         return {"target": "spectrum", "n": self.n,
-                "values": ["%d/%d" % (v.numerator, v.denominator) for v in self.values]}
+                "values": [scalar_to_json(v) for v in self.values]}
 
 
 @dataclass
 class SymApprox:
     spec: SymSpec
     poly: object                 # UniPoly or StructPoly in the weight
-    degree: int
     certified_eps: object
     construction: str
     exact_on: set = field(default_factory=set)
@@ -66,8 +65,16 @@ class SymApprox:
     def interpolant(cls, spec):
         """The exact interpolant of spec on every weight 0..n: error 0."""
         p = lagrange_interpolate(range(spec.n + 1), spec.values)
-        return cls(spec, p, p.degree, Fraction(0), "interpolant",
-                   set(range(spec.n + 1)))
+        return cls(spec, p, Fraction(0), "interpolant", set(range(spec.n + 1)))
+
+    @property
+    def degree(self):
+        return self.poly.degree
+
+    def max_error(self):
+        """The measured max |poly(w) - values[w]| over weights 0..n: exact,
+        or a rigorous bound where a node encloses."""
+        return max_error(self.poly, enumerate(self.spec.values))
 
     def to_json(self):
         d = self.poly.to_json()
@@ -78,6 +85,14 @@ class SymApprox:
         d["construction"] = self.construction
         d["exact_on"] = sorted(self.exact_on)
         return d
+
+    @classmethod
+    def from_json(cls, doc):
+        """The inverse of to_json; the degree is the polynomial's."""
+        spec = SymSpec(doc["n"], [scalar_from_json(v) for v in doc["values"]])
+        return cls(spec, poly_from_json(doc),
+                   scalar_from_json(doc["certified_eps_exact"]),
+                   doc["construction"], set(doc["exact_on"]))
 
 
 def single_zero_factor(n, m, prec=DEFAULT_PREC):
@@ -94,16 +109,16 @@ def single_zero_factor(n, m, prec=DEFAULT_PREC):
         return cheb_poly(d, prec).compose_affine(a, b)
 
 
-def _and_base(n, d, ell, prec):
-    """Unnormalized AND-style polynomial on {0..n}: value 1 at n, zeros at
-    n-ell+1 .. n-1, Chebyshev damping below.  Caller measures the rest."""
-    r = max(1, -(-d // 2))
+def _zeroed_bump(r, top, width, zeros, prec):
+    """T_r(t / width) scaled to 1 at top, times a single_zero_factor for
+    each weight in zeros: value 1 at top, 0 on zeros, Chebyshev damping on
+    [0, width].  Caller measures the rest."""
     with mp.workprec(prec):
-        peak = cheb_eval(r, Fraction(n, n - ell), prec)
-        p = cheb_poly(r, prec).compose_affine(Fraction(1, n - ell), 0)
+        peak = cheb_eval(r, Fraction(top, width), prec)
+        p = cheb_poly(r, prec).compose_affine(Fraction(1, width), 0)
         p = p.scale(1 / peak)
-        for i in range(n - ell + 1, n):
-            p = p * single_zero_factor(n, i, prec)
+        for i in zeros:
+            p = p * single_zero_factor(top, i, prec)
     return p
 
 
@@ -120,7 +135,9 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
             a, spec=spec, poly=UniPoly([1]) - a.poly.compose_affine(-1, n))
     ell = d * d // (36 * n) + 1
     ell = min(ell, n - 1)
-    base = _and_base(n, d, ell, prec)
+    # value 1 at n, zeros at n-ell+1 .. n-1
+    base = _zeroed_bump(max(1, -(-d // 2)), n, n - ell, range(n - ell + 1, n),
+                        prec)
     # The damping factor M is the exact maximum below weight n; scale
     # divides by 1 + M exactly and rounds each coefficient once.
     M = max_error(base, ((w, 0) for w in range(n)))
@@ -128,7 +145,7 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
     if which == "or":
         p = UniPoly([1], p.prec) - p.compose_affine(-1, n)
     eps = certify(max_error(p, enumerate(spec.values)), p.prec)
-    return SymApprox(spec, p, p.degree, eps, "chebyshev-damped", set())
+    return SymApprox(spec, p, eps, "chebyshev-damped", set())
 
 
 def and_or_min_degree(n, which, eps, prec=DEFAULT_PREC):
@@ -150,21 +167,15 @@ def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
     if 2 * ell >= n:
         return SymApprox.interpolant(spec)
     r = math.ceil(math.sqrt(n * lg))
-    with mp.workprec(prec):
-        peak = cheb_eval(r, Fraction(n - k, n - ell), prec)
-        p = cheb_poly(r, prec).compose_affine(Fraction(1, n - ell), 0)
-        p = p.scale(1 / peak)
-        for i in range(ell + 1):
-            p = p * single_zero_factor(n - k, i, prec)
-        for i in range(n - ell, n - k):
-            p = p * single_zero_factor(n - k, i, prec)
-        one = UniPoly([1], p.prec)
-        for i in range(n - k + 1, n + 1):
-            f = single_zero_factor(i, n - k, prec)
-            p = p * (one - f * f)
+    p = _zeroed_bump(r, n - k, n - ell,
+                     [*range(ell + 1), *range(n - ell, n - k)], prec)
+    one = UniPoly([1], p.prec)
+    for i in range(n - k + 1, n + 1):
+        f = single_zero_factor(i, n - k, prec)
+        p = p * (one - f * f)
     err = certify(max_error(p, enumerate(spec.values)), p.prec)
     structural = set(range(ell + 1)) | set(range(n - ell, n + 1))
-    return SymApprox(spec, p, p.degree, err, "zeroed-chebyshev", structural)
+    return SymApprox(spec, p, err, "zeroed-chebyshev", structural)
 
 
 def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
@@ -195,7 +206,7 @@ def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
             total = total + q.compose_affine(-1, n).scale(lo)
 
     err = certify(max_error(total, enumerate(spec.values)), total.prec)
-    return SymApprox(spec, total, total.degree, err, "boundary-decomposition", set())
+    return SymApprox(spec, total, err, "boundary-decomposition", set())
 
 
 def _sampling_exponent(spec, eps):
@@ -245,6 +256,6 @@ def sampled_nodes_approx(spec, d):
     # factored, the dense composition has astronomically large coefficients
     inner = UniPoly([1]) - (UniPoly([1, Fraction(-1, n)]) ** E)
     poly = SComp(pq, inner)
-    ap = SymApprox(spec, poly, pq.degree * E, err, "sampled-nodes", exact)
+    ap = SymApprox(spec, poly, err, "sampled-nodes", exact)
     ap.pq_norm = pq.norm()
     return ap

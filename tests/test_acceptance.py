@@ -144,7 +144,7 @@ def test_criterion_05_extension():
         vals = [rng.fraction() for _ in range(m + 1)] + [0] * m
         spec = SymSpec(2 * m, vals)
         p = lagrange_interpolate(list(range(2 * m + 1)), spec.values)
-        base = SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
+        base = SymApprox(spec, p, Fraction(0), "interpolant",
                          set(range(2 * m + 1)))
         ext = extend_approx(base, n, delta)
         for w in range(n + 1):

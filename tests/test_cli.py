@@ -116,8 +116,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
                 "2", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert float(doc["certified_eps"]) > 0
-    doc["certified_eps"] = 1e-30
-    doc.pop("certified_eps_exact", None)
+    doc["certified_eps_exact"] = "1/" + "1" + "0" * 30
     out.write_text(json.dumps(doc))
     assert run(["verify", str(out)]) == 3
     capsys.readouterr()
@@ -174,6 +173,22 @@ def _negative_power(doc):
                                                    "coeffs": ["2/1", "1/1"]}}})
 
 
+def _zero_denominator_claim(doc):
+    doc["certified_eps_exact"] = "1/0"
+
+
+def _zero_denominator_coefficient(doc):
+    doc["coeffs"][0] = "1/0"
+
+
+def _zero_denominator_mu(doc):
+    doc["terms"][0]["mu"] = "1/0"
+
+
+def _no_precision(doc):
+    del doc["precision_bits"]
+
+
 def _binom_tail(**fields):
     # A binomial tail node with one field the tail cannot be evaluated with;
     # the degree and the claim are ones the node would otherwise meet.
@@ -207,6 +222,10 @@ SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
     (AND_4, _binom_tail(d=-1, degree=-1)),
     (AND_4, _binom_tail(precision_bits=0)),
     (AND_4, _binom_tail(precision_bits="64")),
+    (AND_8, _zero_denominator_claim),
+    (AND_8, _zero_denominator_coefficient),
+    (SURJ_8_2, _zero_denominator_mu),
+    (AND_8, _no_precision),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -606,31 +625,16 @@ def test_measured_parameters_never_raise_the_recipe_degree(target, n, k, seed,
     assert doc["degree"] <= _recipe_degree(target, n, k, seed, Fraction(1, 8))
 
 
-# sha256 of the small-support (32, 2) seed-9 artifact that the paper's recipe
-# writes: every small-support artifact was this recipe's before the indicator
-# was sized by the measure.
-RECIPE_SMALL_SUPPORT_SHA256 = \
-    "003b19e6e50d89cc4a7ce34c6412c5706c2019e2d2a352f819e607a761171b25"
-
-
-def test_small_support_probe_miss_writes_the_recipe_artifact(monkeypatch,
-                                                             tmp_path):
-    # The probe's measured certificate is made to miss eps; the recipe's
-    # artifact follows, byte for byte.
-    certified = []
-    real = extension.certify
-
-    def miss_first(err, prec):
-        certified.append(err)
-        return Fraction(1) if len(certified) == 1 else real(err, prec)
-
-    monkeypatch.setattr(extension, "certify", miss_first)
+def test_small_support_probe_miss_exits_4(monkeypatch, tmp_path, capsys):
+    # Exactly, the indicator's error bound meets eps; a certificate made to
+    # miss it is precision loss: exit 4, naming the precision, and no file.
+    monkeypatch.setattr(extension, "certify", lambda err, prec: Fraction(1))
     out = tmp_path / "a.json"
-    assert run(["construct", "--target", "small-support", "--n", "32", "--k",
-                "2", "--seed", "9", "--eps", "1/8", "--out", str(out)]) == 0
-    assert len(certified) == 2
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        RECIPE_SMALL_SUPPORT_SHA256
+    assert run(["--prec", "128", "construct", "--target", "small-support",
+                "--n", "32", "--k", "2", "--seed", "9", "--eps", "1/8",
+                "--out", str(out)]) == 4
+    assert "misses eps at 128 bits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sampling_with_no_exponent_meeting_eps_exits_4(monkeypatch, tmp_path,

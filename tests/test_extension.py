@@ -18,7 +18,7 @@ def _low_support_spec(n, k, rng):
 
 def _interpolant_approx(spec):
     p = lagrange_interpolate(list(range(spec.n + 1)), spec.values)
-    return SymApprox(spec, p, p.degree, Fraction(0), "interpolant",
+    return SymApprox(spec, p, Fraction(0), "interpolant",
                      set(range(spec.n + 1)))
 
 

@@ -1,7 +1,7 @@
 """Every name a polyapprox module imports is read in that module, every
 parameter of its functions is read in the function's body, every top-level
 definition is used somewhere, every dataclass field is read, and only
-numcore knows the scalar backends.
+numcore knows the scalar backends and writes a Fraction.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -65,6 +65,27 @@ def test_only_numcore_names_a_backend(path):
     named += sorted("backend (line %d)" % node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == "backend")
     assert not named, "%s names a backend: %s" % (path.name, ", ".join(named))
+
+
+def _fraction_formats(tree):
+    """The line of every "%d/%d" string literal of the module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == "%d/%d"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numcore"],
+                         ids=lambda p: p.stem)
+def test_only_numcore_formats_a_fraction(path):
+    # scalar_to_json is the one writer of an exact scalar, so every artifact
+    # spells a Fraction the same way.
+    lines = _fraction_formats(ast.parse(path.read_text(), str(path)))
+    assert not lines, "%s formats a Fraction itself (lines %s)" % (
+        path.name, lines)
+
+
+def test_the_scan_sees_a_fraction_format():
+    tree = ast.parse('x = "%d/%d" % (a, b)\ny = "%d" % a\n')
+    assert _fraction_formats(tree) == [1]
 
 
 def _is_stub(fn):

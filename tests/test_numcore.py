@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyapprox import numcore
 from polyapprox.numcore import (BackendMismatchError, SplitMix64, SBinomTail,
-                                SComp, SPow, SProd, StructPoly, UniPoly,
+                                SComp, SProd, StructPoly, UniPoly,
                                 as_fraction, exact_value, lagrange_interpolate,
                                 max_error, min_degree, mpf_from_hex,
                                 mpf_to_hex, poly_from_json, round_up,
@@ -281,8 +281,6 @@ def test_struct_enclosures_propagate_radii():
                  lambda x: _exact_tail(12, 5, inner.eval(x))),
         "prod": (SProd([SComp(tail, inner), dense]),
                  lambda x: _exact_tail(12, 5, inner.eval(x)) * dense.eval(x)),
-        "pow": (SPow(SComp(tail, inner), 3),
-                lambda x: _exact_tail(12, 5, inner.eval(x)) ** 3),
     }
     for name, (node, exact) in nodes.items():
         for t, rad in ((Fraction(1, 3), 0), (Fraction(2, 7), Fraction(1, 50))):
@@ -293,15 +291,15 @@ def test_struct_enclosures_propagate_radii():
 
 
 def test_product_radii_match_the_reference_formulas():
-    # SProd and SPow carry their radii incrementally; each must equal
-    # prod (|c_i| + r_i) - |prod c_i| and (|c| + r)^k - |c|^k exactly.
+    # SProd carries its radius incrementally; it must equal
+    # prod (|c_i| + r_i) - |prod c_i| exactly.
     tail = SComp(SBinomTail(12, 5, 40),
                  UniPoly([Fraction(1, 5), Fraction(1, 2)]))
     exact = UniPoly([Fraction(2, 3), -1, Fraction(1, 4)])
     flt = UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40)
     const = UniPoly([Fraction(-7, 2)])
     part_sets = [[exact, const], [tail], [exact, tail, const, flt],
-                 [tail, SPow(tail, 2), exact], [const, tail, tail]]
+                 [tail, SProd([tail, tail]), exact], [const, tail, tail]]
     seen = set()
     for t, rad in ((Fraction(1, 3), 0), (Fraction(2, 7), Fraction(1, 50))):
         for parts in part_sets:
@@ -310,10 +308,6 @@ def test_product_radii_match_the_reference_formulas():
             center = math.prod((c for c, _ in encs), start=Fraction(1))
             bound = math.prod((abs(c) + r for c, r in encs), start=Fraction(1))
             assert SProd(parts).enclose(t, rad) == (center, bound - abs(center))
-            for base, (c, r) in zip(parts, encs):
-                for k in (0, 1, 3):
-                    assert SPow(base, k).enclose(t, rad) == \
-                        (c ** k, (abs(c) + r) ** k - abs(c) ** k)
     # parts with and without a radius, at a point and on an interval
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -468,7 +462,7 @@ def test_struct_poly_matches_dense_expansion():
     a = UniPoly([1, -1])
     b = UniPoly([0, 2, 1])
     dense = ((a ** 3) * b).scale(Fraction(1, 2))
-    s = SProd([UniPoly([Fraction(1, 2)]), SPow(a, 3), b])
+    s = SProd([UniPoly([Fraction(1, 2)]), SProd([a, a, a]), b])
     for t in (0, 1, Fraction(3, 7), -2):
         assert s.enclose(t) == (dense.eval(t), 0)
     assert s.degree == dense.degree
@@ -508,7 +502,7 @@ def test_poly_json_round_trip_dense():
 
 
 def test_poly_json_round_trip_struct():
-    s = SProd([SPow(UniPoly([0, 1]), 2),
+    s = SProd([UniPoly([0, 0, 1]),
                SComp(SBinomTail(6, 3, 64), UniPoly([0, Fraction(1, 2)]))])
     r = poly_from_json(json.loads(json.dumps(s.to_json())))
     for t in (0, Fraction(1, 2), 1):
@@ -520,7 +514,6 @@ def test_poly_json_round_trip_every_struct_kind():
     dense = UniPoly([1, 2])
     kinds = {
         SProd: SProd([dense, UniPoly([Fraction(-1, 3), 0, 1])]),
-        SPow: SPow(dense, 3),
         SComp: SComp(SBinomTail(5, 2, 64), UniPoly([0, Fraction(1, 2)])),
         SBinomTail: SBinomTail(7, 3, 64),
     }
@@ -534,7 +527,7 @@ def test_poly_json_round_trip_every_struct_kind():
         for t in (0, Fraction(1, 3), 1):
             assert r.enclose(t) == s.enclose(t), (kind, t)
     # A dense child is written as a "dense" node and read back as a UniPoly.
-    child = kinds[SPow].to_json()["base"]
+    child = kinds[SProd].to_json()["parts"][0]
     assert child == {"kind": "dense", "poly": dense.to_json()}
     assert poly_from_json(child) == dense
 

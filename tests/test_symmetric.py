@@ -8,10 +8,10 @@ import pytest
 from polyapprox import symmetric
 from polyapprox.numcore import (FLOAT, RATIONAL, SplitMix64, exact_value,
                                 poly_from_json, to_mpf)
-from polyapprox.symmetric import (SymSpec, _sampling_exponent, and_or_approx,
-                                  and_or_min_degree, exact_weight_approx,
-                                  sampling_approx, single_zero_factor,
-                                  symmetric_approx)
+from polyapprox.symmetric import (SymApprox, SymSpec, _sampling_exponent,
+                                  and_or_approx, and_or_min_degree,
+                                  exact_weight_approx, sampling_approx,
+                                  single_zero_factor, symmetric_approx)
 
 
 def _spec_and(n):
@@ -194,22 +194,22 @@ def test_float_builds_only_at_the_working_precision(name, monkeypatch):
     # The polynomial is built once, at prec; the doubled-precision pass
     # measures that same polynomial and builds nothing.
     seen = collections.defaultdict(list)
-    real_base, real_factor = symmetric._and_base, symmetric.single_zero_factor
+    real_bump, real_factor = symmetric._zeroed_bump, symmetric.single_zero_factor
 
-    def base_spy(n, d, ell, prec):
-        seen["_and_base"].append(prec)
-        return real_base(n, d, ell, prec)
+    def bump_spy(r, top, width, zeros, prec):
+        seen["_zeroed_bump"].append(prec)
+        return real_bump(r, top, width, zeros, prec)
 
     def factor_spy(n, m, prec):
         seen["single_zero_factor"].append(prec)
         return real_factor(n, m, prec)
 
-    monkeypatch.setattr(symmetric, "_and_base", base_spy)
+    monkeypatch.setattr(symmetric, "_zeroed_bump", bump_spy)
     monkeypatch.setattr(symmetric, "single_zero_factor", factor_spy)
     a = FLOAT_BUILDS[name](128)
     assert a.poly.backend == FLOAT and a.poly.prec == 128
     assert set(seen["single_zero_factor"]) == {128}
-    assert seen["_and_base"] == ([] if name == "exact_weight" else [128])
+    assert seen["_zeroed_bump"] == [128]
 
 
 def _hex_value(s):
@@ -261,3 +261,17 @@ def test_sampling_exponent_at_an_eps_below_every_float():
     # from the numerator and the denominator.
     spec = SymSpec(16, [Fraction(1, 2), Fraction(1, 3)] + [0] * 15)
     assert _sampling_exponent(spec, Fraction(1, 10 ** 400)) == 5 * 930
+
+
+@pytest.mark.parametrize("build", [
+    lambda: and_or_approx(16, 9, "or"),
+    lambda: exact_weight_approx(20, 2, 2, Fraction(1, 8)),
+    lambda: sampling_approx(SymSpec(16, [Fraction(1, 2), Fraction(-1, 3)]
+                                    + [0] * 15), Fraction(1, 8)),
+], ids=["float", "zeroed-chebyshev", "structured"])
+def test_from_json_inverts_to_json(build):
+    a = build()
+    text = json.dumps(a.to_json(), sort_keys=True)
+    b = SymApprox.from_json(json.loads(text))
+    assert json.dumps(b.to_json(), sort_keys=True) == text
+    assert (b.degree, b.max_error()) == (a.degree, a.max_error())
