@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification failure,
-4 certified error above --eps, measured exactly, or an amplifier or
-small-support indicator missing its target at --prec bits (for a float
-target or a binomial tail a higher --prec may help).
+4 certified error above --eps, measured exactly, or a binomial amplifier
+missing its target at --prec bits (for a float target or a binomial tail
+a higher --prec may help).
 
 verify reads an artifact with its class's from_json, recomputes the
 certified error with the same exact measure construct used (max_error(), at
@@ -52,35 +52,35 @@ def _emit(obj, path):
         print(text)
 
 
+def _random_low_support(n, k, seed):
+    rng = SplitMix64(seed)
+    values = [rng.fraction() for _ in range(k + 1)] + [0] * (n - k)
+    return SymSpec(n, values)
+
+
+# construct's targets, each built from the parsed arguments and exact eps
+TARGETS = {
+    "and": lambda a, eps: and_or_min_degree(a.n, "and", eps, a.prec),
+    "or": lambda a, eps: and_or_min_degree(a.n, "or", eps, a.prec),
+    "exact": lambda a, eps: exact_weight_approx(a.n, a.k, a.k, eps, a.prec),
+    "sampling": lambda a, eps: sampling_min_degree(
+        _random_low_support(a.n, a.k, a.seed), eps),
+    "small-support": lambda a, eps: small_support_approx(
+        _random_low_support(a.n, a.k, a.seed), eps, a.prec),
+    "surjectivity": lambda a, eps: surjectivity_approx(a.n, a.r, eps, a.prec),
+}
+
+
 def cmd_construct(args):
     eps = _parse_fraction(args.eps)
     if eps <= 0:
         raise ValueError("--eps must be positive, got %s" % args.eps)
-    if args.target in ("and", "or"):
-        a = and_or_min_degree(args.n, args.target, eps, args.prec)
-    elif args.target == "exact":
-        a = exact_weight_approx(args.n, args.k, args.k, eps, args.prec)
-    elif args.target == "sampling":
-        spec = _random_low_support(args.n, args.k, args.seed)
-        a = sampling_min_degree(spec, eps)
-    elif args.target == "small-support":
-        spec = _random_low_support(args.n, args.k, args.seed)
-        a = small_support_approx(spec, eps, args.prec)
-    elif args.target == "surjectivity":
-        a = surjectivity_approx(args.n, args.r, eps, args.prec)
-    else:
-        raise SystemExit(2)
+    a = TARGETS[args.target](args, eps)
     if exact_value(a.certified_eps) > eps:
         raise PrecisionError("certified error %.6g exceeds --eps %s at %d bits"
                              % (float(a.certified_eps), args.eps, args.prec))
     _emit(a.to_json(), args.out)
     return 0
-
-
-def _random_low_support(n, k, seed):
-    rng = SplitMix64(seed)
-    values = [rng.fraction() for _ in range(k + 1)] + [0] * (n - k)
-    return SymSpec(n, values)
 
 
 def cmd_verify(args):
@@ -208,9 +208,7 @@ def make_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("construct")
-    c.add_argument("--target", required=True,
-                   choices=["and", "or", "exact", "sampling", "small-support",
-                            "surjectivity"])
+    c.add_argument("--target", required=True, choices=list(TARGETS))
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, default=0)
     c.add_argument("--r", type=int, default=0)

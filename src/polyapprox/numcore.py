@@ -9,10 +9,11 @@ one exact integer form at any precision, its arithmetic runs in integers,
 and a float result rounds once per coefficient.  A float construction
 builds its polynomial once and certifies it exactly: eval() is the exact
 value at a rational point.  Structured nodes, with UniPolys or nodes as
-children, evaluate only through enclose().  The one inexact node,
+children, evaluate only through enclose(), at an exact rational point: a
+composition's inner is dense and evaluates exactly.  The one inexact node,
 SBinomTail, returns its prec-bit sum (summed on integer mantissas with
-mpf's roundings) with a rigorous radius, and the other nodes carry
-(center, radius) through exactly.  max_error() takes the maximum over
+mpf's roundings) with a rigorous radius, and a product carries its
+factors' (center, radius) exactly.  max_error() takes the maximum over
 the measured points, for a UniPoly over integer numerators reduced once,
 and certify() rounds a float construction's maximum up to its precision.
 """
@@ -97,19 +98,25 @@ def mpf_from_hex(s):
 
 
 def scalar_to_json(x):
+    """A Fraction as "a/b", in hex past Python's 4300-digit int-to-str
+    limit, and an mpf as hex."""
     if isinstance(x, (int, Fraction)):
         f = Fraction(x)
-        return "%d/%d" % (f.numerator, f.denominator)
+        try:
+            return "%d/%d" % (f.numerator, f.denominator)
+        except ValueError:
+            return "%#x/%#x" % (f.numerator, f.denominator)
     return mpf_to_hex(x)
 
 
 def scalar_from_json(s):
-    """Parse "a/b" as a Fraction, or mpf hex as an mpf."""
+    """Parse "a/b" (decimal, or 0x hex) as a Fraction, mpf hex as an mpf."""
     if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
+        num, den = (int(x, 16) if x.lstrip("-").startswith("0x") else int(x)
+                    for x in s.split("/"))
+        if den == 0:
             raise ValueError("zero denominator in %s" % s)
-        return Fraction(int(num), int(den))
+        return Fraction(num, den)
     return mpf_from_hex(s)
 
 
@@ -151,12 +158,6 @@ def horner_ints(nums, den, t):
         bpow *= b
         acc = acc * a + n * bpow
     return acc, den * bpow
-
-
-def _horner(nums, den, t):
-    """sum_j nums[j] t^j / den at a rational t, exact and reduced once, so
-    the Fraction equals term-by-term Horner's."""
-    return Fraction(*horner_ints(nums, den, t))
 
 
 def _kronecker_mul(a, b):
@@ -302,18 +303,11 @@ class UniPoly:
 
     def eval(self, t):
         """The exact value at a rational t, for either backend."""
-        return _horner(self.nums, self.den, as_fraction(t))
+        return Fraction(*horner_ints(self.nums, self.den, as_fraction(t)))
 
-    def enclose(self, t, rad=0):
-        """(center, radius), exact: |self(x) - center| <= radius for every
-        x with |x - t| <= rad.  The center is eval(t)."""
-        c = self.eval(t)
-        if not rad:
-            return c, Fraction(0)
-        # |sum a_k (x^k - t^k)| <= sum |a_k| ((|t| + rad)^k - |t|^k)
-        at = abs(as_fraction(t))
-        mag = [abs(n) for n in self.nums]
-        return c, _horner(mag, self.den, at + rad) - _horner(mag, self.den, at)
+    def enclose(self, t):
+        """(eval(t), 0): a dense polynomial is exact at a point."""
+        return self.eval(t), Fraction(0)
 
     def compose_affine(self, a, b):
         """self(a*t + b), exact, each float coefficient rounded once.  With
@@ -403,12 +397,11 @@ class StructPoly:
     rational when all of them are, float otherwise.  A child is a UniPoly or
     another node.
 
-    A node evaluates only through enclose(t, rad), as UniPoly does: an exact
-    (center, radius) with |self(x) - center| <= radius whenever
-    |x - t| <= rad.  At a point (rad = 0) the radius is 0 unless an
-    SBinomTail lies below; its center is the tail's mpf sum."""
+    A node evaluates only through enclose(t) at a rational t, as UniPoly
+    does: an exact (center, radius) with |self(t) - center| <= radius, the
+    radius 0 unless an SBinomTail, centered at its mpf sum, lies below."""
 
-    def enclose(self, t, rad=0):
+    def enclose(self, t):
         raise NotImplementedError
 
     def to_json(self):
@@ -432,13 +425,13 @@ class SProd(StructPoly):
         self.degree = sum(p.degree for p in parts)
         self.backend = _backend_of(*parts)
 
-    def enclose(self, t, rad=0):
+    def enclose(self, t):
         # |prod (c_i + e_i) - prod c_i| <= prod (|c_i| + r_i) - prod |c_i|,
         # carried factor by factor: with C and R the product and radius so
         # far, R' = (R + |C|) (|c| + r) - |C c| = R (|c| + r) + |C| r.
         center, radius = Fraction(1), Fraction(0)
         for p in self.parts:
-            c, r = p.enclose(t, rad)
+            c, r = p.enclose(t)
             if r:
                 radius = radius * (abs(c) + r) + abs(center) * r
             elif radius:
@@ -451,16 +444,18 @@ class SProd(StructPoly):
 
 
 class SComp(StructPoly):
-    """outer(inner(t)); outer may itself be structured."""
+    """outer(inner(t)), inner dense and exact; outer may be structured."""
 
     def __init__(self, outer, inner):
+        if not isinstance(inner, UniPoly):
+            raise ValueError("a composition's inner must be dense")
         self.outer = outer
         self.inner = inner
         self.degree = outer.degree * inner.degree
         self.backend = _backend_of(outer, inner)
 
-    def enclose(self, t, rad=0):
-        return self.outer.enclose(*self.inner.enclose(t, rad))
+    def enclose(self, t):
+        return self.outer.enclose(self.inner.eval(t))
 
     def to_json(self):
         return {"kind": "comp", "outer": _child_json(self.outer),
@@ -586,7 +581,7 @@ class SBinomTail(StructPoly):
                 break
         return mp.make_mpf(libmp.from_man_exp(am, ae))
 
-    def enclose(self, t, rad=0):
+    def enclose(self, t):
         """The prec-bit sum of _eval with a rigorous radius.  _eval makes
         the mpf loop's roundings, so they are counted here as mpf
         operations.  Rounding: at u in [0, 1] every term of _eval is >= 0,
@@ -603,25 +598,21 @@ class SBinomTail(StructPoly):
         |acc - S| <= gamma_K S for the exact tail S at u, and with
         S <= |acc| / (1 - gamma_K), |acc - S| <= K mu / (1 - 2 K mu) |acc|.
         The early exit of _eval returns the full loop's acc bit for bit.
-        The input rounding t -> u adds d |t - u| (plus d rad for an input
-        interval): on [0, 1] the tail's derivative, d times a Bernstein
-        basis polynomial of degree d - 1, lies in [0, d].  Outside [0, 1],
-        where the terms alternate, the tail is summed exactly instead."""
-        t, rad = as_fraction(t), as_fraction(rad)
+        The input rounding t -> u adds d |t - u|: on [0, 1] the tail's
+        derivative, d times a Bernstein basis polynomial of degree d - 1,
+        lies in [0, d].  Outside [0, 1], where the terms alternate, or at
+        a tiny prec, the tail is summed exactly instead."""
+        t = as_fraction(t)
         d, lo, prec = self.d, self.lo, self.prec
         k = 4 * max(d - lo, 0) + 8
-        if not (0 <= t - rad and t + rad <= 1 and 4 * k < 2 ** prec):
-            if rad:
-                raise ArithmeticError("no binomial tail enclosure for an "
-                                      "input interval outside [0, 1]")
+        if not (0 <= t <= 1 and 4 * k < 2 ** prec):
             exact = sum((math.comb(d, i) * t ** i * (1 - t) ** (d - i)
                          for i in range(lo, d + 1)), Fraction(0))
             return exact, Fraction(0)
         acc = exact_value(self.eval(t))
         u = exact_value(to_mpf(t, prec))
         mu = Fraction(1, 2 ** prec)
-        return acc, (k * mu / (1 - 2 * k * mu) * abs(acc)
-                     + d * (abs(t - u) + rad))
+        return acc, k * mu / (1 - 2 * k * mu) * abs(acc) + d * abs(t - u)
 
     def to_json(self):
         return {"kind": "binom_tail", "d": self.d, "lo": self.lo,

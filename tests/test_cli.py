@@ -199,6 +199,16 @@ def _binom_tail(**fields):
     return tamper
 
 
+def _tail_inside_a_composition(doc):
+    # A composition measures its inner exactly; a binomial tail there would
+    # hand the outer its float center.  The degree claim is the node's.
+    poly = {k: doc[k] for k in ("backend", "coeffs", "precision_bits")}
+    doc.update({"kind": "comp", "outer": {"kind": "dense", "poly": poly},
+                "inner": {"kind": "binom_tail", "d": 4, "lo": 2,
+                          "precision_bits": 64},
+                "degree": 4 * doc["degree"], "certified_eps_exact": "1/1"})
+
+
 AND_4 = ["--target", "and", "--n", "4"]
 AND_8 = ["--target", "and", "--n", "8"]
 SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
@@ -226,6 +236,7 @@ SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
     (AND_8, _zero_denominator_coefficient),
     (SURJ_8_2, _zero_denominator_mu),
     (AND_8, _no_precision),
+    (AND_4, _tail_inside_a_composition),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -633,7 +644,7 @@ def test_small_support_probe_miss_exits_4(monkeypatch, tmp_path, capsys):
     assert run(["--prec", "128", "construct", "--target", "small-support",
                 "--n", "32", "--k", "2", "--seed", "9", "--eps", "1/8",
                 "--out", str(out)]) == 4
-    assert "misses eps at 128 bits" in capsys.readouterr().err
+    assert "exceeds --eps 1/8 at 128 bits" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """Every name a polyapprox module imports is read in that module, every
 parameter of its functions is read in the function's body, every top-level
-definition is used somewhere, every dataclass field is read, and only
-numcore knows the scalar backends and writes a Fraction.
+definition and class method is used somewhere, every dataclass field is
+read, and only numcore knows the scalar backends and writes a Fraction.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -139,37 +139,54 @@ def test_the_scan_sees_an_unused_import():
     assert set(_imported(tree)) - _read(tree) == {"math"}
 
 
-def _referenced(node):
+def _referenced(node, skip=None):
     """Every name the subtree reads, binds by import or looks up as an
-    attribute."""
+    attribute, outside the subtree skip."""
     out = set()
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
         elif isinstance(sub, ast.alias):
             out.add(sub.name)
+        stack.extend(ast.iter_child_nodes(sub))
     return out
 
 
+def _definitions(tree):
+    """(qualified name, node) for every top-level def or class of the
+    module and every method of a top-level class.  main dispatches the
+    cmd_* handlers through globals(), and Python calls the dunders, so
+    both are exempt."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for stmt in tree.body:
+        if isinstance(stmt, defs) and not stmt.name.startswith("cmd_"):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for fn in stmt.body:
+                if (isinstance(fn, defs[:2])
+                        and not (fn.name.startswith("__")
+                                 and fn.name.endswith("__"))):
+                    yield "%s.%s" % (stmt.name, fn.name), fn
+
+
 def _orphans(modules, others):
-    """'module.name' for every top-level def or class of the modules ({name:
-    tree}) that no other top-level statement of its module, and no other
-    tree, references.  main dispatches the cmd_* handlers through
-    globals(), so they are exempt."""
+    """'module.name' for every definition of the modules ({name: tree})
+    whose name nothing outside its own body references: no other statement
+    of its module, and no other tree.  A method counts as used wherever
+    its name is looked up, on any object."""
     names = [_referenced(tree) for tree in list(modules.values()) + others]
     out = []
     for i, (mod, tree) in enumerate(modules.items()):
         elsewhere = set().union(*(n for j, n in enumerate(names) if j != i))
-        stmts = [(stmt, _referenced(stmt)) for stmt in tree.body]
-        for stmt, _ in stmts:
-            if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    or stmt.name.startswith("cmd_")):
-                continue
-            used = elsewhere.union(*(n for s, n in stmts if s is not stmt))
-            if stmt.name not in used:
-                out.append("%s.%s (line %d)" % (mod, stmt.name, stmt.lineno))
+        for qual, node in _definitions(tree):
+            if node.name not in elsewhere | _referenced(tree, skip=node):
+                out.append("%s.%s (line %d)" % (mod, qual, node.lineno))
     return out
 
 
@@ -187,6 +204,18 @@ def test_the_scan_sees_an_orphaned_definition():
                     "class C:\n    pass\n")
     test = ast.parse("from m import g\n")
     assert _orphans({"m": mod}, [test]) == ["m.f (line 1)", "m.C (line 7)"]
+
+
+def test_the_scan_sees_an_orphaned_method():
+    mod = ast.parse("class C:\n"
+                    "    def __init__(self):\n        self.g()\n"
+                    "    def f(self):\n        return self.f()\n"
+                    "    def g(self):\n        return 0\n"
+                    "    @property\n    def h(self):\n        return 1\n"
+                    "    def __len__(self):\n        return 0\n"
+                    "x = C()\n")
+    test = ast.parse("from m import C\nassert C().h\n")
+    assert _orphans({"m": mod}, [test]) == ["m.C.f (line 4)"]
 
 
 def _dataclass_fields(tree):

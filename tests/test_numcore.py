@@ -53,6 +53,9 @@ def test_mpf_hex_not_rerounded_at_global_precision():
 def test_scalar_json_round_trip():
     s = scalar_to_json(Fraction(-5, 9))
     assert scalar_from_json(s) == Fraction(-5, 9)
+    # past Python's 4300-digit limit on decimal int strings, with either sign
+    for x in (Fraction(10 ** 5000 + 1, 3), Fraction(-7, 10 ** 5000 + 3)):
+        assert scalar_from_json(scalar_to_json(x)) == x
     with mp.workprec(128):
         x = mpmath.mpf(7) / 11
     assert scalar_from_json(scalar_to_json(x)) == x
@@ -265,13 +268,11 @@ def test_binom_tail_accepts_every_nonnegative_shape():
 def test_binom_tail_enclosure_outside_the_unit_interval_is_exact():
     for t in (Fraction(-1, 3), Fraction(7, 5)):
         assert SBinomTail(9, 4, 64).enclose(t) == (_exact_tail(9, 4, t), 0)
-    with pytest.raises(ArithmeticError):
-        SBinomTail(9, 4, 64).enclose(Fraction(1, 2), Fraction(2, 3))
 
 
 def test_struct_enclosures_propagate_radii():
-    # Every point of the input interval maps inside the enclosure: checked
-    # exactly at both ends and the middle, for each node kind.
+    # At each point the exact value lies inside the enclosure, for each node
+    # kind.
     tail = SBinomTail(12, 5, 40)
     inner = UniPoly([Fraction(1, 5), Fraction(1, 2)])
     dense = UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40)
@@ -283,10 +284,9 @@ def test_struct_enclosures_propagate_radii():
                  lambda x: _exact_tail(12, 5, inner.eval(x)) * dense.eval(x)),
     }
     for name, (node, exact) in nodes.items():
-        for t, rad in ((Fraction(1, 3), 0), (Fraction(2, 7), Fraction(1, 50))):
-            c, r = node.enclose(t, rad)
-            for x in (t - rad, t, t + rad):
-                assert abs(exact(x) - c) <= r, (name, t, rad, x)
+        for t in (Fraction(1, 3), Fraction(2, 7)):
+            c, r = node.enclose(t)
+            assert abs(exact(t) - c) <= r, (name, t)
             assert r > 0 or name == "dense"
 
 
@@ -301,15 +301,15 @@ def test_product_radii_match_the_reference_formulas():
     part_sets = [[exact, const], [tail], [exact, tail, const, flt],
                  [tail, SProd([tail, tail]), exact], [const, tail, tail]]
     seen = set()
-    for t, rad in ((Fraction(1, 3), 0), (Fraction(2, 7), Fraction(1, 50))):
+    for t in (Fraction(1, 3), Fraction(2, 7)):
         for parts in part_sets:
-            encs = [p.enclose(t, rad) for p in parts]
-            seen.update((rad > 0, r > 0) for _, r in encs)
+            encs = [p.enclose(t) for p in parts]
+            seen.update(r > 0 for _, r in encs)
             center = math.prod((c for c, _ in encs), start=Fraction(1))
             bound = math.prod((abs(c) + r for c, r in encs), start=Fraction(1))
-            assert SProd(parts).enclose(t, rad) == (center, bound - abs(center))
-    # parts with and without a radius, at a point and on an interval
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+            assert SProd(parts).enclose(t) == (center, bound - abs(center))
+    # parts with and without a radius
+    assert seen == {False, True}
 
 
 def test_max_error_is_exact_for_dense_polynomials():
