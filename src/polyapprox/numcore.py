@@ -80,21 +80,35 @@ def to_mpf(x, prec):
                                            libmp.round_nearest))
 
 
-def mpf_to_hex(x):
-    tup = x._mpf_ if isinstance(x, mpmath.mpf) else mpmath.mpf(x)._mpf_
-    sign, man, exp, _ = tup
-    if man == 0:
+def _to_hex(man, exp):
+    """The hex spelling of man * 2**exp: an odd mantissa, "0x0p0" for 0."""
+    if not man:
         return "0x0p0"
-    return "%s0x%xp%d" % ("-" if sign else "", man, exp)
+    tz = (man & -man).bit_length() - 1
+    return "%s0x%xp%d" % ("-" if man < 0 else "", abs(man) >> tz, exp + tz)
 
 
-def mpf_from_hex(s):
+def _from_hex(s):
+    """(man, exp) of a hex string, man odd, (0, 0) for zero."""
     neg = s.startswith("-")
     if neg:
         s = s[1:]
     mant_s, exp_s = s[2:].split("p")
-    man = int(mant_s, 16)
-    return mp.make_mpf(libmp.from_man_exp(-man if neg else man, int(exp_s)))
+    man, exp = int(mant_s, 16), int(exp_s)
+    if not man:
+        return 0, 0
+    tz = (man & -man).bit_length() - 1
+    return (-man if neg else man) >> tz, exp + tz
+
+
+def mpf_to_hex(x):
+    tup = x._mpf_ if isinstance(x, mpmath.mpf) else mpmath.mpf(x)._mpf_
+    sign, man, exp, _ = tup
+    return _to_hex(-int(man) if sign else int(man), exp)
+
+
+def mpf_from_hex(s):
+    return mp.make_mpf(libmp.from_man_exp(*_from_hex(s)))
 
 
 def scalar_to_json(x):
@@ -123,21 +137,55 @@ def scalar_from_json(s):
 def _lowest(nums, den, prec):
     """(nums, den) for sum_i nums[i] / den t^i in lowest terms, with no
     trailing zero: exact if prec is None, else each coefficient rounded
-    once, to nearest at prec bits (to an odd mantissa times 2^exp)."""
+    once, to nearest at prec bits (ties to even), over a power-of-two den.
+
+    A cut of c > 0 bits from a >= 0 is (a + 2^(c-1) - 1 + b) >> c, with b
+    the last kept bit: it carries when the cut part exceeds half a unit,
+    or equals it with an odd last bit.  Over a power-of-two den the cut
+    bits are shifted back in place.  Over any other den one divmod gives a
+    quotient of more than prec bits, cut with the remainder or-ed into b
+    as a sticky bit, and each rounded value is m 2^e.  A correctly rounded
+    value is unique, so the result is libmp's bit for bit.  The common
+    power of two is stripped once at the end."""
     while nums and not nums[-1]:
         nums.pop()
     if prec is None:
         g = math.gcd(den, *nums)
         return ([n // g for n in nums], den // g) if g > 1 else (nums, den)
-    rnd = libmp.round_nearest
     if den & (den - 1):
-        parts = [libmp.from_rational(n, den, prec, rnd) for n in nums]
+        dbits = den.bit_length()
+        parts = []
+        for n in nums:
+            a = -n if n < 0 else n
+            if not a:
+                parts.append((0, 0))
+                continue
+            s = prec + 1 + dbits - a.bit_length()
+            q, rem = divmod(a << s, den) if s >= 0 else divmod(a, den << -s)
+            c = q.bit_length() - prec
+            q = (q + (1 << c - 1) - 1 + (q >> c & 1 | (rem != 0))) >> c
+            parts.append((-q if n < 0 else q, c - s))
+        low = min([0] + [e for _, e in parts])
+        nums = [m << e - low for m, e in parts]
+        den = 1 << -low
     else:
-        e = 1 - den.bit_length()
-        parts = [libmp.from_man_exp(n, e, prec, rnd) for n in nums]
-    low = min([exp for _, man, exp, _ in parts if man] + [0])
-    return ([(-int(man) if sign else int(man)) << (exp - low)
-             for sign, man, exp, _ in parts], 1 << -low)
+        out = []
+        for n in nums:
+            a = -n if n < 0 else n
+            c = a.bit_length() - prec
+            if c > 0:
+                a = (a + (1 << c - 1) - 1 + (a >> c & 1)) >> c << c
+                n = -a if n < 0 else a
+            out.append(n)
+        nums = out
+    g = den
+    for n in nums:
+        g |= n
+    tz = (g & -g).bit_length() - 1
+    if tz:
+        nums = [n >> tz for n in nums]
+        den >>= tz
+    return nums, den
 
 
 def horner_ints(nums, den, t):
@@ -344,22 +392,46 @@ class UniPoly:
         return UniPoly(self.coeffs, prec)
 
     def to_json(self):
-        d = {"backend": self.backend, "coeffs": [scalar_to_json(c) for c in self.coeffs]}
-        if self.prec is not None:
-            d["precision_bits"] = self.prec
-        return d
+        if self.prec is None:
+            return {"backend": RATIONAL,
+                    "coeffs": [scalar_to_json(c) for c in self.coeffs]}
+        exp = 1 - self.den.bit_length()
+        return {"backend": FLOAT,
+                "coeffs": [_to_hex(n, exp) for n in self.nums],
+                "precision_bits": self.prec}
 
     @classmethod
     def from_json(cls, d):
+        """The inverse of to_json.  A float coefficient is read as it is,
+        never rounded: one with more than precision_bits significant bits
+        is no polynomial at that precision, and raises ValueError."""
         backend = d["backend"]
-        if backend not in (RATIONAL, FLOAT):
+        if backend == RATIONAL:
+            coeffs = [scalar_from_json(s) for s in d["coeffs"]]
+            if not all(isinstance(c, Fraction) for c in coeffs):
+                raise ValueError("rational polynomial with a float "
+                                 "coefficient")
+            return cls(coeffs)
+        if backend != FLOAT:
             raise ValueError("unknown backend %r" % backend)
-        prec = d["precision_bits"] if backend == FLOAT else None
-        coeffs = [scalar_from_json(s) for s in d["coeffs"]]
-        if any(isinstance(c, Fraction) != (prec is None) for c in coeffs):
-            raise ValueError("%s polynomial with a coefficient in the other "
-                             "format" % backend)
-        return cls(coeffs, prec)
+        prec = d["precision_bits"]
+        if type(prec) is not int or prec < 1:
+            raise ValueError("float precision must be an integer of at least "
+                             "1 bit, got %r" % (prec,))
+        if any("/" in s for s in d["coeffs"]):
+            raise ValueError("float polynomial with a rational coefficient")
+        parts = [_from_hex(s) for s in d["coeffs"]]
+        for (man, _), s in zip(parts, d["coeffs"]):
+            if abs(man).bit_length() > prec:
+                raise ValueError("coefficient %s has more than %d significant "
+                                 "bits" % (s, prec))
+        low = min([0] + [e for _, e in parts])
+        p = cls.__new__(cls)
+        p.prec = prec
+        p.nums, p.den = [m << e - low for m, e in parts], 1 << -low
+        while p.nums and not p.nums[-1]:
+            p.nums.pop()
+        return p
 
 
 def lagrange_interpolate(nodes, values):

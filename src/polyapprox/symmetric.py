@@ -21,6 +21,9 @@ from .numcore import (DEFAULT_PREC, SComp, UniPoly, as_fraction, certify,
 from .chebyshev import cheb_eval, cheb_poly
 
 
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
 @dataclass
 class SymSpec:
     """Target symmetric function: values[w] on Hamming weight w, in [-1, 1]."""
@@ -31,21 +34,23 @@ class SymSpec:
         if len(self.values) != self.n + 1:
             raise ValueError("need n+1 weight values")
         self.values = [as_fraction(v) for v in self.values]
-        if any(abs(v) > 1 for v in self.values):
+        if any(abs(v.numerator) > v.denominator for v in self.values):
             raise ValueError("spectrum values must lie in [-1, 1]")
+
+    # The boolean spectra share two Fractions instead of making n + 1.
 
     @classmethod
     def and_spec(cls, n):
-        return cls(n, [0] * n + [1])
+        return cls(n, [ZERO] * n + [ONE])
 
     @classmethod
     def or_spec(cls, n):
-        return cls(n, [0] + [1] * n)
+        return cls(n, [ZERO] + [ONE] * n)
 
     @classmethod
     def exact_spec(cls, n, w):
-        v = [0] * (n + 1)
-        v[w] = 1
+        v = [ZERO] * (n + 1)
+        v[w] = ONE
         return cls(n, v)
 
     def to_json(self):
@@ -122,6 +127,13 @@ def _zeroed_bump(r, top, width, zeros, prec):
     return p
 
 
+def _and_or_shape(n, d):
+    """(r, ell) of and_or_approx at d < n: the bump's Chebyshev degree
+    r = ceil(d/2) and its ell - 1 zeros below n.  It depends on d through
+    these alone."""
+    return max(1, -(-d // 2)), min(d * d // (36 * n) + 1, n - 1)
+
+
 def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
     """Approximant for AND_n (or OR_n by reflection) built at damping
     parameter d; certified error is the exact maximum over weights 0..n."""
@@ -133,11 +145,9 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
         # OR reflects the AND interpolant: one basis polynomial, not n
         return a if which == "and" else replace(
             a, spec=spec, poly=UniPoly([1]) - a.poly.compose_affine(-1, n))
-    ell = d * d // (36 * n) + 1
-    ell = min(ell, n - 1)
+    r, ell = _and_or_shape(n, d)
     # value 1 at n, zeros at n-ell+1 .. n-1
-    base = _zeroed_bump(max(1, -(-d // 2)), n, n - ell, range(n - ell + 1, n),
-                        prec)
+    base = _zeroed_bump(r, n, n - ell, range(n - ell + 1, n), prec)
     # The damping factor M is the exact maximum below weight n; scale
     # divides by 1 + M exactly and rounds each coefficient once.
     M = max_error(base, ((w, 0) for w in range(n)))
@@ -150,9 +160,17 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
 
 def and_or_min_degree(n, which, eps, prec=DEFAULT_PREC):
     """and_or_approx at the smallest d whose certified error is <= eps.  The
-    error falls with d, and d >= n is the exact interpolant."""
-    return min_degree(lambda d: and_or_approx(n, d, which, prec), eps, 1,
-                      max(n, 1))
+    error falls with d, and d >= n is the exact interpolant.  Degrees with
+    the same (r, ell) share one build."""
+    built = {}
+
+    def build(d):
+        key = d if d >= n else _and_or_shape(n, d)
+        if key not in built:
+            built[key] = and_or_approx(n, d, which, prec)
+        return built[key]
+
+    return min_degree(build, eps, 1, max(n, 1))
 
 
 def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):

@@ -209,6 +209,22 @@ def _tail_inside_a_composition(doc):
                 "degree": 4 * doc["degree"], "certified_eps_exact": "1/1"})
 
 
+def _over_precise_coefficient(doc):
+    # construct --prec 64 --target and --n 16, then 40 low bits appended to
+    # a coefficient: rounded to 64 bits on reading, it was the built
+    # polynomial again, and verify printed OK.
+    doc.clear()
+    doc.update(symmetric.and_or_min_degree(16, "and", Fraction(1, 3),
+                                           64).to_json())
+    assert doc["coeffs"][2] == "-0x16609a0e3d9e576dp-67"
+    doc["coeffs"][2] = "-0x16609a0e3d9e576d0000000001p-107"
+
+
+def _boolean_precision(doc):
+    # read as 1 bit, the claim failed to hold (exit 3)
+    doc["precision_bits"] = True
+
+
 AND_4 = ["--target", "and", "--n", "4"]
 AND_8 = ["--target", "and", "--n", "8"]
 SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
@@ -237,6 +253,8 @@ SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
     (SURJ_8_2, _zero_denominator_mu),
     (AND_8, _no_precision),
     (AND_4, _tail_inside_a_composition),
+    (AND_4, _over_precise_coefficient),
+    (AND_8, _boolean_precision),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):

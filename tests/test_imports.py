@@ -1,7 +1,8 @@
 """Every name a polyapprox module imports is read in that module, every
 parameter of its functions is read in the function's body, every top-level
 definition and class method is used somewhere, every dataclass field is
-read, and only numcore knows the scalar backends and writes a Fraction.
+read, and only numcore knows the scalar backends, writes a Fraction and
+touches a float's bits through libmp.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -86,6 +87,42 @@ def test_only_numcore_formats_a_fraction(path):
 def test_the_scan_sees_a_fraction_format():
     tree = ast.parse('x = "%d/%d" % (a, b)\ny = "%d" % a\n')
     assert _fraction_formats(tree) == [1]
+
+
+def _libmp_uses(tree):
+    """The line of every import of mpmath's libmp and of every attribute
+    named libmp or _mpf_ (an mpf's raw bit tuple)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("mpmath.libmp") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = ((node.module or "").startswith("mpmath.libmp")
+                   or (node.module == "mpmath"
+                       and any(a.name == "libmp" for a in node.names)))
+        else:
+            hit = (isinstance(node, ast.Attribute)
+                   and node.attr in ("libmp", "_mpf_"))
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numcore"],
+                         ids=lambda p: p.stem)
+def test_only_numcore_touches_libmp(path):
+    # numcore rounds, writes and reads every float's bits, so a float's bit
+    # format lives in one module.
+    lines = _libmp_uses(ast.parse(path.read_text(), str(path)))
+    assert not lines, "%s touches libmp or an mpf's bits (lines %s)" % (
+        path.name, lines)
+
+
+def test_the_scan_sees_libmp():
+    tree = ast.parse("import mpmath.libmp\nfrom mpmath import libmp, mp\n"
+                     "from mpmath.libmp import from_man_exp\n"
+                     "x = mpmath.libmp.fzero\ny = z._mpf_\nw = mp.prec\n")
+    assert _libmp_uses(tree) == [1, 2, 3, 4, 5]
 
 
 def _is_stub(fn):

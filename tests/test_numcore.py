@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -758,6 +758,100 @@ def test_every_result_is_in_lowest_terms(backend, xs, ys, c, a, b, k):
         for other, s in results.items():
             assert (r == s) == (r.coeffs == s.coeffs), (name, other)
     assert results["from_json"] == p and results["p + q"] == results["q + p"]
+
+
+def _lowest_reference(nums, den, prec):
+    # Reference: each coefficient rounded by libmp, from_man_exp over a
+    # power-of-two den and from_rational otherwise, then written over the
+    # least common power of two.
+    while nums and not nums[-1]:
+        nums.pop()
+    rnd = libmp.round_nearest
+    if den & (den - 1):
+        parts = [libmp.from_rational(n, den, prec, rnd) for n in nums]
+    else:
+        e = 1 - den.bit_length()
+        parts = [libmp.from_man_exp(n, e, prec, rnd) for n in nums]
+    low = min([exp for _, man, exp, _ in parts if man] + [0])
+    return ([(-int(man) if sign else int(man)) << (exp - low)
+             for sign, man, exp, _ in parts], 1 << -low)
+
+
+@st.composite
+def _rounding_cases(draw):
+    """(nums, den, prec): den a power of two or not, and coefficients that
+    are zero, random, exact ties at prec bits, or that carry to 2^prec."""
+    prec = draw(st.integers(min_value=1, max_value=512))
+    odd = draw(st.one_of(st.just(1), st.integers(1, 10 ** 6).map(
+        lambda x: 2 * x + 1)))
+    den = odd << draw(st.integers(min_value=0, max_value=600))
+    cut = st.integers(min_value=1, max_value=300)
+    top = (1 << prec) - 1
+    coeff = st.one_of(
+        st.just(0),
+        st.integers(min_value=-2 ** 1100, max_value=2 ** 1100),
+        st.integers(min_value=-2 ** 40, max_value=2 ** 40),
+        # an exact tie: a mantissa, then one half unit
+        st.builds(lambda m, c: odd * ((m << c) | 1 << c - 1),
+                  st.integers(min_value=1, max_value=top), cut),
+        # top mantissa and half a unit or more: rounds up to 2^prec
+        st.builds(lambda c, low: odd * (top << c | 1 << c - 1
+                                        | low % (1 << c - 1)),
+                  cut, st.integers(min_value=0, max_value=2 ** 300)))
+    signs = st.sampled_from([1, -1])
+    nums = draw(st.lists(st.builds(lambda c, s: c * s, coeff, signs),
+                         max_size=6))
+    return nums, den, prec
+
+
+@given(_rounding_cases())
+@example(([], 1, 1))
+@example(([0, 0], 3, 7))
+@example(([3, -3, 5, -5, 7], 2, 1))          # ties at 1 bit, and carries
+@example(([3, -3, 5, -5, 7], 6, 1))
+@example(([2 ** 53 + 1, -(2 ** 53 + 3)], 1, 53))
+@example(([3 * (2 ** 53 + 1), 3 * (2 ** 53 + 3)], 3 << 60, 53))
+@example(([-(2 ** 512 - 1) * 2 - 1], 2, 512))   # a tie that carries to 2^512
+@example(([2 ** 1100 + 1], 3, 2))            # |n| far above den: a wide den
+@settings(max_examples=400, deadline=None)
+def test_float_rounding_matches_libmp(case):
+    nums, den, prec = case
+    got = numcore._lowest(list(nums), den, prec)
+    assert got == _lowest_reference(list(nums), den, prec)
+    rnums, rden = got
+    assert rden & (rden - 1) == 0 and math.gcd(rden, *rnums) == 1
+    assert not rnums or rnums[-1]
+
+
+@given(st.lists(mixed_coeffs, max_size=8), st.integers(min_value=1,
+                                                       max_value=512))
+@example([Fraction(1, 3), 0, -(2 ** 600 + 1), Fraction(-5, 2 ** 480)], 512)
+@example([0, 4, 6], 1)
+@settings(max_examples=150, deadline=None)
+def test_float_json_is_mpf_hex_and_round_trips(coeffs, prec):
+    p = UniPoly(coeffs, prec)
+    doc = p.to_json()
+    assert doc["coeffs"] == [mpf_to_hex(c) for c in p.coeffs]
+    assert doc["precision_bits"] == prec
+    q = UniPoly.from_json(json.loads(json.dumps(doc)))
+    assert q == p and q.prec == prec
+    assert q.to_json() == doc
+
+
+def test_float_from_json_reads_a_coefficient_as_it_is():
+    # An odd mantissa of prec bits reads as it is, an even one is the same
+    # value; one more bit is no coefficient at prec bits.
+    doc = {"backend": "float", "precision_bits": 8,
+           "coeffs": ["0xffp-8", "-0x10p0", "0x0p3"]}
+    p = UniPoly.from_json(doc)
+    assert p.coeffs == [Fraction(255, 256), -16]
+    assert p.to_json()["coeffs"] == ["0xffp-8", "-0x1p4"]
+    for s in ("0x1ffp-9", "-0x101p0"):
+        with pytest.raises(ValueError, match="more than 8 significant bits"):
+            UniPoly.from_json(dict(doc, coeffs=[s]))
+    for prec in (True, 8.0, "8"):
+        with pytest.raises(ValueError, match="at least 1 bit"):
+            UniPoly.from_json(dict(doc, precision_bits=prec))
 
 
 def test_splitmix_deterministic():

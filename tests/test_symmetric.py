@@ -7,7 +7,7 @@ import pytest
 
 from polyapprox import symmetric
 from polyapprox.numcore import (FLOAT, RATIONAL, SplitMix64, exact_value,
-                                poly_from_json, to_mpf)
+                                min_degree, poly_from_json, to_mpf)
 from polyapprox.symmetric import (SymApprox, SymSpec, _sampling_exponent,
                                   and_or_approx, and_or_min_degree,
                                   exact_weight_approx, sampling_approx,
@@ -35,6 +35,9 @@ def test_spec_validation():
         SymSpec(3, [0, 1])
     with pytest.raises(ValueError):
         SymSpec(2, [0, 2, 0])
+    with pytest.raises(ValueError):
+        SymSpec(2, [0, Fraction(-4, 3), 0])
+    assert SymSpec(2, [-1, Fraction(-3, 4), 1]).values[0] == -1
 
 
 def test_single_zero_factor_contract():
@@ -147,6 +150,24 @@ def test_and_or_min_degree_matches_linear_ladder(n):
             want = json.dumps(_linear_and_or_ladder(n, which, eps).to_json())
             got = json.dumps(and_or_min_degree(n, which, eps).to_json())
             assert got == want, (n, which, eps)
+
+
+def test_and_or_min_degree_builds_each_shape_once(monkeypatch):
+    # The search probes d = 1, 2, 4, 8, 16, 32, 24, 20, 22, 21; d = 1 and 2
+    # share (r, ell) = (1, 1), and d = 21 and 22 share (11, 1).
+    eps = Fraction(1, 3)
+    real = symmetric.and_or_approx
+    want = min_degree(lambda d: real(128, d, "and", 256), eps, 1, 128)
+    probed = []
+
+    def spy(n, d, which, prec):
+        probed.append(d)
+        return real(n, d, which, prec)
+
+    monkeypatch.setattr(symmetric, "and_or_approx", spy)
+    got = and_or_min_degree(128, "and", eps, 256)
+    assert probed == [1, 4, 8, 16, 32, 24, 20, 22]
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
 def test_symmetric_approx_constant():
