@@ -90,33 +90,32 @@ def reciprocal_power_error_bound(d, D, u):
     return abs(1 - u) ** (D + 1) * math.comb(D + d, d) * d
 
 
-def _amplifier_degree(u_bad, u_good, eps, prec=DEFAULT_PREC):
+def _amplifier_degree(u_bad, u_good, eps):
     """The Chernoff-Hoeffding degree d = ln(1/eps)/KL + 1, at least 8, of the
     exact-threshold binomial tail that maps [0, u_bad] below eps and
-    [u_good, 1] above 1 - eps (Hoeffding 1963).  Exactly, that bound holds;
-    an enclosure that misses it is precision loss, and raises PrecisionError."""
+    [u_good, 1] above 1 - eps (Hoeffding 1963), checked once on the exact
+    tail.  The KL estimate runs at DEFAULT_PREC bits; a degree it puts too
+    low raises PrecisionError."""
     mid = (u_bad + u_good) / 2
+    prec = DEFAULT_PREC
 
     def kl(a, b):
-        with mp.workprec(prec):
-            a, b = to_mpf(a, prec), to_mpf(b, prec)
-            return a * mpmath.log(a / b) + (1 - a) * mpmath.log((1 - a) / (1 - b))
+        a, b = to_mpf(a, prec), to_mpf(b, prec)
+        return a * mpmath.log(a / b) + (1 - a) * mpmath.log((1 - a) / (1 - b))
 
     with mp.workprec(prec):
         rate = min(kl(mid, u_bad), kl(mid, u_good))
         est = int(mpmath.log(1 / to_mpf(eps, prec)) / rate) + 1
     d = max(8, est)
     lo = int(math.ceil(mid * d))
-    tail = SBinomTail(d, lo, prec)
-    bad, bad_r = tail.enclose(u_bad)
-    good, good_r = tail.enclose(u_good)
-    if bad + bad_r > eps or 1 - (good - good_r) > eps:
+    tail = SBinomTail(d, lo)
+    if tail.eval(u_bad) > eps or 1 - tail.eval(u_good) > eps:
         raise PrecisionError("the degree-%d binomial amplifier misses its "
-                             "target at %d bits" % (d, prec))
+                             "target" % d)
     return d, lo
 
 
-def or_continuous_approx(n, eps, prec=DEFAULT_PREC):
+def or_continuous_approx(n, eps):
     """p with p([0,1]) in [1-eps, 1], |p| <= 1 on (1,2], 0 <= p <= eps on
     (2,n].  Chebyshev bump normalized by its exact maximum, then pushed
     through a binomial threshold amplifier.  Factored form."""
@@ -131,35 +130,35 @@ def or_continuous_approx(n, eps, prec=DEFAULT_PREC):
     qstar = (q + UniPoly([1])).scale(Fraction(1) / (peak + 1))
     u_bad = Fraction(2) / (peak + 1)
     u_good = Fraction(3) / (peak + 1)
-    d_amp, lo = _amplifier_degree(u_bad, u_good, eps, prec)
-    return SComp(SBinomTail(d_amp, lo, prec), qstar)
+    d_amp, lo = _amplifier_degree(u_bad, u_good, eps)
+    return SComp(SBinomTail(d_amp, lo), qstar)
 
 
 _INDICATOR_CACHE = {}
 _INDICATOR_CACHE_MAX = 16
 
 
-def interval_indicator(n, d, eps, prec=DEFAULT_PREC):
+def interval_indicator(n, d, eps):
     """p with |p - 1| <= eps on [0,1], |p| <= 1 + eps on (1,2], and
     |p(t)| <= eps/t^d on (2,n].  Factored form p1^d * p2(p1) * p3."""
     n = as_fraction(n)
     eps = as_fraction(eps)
-    key = (n, d, eps, prec)
+    key = (n, d, eps)
     if key in _INDICATOR_CACHE:
         return _INDICATOR_CACHE[key]
-    out = _build_indicator(n, d, eps, prec)
+    out = _build_indicator(n, d, eps)
     if len(_INDICATOR_CACHE) >= _INDICATOR_CACHE_MAX:
         _INDICATOR_CACHE.clear()
     _INDICATOR_CACHE[key] = out
     return out
 
 
-def _build_indicator(n, d, eps, prec):
+def _build_indicator(n, d, eps):
     if n <= 2 or eps <= 0:
         raise ValueError("need n > 2, eps > 0")
     if d == 0:
         # no decay requirement; the amplified bump alone is the indicator
-        return or_continuous_approx(n, eps, prec)
+        return or_continuous_approx(n, eps)
     p1, _ = reciprocal_corollary(n + 1)
     p1 = p1.compose_affine(1, 1)       # sandwich 1/(2(t+1)) .. 1/(t+1) on [0,n]
     D = 5 * d + 1
@@ -167,5 +166,5 @@ def _build_indicator(n, d, eps, prec):
         D += 1
     p2 = reciprocal_power_approx(d, D)
     eps3 = min(eps / (2 * math.comb(D + d, d)), eps / 4)
-    p3 = or_continuous_approx(n, eps3, prec)
+    p3 = or_continuous_approx(n, eps3)
     return SProd([p1 ** d, SComp(p2, p1), p3])

@@ -1,13 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification failure,
-4 certified error above --eps, measured exactly, or a binomial amplifier
-missing its target at --prec bits (for a float target or a binomial tail
-a higher --prec may help).
+4 certified error above --eps: the exact maximum error of the built
+polynomial, rounded up to --prec bits for a float target or a binomial
+tail, so a higher --prec may help.
 
-verify reads an artifact with its class's from_json, recomputes the
-certified error with the same exact measure construct used (max_error(), at
-the precisions the artifact records), and compares it with the exact claim,
+verify reads an artifact with its class's from_json, recomputes the exact
+maximum error with the same measure construct used (max_error(), at the
+precisions the artifact records), and compares it with the exact claim,
 certified_eps_exact, with no slack.  It also checks the claimed degree
 against the degree of the serialized polynomial.
 """

@@ -75,12 +75,14 @@ def extend_approx(approx, n, delta, prec=DEFAULT_PREC):
         return _extend_from_point(approx, target, n, delta)
     d = max(approx.degree, 1)
     alpha = delta / int(math.ceil((4 * math.e) ** (d + 1)))
-    ind = interval_indicator(Fraction(n, m), d, alpha, prec)
+    ind = interval_indicator(Fraction(n, m), d, alpha)
     return _extended(approx, target, m, ind, prec)
 
 
 def _extended(approx, target, m, ind, prec):
-    """approx times ind(w/m), certified by the exact measure on target."""
+    """approx times ind(w/m), certified by the exact measure on target,
+    rounded up to prec bits: the tail's exact maximum is a fraction of
+    thousands of bits."""
     full = SProd([approx.poly, SComp(ind, UniPoly([0, Fraction(1, m)]))])
     err = certify(max_error(full, enumerate(target.values)), prec)
     return SymApprox(target, full, err, "extension", set())
@@ -101,8 +103,8 @@ def _extend_from_point(approx, target, n, delta):
 
 def small_support_approx(spec, eps, prec=DEFAULT_PREC):
     """Symmetric f vanishing above a low weight k: interpolate exactly on the
-    2k-slice and extend, with a certified error that meets eps in exact
-    arithmetic; at prec bits the indicator's enclosure may miss it."""
+    2k-slice and extend, certified by the exact maximum rounded up to prec
+    bits; only that rounding can take it above eps."""
     eps = as_fraction(eps)
     n = spec.n
     k = max((w for w in range(n + 1) if spec.values[w] != 0), default=-1)
@@ -116,9 +118,9 @@ def small_support_approx(spec, eps, prec=DEFAULT_PREC):
         return extend_approx(base, n, eps, prec)
     # The recipe's alpha is a worst case.  base = f on 0..k, base = 0 on
     # k+1..2k and |base| <= B on 0..n, so an indicator within 2^-j of 1 on
-    # [0, 1] and of 0 above 2 meets eps once B 2^-j <= eps.  Its enclosure
-    # radius is not in that sum, so a miss is precision loss.
+    # [0, 1] and of 0 above 2 meets eps once B 2^-j <= eps.  The measure is
+    # exact, so only the certificate's rounding to prec bits can miss eps.
     B = max_error(base.poly, ((w, 0) for w in range(n + 1)))
     j = _log2_ceil(B / eps)
-    ind = interval_indicator(Fraction(n, k), 0, Fraction(1, 2 ** j), prec)
+    ind = interval_indicator(Fraction(n, k), 0, Fraction(1, 2 ** j))
     return _extended(base, spec, k, ind, prec)

@@ -7,20 +7,21 @@ derived backend, "rational" or "float".  Mixing precisions is an error,
 never a silent coercion.  Every mpf is a dyadic rational, so a UniPoly is
 one exact integer form at any precision, its arithmetic runs in integers,
 and a float result rounds once per coefficient.  A float construction
-builds its polynomial once and certifies it exactly: eval() is the exact
-value at a rational point.  Structured nodes, with UniPolys or nodes as
-children, evaluate only through enclose(), at an exact rational point: a
-composition's inner is dense and evaluates exactly.  The one inexact node,
-SBinomTail, returns its prec-bit sum (summed on integer mantissas with
-mpf's roundings) with a rigorous radius, and a product carries its
-factors' (center, radius) exactly.  max_error() takes the maximum over
-the measured points, for a UniPoly over integer numerators reduced once,
-and certify() rounds a float construction's maximum up to its precision.
+builds its polynomial once and certifies it exactly.
+
+Every polynomial, dense or structured, has one evaluation: ints(t), the
+unreduced integer pair (numerator, denominator) of its exact value at a
+rational t, and eval(t) is that pair's Fraction.  A composition's inner is
+dense and evaluates exactly, a product multiplies its parts' pairs, and the
+binomial tail is summed exactly in integers.  max_error() takes the exact
+maximum over the measured points, comparing integer pairs, and certify()
+rounds a float construction's maximum up to its precision.
 """
 
 from fractions import Fraction
 from itertools import zip_longest
 import math
+import re
 
 import mpmath
 from mpmath import libmp, mp
@@ -89,16 +90,16 @@ def _to_hex(man, exp):
 
 
 def _from_hex(s):
-    """(man, exp) of a hex string, man odd, (0, 0) for zero."""
-    neg = s.startswith("-")
-    if neg:
-        s = s[1:]
-    mant_s, exp_s = s[2:].split("p")
-    man, exp = int(mant_s, 16), int(exp_s)
+    """(man, exp) of a hex string "[-]0x<hex digits>p<exp>", man odd, (0, 0)
+    for zero; ValueError on any other spelling."""
+    m = re.fullmatch(r"(-?)0x([0-9a-f]+)p(-?[0-9]+)", s)
+    if m is None:
+        raise ValueError("not a hex float: %r" % s)
+    man, exp = int(m[2], 16), int(m[3])
     if not man:
         return 0, 0
     tz = (man & -man).bit_length() - 1
-    return (-man if neg else man) >> tz, exp + tz
+    return (-man if m[1] else man) >> tz, exp + tz
 
 
 def mpf_to_hex(x):
@@ -349,13 +350,14 @@ class UniPoly:
             k >>= 1
         return out
 
+    def ints(self, t):
+        """The unreduced integer pair of the exact value at an int or
+        Fraction t, for either backend."""
+        return horner_ints(self.nums, self.den, t)
+
     def eval(self, t):
         """The exact value at a rational t, for either backend."""
-        return Fraction(*horner_ints(self.nums, self.den, as_fraction(t)))
-
-    def enclose(self, t):
-        """(eval(t), 0): a dense polynomial is exact at a point."""
-        return self.eval(t), Fraction(0)
+        return Fraction(*self.ints(as_fraction(t)))
 
     def compose_affine(self, a, b):
         """self(a*t + b), exact, each float coefficient rounded once.  With
@@ -467,14 +469,15 @@ def lagrange_interpolate(nodes, values):
 class StructPoly:
     """A factored polynomial node.  Its backend is derived from its children:
     rational when all of them are, float otherwise.  A child is a UniPoly or
-    another node.
+    another node.  Like a UniPoly, a node evaluates through ints(t), the
+    unreduced integer pair of its exact value at a rational t."""
 
-    A node evaluates only through enclose(t) at a rational t, as UniPoly
-    does: an exact (center, radius) with |self(t) - center| <= radius, the
-    radius 0 unless an SBinomTail, centered at its mpf sum, lies below."""
-
-    def enclose(self, t):
+    def ints(self, t):
         raise NotImplementedError
+
+    def eval(self, t):
+        """The exact value at a rational t."""
+        return Fraction(*self.ints(as_fraction(t)))
 
     def to_json(self):
         raise NotImplementedError
@@ -497,19 +500,13 @@ class SProd(StructPoly):
         self.degree = sum(p.degree for p in parts)
         self.backend = _backend_of(*parts)
 
-    def enclose(self, t):
-        # |prod (c_i + e_i) - prod c_i| <= prod (|c_i| + r_i) - prod |c_i|,
-        # carried factor by factor: with C and R the product and radius so
-        # far, R' = (R + |C|) (|c| + r) - |C c| = R (|c| + r) + |C| r.
-        center, radius = Fraction(1), Fraction(0)
+    def ints(self, t):
+        num, den = 1, 1
         for p in self.parts:
-            c, r = p.enclose(t)
-            if r:
-                radius = radius * (abs(c) + r) + abs(center) * r
-            elif radius:
-                radius *= abs(c)
-            center *= c
-        return center, radius
+            n, d = p.ints(t)
+            num *= n
+            den *= d
+        return num, den
 
     def to_json(self):
         return {"kind": "prod", "parts": [_child_json(p) for p in self.parts]}
@@ -526,8 +523,8 @@ class SComp(StructPoly):
         self.degree = outer.degree * inner.degree
         self.backend = _backend_of(outer, inner)
 
-    def enclose(self, t):
-        return self.outer.enclose(self.inner.eval(t))
+    def ints(self, t):
+        return self.outer.ints(self.inner.eval(t))
 
     def to_json(self):
         return {"kind": "comp", "outer": _child_json(self.outer),
@@ -535,160 +532,50 @@ class SComp(StructPoly):
 
 
 class SBinomTail(StructPoly):
-    """sum_{i=lo}^{d} C(d,i) t^i (1-t)^{d-i}, summed term by term at the
-    node's precision: on integer mantissas, with the roundings of mpf
-    arithmetic, bit for bit."""
+    """sum_{i=lo}^{d} C(d,i) t^i (1-t)^{d-i}, summed exactly in integers."""
 
-    backend = FLOAT
+    backend = RATIONAL
 
-    def __init__(self, d, lo, prec=DEFAULT_PREC):
-        for name, x, least in (("d", d, 0), ("lo", lo, 0), ("prec", prec, 1)):
-            if type(x) is not int or x < least:
-                raise ValueError("a binomial tail needs an integer %s >= %d, "
-                                 "got %r" % (name, least, x))
+    def __init__(self, d, lo):
+        for name, x in (("d", d), ("lo", lo)):
+            if type(x) is not int or x < 0:
+                raise ValueError("a binomial tail needs an integer %s >= 0, "
+                                 "got %r" % (name, x))
         self.d = d
         self.lo = lo
-        self.prec = prec
         self.degree = d
         self._memo = {}
-        self._comb = None               # C(d, lo) at prec bits, made once
 
-    def eval(self, t):
-        """The mpf sum at t, memoized: the center of enclose()."""
-        if t not in self._memo:
-            if len(self._memo) > 4096:
-                self._memo.clear()
-            self._memo[t] = self._eval(t)
-        return self._memo[t]
-
-    def _eval(self, t):
-        """The sum of the mpf loop
-
-            term = C(d, lo) * u**lo * v**(d - lo);  acc = term
-            for i in lo..d-1:  term = term * r * (d - i) / (i + 1);  acc += term
-
-        at u = t rounded to prec bits, v = 1 - u and r = u / v, with every
-        operation rounded to nearest (ties to even) at prec bits.  The
-        setup runs in libmp.  The loop holds |term| and acc as integer
-        mantissas and exponents, and rounds each of its four operations
-        exactly as libmp does: the exact result, cut to prec bits.  So it
-        returns the mpf loop's sum bit for bit.
-
-        A cut of n > 0 bits from a >= 0 is (a + 2^(n-1) - 1 + b) >> n, with
-        b the last kept bit: it carries when the cut part exceeds half a
-        unit, or equals it with an odd last bit.  Or-ing a sticky bit into
-        b rounds a value just above a, as a division remainder says.  A
-        mantissa that rounds up to 2^prec keeps its prec + 1 bits: the same
-        value, a power of two."""
-        d, lo, prec = self.d, self.lo, self.prec
-        rnd = libmp.round_nearest
-        u = to_mpf(t, prec)._mpf_
-        v = libmp.mpf_sub(libmp.fone, u, prec, rnd)
-        # at u = 0 only term 0 is nonzero, at u = 1 only term d: 1 if summed
-        if u == libmp.fzero:
-            return mp.make_mpf(libmp.fone if lo == 0 else libmp.fzero)
-        if v == libmp.fzero:
-            return mp.make_mpf(libmp.fone if lo <= d else libmp.fzero)
-        if self._comb is None:
-            self._comb = libmp.from_int(math.comb(d, lo), prec, rnd)
-        term = libmp.mpf_mul(
-            libmp.mpf_mul(self._comb, libmp.mpf_pow_int(u, lo, prec, rnd),
-                          prec, rnd),
-            libmp.mpf_pow_int(v, d - lo, prec, rnd), prec, rnd)
-        ts, ta, te, _ = term                  # term = (-1)^ts ta 2^te
-        rs, ra, re, _ = libmp.mpf_div(u, v, prec, rnd)
-        ta, ra = int(ta), int(ra)
-        am, ae = -ta if ts else ta, te        # acc = am 2^ae
-        past_mode = False
-        may_exit = 3 * d < 2 ** (prec - 1)
-        for i in range(lo, d):
-            # term * r, then * (d - i): exact products, cut to prec bits
-            a, e = ta * ra, te + re
-            n = a.bit_length() - prec
-            if n > 0:
-                a = (a + (1 << n - 1) - 1 + (a >> n & 1)) >> n
-                e += n
-            a *= d - i
-            n = a.bit_length() - prec
-            if n > 0:
-                a = (a + (1 << n - 1) - 1 + (a >> n & 1)) >> n
-                e += n
-            # / (i + 1): a quotient of more than prec bits, cut with the
-            # remainder as its sticky bit
-            s = prec + 1 + (i + 1).bit_length() - a.bit_length()
-            a, rem = divmod(a << s, i + 1)
-            n = a.bit_length() - prec
-            ta = (a + (1 << n - 1) - 1 + (a >> n & 1 | (rem != 0))) >> n
-            te = e - s + n
-            ts ^= rs
-            # acc + term: the exact sum, cut to prec bits
-            tm = -ta if ts else ta
-            if ae >= te:
-                m, e = (am << ae - te) + tm, te
-            else:
-                m, e = am + (tm << te - ae), ae
-            n = m.bit_length() - prec
-            if n > 0:
-                a = -m if m < 0 else m
-                a = (a + (1 << n - 1) - 1 + (a >> n & 1)) >> n
-                m, e = -a if m < 0 else a, e + n
-            am, ae = m, e
-            # Early exit that leaves acc bit-for-bit as the full loop
-            # would.  Past the mode, every later exact ratio
-            # |r| (d-j)/(j+1), j > i, is <= 1, so a later term exceeds
-            # |term| only through its three roundings per step: by less
-            # than (1 + 2^-prec)^(3d) < 2 while 3d < 2^(prec-1).  With
-            # |term| < 2^(mag(acc) - prec - 3), each later term is below
-            # 2^(mag(acc) - prec - 2), half an ulp of the binade under
-            # |acc|'s, so round-to-nearest returns acc unchanged at every
-            # later add.  Nothing assumes a sign: it holds for u outside
-            # [0, 1], where the terms alternate.  The mode test
-            # |r| (d-i-1) <= i + 2 is exact, and mag(m 2^e) = e + bits(m).
-            if may_exit and not past_mode:
-                x = ra * (d - i - 1)
-                past_mode = (x << re <= i + 2 if re >= 0
-                             else x <= i + 2 << -re)
-            if past_mode and am and (te + ta.bit_length()
-                                     <= ae + am.bit_length() - prec - 3):
-                break
-        return mp.make_mpf(libmp.from_man_exp(am, ae))
-
-    def enclose(self, t):
-        """The prec-bit sum of _eval with a rigorous radius.  _eval makes
-        the mpf loop's roundings, so they are counted here as mpf
-        operations.  Rounding: at u in [0, 1] every term of _eval is >= 0,
-        and the computed term i is its exact value at u times at most K
-        factors (1 + delta)^(+-1), |delta| <= mu = 2^-prec:
-          7      forming term lo: C(d, lo) rounded, u^lo and v^(d-lo) at 2
-                 each (the final rounding, plus mpf_pow_int's guard-bit
-                 truncations, which stay below one more unit), two products;
-          d - i  the one rounding of v = 1 - u, raised to the power d - i;
-          i - lo the one rounding of r = u / v, used once per step;
-          3 (i - lo)  three roundings per step;
-          d - i + 1   the additions into acc (d - lo for term lo).
-        The largest count is the last term's, K = 4 (d - lo) + 8.  So
-        |acc - S| <= gamma_K S for the exact tail S at u, and with
-        S <= |acc| / (1 - gamma_K), |acc - S| <= K mu / (1 - 2 K mu) |acc|.
-        The early exit of _eval returns the full loop's acc bit for bit.
-        The input rounding t -> u adds d |t - u|: on [0, 1] the tail's
-        derivative, d times a Bernstein basis polynomial of degree d - 1,
-        lies in [0, d].  Outside [0, 1], where the terms alternate, or at
-        a tiny prec, the tail is summed exactly instead."""
-        t = as_fraction(t)
-        d, lo, prec = self.d, self.lo, self.prec
-        k = 4 * max(d - lo, 0) + 8
-        if not (0 <= t <= 1 and 4 * k < 2 ** prec):
-            exact = sum((math.comb(d, i) * t ** i * (1 - t) ** (d - i)
-                         for i in range(lo, d + 1)), Fraction(0))
-            return exact, Fraction(0)
-        acc = exact_value(self.eval(t))
-        u = exact_value(to_mpf(t, prec))
-        mu = Fraction(1, 2 ** prec)
-        return acc, k * mu / (1 - 2 * k * mu) * abs(acc) + d * abs(t - u)
+    def ints(self, t):
+        """(N, b^d) at t = a/b, memoized: with c = b - a, the tail is
+        N / b^d for N = sum_{i>=lo} C(d,i) a^i c^(d-i).  The terms' ratio
+        is (d-i) a / ((i+1) c), so the sum over i >= lo is the term at lo
+        times the nested 1 + r_lo (1 + r_(lo+1) (1 + ...)), summed from the
+        inside as one fraction xn / xd.  Its denominator xd is
+        c^(d-lo) d!/lo!, so N = a^lo xn / (d-lo)!, an exact division.  At
+        c = 0 (t = 1) xd is 0 and N = a^d = b^d, the tail's value 1.  With
+        lo > d no term is summed: (0, 1)."""
+        if t in self._memo:
+            return self._memo[t]
+        d, lo = self.d, self.lo
+        a, b = t.numerator, t.denominator
+        if lo > d:
+            out = 0, 1
+        else:
+            c = b - a
+            xn = xd = 1
+            for i in range(d - 1, lo - 1, -1):
+                q = (i + 1) * c
+                xn = q * xd + (d - i) * a * xn
+                xd *= q
+            out = a ** lo * xn // math.factorial(d - lo), b ** d
+        if len(self._memo) > 4096:
+            self._memo.clear()
+        self._memo[t] = out
+        return out
 
     def to_json(self):
-        return {"kind": "binom_tail", "d": self.d, "lo": self.lo,
-                "precision_bits": self.prec}
+        return {"kind": "binom_tail", "d": self.d, "lo": self.lo}
 
 
 def poly_from_json(d):
@@ -702,7 +589,7 @@ def poly_from_json(d):
     if k == "comp":
         return SComp(poly_from_json(d["outer"]), poly_from_json(d["inner"]))
     if k == "binom_tail":
-        return SBinomTail(d["d"], d["lo"], d["precision_bits"])
+        return SBinomTail(d["d"], d["lo"])
     raise ValueError("unknown structured polynomial kind %r" % k)
 
 
@@ -732,24 +619,24 @@ def min_degree(build, eps, lo, hi):
 
 
 def max_error(poly, pairs):
-    """max |poly(t) - f| + radius over the (t, f) pairs, ints or Fractions,
-    as a Fraction: exact for a dense polynomial, a rigorous bound where a
-    node encloses.
-    A dense polynomial's errors stay integer pairs: at p(t) = v / d,
-    |p(t) - f| = |v f.den - f.num d| / (d f.den).  They are compared by
-    cross-multiplication, and the largest is reduced once."""
-    if not isinstance(poly, UniPoly):
-        worst = Fraction(0)
-        for t, f in pairs:
-            c, r = poly.enclose(t)
-            worst = max(worst, abs(c - f) + r)
-        return worst
-    nums, den = poly.nums, poly.den
+    """max |poly(t) - f| over the (t, f) pairs, ints or Fractions, as a
+    Fraction: the exact maximum, for a dense polynomial or a node.
+    Each error stays an integer pair: at poly(t) = v / d,
+    |poly(t) - f| = |v f.den - f.num d| / (d f.den).  Bit lengths bound a
+    positive x / y strictly between 2^(bits(x) - bits(y) - 1) and
+    2^(bits(x) - bits(y) + 1), so an error whose bound is 2 or more bits
+    below (above) the largest so far is skipped (taken) as it is; only the
+    others are compared by cross-multiplication.  The largest is reduced
+    once."""
     wn, wd = 0, 1
     for t, f in pairs:
-        v, d = horner_ints(nums, den, t)
+        v, d = poly.ints(t)
         e, ed = abs(v * f.denominator - f.numerator * d), d * f.denominator
-        if e * wd > wn * ed:
+        if not e:
+            continue
+        gap = (e.bit_length() - ed.bit_length()
+               - wn.bit_length() + wd.bit_length())
+        if not wn or gap >= 2 or (gap > -2 and e * wd > wn * ed):
             wn, wd = e, ed
     return Fraction(wn, wd)
 

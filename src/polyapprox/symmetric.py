@@ -77,8 +77,8 @@ class SymApprox:
         return self.poly.degree
 
     def max_error(self):
-        """The measured max |poly(w) - values[w]| over weights 0..n: exact,
-        or a rigorous bound where a node encloses."""
+        """The exact max |poly(w) - values[w]| over weights 0..n, for a
+        dense polynomial or a node."""
         return max_error(self.poly, enumerate(self.spec.values))
 
     def to_json(self):

@@ -24,7 +24,7 @@ from polyapprox.composed import (_weight_vectors, selector_compose, surj_value,
 from polyapprox.extension import (coeff_norm_bound, extend_approx,
                                   extrapolation_bound, sym_multilinear_norms)
 from polyapprox.numcore import (RATIONAL, SplitMix64, UniPoly, exact_value,
-                                lagrange_interpolate, to_mpf)
+                                lagrange_interpolate, max_error, to_mpf)
 from polyapprox.oracle import minimax_lp, minimax_reference
 from polyapprox.symmetric import (SymApprox, SymSpec, and_or_approx,
                                   exact_weight_approx, sampling_approx)
@@ -147,12 +147,10 @@ def test_criterion_05_extension():
         base = SymApprox(spec, p, Fraction(0), "interpolant",
                          set(range(2 * m + 1)))
         ext = extend_approx(base, n, delta)
-        for w in range(n + 1):
-            target = spec.values[w] if w <= m else Fraction(0)
-            # the indicator holds a binomial tail: bound center +- radius
-            center, radius = ext.poly.enclose(w)
-            if abs(center - target) + radius > delta:
-                ok = False
+        targets = ((w, spec.values[w] if w <= m else Fraction(0))
+                   for w in range(n + 1))
+        if max_error(ext.poly, targets) > delta:
+            ok = False
         # degree / (sqrt(n/(m+1)) (input degree + log2(1/delta)))
         ratio = ext.degree / (math.sqrt(n / (m + 1)) * (base.degree + 3))
         worst_ratio = max(worst_ratio, ratio)
@@ -175,8 +173,7 @@ def test_criterion_06_sampling():
         if a.poly.backend != RATIONAL:
             ok = False
         for w in range(n + 1):
-            value, radius = a.poly.enclose(w)
-            err = abs(value - spec.values[w]) + radius
+            err = abs(a.poly.eval(w) - spec.values[w])
             if w <= k or w >= n - k:
                 if err != 0:
                     ok = False

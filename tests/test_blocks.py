@@ -1,8 +1,6 @@
 import math
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
 import pytest
 
 from polyapprox import blocks
@@ -11,7 +9,7 @@ from polyapprox.blocks import (dyadic_decay_poly,
                                reciprocal_approx, reciprocal_corollary,
                                reciprocal_power_approx,
                                reciprocal_power_error_bound)
-from polyapprox.numcore import SBinomTail, UniPoly, to_mpf
+from polyapprox.numcore import PrecisionError, SBinomTail, UniPoly
 
 GRID_DENOM = 4
 
@@ -89,52 +87,49 @@ def test_amplifier_is_monotone_tail():
     for u in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
         direct = sum(Fraction(math.comb(d, i)) * u ** i * (1 - u) ** (d - i)
                      for i in range(lo, d + 1))
-        tail = SBinomTail(d, lo, 128)
-        with mp.workprec(128):
-            bt = tail.eval(u)
-            assert abs(bt - to_mpf(direct, 128)) < mpmath.mpf(2) ** -100
-        center, radius = tail.enclose(u)
-        assert abs(center - direct) <= radius < Fraction(1, 2 ** 100)
+        assert SBinomTail(d, lo).eval(u) == direct
 
 
-def _range(p, t):
-    """(lo, hi), exact, with lo <= p(t) <= hi: center -+ radius."""
-    center, radius = p.enclose(t)
-    return center - radius, center + radius
+def test_amplifier_check_rejects_a_degree_too_low(monkeypatch):
+    # Chernoff's degree meets eps on the exact tail; a quarter of it does
+    # not, and the one check says so.
+    u_bad, u_good, eps = Fraction(1, 4), Fraction(1, 2), Fraction(1, 1000)
+    d, lo = blocks._amplifier_degree(u_bad, u_good, eps)
+    tail = SBinomTail(d, lo)
+    assert tail.eval(u_bad) <= eps and 1 - tail.eval(u_good) <= eps
+    monkeypatch.setattr(blocks, "SBinomTail",
+                        lambda d, lo: SBinomTail(d // 4, lo // 4))
+    with pytest.raises(PrecisionError, match="degree-%d binomial amplifier "
+                       "misses its target" % d):
+        blocks._amplifier_degree(u_bad, u_good, eps)
 
 
 def test_or_continuous_contract():
     n, eps = 64, Fraction(1, 8)
-    p = or_continuous_approx(n, eps, 128)
+    p = or_continuous_approx(n, eps)
     for t in _grid(0, 1):
-        lo, hi = _range(p, t)
-        assert 1 - eps <= lo and hi <= 1 + eps, t
+        assert 1 - eps <= p.eval(t) <= 1 + eps, t
     for t in _grid(1, 2):
-        lo, hi = _range(p, t)
-        assert -1 - eps <= lo and hi <= 1 + eps, t
+        assert -1 - eps <= p.eval(t) <= 1 + eps, t
     for t in _grid(3, n):
-        lo, hi = _range(p, t)
-        assert -eps <= lo and hi <= eps, t
+        assert -eps <= p.eval(t) <= eps, t
 
 
 @pytest.mark.parametrize("d", [0, 2])
 def test_interval_indicator_contract(d):
     n, eps = 64, Fraction(1, 8)
-    p = interval_indicator(n, d, eps, 128)
+    p = interval_indicator(n, d, eps)
     for t in _grid(0, 1):
-        lo, hi = _range(p, t)
-        assert 1 - eps <= lo and hi <= 1 + eps, (d, t)
+        assert 1 - eps <= p.eval(t) <= 1 + eps, (d, t)
     for t in _grid(1, 2):
-        lo, hi = _range(p, t)
-        assert -1 - eps <= lo and hi <= 1 + eps, (d, t)
+        assert -1 - eps <= p.eval(t) <= 1 + eps, (d, t)
     for t in _grid(3, n):
-        lo, hi = _range(p, t)
-        assert max(-lo, hi) * t ** d <= eps, (d, t)
+        assert abs(p.eval(t)) * t ** d <= eps, (d, t)
 
 
 def test_interval_indicator_cached():
-    a = interval_indicator(Fraction(32, 3), 2, Fraction(1, 8), 128)
-    b = interval_indicator(Fraction(32, 3), 2, Fraction(1, 8), 128)
+    a = interval_indicator(Fraction(32, 3), 2, Fraction(1, 8))
+    b = interval_indicator(Fraction(32, 3), 2, Fraction(1, 8))
     assert a is b
 
 
@@ -162,17 +157,17 @@ def test_reciprocal_power_matches_poly_arithmetic(d, D):
 def test_interval_indicator_cache_is_bounded(monkeypatch):
     built = []
 
-    def fake_build(n, d, eps, prec):
-        built.append((n, d, eps, prec))
+    def fake_build(n, d, eps):
+        built.append((n, d, eps))
         return object()
 
     monkeypatch.setattr(blocks, "_build_indicator", fake_build)
     monkeypatch.setattr(blocks, "_INDICATOR_CACHE", {})
     for i in range(10 * blocks._INDICATOR_CACHE_MAX):
-        interval_indicator(3 + i, 1, Fraction(1, 8), 64)
+        interval_indicator(3 + i, 1, Fraction(1, 8))
         assert len(blocks._INDICATOR_CACHE) <= blocks._INDICATOR_CACHE_MAX
-    a = interval_indicator(1000, 2, Fraction(1, 8), 64)
-    assert interval_indicator(1000, 2, Fraction(1, 8), 64) is a
+    a = interval_indicator(1000, 2, Fraction(1, 8))
+    assert interval_indicator(1000, 2, Fraction(1, 8)) is a
     assert len(built) == 10 * blocks._INDICATOR_CACHE_MAX + 1
 
 

@@ -1,10 +1,6 @@
 from fractions import Fraction
 import hashlib
 import json
-import os
-import pathlib
-import subprocess
-import sys
 from types import SimpleNamespace
 
 from mpmath import mp
@@ -13,6 +9,7 @@ import pytest
 from polyapprox import cli, extension, symmetric
 from polyapprox.cli import main
 from polyapprox.extension import extend_approx
+from polyapprox.numcore import exact_value, scalar_from_json
 from polyapprox.symmetric import SymApprox, SymSpec, sampling_approx
 
 
@@ -193,19 +190,18 @@ def _binom_tail(**fields):
     # A binomial tail node with one field the tail cannot be evaluated with;
     # the degree and the claim are ones the node would otherwise meet.
     def tamper(doc):
-        doc.update({"kind": "binom_tail", "d": 4, "lo": 0,
-                    "precision_bits": 64, "degree": 4,
+        doc.update({"kind": "binom_tail", "d": 4, "lo": 0, "degree": 4,
                     "certified_eps_exact": "1/1"}, **fields)
     return tamper
 
 
 def _tail_inside_a_composition(doc):
-    # A composition measures its inner exactly; a binomial tail there would
-    # hand the outer its float center.  The degree claim is the node's.
+    # A composition's inner must be a dense polynomial, evaluated exactly
+    # once per point; a binomial tail there is rejected.  The degree claim
+    # is the node's.
     poly = {k: doc[k] for k in ("backend", "coeffs", "precision_bits")}
     doc.update({"kind": "comp", "outer": {"kind": "dense", "poly": poly},
-                "inner": {"kind": "binom_tail", "d": 4, "lo": 2,
-                          "precision_bits": 64},
+                "inner": {"kind": "binom_tail", "d": 4, "lo": 2},
                 "degree": 4 * doc["degree"], "certified_eps_exact": "1/1"})
 
 
@@ -223,6 +219,11 @@ def _over_precise_coefficient(doc):
 def _boolean_precision(doc):
     # read as 1 bit, the claim failed to hold (exit 3)
     doc["precision_bits"] = True
+
+
+def _hex_without_0x(doc):
+    # read as 0xffp-8 with its first two characters dropped unread
+    doc["coeffs"][0] = "12ffp-8"
 
 
 AND_4 = ["--target", "and", "--n", "4"]
@@ -246,8 +247,8 @@ SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
     (AND_4, _negative_power),
     (AND_4, _binom_tail(lo=-1)),
     (AND_4, _binom_tail(d=-1, degree=-1)),
-    (AND_4, _binom_tail(precision_bits=0)),
-    (AND_4, _binom_tail(precision_bits="64")),
+    (AND_4, _binom_tail(d="4")),
+    (AND_4, _binom_tail(lo=True)),
     (AND_8, _zero_denominator_claim),
     (AND_8, _zero_denominator_coefficient),
     (SURJ_8_2, _zero_denominator_mu),
@@ -255,6 +256,7 @@ SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
     (AND_4, _tail_inside_a_composition),
     (AND_4, _over_precise_coefficient),
     (AND_8, _boolean_precision),
+    (AND_8, _hex_without_0x),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -507,8 +509,12 @@ GOLDEN_ARGV = {
 # exponent and small-support's indicator came to be sized by the exact
 # measure: every degree fell (sampling 472/408/290/944 -> 32/28/26/64,
 # small-support 6613 -> 2304/2424), and the float, surj and prec groups kept
-# their bytes.
-GOLDEN_SHA256 = "0f75cdbfa08b5d9ec7f5a8a25fbfd6de30c37507e947495d44d2495eae3fa70d"
+# their bytes.  It was re-recorded (0f75cdbf... -> 2d064839...) when the
+# binomial tail came to be summed exactly: its "binom_tail" nodes lost
+# "precision_bits", and each small-support certificate became the exact
+# maximum rounded up to 256 bits instead of an enclosure bound, with every
+# degree and every other byte unchanged.
+GOLDEN_SHA256 = "2d06483975ba158a8f67f0da28e5e155a1aeb2fc1e95220f70f251ceaeb97bc3"
 FLOAT_GOLDEN_SHA256 = \
     "a4c51323697b78595d2cdfe54cf5df85ae09ac1c8ee76f280b8bb07f23661b75"
 SURJ_GOLDEN_SHA256 = \
@@ -524,9 +530,11 @@ PREC_GOLDEN_SHA256 = \
 # written before the certificates became exact (when each surjectivity term
 # held its own copy of q); float and prec re-recorded with the once-rounded
 # float coefficients, and float, prec and surj again with q on n weights;
-# exact again with the measured sampling exponent and small-support indicator.
+# exact again with the measured sampling exponent and small-support indicator,
+# and once more (065549e9... -> 5fdada2b...) when "binom_tail" nodes lost
+# "precision_bits".
 CANONICAL_SHA256 = {
-    "exact": "065549e9134b72c6c9477291b216b729f9a0e7a1a4afd264cb11f132ed0e43b0",
+    "exact": "5fdada2be0f66e582ac80c08451f1667a9d1265dc3f79cd704fd5e4e899ee1b4",
     "float": "a66564793ca1306bbff42b087cd54c27c5fa0b8ac0a755257b553f3c8138864e",
     "surj": "c6ddd99af1e7a91a1effeb7b68eff86674720dda445674d8d4f8dbda8964c35d",
     "prec": "d016cfb41e8ab35f2c083e582a1cea72d361376baa3d69184da1b9b99ccb2295",
@@ -679,30 +687,28 @@ def test_sampling_with_no_exponent_meeting_eps_exits_4(monkeypatch, tmp_path,
     assert not out.exists()
 
 
-# 1/10^400: 0.0 as a float, and below every 256-bit enclosure radius
+# 1/10^400: 0.0 as a float
 TINY_EPS = "1/1" + "0" * 400
 
 
-@pytest.mark.parametrize("argv", [
-    ["--prec", "28", "construct", "--target", "small-support", "--n", "32",
-     "--k", "2", "--seed", "9", "--eps", "1/8"],
-    ["construct", "--target", "small-support", "--n", "16", "--k", "2",
-     "--seed", "1", "--eps", TINY_EPS],
-], ids=["prec-28", "eps-1e-400"])
-def test_amplifier_precision_loss_exits_4(argv):
-    # Chernoff's degree meets eps in exact arithmetic, so an enclosure that
-    # misses it is precision loss: one probe, then exit 4.  A child process
-    # with a timeout turns a search that never ends into a failure here.
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "polyapprox.cli"] + argv,
-                          capture_output=True, text=True, timeout=30,
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 4
-    prec = argv[1] if argv[0] == "--prec" else "256"
-    assert "binomial amplifier misses its target at %s bits" % prec \
-        in proc.stderr
-    assert "the degree-" in proc.stderr and "0.0" not in proc.stderr
+def test_small_support_at_28_bits_builds_the_default_polynomial(tmp_path,
+                                                                capsys):
+    # --prec reaches small-support only through its certificate, the exact
+    # maximum rounded up to --prec bits: at 28 bits the artifact holds the
+    # default build's polynomial, and verifies.
+    docs = []
+    for prec in ("28", "256"):
+        out = tmp_path / ("a%s.json" % prec)
+        assert run(["--prec", prec, "construct", "--target", "small-support",
+                    "--n", "32", "--k", "2", "--seed", "9", "--eps", "1/8",
+                    "--out", str(out)]) == 0
+        assert run(["verify", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    capsys.readouterr()
+    assert _canonical(docs[0]) == _canonical(docs[1])
+    coarse, fine = (scalar_from_json(d["certified_eps_exact"]) for d in docs)
+    assert coarse.man.bit_length() <= 28 < fine.man.bit_length()
+    assert exact_value(coarse) >= exact_value(fine)
 
 
 def test_exact_at_an_eps_below_every_float(tmp_path, capsys):

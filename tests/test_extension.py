@@ -7,7 +7,7 @@ from polyapprox.extension import (coeff_norm_bound, extend_approx,
                                   extrapolation_bound, small_support_approx,
                                   sym_multilinear_norms)
 from polyapprox.numcore import (SplitMix64, UniPoly, exact_value,
-                                lagrange_interpolate)
+                                lagrange_interpolate, max_error)
 from polyapprox.symmetric import SymApprox, SymSpec
 
 
@@ -87,11 +87,9 @@ def test_extend_certified_error_holds_exhaustively():
     spec = _low_support_spec(6, 3, rng)
     a = extend_approx(_interpolant_approx(spec), n, delta)
     assert float(a.certified_eps) <= 1 / 8
-    for w in range(n + 1):
-        target = spec.values[w] if w <= 3 else Fraction(0)
-        # the indicator holds a binomial tail: bound center +- radius
-        center, radius = a.poly.enclose(w)
-        assert abs(center - target) + radius <= exact_value(a.certified_eps)
+    targets = [(w, spec.values[w] if w <= 3 else Fraction(0))
+               for w in range(n + 1)]
+    assert max_error(a.poly, targets) <= exact_value(a.certified_eps)
 
 
 def test_small_support_pipeline():
@@ -101,8 +99,7 @@ def test_small_support_pipeline():
     a = small_support_approx(spec, Fraction(1, 8))
     assert float(a.certified_eps) <= 1 / 8
     for w in range(n + 1):
-        center, radius = a.poly.enclose(w)
-        assert abs(center - spec.values[w]) + radius <= \
+        assert abs(a.poly.eval(w) - spec.values[w]) <= \
             exact_value(a.certified_eps)
 
 

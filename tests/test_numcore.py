@@ -38,6 +38,23 @@ def test_mpf_hex_round_trip_is_lossless_at_high_precision():
     assert mpf_from_hex("0x0p0") == 0
 
 
+@pytest.mark.parametrize("s", ["12ffp-8", "ffp-8", "-12ffp-8", "0x-ffp-8",
+                               "--0xffp-8", "0Xffp-8", "0xffp", "0x ffp-8",
+                               "0xffp-8 ", "0x1.8p0"])
+def test_hex_reader_requires_the_0x_spelling(s):
+    # "12ffp-8" was read as 0xffp-8, its first two characters dropped unread
+    with pytest.raises(ValueError):
+        mpf_from_hex(s)
+    with pytest.raises(ValueError):
+        scalar_from_json(s)
+
+
+def test_hex_reader_reads_both_signs():
+    assert mpf_from_hex("0xffp-8") == Fraction(255, 256)
+    assert mpf_from_hex("-0x3p1") == -6
+    assert mpf_from_hex("-0x0p0") == 0
+
+
 def test_mpf_hex_not_rerounded_at_global_precision():
     # 256-bit values must survive serialization even when the ambient
     # context is the 53-bit default
@@ -132,59 +149,6 @@ def test_rational_eval_cache_never_stale():
             assert r.eval(x) == _fraction_horner(r.coeffs, x), (name, x)
 
 
-def _binom_tail_full_loop(d, lo, t, prec):
-    # The tail loop without the early exit.
-    with mp.workprec(prec):
-        u = to_mpf(t, prec)
-        v = 1 - u
-        if u == 0:
-            return mpmath.mpf(1 if lo <= 0 else 0)
-        if v == 0:
-            return mpmath.mpf(1)
-        term = mpmath.mpf(math.comb(d, lo)) * u ** lo * v ** (d - lo)
-        acc = term
-        r = u / v
-        for i in range(lo, d):
-            term = term * r * (d - i) / (i + 1)
-            acc += term
-        return acc
-
-
-def test_binom_tail_early_exit_is_bit_identical():
-    rng = SplitMix64(20180601)
-    edge_t = [0, 1, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2), 7,
-              Fraction(1, 10 ** 6), Fraction(10 ** 6 - 1, 10 ** 6)]
-    cases = []
-    for d in (1, 2, 9, 40, 181):
-        for lo in sorted({0, 1, d // 3, d // 2, d - 1, d}):
-            for t in edge_t:
-                cases.append((d, lo, t, rng.choice((53, 64, 128, 256, 512))))
-    for _ in range(400):
-        d = rng.randint(1, 400)
-        lo = rng.randint(0, d)
-        t = Fraction(rng.randint(-3 * 2 ** 12, 4 * 2 ** 12), 2 ** 12)
-        cases.append((d, lo, t, rng.randint(53, 512)))
-    # non-dyadic t, lo above d, and prec < 8, where the early exit is off
-    for _ in range(300):
-        d = rng.randint(1, 300)
-        lo = rng.randint(0, d + 2)
-        den = rng.choice((784 ** 2, 3 ** 13))
-        t = Fraction(rng.randint(-3 * den, 4 * den), den)
-        cases.append((d, lo, t, rng.choice((2, 3, 5, 7, 53, 256))))
-    for d in (1, 5, 40):
-        for t in (Fraction(1, 3), Fraction(-5, 3), Fraction(1, 784 ** 2)):
-            cases += [(d, d + 1, t, 64), (d, d + 2, t, 3)]
-    cases += [(40, lo, Fraction(k, 7), prec) for lo in (0, 13) for k in
-              (-4, 1, 3, 6, 11) for prec in range(2, 8)]
-    # the amplifier of the paper's extension recipe (extend_approx from
-    # weights 0..4 to n = 32, small-support's fallback), at t = k^2/784
-    cases += [(1416, 755, Fraction(k * k, 784), 256) for k in range(29)]
-    for d, lo, t, prec in cases:
-        got = SBinomTail(d, lo, prec)._eval(t)
-        want = _binom_tail_full_loop(d, lo, t, prec)
-        assert got._mpf_ == want._mpf_, (d, lo, t, prec)
-
-
 def _hex_value(s):
     # Reference: the exact value of a serialized mpf, "[-]0x<man>p<exp>".
     man, exp = s.lstrip("-")[2:].split("p")
@@ -200,7 +164,7 @@ def test_float_exact_eval_matches_hex_parsed_fraction_sum(coeffs, t, prec):
     ref = [_hex_value(c) for c in p.to_json()["coeffs"]]
     want = sum((c * Fraction(t) ** i for i, c in enumerate(ref)), Fraction(0))
     assert p.eval(t) == want
-    assert p.enclose(t) == (want, 0)
+    assert Fraction(*p.ints(t)) == want
     assert [exact_value(c) for c in p.coeffs] == ref
 
 
@@ -228,88 +192,81 @@ def _exact_tail(d, lo, t):
                 for i in range(max(lo, 0), d + 1)), Fraction(0))
 
 
-def test_binom_tail_enclosure_contains_the_exact_tail():
-    # Random d <= 64, t in [0, 1] and 24-512 bits: the mpf center is off by
-    # rounding, and the radius must cover it.
-    rng = SplitMix64(20261018)
-    missed_center = 0
-    for _ in range(300):
-        d = rng.randint(1, 64)
-        lo = rng.randint(0, d)
-        t = Fraction(rng.randint(0, 10 ** 6), 10 ** 6 + rng.randint(0, 7))
-        prec = rng.randint(24, 512)
-        center, radius = SBinomTail(d, lo, prec).enclose(t)
-        exact = _exact_tail(d, lo, t)
-        assert abs(center - exact) <= radius, (d, lo, t, prec)
-        assert radius <= Fraction(8 * d + 16, 2 ** prec) * (1 + abs(center)) + \
-            d * abs(t - exact_value(to_mpf(t, prec)))
-        missed_center += center != exact
-    assert missed_center > 200       # rounding is real: radius 0 would fail
+def test_binom_tail_ints_is_the_exact_sum():
+    # Random d <= 60 and lo <= d + 2 (lo > d sums no term), at the ends of
+    # [0, 1], inside it and outside it, at int and Fraction points.
+    rng = SplitMix64(20261019)
+    for _ in range(400):
+        d = rng.randint(0, 60)
+        lo = rng.randint(0, d + 2)
+        den = rng.randint(1, 10 ** 6)
+        for t in (0, 1, Fraction(0), Fraction(1), rng.randint(-3, 4),
+                  Fraction(rng.randint(0, den), den),
+                  Fraction(rng.randint(-3 * den, 4 * den), den)):
+            tail = SBinomTail(d, lo)
+            num, den_d = tail.ints(t)
+            if lo <= d:
+                assert den_d == Fraction(t).denominator ** d, (d, lo, t)
+            assert Fraction(num, den_d) == _exact_tail(d, lo, Fraction(t)), \
+                (d, lo, t)
+            assert tail.eval(t) == Fraction(num, den_d)
+            assert tail.ints(t) == (num, den_d)          # from the memo
 
 
-@pytest.mark.parametrize("d, lo, prec", [
-    (10, -1, 64), (-1, 0, 64), (10, 2, 0), (10, 2, -3), (10.0, 2, 64),
-    (10, Fraction(2), 64), (10, 2, "64"), (True, 0, 64)])
-def test_binom_tail_rejects_what_it_cannot_evaluate(d, lo, prec):
-    # a tail with lo = -1 has no value at 1/2 (math.comb raises), though
-    # its endpoint and outside-[0, 1] sums exist
+@pytest.mark.parametrize("d, lo", [
+    (10, -1), (-1, 0), (10.0, 2), (10, Fraction(2)), (True, 0)])
+def test_binom_tail_rejects_what_it_cannot_evaluate(d, lo):
     with pytest.raises(ValueError):
-        SBinomTail(d, lo, prec)
+        SBinomTail(d, lo)
 
 
 def test_binom_tail_accepts_every_nonnegative_shape():
-    assert SBinomTail(0, 0, 1).enclose(Fraction(1, 2)) == (1, 0)
+    assert SBinomTail(0, 0).eval(Fraction(1, 2)) == 1
     # lo > d sums no term: the tail is 0 everywhere, at t = 1 too
     for t in (0, Fraction(1, 2), 1, 3):
-        assert SBinomTail(3, 5, 64).enclose(t)[0] == 0
-    assert SBinomTail(10, 0, 64).enclose(Fraction(1, 2))[0] == 1
+        assert SBinomTail(3, 5).eval(t) == 0
+    assert SBinomTail(10, 0).eval(Fraction(1, 2)) == 1
 
 
-def test_binom_tail_enclosure_outside_the_unit_interval_is_exact():
-    for t in (Fraction(-1, 3), Fraction(7, 5)):
-        assert SBinomTail(9, 4, 64).enclose(t) == (_exact_tail(9, 4, t), 0)
+def _tree_reference(node, t):
+    """A node's value at t, one Fraction at a time."""
+    if isinstance(node, UniPoly):
+        return node.eval(t)
+    if isinstance(node, SProd):
+        return math.prod((_tree_reference(p, t) for p in node.parts),
+                         start=Fraction(1))
+    if isinstance(node, SComp):
+        return _tree_reference(node.outer, node.inner.eval(t))
+    return _exact_tail(node.d, node.lo, Fraction(t))
 
 
-def test_struct_enclosures_propagate_radii():
-    # At each point the exact value lies inside the enclosure, for each node
-    # kind.
-    tail = SBinomTail(12, 5, 40)
-    inner = UniPoly([Fraction(1, 5), Fraction(1, 2)])
+def test_max_error_on_node_trees_matches_a_fraction_reference():
+    tail = SComp(SBinomTail(12, 5), UniPoly([Fraction(1, 5), Fraction(1, 2)]))
     dense = UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40)
-    nodes = {
-        "dense": (dense, lambda x: dense.eval(x)),
-        "comp": (SComp(tail, inner),
-                 lambda x: _exact_tail(12, 5, inner.eval(x))),
-        "prod": (SProd([SComp(tail, inner), dense]),
-                 lambda x: _exact_tail(12, 5, inner.eval(x)) * dense.eval(x)),
-    }
-    for name, (node, exact) in nodes.items():
-        for t in (Fraction(1, 3), Fraction(2, 7)):
-            c, r = node.enclose(t)
-            assert abs(exact(t) - c) <= r, (name, t)
-            assert r > 0 or name == "dense"
-
-
-def test_product_radii_match_the_reference_formulas():
-    # SProd carries its radius incrementally; it must equal
-    # prod (|c_i| + r_i) - |prod c_i| exactly.
-    tail = SComp(SBinomTail(12, 5, 40),
-                 UniPoly([Fraction(1, 5), Fraction(1, 2)]))
     exact = UniPoly([Fraction(2, 3), -1, Fraction(1, 4)])
-    flt = UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40)
-    const = UniPoly([Fraction(-7, 2)])
-    part_sets = [[exact, const], [tail], [exact, tail, const, flt],
-                 [tail, SProd([tail, tail]), exact], [const, tail, tail]]
-    seen = set()
-    for t in (Fraction(1, 3), Fraction(2, 7)):
-        for parts in part_sets:
-            encs = [p.enclose(t) for p in parts]
-            seen.update(r > 0 for _, r in encs)
-            center = math.prod((c for c, _ in encs), start=Fraction(1))
-            bound = math.prod((abs(c) + r for c, r in encs), start=Fraction(1))
-            assert SProd(parts).enclose(t) == (center, bound - abs(center))
-    # parts with and without a radius
-    assert seen == {False, True}
+    trees = [tail, SProd([tail, dense]), SProd([exact, tail, dense, tail]),
+             SComp(SProd([SBinomTail(6, 2), exact]), UniPoly([0, 1, -1])),
+             SProd([SProd([tail, tail]), UniPoly([Fraction(-7, 2)])])]
+    rng = SplitMix64(77)
+    for tree in trees:
+        for _ in range(20):
+            pairs = [(rng.choice((rng.randint(-3, 3), rng.fraction())),
+                      rng.fraction()) for _ in range(rng.randint(0, 9))]
+            want = max((abs(_tree_reference(tree, t) - f) for t, f in pairs),
+                       default=Fraction(0))
+            got = max_error(tree, pairs)
+            assert type(got) is Fraction and got == want, (tree, pairs)
+    # Every error positive and below 1/4: at the first point the largest so
+    # far is 0, and bit lengths alone would skip every error.
+    small = SProd([UniPoly([Fraction(1, 8)]), SComp(SBinomTail(3, 1),
+                                                    UniPoly([0, 1]))])
+    pairs = [(Fraction(1, 4), 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0)]
+    errors = [_tree_reference(small, t) for t, _ in pairs]
+    assert all(0 < e < Fraction(1, 4) for e in errors)
+    assert max_error(small, pairs) == max(errors) > 0
+    # errors far above and far below the largest so far, and one close
+    assert max_error(small, [(Fraction(1, 100), 0), (Fraction(1, 2), 0),
+                             (Fraction(1, 100), 0), (1, 0)]) == Fraction(1, 8)
 
 
 def test_max_error_is_exact_for_dense_polynomials():
@@ -464,7 +421,8 @@ def test_struct_poly_matches_dense_expansion():
     dense = ((a ** 3) * b).scale(Fraction(1, 2))
     s = SProd([UniPoly([Fraction(1, 2)]), SProd([a, a, a]), b])
     for t in (0, 1, Fraction(3, 7), -2):
-        assert s.enclose(t) == (dense.eval(t), 0)
+        assert s.eval(t) == dense.eval(t)
+        assert Fraction(*s.ints(t)) == dense.eval(t)
     assert s.degree == dense.degree
 
 
@@ -473,25 +431,23 @@ def test_struct_comp_matches_dense():
     inner = UniPoly([0, 1, 1])
     s = SComp(outer, inner)
     for t in (0, Fraction(1, 3), 2):
-        assert s.enclose(t) == (outer.eval(inner.eval(t)), 0)
+        assert s.eval(t) == outer.eval(inner.eval(t))
 
 
 def test_binom_tail_matches_direct_sum():
     d, lo = 12, 5
-    tail = SBinomTail(d, lo, 128)
+    tail = SBinomTail(d, lo)
     for u in (Fraction(1, 3), Fraction(7, 8)):
         direct = sum(Fraction(math.comb(d, i)) * u ** i * (1 - u) ** (d - i)
                      for i in range(lo, d + 1))
-        center, radius = tail.enclose(u)
-        assert center == exact_value(tail.eval(u))
-        assert abs(center - direct) <= radius < Fraction(1, 2 ** 100)
+        assert tail.eval(u) == direct
 
 
 def test_binom_tail_endpoints():
-    t = SBinomTail(9, 4, 64)
+    t = SBinomTail(9, 4)
     assert t.eval(0) == 0
     assert t.eval(1) == 1
-    assert SBinomTail(9, 0, 64).eval(0) == 1
+    assert SBinomTail(9, 0).eval(0) == 1
 
 
 def test_poly_json_round_trip_dense():
@@ -503,10 +459,10 @@ def test_poly_json_round_trip_dense():
 
 def test_poly_json_round_trip_struct():
     s = SProd([UniPoly([0, 0, 1]),
-               SComp(SBinomTail(6, 3, 64), UniPoly([0, Fraction(1, 2)]))])
+               SComp(SBinomTail(6, 3), UniPoly([0, Fraction(1, 2)]))])
     r = poly_from_json(json.loads(json.dumps(s.to_json())))
     for t in (0, Fraction(1, 2), 1):
-        assert r.enclose(t) == s.enclose(t)
+        assert r.ints(t) == s.ints(t)
 
 
 def test_poly_json_round_trip_every_struct_kind():
@@ -514,8 +470,8 @@ def test_poly_json_round_trip_every_struct_kind():
     dense = UniPoly([1, 2])
     kinds = {
         SProd: SProd([dense, UniPoly([Fraction(-1, 3), 0, 1])]),
-        SComp: SComp(SBinomTail(5, 2, 64), UniPoly([0, Fraction(1, 2)])),
-        SBinomTail: SBinomTail(7, 3, 64),
+        SComp: SComp(SBinomTail(5, 2), UniPoly([0, Fraction(1, 2)])),
+        SBinomTail: SBinomTail(7, 3),
     }
     assert set(kinds) == set(StructPoly.__subclasses__())
     for kind, s in kinds.items():
@@ -525,7 +481,7 @@ def test_poly_json_round_trip_every_struct_kind():
         assert r.backend == s.backend, kind
         assert json.dumps(r.to_json(), sort_keys=True) == text, kind
         for t in (0, Fraction(1, 3), 1):
-            assert r.enclose(t) == s.enclose(t), (kind, t)
+            assert r.ints(t) == s.ints(t), (kind, t)
     # A dense child is written as a "dense" node and read back as a UniPoly.
     child = kinds[SProd].to_json()["parts"][0]
     assert child == {"kind": "dense", "poly": dense.to_json()}
@@ -537,9 +493,7 @@ def test_dense_child_enclosure_is_exact_at_its_precision():
     # value: the value at 1/3 is exactly 1/3, alone and as a node's child.
     p = UniPoly([0, 1], 64)
     assert p.eval(Fraction(1, 3)) == Fraction(1, 3)
-    assert p.enclose(Fraction(1, 3)) == (Fraction(1, 3), 0)
-    assert SComp(p, UniPoly([0, 1])).enclose(Fraction(1, 3)) == \
-        (Fraction(1, 3), 0)
+    assert SComp(p, UniPoly([0, 1])).eval(Fraction(1, 3)) == Fraction(1, 3)
 
 
 @given(st.sampled_from([0, 1]), st.integers(min_value=1, max_value=100),
