@@ -213,6 +213,75 @@ def test_binom_tail_ints_is_the_exact_sum():
             assert tail.ints(t) == (num, den_d)          # from the memo
 
 
+def _tail_ints_reference(d, lo, t):
+    # The tail at t = a/b as the direct integer sum over b^d, with c = b - a.
+    a, b = t.numerator, t.denominator
+    if lo > d:
+        return 0, 1
+    return (sum(math.comb(d, i) * a ** i * (b - a) ** (d - i)
+                for i in range(lo, d + 1)), b ** d)
+
+
+def test_binom_tail_early_exit_is_bit_identical():
+    # The recursion's shortcuts (lo > d, t = 1 where its denominator xd is
+    # 0, and the memo) return the same unreduced pair as the direct integer
+    # sum, on the cases that once checked the float loop's early exit.
+    rng = SplitMix64(20180601)
+    edge_t = [0, 1, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2), 7,
+              Fraction(1, 10 ** 6), Fraction(10 ** 6 - 1, 10 ** 6)]
+    cases = []
+    for d in (1, 2, 9, 40, 181):
+        for lo in sorted({0, 1, d // 3, d // 2, d - 1, d}):
+            cases += [(d, lo, t) for t in edge_t]
+    for _ in range(400):
+        d = rng.randint(1, 400)
+        lo = rng.randint(0, d)
+        cases.append((d, lo, Fraction(rng.randint(-3 * 2 ** 12, 4 * 2 ** 12),
+                                      2 ** 12)))
+    # non-dyadic t and lo above d
+    for _ in range(300):
+        d = rng.randint(1, 300)
+        lo = rng.randint(0, d + 2)
+        den = rng.choice((784 ** 2, 3 ** 13))
+        cases.append((d, lo, Fraction(rng.randint(-3 * den, 4 * den), den)))
+    for d in (1, 5, 40):
+        for t in (Fraction(1, 3), Fraction(-5, 3), Fraction(1, 784 ** 2)):
+            cases += [(d, d + 1, t), (d, d + 2, t)]
+    cases += [(40, lo, Fraction(k, 7)) for lo in (0, 13)
+              for k in (-4, 1, 3, 6, 11)]
+    # the amplifier of the paper's extension recipe (extend_approx from
+    # weights 0..4 to n = 32), at t = k^2/784
+    cases += [(1416, 755, Fraction(k * k, 784)) for k in range(29)]
+    for d, lo, t in cases:
+        tail = SBinomTail(d, lo)
+        want = _tail_ints_reference(d, lo, Fraction(t))
+        assert tail.ints(t) == want, (d, lo, t)
+        assert tail.ints(t) == want, (d, lo, t)          # from the memo
+
+
+def test_binom_tail_enclosure_contains_the_exact_tail():
+    # Random d <= 64 and t in [0, 1]: the tail's value is the exact tail, so
+    # its measured error against it is 0, and an error of 2^-600 is seen
+    # whole -- no rounding radius is left to absorb it.
+    rng = SplitMix64(20261018)
+    tiny = Fraction(1, 2 ** 600)
+    for _ in range(300):
+        d = rng.randint(1, 64)
+        lo = rng.randint(0, d)
+        t = Fraction(rng.randint(0, 10 ** 6), 10 ** 6 + rng.randint(0, 7))
+        tail, exact = SBinomTail(d, lo), _exact_tail(d, lo, t)
+        assert tail.eval(t) == exact, (d, lo, t)
+        assert max_error(tail, [(t, exact)]) == 0
+        assert max_error(tail, [(t, exact + tiny)]) == tiny
+
+
+def test_binom_tail_enclosure_outside_the_unit_interval_is_exact():
+    for t in (Fraction(-1, 3), Fraction(7, 5), -2, 3):
+        exact = _exact_tail(9, 4, Fraction(t))
+        assert SBinomTail(9, 4).eval(t) == exact
+        assert max_error(SBinomTail(9, 4), [(t, exact)]) == 0
+
+
 @pytest.mark.parametrize("d, lo", [
     (10, -1), (-1, 0), (10.0, 2), (10, Fraction(2)), (True, 0)])
 def test_binom_tail_rejects_what_it_cannot_evaluate(d, lo):
@@ -267,6 +336,46 @@ def test_max_error_on_node_trees_matches_a_fraction_reference():
     # errors far above and far below the largest so far, and one close
     assert max_error(small, [(Fraction(1, 100), 0), (Fraction(1, 2), 0),
                              (Fraction(1, 100), 0), (1, 0)]) == Fraction(1, 8)
+
+
+def test_struct_enclosures_propagate_radii():
+    # Each node kind's value is its exact value at the point, for a float
+    # dense child too: measured against it, every node's error is 0.
+    tail = SBinomTail(12, 5)
+    inner = UniPoly([Fraction(1, 5), Fraction(1, 2)])
+    dense = UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40)
+    nodes = {
+        "dense": (dense, lambda x: dense.eval(x)),
+        "comp": (SComp(tail, inner),
+                 lambda x: _exact_tail(12, 5, inner.eval(x))),
+        "prod": (SProd([SComp(tail, inner), dense]),
+                 lambda x: _exact_tail(12, 5, inner.eval(x)) * dense.eval(x)),
+    }
+    tiny = Fraction(1, 2 ** 300)
+    for name, (node, exact) in nodes.items():
+        for t in (Fraction(1, 3), Fraction(2, 7)):
+            assert Fraction(*node.ints(t)) == node.eval(t) == exact(t), \
+                (name, t)
+            assert max_error(node, [(t, exact(t))]) == 0
+            assert max_error(node, [(t, exact(t) - tiny)]) == tiny
+
+
+def test_product_radii_match_the_reference_formulas():
+    # A product's pair is its parts' pairs multiplied, unreduced, and its
+    # value the product of theirs.
+    tail = SComp(SBinomTail(12, 5), UniPoly([Fraction(1, 5), Fraction(1, 2)]))
+    exact = UniPoly([Fraction(2, 3), -1, Fraction(1, 4)])
+    flt = UniPoly([Fraction(-1, 3), 2, 0, Fraction(-5, 4)]).to_float(40)
+    const = UniPoly([Fraction(-7, 2)])
+    part_sets = [[exact, const], [tail], [exact, tail, const, flt],
+                 [tail, SProd([tail, tail]), exact], [const, tail, tail], []]
+    for t in (Fraction(1, 3), Fraction(2, 7), 0, -2):
+        for parts in part_sets:
+            pairs = [p.ints(t) for p in parts]
+            assert SProd(parts).ints(t) == (
+                math.prod(n for n, _ in pairs), math.prod(d for _, d in pairs))
+            assert SProd(parts).eval(t) == math.prod(
+                (p.eval(t) for p in parts), start=Fraction(1))
 
 
 def test_max_error_is_exact_for_dense_polynomials():
