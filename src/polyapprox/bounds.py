@@ -124,39 +124,34 @@ def ed_large_range_step(n, k, delta, inner):
 # with the (k-1)-closed form plugged in as inner.
 
 
+def _violations(cases):
+    """shape + (closed, step) for each (shape, closed, step) of cases whose
+    closed form falls below its recurrence step, with 1e-12 slack."""
+    return [shape + (closed, step) for shape, closed, step in cases
+            if closed < step * (1 - 1e-12)]
+
+
 def kdnf_sweep():
-    violations = []
-    for n, k, d in product((64, 256, 1024, 4096, 16384), (1, 2, 3, 4),
-                           (1, 4, 16, 64)):
-        closed = kdnf_closed(n, k, d)
-        step = kdnf_step(n, k, d, kdnf_closed)
-        if closed < step * (1 - 1e-12):
-            violations.append((n, k, d, closed, step))
-    return violations
+    return _violations(
+        ((n, k, d), kdnf_closed(n, k, d), kdnf_step(n, k, d, kdnf_closed))
+        for n, k, d in product((64, 256, 1024, 4096, 16384), (1, 2, 3, 4),
+                               (1, 4, 16, 64)))
 
 
 def ed_sweep():
-    violations = []
-    for n, k, d in product((256, 1024, 4096, 16384), (2, 3, 4), (1, 4, 16)):
-        closed = ed_closed(n, k, d)
-        step = ed_large_range_step(
-            n, k, d, lambda nn, kk, dd: ed_closed(max(nn, 1), kk, dd))
-        if closed < step * (1 - 1e-12):
-            violations.append((n, k, d, closed, step))
-    return violations
+    return _violations(
+        ((n, k, d), ed_closed(n, k, d), ed_large_range_step(
+            n, k, d, lambda nn, kk, dd: ed_closed(max(nn, 1), kk, dd)))
+        for n, k, d in product((256, 1024, 4096, 16384), (2, 3, 4),
+                               (1, 4, 16)))
 
 
 def ed_range_sweep():
-    violations = []
-    for n, r, k, d in product((1024, 4096), (8, 32, 128), (2, 3), (1, 4, 16)):
-        if 2 * k * r > n:
-            continue
-        closed = ed_range_closed(n, r, k, d)
-        step = ed_small_range_step(
-            n, r, k, d, lambda nn, rr, kk, dd: ed_closed(nn, kk, dd))
-        if closed < step * (1 - 1e-12):
-            violations.append((n, r, k, d, closed, step))
-    return violations
+    return _violations(
+        ((n, r, k, d), ed_range_closed(n, r, k, d), ed_small_range_step(
+            n, r, k, d, lambda nn, rr, kk, dd: ed_closed(nn, kk, dd)))
+        for n, r, k, d in product((1024, 4096), (8, 32, 128), (2, 3),
+                                  (1, 4, 16)) if 2 * k * r <= n)
 
 
 def consistency_sweep():

@@ -9,7 +9,9 @@ verify reads an artifact with its class's from_json, recomputes the exact
 maximum error with the same measure construct used (max_error(), at the
 precisions the artifact records), and compares it with the exact claim,
 certified_eps_exact, with no slack.  It also checks the claimed degree
-against the degree of the serialized polynomial.
+against the degree of the serialized polynomial and, for a symmetric
+approximant, exact_on against the weights where that measure found no
+error.
 """
 
 import argparse
@@ -96,7 +98,13 @@ def cmd_verify(args):
         raise ValueError("unrecognized artifact")
     try:
         approx = cls.from_json(doc)
-        worst = approx.max_error()
+        if cls is SymApprox:
+            # every claim measured again, by the pass construct made
+            fresh = SymApprox.measured(approx.spec, approx.poly,
+                                       approx.construction)
+            worst, exact = fresh.certified_eps, fresh.exact_on
+        else:
+            worst, exact = approx.max_error(), None
         claimed = exact_value(approx.certified_eps)
     except TypeError as exc:
         # well-formed JSON with a field of the wrong type
@@ -107,6 +115,10 @@ def cmd_verify(args):
         return 3
     if worst > claimed:
         print("FAIL: certified error claim does not hold")
+        return 3
+    if exact is not None and exact != approx.exact_on:
+        print("FAIL: claimed exact_on %s, the polynomial is exact on %s"
+              % (sorted(approx.exact_on), sorted(exact)))
         return 3
     print("OK")
     return 0

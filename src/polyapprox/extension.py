@@ -6,7 +6,7 @@ from fractions import Fraction
 import math
 
 from .numcore import (DEFAULT_PREC, SComp, SProd, UniPoly, as_fraction,
-                      certify, max_error)
+                      max_error)
 from .chebyshev import cheb_poly
 from .blocks import interval_indicator
 from .symmetric import SymApprox, SymSpec
@@ -69,8 +69,7 @@ def extend_approx(approx, n, delta, prec=DEFAULT_PREC):
     target = SymSpec(n, [approx.spec.values[w] if w <= m else 0
                          for w in range(n + 1)])
     if n <= n_in:
-        return SymApprox(target, approx.poly, approx.certified_eps,
-                         "extension-passthrough", set(approx.exact_on))
+        return SymApprox.measured(target, approx.poly, "extension-passthrough")
     if m == 0:
         return _extend_from_point(approx, target, n, delta)
     d = max(approx.degree, 1)
@@ -84,8 +83,7 @@ def _extended(approx, target, m, ind, prec):
     rounded up to prec bits: the tail's exact maximum is a fraction of
     thousands of bits."""
     full = SProd([approx.poly, SComp(ind, UniPoly([0, Fraction(1, m)]))])
-    err = certify(max_error(full, enumerate(target.values)), prec)
-    return SymApprox(target, full, err, "extension", set())
+    return SymApprox.measured(target, full, "extension", prec)
 
 
 def _extend_from_point(approx, target, n, delta):
@@ -97,8 +95,7 @@ def _extend_from_point(approx, target, n, delta):
     T = cheb_poly(c).compose_affine(Fraction(-1, n), 1 + Fraction(1, n))
     T = T ** reps
     poly = T.scale(approx.spec.values[0] / T.eval(0))
-    err = max_error(poly, enumerate(target.values))
-    return SymApprox(target, poly, err, "extension-point", {0})
+    return SymApprox.measured(target, poly, "extension-point")
 
 
 def small_support_approx(spec, eps, prec=DEFAULT_PREC):
@@ -109,8 +106,7 @@ def small_support_approx(spec, eps, prec=DEFAULT_PREC):
     n = spec.n
     k = max((w for w in range(n + 1) if spec.values[w] != 0), default=-1)
     if k < 0:
-        return SymApprox(spec, UniPoly.zero(), Fraction(0), "zero",
-                         set(range(n + 1)))
+        return SymApprox.measured(spec, UniPoly.zero(), "zero")
     if 2 * k >= n:
         return SymApprox.interpolant(spec)
     base = SymApprox.interpolant(SymSpec(2 * k, spec.values[:2 * k + 1]))

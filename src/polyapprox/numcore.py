@@ -14,8 +14,9 @@ unreduced integer pair (numerator, denominator) of its exact value at a
 rational t, and eval(t) is that pair's Fraction.  A composition's inner is
 dense and evaluates exactly, a product multiplies its parts' pairs, and the
 binomial tail is summed exactly in integers.  max_error() takes the exact
-maximum over the measured points, comparing integer pairs, and certify()
-rounds a float construction's maximum up to its precision.
+maximum over the measured points, comparing integer pairs, and the points
+where the error is 0 in the same pass; certify() rounds a float
+construction's maximum up to its precision.
 """
 
 from fractions import Fraction
@@ -618,9 +619,10 @@ def min_degree(build, eps, lo, hi):
     return best
 
 
-def max_error(poly, pairs):
+def max_error(poly, pairs, exact=None):
     """max |poly(t) - f| over the (t, f) pairs, ints or Fractions, as a
-    Fraction: the exact maximum, for a dense polynomial or a node.
+    Fraction: the exact maximum, for a dense polynomial or a node.  The t
+    of every pair with error 0 is added to the set exact, if one is given.
     Each error stays an integer pair: at poly(t) = v / d,
     |poly(t) - f| = |v f.den - f.num d| / (d f.den).  Bit lengths bound a
     positive x / y strictly between 2^(bits(x) - bits(y) - 1) and
@@ -633,6 +635,8 @@ def max_error(poly, pairs):
         v, d = poly.ints(t)
         e, ed = abs(v * f.denominator - f.numerator * d), d * f.denominator
         if not e:
+            if exact is not None:
+                exact.add(t)
             continue
         gap = (e.bit_length() - ed.bit_length()
                - wn.bit_length() + wd.bit_length())

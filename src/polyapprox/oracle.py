@@ -42,6 +42,8 @@ def minimax_lp(nodes, values, degree):
     values = [as_fraction(v) for v in values]
     if len(set(nodes)) != len(nodes):
         raise ValueError("repeated node")
+    if len(values) != len(nodes) or degree < 0:
+        raise ValueError("need one value per node and a degree >= 0")
     if degree >= len(nodes) - 1:
         p = lagrange_interpolate(nodes, values)
         return MinimaxResult(Fraction(0), p, list(nodes))

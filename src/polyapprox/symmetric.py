@@ -2,13 +2,13 @@
 indicators, general symmetric spectra and the sampled low-support
 construction.
 
-Everything is certified by measurement: the reported error is the exact
-maximum deviation of the returned polynomial over the integer weights (for
-a float polynomial, rounded up to its working precision), never an
-asymptotic estimate.
+Every claim is measured on the returned polynomial: SymApprox.measured
+takes the exact maximum deviation over the integer weights (for a float
+polynomial, rounded up to its working precision), never an asymptotic
+estimate, and the weights where it is exact in the same pass.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -64,22 +64,27 @@ class SymApprox:
     poly: object                 # UniPoly or StructPoly in the weight
     certified_eps: object
     construction: str
-    exact_on: set = field(default_factory=set)
+    exact_on: set
+
+    @classmethod
+    def measured(cls, spec, poly, construction, prec=None):
+        """poly, a dense polynomial or a node, as an approximant of spec with
+        every claim measured on it in one exact pass over weights 0..n: the
+        maximum error, certified at prec bits (exact for None), and exact_on,
+        the weights where the error is 0."""
+        exact = set()
+        err = max_error(poly, enumerate(spec.values), exact)
+        return cls(spec, poly, certify(err, prec), construction, exact)
 
     @classmethod
     def interpolant(cls, spec):
         """The exact interpolant of spec on every weight 0..n: error 0."""
         p = lagrange_interpolate(range(spec.n + 1), spec.values)
-        return cls(spec, p, Fraction(0), "interpolant", set(range(spec.n + 1)))
+        return cls.measured(spec, p, "interpolant")
 
     @property
     def degree(self):
         return self.poly.degree
-
-    def max_error(self):
-        """The exact max |poly(w) - values[w]| over weights 0..n, for a
-        dense polynomial or a node."""
-        return max_error(self.poly, enumerate(self.spec.values))
 
     def to_json(self):
         d = self.poly.to_json()
@@ -95,9 +100,13 @@ class SymApprox:
     def from_json(cls, doc):
         """The inverse of to_json; the degree is the polynomial's."""
         spec = SymSpec(doc["n"], [scalar_from_json(v) for v in doc["values"]])
+        exact = doc["exact_on"]
+        if not (isinstance(exact, list) and len(set(exact)) == len(exact)
+                and all(type(w) is int and 0 <= w <= spec.n for w in exact)):
+            raise ValueError("exact_on must list distinct weights 0..n")
         return cls(spec, poly_from_json(doc),
                    scalar_from_json(doc["certified_eps_exact"]),
-                   doc["construction"], set(doc["exact_on"]))
+                   doc["construction"], set(exact))
 
 
 def single_zero_factor(n, m, prec=DEFAULT_PREC):
@@ -141,21 +150,20 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
         raise ValueError("which must be 'and' or 'or'")
     spec = SymSpec.and_spec(n) if which == "and" else SymSpec.or_spec(n)
     if d >= n:
-        a = SymApprox.interpolant(SymSpec.and_spec(n))
-        # OR reflects the AND interpolant: one basis polynomial, not n
-        return a if which == "and" else replace(
-            a, spec=spec, poly=UniPoly([1]) - a.poly.compose_affine(-1, n))
-    r, ell = _and_or_shape(n, d)
-    # value 1 at n, zeros at n-ell+1 .. n-1
-    base = _zeroed_bump(r, n, n - ell, range(n - ell + 1, n), prec)
-    # The damping factor M is the exact maximum below weight n; scale
-    # divides by 1 + M exactly and rounds each coefficient once.
-    M = max_error(base, ((w, 0) for w in range(n)))
-    p = base.scale(1 / (1 + M))
+        p = lagrange_interpolate(range(n + 1), SymSpec.and_spec(n).values)
+    else:
+        r, ell = _and_or_shape(n, d)
+        # value 1 at n, zeros at n-ell+1 .. n-1
+        base = _zeroed_bump(r, n, n - ell, range(n - ell + 1, n), prec)
+        # The damping factor M is the exact maximum below weight n; scale
+        # divides by 1 + M exactly and rounds each coefficient once.
+        M = max_error(base, ((w, 0) for w in range(n)))
+        p = base.scale(1 / (1 + M))
     if which == "or":
+        # OR reflects the AND polynomial: one basis polynomial, not n
         p = UniPoly([1], p.prec) - p.compose_affine(-1, n)
-    eps = certify(max_error(p, enumerate(spec.values)), p.prec)
-    return SymApprox(spec, p, eps, "chebyshev-damped", set())
+    return SymApprox.measured(
+        spec, p, "interpolant" if d >= n else "chebyshev-damped", p.prec)
 
 
 def and_or_min_degree(n, which, eps, prec=DEFAULT_PREC):
@@ -180,7 +188,8 @@ def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
     if not (0 <= k <= m <= n) or eps <= 0:
         raise ValueError("need 0 <= k <= m <= n and eps > 0")
     spec = SymSpec.exact_spec(n, n - k)
-    lg = math.log2(2 * eps.denominator) - math.log2(eps.numerator)
+    # log2(2 / eps), at least 0: an eps above 2 needs no damping
+    lg = max(0, math.log2(2 * eps.denominator) - math.log2(eps.numerator))
     ell = math.ceil(m + lg)
     if 2 * ell >= n:
         return SymApprox.interpolant(spec)
@@ -191,9 +200,7 @@ def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):
     for i in range(n - k + 1, n + 1):
         f = single_zero_factor(i, n - k, prec)
         p = p * (one - f * f)
-    err = certify(max_error(p, enumerate(spec.values)), p.prec)
-    structural = set(range(ell + 1)) | set(range(n - ell, n + 1))
-    return SymApprox(spec, p, err, "zeroed-chebyshev", structural)
+    return SymApprox.measured(spec, p, "zeroed-chebyshev", p.prec)
 
 
 def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
@@ -222,9 +229,8 @@ def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
             total = total + q.scale(hi)
         if lo != 0:
             total = total + q.compose_affine(-1, n).scale(lo)
-
-    err = certify(max_error(total, enumerate(spec.values)), total.prec)
-    return SymApprox(spec, total, err, "boundary-decomposition", set())
+    return SymApprox.measured(spec, total, "boundary-decomposition",
+                              total.prec)
 
 
 def _sampling_exponent(spec, eps):
@@ -266,14 +272,9 @@ def sampled_nodes_approx(spec, d):
     vals = [spec.values[i] / p.eval(t[i]) for i in range(k + 1)] + [0] * k
     q = lagrange_interpolate(nodes, vals)
     pq = p * q
-    values_at = [pq.eval(t[i]) for i in range(n + 1)]
-    err = max((abs(values_at[i] - spec.values[i]) for i in range(n + 1)),
-              default=Fraction(0))
-    exact = {i for i in range(n + 1) if values_at[i] == spec.values[i]}
     # poly in the weight w is pq composed with w -> 1 - (1 - w/n)^E; kept
     # factored, the dense composition has astronomically large coefficients
     inner = UniPoly([1]) - (UniPoly([1, Fraction(-1, n)]) ** E)
-    poly = SComp(pq, inner)
-    ap = SymApprox(spec, poly, err, "sampled-nodes", exact)
+    ap = SymApprox.measured(spec, SComp(pq, inner), "sampled-nodes")
     ap.pq_norm = pq.norm()
     return ap

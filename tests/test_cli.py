@@ -6,7 +6,7 @@ from types import SimpleNamespace
 from mpmath import mp
 import pytest
 
-from polyapprox import cli, extension, symmetric
+from polyapprox import cli, symmetric
 from polyapprox.cli import main
 from polyapprox.extension import extend_approx
 from polyapprox.numcore import exact_value, scalar_from_json
@@ -226,6 +226,27 @@ def _hex_without_0x(doc):
     doc["coeffs"][0] = "12ffp-8"
 
 
+def _exact_on_string(doc):
+    # read as the set of its characters, verify printed OK
+    doc["exact_on"] = "xyz"
+
+
+def _exact_on_bool(doc):
+    doc["exact_on"] = True
+
+
+def _exact_on_fraction(doc):
+    doc["exact_on"] = [0.5]
+
+
+def _exact_on_out_of_range(doc):
+    doc["exact_on"] = [doc["n"] + 1]
+
+
+def _exact_on_repeated(doc):
+    doc["exact_on"] = [0, 0]
+
+
 AND_4 = ["--target", "and", "--n", "4"]
 AND_8 = ["--target", "and", "--n", "8"]
 SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
@@ -257,6 +278,11 @@ SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
     (AND_4, _over_precise_coefficient),
     (AND_8, _boolean_precision),
     (AND_8, _hex_without_0x),
+    (AND_8, _exact_on_string),
+    (AND_8, _exact_on_bool),
+    (AND_8, _exact_on_fraction),
+    (AND_8, _exact_on_out_of_range),
+    (AND_8, _exact_on_repeated),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -282,6 +308,29 @@ def test_verify_rejects_a_wrong_degree_claim_with_exit_3(argv, tmp_path,
     capsys.readouterr()
     assert run(["verify", str(out)]) == 3
     assert "claimed degree 0" in capsys.readouterr().out
+
+
+SMALL_SUPPORT_32_2 = ["--target", "small-support", "--n", "32", "--k", "2",
+                      "--seed", "9", "--eps", "1/8"]
+
+
+@pytest.mark.parametrize("argv, change", [
+    (SMALL_SUPPORT_32_2, lambda exact: exact + [1]),
+    (SMALL_SUPPORT_32_2, lambda exact: exact[:-1]),
+    (AND_8, lambda exact: exact + [8]),
+], ids=["add", "remove", "add-to-empty"])
+def test_verify_rejects_a_wrong_exact_on_claim_with_exit_3(argv, change,
+                                                           tmp_path, capsys):
+    # exact_on is measured in the pass that measures the error: one weight
+    # more or fewer than the polynomial is exact on is a false claim.
+    out = tmp_path / "x.json"
+    assert run(["construct"] + argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["exact_on"] = sorted(change(doc["exact_on"]))
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    assert "FAIL: claimed exact_on" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", ["[1]", "null", "\"terms\""])
@@ -392,6 +441,20 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["eps_star"] == "1/4"
+
+
+@pytest.mark.parametrize("values, degree", [
+    ("0,1,1", "-1"),        # a negative degree divided by zero
+    ("0,1", "1"),           # fewer values than nodes indexed past the end
+    ("0,1,1,1", "1"),       # zip dropped the extra value and exited 0
+])
+def test_oracle_rejects_a_bad_input_with_exit_2(values, degree, tmp_path,
+                                                capsys):
+    out = tmp_path / "o.json"
+    assert run(["oracle", "--nodes", "0,1,2", "--values", values,
+                "--degree", degree, "--out", str(out)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bounds_sweep_and_table(tmp_path, capsys):
@@ -513,10 +576,15 @@ GOLDEN_ARGV = {
 # binomial tail came to be summed exactly: its "binom_tail" nodes lost
 # "precision_bits", and each small-support certificate became the exact
 # maximum rounded up to 256 bits instead of an enclosure bound, with every
-# degree and every other byte unchanged.
-GOLDEN_SHA256 = "2d06483975ba158a8f67f0da28e5e155a1aeb2fc1e95220f70f251ceaeb97bc3"
+# degree and every other byte unchanged.  The exact, float and prec groups
+# were re-recorded (exact 2d064839... -> 3ab2d69c..., float a4c51323... ->
+# efba3abc..., prec e6e79c6f... -> d493fb3c...) when exact_on came to be
+# measured on the returned polynomial: each small-support artifact now lists
+# weights 0, 3 and 4, and the float exact-weight ones list [0] or [] instead
+# of a hand-written boundary set, with every other byte unchanged.
+GOLDEN_SHA256 = "3ab2d69ce5ab625eaec91a368e1ad01a400192fa8fb160b796d6bee3dc842f14"
 FLOAT_GOLDEN_SHA256 = \
-    "a4c51323697b78595d2cdfe54cf5df85ae09ac1c8ee76f280b8bb07f23661b75"
+    "efba3abc57310e39585aa49af62f9dd988acc2210cd4caacb4056d14632d6b7a"
 SURJ_GOLDEN_SHA256 = \
     "8c8d9d86ab55a77cac95dfa9326de8934ff2c3d3cb4904e35cce4a6e799d446c"
 # The (24, 2) eps-1/4 surjectivity artifacts carry float conjunction
@@ -524,7 +592,7 @@ SURJ_GOLDEN_SHA256 = \
 # bytes here that depend on float UniPoly negation staying inside the
 # working precision (FLOAT_GOLDEN_SHA256 and the other shapes do not).
 PREC_GOLDEN_SHA256 = \
-    "e6e79c6f501456c8dd82d633fa99cf6a8a6cbb1aca831059ccd2be5c8083f2bb"
+    "d493fb3c42e2721daff17bd33f6af7a9ce49c117daf387bfdbceb49a3b84f9c2"
 
 # sha256 of each group's _canonical() artifacts, recorded from the artifacts
 # written before the certificates became exact (when each surjectivity term
@@ -532,12 +600,14 @@ PREC_GOLDEN_SHA256 = \
 # float coefficients, and float, prec and surj again with q on n weights;
 # exact again with the measured sampling exponent and small-support indicator,
 # and once more (065549e9... -> 5fdada2b...) when "binom_tail" nodes lost
-# "precision_bits".
+# "precision_bits"; exact (5fdada2b... -> b21fd2bd...), float (a6656479... ->
+# 9455a76e...) and prec (d016cfb4... -> 3164c19a...) when exact_on came to
+# be measured.
 CANONICAL_SHA256 = {
-    "exact": "5fdada2be0f66e582ac80c08451f1667a9d1265dc3f79cd704fd5e4e899ee1b4",
-    "float": "a66564793ca1306bbff42b087cd54c27c5fa0b8ac0a755257b553f3c8138864e",
+    "exact": "b21fd2bdcec79a8edb467ce58ca42bc6af6f82c47ebd7ce334b85358f50f26a0",
+    "float": "9455a76e3cc1819ab695383d9f77653c173aacaa2191d7dac6c037e4b23dad34",
     "surj": "c6ddd99af1e7a91a1effeb7b68eff86674720dda445674d8d4f8dbda8964c35d",
-    "prec": "d016cfb41e8ab35f2c083e582a1cea72d361376baa3d69184da1b9b99ccb2295",
+    "prec": "3164c19afbcc562fa0cfa297c7f9dc2f655bce3a4498387511f7ccad738e21d1",
 }
 
 
@@ -665,7 +735,7 @@ def test_measured_parameters_never_raise_the_recipe_degree(target, n, k, seed,
 def test_small_support_probe_miss_exits_4(monkeypatch, tmp_path, capsys):
     # Exactly, the indicator's error bound meets eps; a certificate made to
     # miss it is precision loss: exit 4, naming the precision, and no file.
-    monkeypatch.setattr(extension, "certify", lambda err, prec: Fraction(1))
+    monkeypatch.setattr(symmetric, "certify", lambda err, prec: Fraction(1))
     out = tmp_path / "a.json"
     assert run(["--prec", "128", "construct", "--target", "small-support",
                 "--n", "32", "--k", "2", "--seed", "9", "--eps", "1/8",
@@ -720,6 +790,42 @@ def test_exact_at_an_eps_below_every_float(tmp_path, capsys):
     assert json.loads(out.read_text())["construction"] == "interpolant"
     assert run(["verify", str(out)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("eps", ["4", "1000"])
+def test_exact_at_an_eps_above_2_builds_undamped(eps, tmp_path, capsys):
+    # log2(2/eps) < 0 is clamped at 0, the r = 0 build of --eps 2.
+    out = tmp_path / "e.json"
+    assert run(["construct", "--target", "exact", "--n", "20", "--k", "0",
+                "--eps", eps, "--out", str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["construction"] == "zeroed-chebyshev"
+
+
+def _weights_it_is_exact_on(a):
+    return {w for w, v in enumerate(a.spec.values) if a.poly.eval(w) == v}
+
+
+# surjectivity builds a BlockSymApprox, which claims no exact_on
+@pytest.mark.parametrize("build", [
+    *(lambda t=t: cli.TARGETS[t](SimpleNamespace(
+        n=16, k=2, r=0, seed=9, prec=128), Fraction(1, 8))
+      for t in cli.TARGETS if t != "surjectivity"),
+    lambda: extend_approx(SymApprox.interpolant(
+        SymSpec(4, [Fraction(1, 2), Fraction(1, 3), 0, 0, 0])), 16,
+        Fraction(1, 8)),
+    lambda: extend_approx(SymApprox.interpolant(SymSpec(0, [1])), 16,
+                          Fraction(1, 8)),
+    lambda: symmetric.symmetric_approx(SymSpec(16, [Fraction(1, 2), 0] + [
+        Fraction(1, 4)] * 13 + [0, 1]), Fraction(1, 8), 128),
+    lambda: symmetric.and_or_approx(8, 8, "or"),
+], ids=[t for t in cli.TARGETS if t != "surjectivity"]
+    + ["extension", "extension-point", "boundary-decomposition",
+       "or-interpolant"])
+def test_every_construction_claims_the_weights_it_is_exact_on(build):
+    a = build()
+    assert a.exact_on == _weights_it_is_exact_on(a)
 
 
 # sha256 of the small-support (16, 0) seed-1 artifact at eps 1/8: the point

@@ -1,8 +1,9 @@
 """Every name a polyapprox module imports is read in that module, every
 parameter of its functions is read in the function's body, every top-level
 definition and class method is used somewhere, every dataclass field is
-read, and only numcore knows the scalar backends, writes a Fraction and
-touches a float's bits through libmp.
+read, only numcore knows the scalar backends, writes a Fraction and
+touches a float's bits through libmp, and only SymApprox.measured builds a
+symmetric approximant with its claims.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -87,6 +88,52 @@ def test_only_numcore_formats_a_fraction(path):
 def test_the_scan_sees_a_fraction_format():
     tree = ast.parse('x = "%d/%d" % (a, b)\ny = "%d" % a\n')
     assert _fraction_formats(tree) == [1]
+
+
+def _approx_builds(tree):
+    """'where (line N)' for every call that builds a SymApprox: SymApprox(...)
+    or a bare replace(...), the dataclass copy with new fields, anywhere, and
+    cls(...) in a SymApprox method; where is the enclosing top-level def or
+    Class.method, or <module>."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            scopes = [("%s.%s" % (stmt.name, getattr(fn, "name", "")), fn)
+                      for fn in stmt.body]
+        else:
+            scopes = [(getattr(stmt, "name", "<module>"), stmt)]
+        names = {"SymApprox", "replace"}
+        if isinstance(stmt, ast.ClassDef) and stmt.name == "SymApprox":
+            names.add("cls")
+        out += ["%s (line %d)" % (where, node.lineno)
+                for where, scope in scopes for node in ast.walk(scope)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id in names]
+    return out
+
+
+def test_only_measured_builds_a_symmetric_approximant():
+    # Every claim of a SymApprox (its certified error and exact_on) is
+    # measured on its polynomial by SymApprox.measured; from_json reads
+    # claims back for verify to measure again.  No construction states one.
+    allowed = ("SymApprox.measured (", "SymApprox.from_json (")
+    builds = [b for p in MODULES
+              for b in _approx_builds(ast.parse(p.read_text(), str(p)))
+              if not b.startswith(allowed)]
+    assert not builds, "SymApprox built outside measured: %s" % (
+        ", ".join(builds))
+
+
+def test_the_scan_sees_a_symmetric_approximant_built():
+    tree = ast.parse("class SymApprox:\n"
+                     "    def measured(cls):\n        return cls(1)\n"
+                     "    def other(cls):\n        return cls(2)\n"
+                     "class B:\n    def f(cls):\n        return cls(3)\n"
+                     "def g(a):\n    return replace(a, exact_on=set())\n"
+                     "x = SymApprox(4)\n")
+    assert _approx_builds(tree) == [
+        "SymApprox.measured (line 3)", "SymApprox.other (line 5)",
+        "g (line 10)", "<module> (line 11)"]
 
 
 def _libmp_uses(tree):
