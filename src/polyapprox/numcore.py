@@ -20,7 +20,7 @@ construction's maximum up to its precision.
 """
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 import math
 import re
 
@@ -123,6 +123,14 @@ def scalar_to_json(x):
         except ValueError:
             return "%#x/%#x" % (f.numerator, f.denominator)
     return mpf_to_hex(x)
+
+
+def point_to_json(t):
+    """str(t), in scalar_to_json's hex past the 4300-digit limit."""
+    try:
+        return str(t)
+    except ValueError:
+        return scalar_to_json(t)
 
 
 def scalar_from_json(s):
@@ -439,23 +447,28 @@ class UniPoly:
 
 def lagrange_interpolate(nodes, values):
     """Unique degree <= len(nodes)-1 polynomial through the given points,
-    exact over Fraction.  A node whose value is 0 adds nothing to the sum,
-    so its basis polynomial is never built."""
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("repeated interpolation node")
-    out = UniPoly.zero()
-    for i, (ti, fi) in enumerate(zip(nodes, values)):
-        if fi == 0:
-            continue
-        num = UniPoly.constant(1)
-        den = 1
-        for j, tj in enumerate(nodes):
-            if j == i:
-                continue
-            num = num * UniPoly([-tj, 1])
-            den = den * (ti - tj)
-        out = out + num.scale(as_fraction(fi) / as_fraction(den))
-    return out
+    exact, in integers: on the nodes scaled to integers s_i = Q t_i, Q the
+    lcm of their denominators, L(y) = prod_j (y - s_j) is built once, and
+    sum_i f_i B_i / B_i(s_i), with B_i = L / (y - s_i) by synthetic division,
+    is summed over one denominator.  y = Q t scales coefficient k by Q^k."""
+    nodes, values = ([as_fraction(x) for x in xs] for xs in (nodes, values))
+    if len(values) != len(nodes) or len(set(nodes)) != len(nodes):
+        raise ValueError("need distinct nodes and one value per node")
+    Q = math.lcm(*(t.denominator for t in nodes))
+    s = [t.numerator * (Q // t.denominator) for t in nodes]
+    L = [1]
+    for sj in s:
+        L = [a - sj * b for a, b in zip([0] + L, L + [0])]
+    nums, den = [0] * len(s), 1
+    for si, fi in zip(s, values):
+        if fi:
+            basis = list(accumulate(L[:0:-1], lambda b, c: c + si * b))[::-1]
+            e = fi.denominator * horner_ints(basis, 1, si)[0]
+            g = math.lcm(den, e)
+            c, r, den = fi.numerator * (g // e), g // den, g
+            nums = [n * r + c * b for n, b in zip(nums, basis)]
+    return UniPoly.zero()._from_ints([n * Q ** k for k, n in enumerate(nums)],
+                                     den)
 
 
 # ---------------------------------------------------------------------------

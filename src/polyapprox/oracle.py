@@ -8,7 +8,7 @@ from itertools import combinations
 import math
 
 from .numcore import (UniPoly, as_fraction, lagrange_interpolate,
-                      scalar_to_json)
+                      point_to_json, scalar_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +24,7 @@ class MinimaxResult:
     def to_json(self):
         d = self.poly.to_json()
         d["eps_star"] = scalar_to_json(self.eps_star)
-        d["active_points"] = [str(t) for t in self.active_points]
+        d["active_points"] = [point_to_json(t) for t in self.active_points]
         return d
 
 
@@ -110,8 +110,15 @@ def _level(ts, fs, d):
     on the d+2 increasing nodes ts, in closed form.  The (d+1)-th divided
     difference sum_j w_j g(t_j), w_j = 1 / prod_{k != j} (t_j - t_k),
     vanishes for g = p, so h = sum_j w_j f_j / sum_j (-1)^j w_j.  On
-    increasing nodes the w_j alternate in sign, so that sum is never 0."""
-    w = [1 / math.prod(t - u for u in ts if u != t) for t in ts]
+    increasing nodes the w_j alternate in sign, so that sum is never 0.
+    Both sums scale alike, so h is the same on the integer nodes s_j = Q t_j
+    (Q the lcm of the denominators, every product Q^(d+1) times larger) with
+    the integer weights M / prod_{k != j} (s_j - s_k), M the products' lcm."""
+    Q = math.lcm(*(t.denominator for t in ts))
+    s = [t.numerator * (Q // t.denominator) for t in ts]
+    prods = [math.prod(a - b for b in s if b != a) for a in s]
+    M = math.lcm(*prods)
+    w = [M // p for p in prods]
     h = (sum(wj * f for wj, f in zip(w, fs))
          / sum(wj if j % 2 == 0 else -wj for j, wj in enumerate(w)))
     p = lagrange_interpolate(ts[:d + 1], [f - (-1) ** j * h

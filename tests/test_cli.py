@@ -443,6 +443,15 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert doc["eps_star"] == "1/4"
 
 
+def test_oracle_writes_a_hex_node_it_was_given(tmp_path, capsys):
+    # a node past the 4300-digit int-to-str limit, in hex, comes back in hex
+    node = "%#x/0x3" % (10 ** 4400 + 1)
+    out = tmp_path / "o.json"
+    assert run(["oracle", "--nodes", "0,1," + node, "--values", "0,1,1",
+                "--degree", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["active_points"] == ["0", "1", node]
+
+
 @pytest.mark.parametrize("values, degree", [
     ("0,1,1", "-1"),        # a negative degree divided by zero
     ("0,1", "1"),           # fewer values than nodes indexed past the end

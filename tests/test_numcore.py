@@ -15,6 +15,7 @@ from polyapprox.numcore import (BackendMismatchError, SplitMix64, SBinomTail,
                                 max_error, min_degree, mpf_from_hex,
                                 mpf_to_hex, poly_from_json, round_up,
                                 scalar_from_json, scalar_to_json, to_mpf)
+from polyapprox.oracle import minimax_lp
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=64)
 
@@ -522,6 +523,55 @@ def test_lagrange_matches_product_form(data):
     assert [got.eval(t) for t in nodes] == [Fraction(v) for v in values]
     with pytest.raises(ValueError):
         lagrange_interpolate(nodes + [nodes[-1]], values + [0])
+
+
+def test_lagrange_rejects_a_length_mismatch():
+    # zip would invent a value of 0 at node 2, or drop the value 3
+    for nodes, values in (([0, 1, 2], [1, 2]), ([0, 1], [1, 2, 3])):
+        with pytest.raises(ValueError):
+            lagrange_interpolate(nodes, values)
+
+
+def _lagrange_shapes():
+    rng = SplitMix64(23)
+    return {
+        "and_64": (list(range(65)), [0] * 64 + [1]),
+        "random_41": (list(range(41)), [rng.fraction() for _ in range(41)]),
+        # the sampled-node shape: denominators up to 16^4
+        "sampled_nodes": ([1 - (1 - Fraction(i, 16)) ** 4 for i in range(17)],
+                          [rng.fraction() for _ in range(17)]),
+        "negative_unsorted": ([Fraction(-7, 3), Fraction(5, 2), -4,
+                               Fraction(-1, 6), Fraction(9, 4),
+                               Fraction(-5, 8)],
+                              [Fraction(3, 5), 0, -2, Fraction(-1, 7), 1, 0]),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_lagrange_shapes()))
+def test_lagrange_matches_product_form_on_large_shapes(shape):
+    nodes, values = _lagrange_shapes()[shape]
+    got = lagrange_interpolate(nodes, values)
+    want = _product_form_lagrange(nodes, values)
+    assert (got.nums, got.den) == (want.nums, want.den)
+    assert [got.eval(t) for t in nodes] == [Fraction(v) for v in values]
+
+
+def test_interpolation_multiplies_no_polynomials(monkeypatch):
+    # Interpolation and the exchange oracle run on integer vectors: a
+    # product of UniPolys anywhere in them is a regression.
+    def no_mul(self, other):
+        raise AssertionError("UniPoly product in interpolation")
+
+    monkeypatch.setattr(UniPoly, "__mul__", no_mul)
+    with pytest.raises(AssertionError):
+        UniPoly([1, 1]) * UniPoly([1, 1])
+    nodes, values = list(range(17)), [0] * 16 + [1]
+    p = lagrange_interpolate(nodes, values)
+    assert [p.eval(t) for t in nodes] == values
+    d = 0
+    while minimax_lp(nodes, values, d).eps_star > Fraction(1, 3):
+        d += 1
+    assert d == 3
 
 
 def test_struct_poly_matches_dense_expansion():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polyapprox import oracle
-from polyapprox.numcore import SplitMix64, UniPoly
+from polyapprox.numcore import SplitMix64, UniPoly, scalar_from_json
 from polyapprox.oracle import (MultiPoly, eps_profile, incl_excl_expand,
                                minimax_lp, minimax_reference,
                                multilinear_interpolant, sym_eval,
@@ -68,6 +68,19 @@ def test_ladder_results_match_golden_hash():
                 break
     assert stops == [3, 3, 4]
     assert digest.hexdigest() == LADDER_SHA256
+
+
+def test_to_json_writes_a_point_past_the_int_to_str_limit():
+    # str() raises past 4300 digits; the point is written in hex and reads
+    # back exactly, and every other point keeps its str() spelling
+    big = Fraction(10 ** 4400 + 1, 3)
+    nodes = [0, Fraction(-1, 3), big]
+    res = minimax_lp(nodes, [0, 1, 1], 1)
+    points = json.loads(json.dumps(res.to_json()))["active_points"]
+    assert points[:2] == ["0", "-1/3"]
+    assert points[2].startswith("0x") and points[2].endswith("/0x3")
+    assert scalar_from_json(points[2]) == big
+    assert res.active_points == nodes
 
 
 def test_exchange_certified_on_shuffled_fractional_nodes():
