@@ -5,13 +5,13 @@ Exit codes: 0 success, 2 invalid configuration, 3 verification failure,
 polynomial, rounded up to --prec bits for a float target or a binomial
 tail, so a higher --prec may help.
 
-verify reads an artifact with its class's from_json, recomputes the exact
-maximum error with the same measure construct used (max_error(), at the
-precisions the artifact records), and compares it with the exact claim,
-certified_eps_exact, with no slack.  It also checks the claimed degree
-against the degree of the serialized polynomial and, for a symmetric
-approximant, exact_on against the weights where that measure found no
-error.
+verify reads an artifact with its class's from_json and measures it again
+with the class's measured, the one exact pass construct made
+(numcore.max_error, at the precisions the artifact records).  It compares
+the exact maximum error with the exact claim, certified_eps_exact, with no
+slack, the claimed degree with the degree of the serialized polynomial and,
+for a symmetric approximant, exact_on with the weights where that pass
+found no error.
 """
 
 import argparse
@@ -91,20 +91,18 @@ def cmd_verify(args):
     if not isinstance(doc, dict):
         raise ValueError("artifact is not a JSON object")
     if "terms" in doc:
-        cls = BlockSymApprox
+        cls, fields = BlockSymApprox, ("n", "r", "q", "terms")
     elif doc.get("target") == "spectrum":
-        cls = SymApprox
+        cls, fields = SymApprox, ("spec", "poly", "construction")
     else:
         raise ValueError("unrecognized artifact")
+    if type(doc.get("degree")) is not int:
+        raise ValueError("the claimed degree is not an integer")
     try:
         approx = cls.from_json(doc)
-        if cls is SymApprox:
-            # every claim measured again, by the pass construct made
-            fresh = SymApprox.measured(approx.spec, approx.poly,
-                                       approx.construction)
-            worst, exact = fresh.certified_eps, fresh.exact_on
-        else:
-            worst, exact = approx.max_error(), None
+        # every claim measured again, from the fields measured takes, by
+        # the pass construct made
+        fresh = cls.measured(*(getattr(approx, f) for f in fields))
         claimed = exact_value(approx.certified_eps)
     except TypeError as exc:
         # well-formed JSON with a field of the wrong type
@@ -113,10 +111,12 @@ def cmd_verify(args):
         print("FAIL: claimed degree %r, the polynomial has degree %d"
               % (doc["degree"], approx.degree))
         return 3
-    if worst > claimed:
+    if fresh.certified_eps > claimed:
         print("FAIL: certified error claim does not hold")
         return 3
-    if exact is not None and exact != approx.exact_on:
+    # a BlockSymApprox claims no exact_on
+    exact = getattr(fresh, "exact_on", None)
+    if exact != getattr(approx, "exact_on", None):
         print("FAIL: claimed exact_on %s, the polynomial is exact on %s"
               % (sorted(approx.exact_on), sorted(exact)))
         return 3

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import math
 
 from .numcore import (DEFAULT_PREC, UniPoly, as_fraction, certify,
-                      exact_value, horner_ints, scalar_from_json,
+                      exact_value, horner_ints, max_error, scalar_from_json,
                       scalar_to_json, to_mpf)
 from .chebyshev import cheb_eval, cheb_poly
 from .symmetric import and_or_min_degree
@@ -186,6 +186,24 @@ class BlockSymApprox:
     terms: list                  # (ell, mu); ell = 0 is the constant term
     certified_eps: object
 
+    @classmethod
+    def measured(cls, n, r, q, terms, prec=None):
+        """The approximant with its error measured on it: the exact max
+        |value - SURJ| over weight vectors with sum <= n, certified at prec
+        bits (exact for None).  Both are invariant under permuting the
+        columns, so the nonincreasing vectors suffice.  A shape with no
+        vector would measure 0, so n, r and every ell are checked first."""
+        if type(n) is not int or n < 0:
+            raise ValueError("need n >= 0 rows, got %r" % (n,))
+        if type(r) is not int or r < 1:
+            raise ValueError("need r >= 1 columns, got %r" % (r,))
+        if not all(type(ell) is int and 0 <= ell <= r for ell, _ in terms):
+            raise ValueError("every ell must be an integer in 0..r")
+        out = cls(n, r, q, terms, None)
+        out.certified_eps = certify(max_error(out, (
+            (wv, surj_value(wv)) for wv in _weight_vectors(r, n))), prec)
+        return out
+
     @property
     def degree(self):
         """q's degree, or 0 with only the constant term left."""
@@ -207,27 +225,20 @@ class BlockSymApprox:
                   list(combinations(range(self.r), ell))) for ell, mu in mus]
         return terms, table, lq, lq * lm
 
-    def _numerator(self, weights):
-        terms, table, lq, _ = self._integer_form
+    def ints(self, weights):
+        """The unreduced integer pair of the exact value at a column weight
+        vector."""
+        terms, table, lq, den = self._integer_form
         tot = 0
         for ell, m, subsets in terms:
             tot += m * (lq if ell == 0 else
                         sum(table[sum(weights[j] for j in S)] for S in subsets))
-        return tot
+        return tot, den
 
     def eval(self, weights):
         """The exact value at a column weight vector."""
         assert len(weights) == self.r
-        return Fraction(self._numerator(weights), self._integer_form[3])
-
-    def max_error(self):
-        """The exact max |value - SURJ| over weight vectors with sum <= n.
-        Both are invariant under permuting the columns, so the nonincreasing
-        vectors suffice."""
-        den = self._integer_form[3]
-        worst = max(abs(self._numerator(wv) - surj_value(wv) * den)
-                    for wv in _weight_vectors(self.r, self.n))
-        return Fraction(worst, den)
+        return Fraction(*self.ints(weights))
 
     def to_json(self):
         return {"n": self.n, "r": self.r, "degree": self.degree,
@@ -291,12 +302,10 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     """Approximant for SURJ on an n x r grid restricted to weight <= n,
     expanded into per-column-subset emptiness terms."""
     eps = as_fraction(eps)
-    if n < 0:
-        raise ValueError("need n >= 0 rows, got %d" % n)
-    if r < 1:
-        raise ValueError("need r >= 1 columns, got %d" % r)
-    if r > n:
-        return BlockSymApprox(n, r, None, [(0, Fraction(0))], Fraction(0))
+    if not 1 <= r <= n:
+        # no map of n rows onto r > n columns is onto: the zero polynomial
+        # is exact.  measured rejects every other shape outside 1 <= r <= n.
+        return BlockSymApprox.measured(n, r, None, [(0, Fraction(0))])
     outer = _outer(r, eps, prec)
     h = [outer.eval(r - j) for j in range(r + 1)]
     outer_err = max(abs(h[j] - surj_value([1] * (r - j) + [0] * j))
@@ -317,10 +326,8 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     live = [ell for ell in range(1, r + 1) if mu[ell] != 0]
     q = _conjunction_poly(n, budget, prec) if live else None
     terms = [(0, mu[0])] + [(ell, mu[ell]) for ell in live]
-    out = BlockSymApprox(n, r, q, terms, None)
     exact = outer.prec is None and (q is None or q.prec is None)
-    out.certified_eps = certify(out.max_error(), None if exact else prec)
-    return out
+    return BlockSymApprox.measured(n, r, q, terms, None if exact else prec)
 
 
 def _conjunction_poly(n, budget, prec):

@@ -481,10 +481,9 @@ def lagrange_interpolate(nodes, values):
 
 
 class StructPoly:
-    """A factored polynomial node.  Its backend is derived from its children:
-    rational when all of them are, float otherwise.  A child is a UniPoly or
-    another node.  Like a UniPoly, a node evaluates through ints(t), the
-    unreduced integer pair of its exact value at a rational t."""
+    """A factored polynomial node.  A child is a UniPoly or another node.
+    Like a UniPoly, a node evaluates through ints(t), the unreduced integer
+    pair of its exact value at a rational t."""
 
     def ints(self, t):
         raise NotImplementedError
@@ -495,10 +494,6 @@ class StructPoly:
 
     def to_json(self):
         raise NotImplementedError
-
-
-def _backend_of(*parts):
-    return RATIONAL if all(p.backend == RATIONAL for p in parts) else FLOAT
 
 
 def _child_json(p):
@@ -512,7 +507,6 @@ class SProd(StructPoly):
     def __init__(self, parts):
         self.parts = parts
         self.degree = sum(p.degree for p in parts)
-        self.backend = _backend_of(*parts)
 
     def ints(self, t):
         num, den = 1, 1
@@ -535,7 +529,6 @@ class SComp(StructPoly):
         self.outer = outer
         self.inner = inner
         self.degree = outer.degree * inner.degree
-        self.backend = _backend_of(outer, inner)
 
     def ints(self, t):
         return self.outer.ints(self.inner.eval(t))
@@ -547,8 +540,6 @@ class SComp(StructPoly):
 
 class SBinomTail(StructPoly):
     """sum_{i=lo}^{d} C(d,i) t^i (1-t)^{d-i}, summed exactly in integers."""
-
-    backend = RATIONAL
 
     def __init__(self, d, lo):
         for name, x in (("d", d), ("lo", lo)):
@@ -583,7 +574,7 @@ class SBinomTail(StructPoly):
                 xn = q * xd + (d - i) * a * xn
                 xd *= q
             out = a ** lo * xn // math.factorial(d - lo), b ** d
-        if len(self._memo) > 4096:
+        if len(self._memo) >= 4096:
             self._memo.clear()
         self._memo[t] = out
         return out

@@ -170,7 +170,7 @@ def test_criterion_06_sampling():
         vals = [rng.fraction() for _ in range(k + 1)] + [0] * (n - k)
         spec = SymSpec(n, vals)
         a = sampling_approx(spec, eps)
-        if a.poly.backend != RATIONAL:
+        if not a.poly.outer.backend == a.poly.inner.backend == RATIONAL:
             ok = False
         for w in range(n + 1):
             err = abs(a.poly.eval(w) - spec.values[w])

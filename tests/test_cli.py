@@ -247,9 +247,33 @@ def _exact_on_repeated(doc):
     doc["exact_on"] = [0, 0]
 
 
+def _set(field, value):
+    def tamper(doc):
+        doc[field] = value
+    return tamper
+
+
+def _set_last_ell(value):
+    def tamper(doc):
+        doc["terms"][-1]["ell"] = value(doc["r"])
+    return tamper
+
+
+def _unrecognized_target(doc):
+    doc["target"] = "cube"
+
+
+def _hex_coefficient_in_an_exact_poly(doc):
+    assert doc["backend"] == "rational"
+    doc["coeffs"][0] = "0x1p-1"
+
+
+AND_1 = ["--target", "and", "--n", "1"]
 AND_4 = ["--target", "and", "--n", "4"]
 AND_8 = ["--target", "and", "--n", "8"]
 SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
+# 4k >= n: the exact interpolant, one dense rational polynomial
+SAMPLING_8_2 = ["--target", "sampling", "--n", "8", "--k", "2", "--seed", "1"]
 
 
 @pytest.mark.parametrize("argv, tamper", [
@@ -283,6 +307,18 @@ SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
     (AND_8, _exact_on_fraction),
     (AND_8, _exact_on_out_of_range),
     (AND_8, _exact_on_repeated),
+    # a boolean read as 1, where 1 is the true n and degree: verify said OK
+    (AND_1, _set("n", True)),
+    (AND_1, _set("degree", True)),
+    (AND_8, _unrecognized_target),
+    (SAMPLING_8_2, _hex_coefficient_in_an_exact_poly),
+    # a surjectivity shape with no column weight vector measured 0, and
+    # with r = 0 every term above ell = 0 sums over no column subset
+    (SURJ_8_2, _set("r", 0)),
+    (SURJ_8_2, _set("n", True)),
+    (SURJ_8_2, _set("n", -1)),
+    (SURJ_8_2, _set_last_ell(lambda r: r + 1)),
+    (SURJ_8_2, _set_last_ell(lambda r: True)),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):

@@ -90,11 +90,15 @@ def test_the_scan_sees_a_fraction_format():
     assert _fraction_formats(tree) == [1]
 
 
+APPROX_CLASSES = ("SymApprox", "BlockSymApprox")
+
+
 def _approx_builds(tree):
-    """'where (line N)' for every call that builds a SymApprox: SymApprox(...)
-    or a bare replace(...), the dataclass copy with new fields, anywhere, and
-    cls(...) in a SymApprox method; where is the enclosing top-level def or
-    Class.method, or <module>."""
+    """'where (line N)' for every call that builds an approximant:
+    SymApprox(...), BlockSymApprox(...) or a bare replace(...), the
+    dataclass copy with new fields, anywhere, and cls(...) in a method of
+    either class; where is the enclosing top-level def or Class.method, or
+    <module>."""
     out = []
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
@@ -102,8 +106,8 @@ def _approx_builds(tree):
                       for fn in stmt.body]
         else:
             scopes = [(getattr(stmt, "name", "<module>"), stmt)]
-        names = {"SymApprox", "replace"}
-        if isinstance(stmt, ast.ClassDef) and stmt.name == "SymApprox":
+        names = {"replace", *APPROX_CLASSES}
+        if isinstance(stmt, ast.ClassDef) and stmt.name in APPROX_CLASSES:
             names.add("cls")
         out += ["%s (line %d)" % (where, node.lineno)
                 for where, scope in scopes for node in ast.walk(scope)
@@ -113,14 +117,16 @@ def _approx_builds(tree):
 
 
 def test_only_measured_builds_a_symmetric_approximant():
-    # Every claim of a SymApprox (its certified error and exact_on) is
-    # measured on its polynomial by SymApprox.measured; from_json reads
-    # claims back for verify to measure again.  No construction states one.
-    allowed = ("SymApprox.measured (", "SymApprox.from_json (")
+    # Every claim of a SymApprox (its certified error and exact_on) or a
+    # BlockSymApprox (its certified error) is measured on its polynomial by
+    # the class's measured; from_json reads claims back for verify to
+    # measure again.  No construction states one.
+    allowed = tuple("%s.%s (" % (c, m) for c in APPROX_CLASSES
+                    for m in ("measured", "from_json"))
     builds = [b for p in MODULES
               for b in _approx_builds(ast.parse(p.read_text(), str(p)))
               if not b.startswith(allowed)]
-    assert not builds, "SymApprox built outside measured: %s" % (
+    assert not builds, "approximant built outside measured: %s" % (
         ", ".join(builds))
 
 
@@ -134,6 +140,17 @@ def test_the_scan_sees_a_symmetric_approximant_built():
     assert _approx_builds(tree) == [
         "SymApprox.measured (line 3)", "SymApprox.other (line 5)",
         "g (line 10)", "<module> (line 11)"]
+
+
+def test_the_scan_sees_a_block_symmetric_approximant_built():
+    tree = ast.parse("class BlockSymApprox:\n"
+                     "    def measured(cls):\n        return cls(1)\n"
+                     "    def other(cls):\n        return cls(2)\n"
+                     "def surjectivity_approx(n):\n"
+                     "    return BlockSymApprox(n)\n")
+    assert _approx_builds(tree) == [
+        "BlockSymApprox.measured (line 3)", "BlockSymApprox.other (line 5)",
+        "surjectivity_approx (line 7)"]
 
 
 def _libmp_uses(tree):

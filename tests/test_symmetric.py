@@ -184,7 +184,7 @@ def test_sampling_exact_at_ends_and_close_between():
     vals = [rng.fraction() for _ in range(k + 1)] + [0] * (n - k)
     spec = SymSpec(n, vals)
     a = sampling_approx(spec, Fraction(1, 8))
-    assert a.poly.backend == RATIONAL
+    assert a.poly.outer.backend == a.poly.inner.backend == RATIONAL
     for w in range(n + 1):
         err = abs(a.poly.eval(w) - spec.values[w])
         if w <= k or w >= n - k:
@@ -192,7 +192,7 @@ def test_sampling_exact_at_ends_and_close_between():
         else:
             assert err <= Fraction(1, 8), w
     r = poly_from_json(json.loads(json.dumps(a.poly.to_json())))
-    assert r.backend == a.poly.backend == RATIONAL
+    assert r.outer == a.poly.outer and r.inner == a.poly.inner
 
 
 def test_sampling_passthrough_for_wide_support():
