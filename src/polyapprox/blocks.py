@@ -71,17 +71,13 @@ def reciprocal_corollary(n):
 
 def reciprocal_power_approx(d, D):
     """p(t) = sum_{i<=D} C(i+d-1, i) (1-t)^i, the degree-D Taylor section of
-    1/t^d at t = 1.  Integer coefficients."""
+    1/t^d at t = 1.  Integer coefficients: C(i+d-1, i) C(i, j) is
+    C(j+d-1, j) C(i+d-1, i-j), and the hockey stick sums the second factor
+    over i <= D to C(D+d, D-j), so t^j has (-1)^j C(j+d-1, j) C(D+d, D-j)."""
     if d < 1 or D < 0:
         raise ValueError("need d >= 1, D >= 0")
-    p = [0] * (D + 1)
-    pw = [1]                            # coefficients of (1-t)^i
-    for i in range(D + 1):
-        c = math.comb(i + d - 1, i)
-        for j, w in enumerate(pw):
-            p[j] += c * w
-        pw = [x - y for x, y in zip(pw + [0], [0] + pw)]
-    return UniPoly(p)
+    return UniPoly([(-1) ** j * math.comb(j + d - 1, j) * math.comb(D + d, D - j)
+                    for j in range(D + 1)])
 
 
 def reciprocal_power_error_bound(d, D, u):
@@ -91,11 +87,11 @@ def reciprocal_power_error_bound(d, D, u):
 
 
 def _amplifier_degree(u_bad, u_good, eps):
-    """The Chernoff-Hoeffding degree d = ln(1/eps)/KL + 1, at least 8, of the
-    exact-threshold binomial tail that maps [0, u_bad] below eps and
-    [u_good, 1] above 1 - eps (Hoeffding 1963), checked once on the exact
-    tail.  The KL estimate runs at DEFAULT_PREC bits; a degree it puts too
-    low raises PrecisionError."""
+    """The exact-threshold binomial tail that maps [0, u_bad] below eps and
+    [u_good, 1] above 1 - eps (Hoeffding 1963), at the Chernoff-Hoeffding
+    degree d = ln(1/eps)/KL + 1, at least 8, and checked once.  The KL
+    estimate runs at DEFAULT_PREC bits; a degree it puts too low raises
+    PrecisionError."""
     mid = (u_bad + u_good) / 2
     prec = DEFAULT_PREC
 
@@ -109,10 +105,14 @@ def _amplifier_degree(u_bad, u_good, eps):
     d = max(8, est)
     lo = int(math.ceil(mid * d))
     tail = SBinomTail(d, lo)
-    if tail.eval(u_bad) > eps or 1 - tail.eval(u_good) > eps:
+    # tail(u_bad) <= eps and 1 - tail(u_good) <= eps on the unreduced
+    # pairs: reducing N / b^d would take a gcd of numbers of d digits
+    (v, b), (w, c) = tail.ints(u_bad), tail.ints(u_good)
+    if (v * eps.denominator > eps.numerator * b
+            or (c - w) * eps.denominator > eps.numerator * c):
         raise PrecisionError("the degree-%d binomial amplifier misses its "
                              "target" % d)
-    return d, lo
+    return tail
 
 
 def or_continuous_approx(n, eps):
@@ -130,12 +130,7 @@ def or_continuous_approx(n, eps):
     qstar = (q + UniPoly([1])).scale(Fraction(1) / (peak + 1))
     u_bad = Fraction(2) / (peak + 1)
     u_good = Fraction(3) / (peak + 1)
-    d_amp, lo = _amplifier_degree(u_bad, u_good, eps)
-    return SComp(SBinomTail(d_amp, lo), qstar)
-
-
-_INDICATOR_CACHE = {}
-_INDICATOR_CACHE_MAX = 16
+    return SComp(_amplifier_degree(u_bad, u_good, eps), qstar)
 
 
 def interval_indicator(n, d, eps):
@@ -143,17 +138,6 @@ def interval_indicator(n, d, eps):
     |p(t)| <= eps/t^d on (2,n].  Factored form p1^d * p2(p1) * p3."""
     n = as_fraction(n)
     eps = as_fraction(eps)
-    key = (n, d, eps)
-    if key in _INDICATOR_CACHE:
-        return _INDICATOR_CACHE[key]
-    out = _build_indicator(n, d, eps)
-    if len(_INDICATOR_CACHE) >= _INDICATOR_CACHE_MAX:
-        _INDICATOR_CACHE.clear()
-    _INDICATOR_CACHE[key] = out
-    return out
-
-
-def _build_indicator(n, d, eps):
     if n <= 2 or eps <= 0:
         raise ValueError("need n > 2, eps > 0")
     if d == 0:
@@ -162,7 +146,9 @@ def _build_indicator(n, d, eps):
     p1, _ = reciprocal_corollary(n + 1)
     p1 = p1.compose_affine(1, 1)       # sandwich 1/(2(t+1)) .. 1/(t+1) on [0,n]
     D = 5 * d + 1
-    while Fraction(5, 6) ** (D + 1) * math.comb(D + d, d) * d > eps / 2:
+    # the smallest D with (5/6)^(D+1) C(D+d, d) d <= eps/2, in integers
+    while (2 * d * math.comb(D + d, d) * 5 ** (D + 1) * eps.denominator
+           > eps.numerator * 6 ** (D + 1)):
         D += 1
     p2 = reciprocal_power_approx(d, D)
     eps3 = min(eps / (2 * math.comb(D + d, d)), eps / 4)

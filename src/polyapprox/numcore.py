@@ -20,6 +20,7 @@ construction's maximum up to its precision.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, zip_longest
 import math
 import re
@@ -538,6 +539,29 @@ class SComp(StructPoly):
                 "inner": _child_json(self.inner)}
 
 
+@lru_cache(maxsize=4096)
+def _tail_ints(d, lo, t):
+    """(N, b^d) at t = a/b for the tail sum_{i>=lo} C(d,i) t^i (1-t)^(d-i),
+    one memo for every tail, keyed by value: with c = b - a, the tail is
+    N / b^d for N = sum_{i>=lo} C(d,i) a^i c^(d-i).  The terms' ratio is
+    (d-i) a / ((i+1) c), so the sum over i >= lo is the term at lo times
+    the nested 1 + r_lo (1 + r_(lo+1) (1 + ...)), summed from the inside as
+    one fraction xn / xd.  Its denominator xd is c^(d-lo) d!/lo!, so
+    N = a^lo xn / (d-lo)!, an exact division.  At c = 0 (t = 1) xd is 0
+    and N = a^d = b^d, the tail's value 1.  With lo > d no term is summed:
+    (0, 1)."""
+    a, b = t.numerator, t.denominator
+    if lo > d:
+        return 0, 1
+    c = b - a
+    xn = xd = 1
+    for i in range(d - 1, lo - 1, -1):
+        q = (i + 1) * c
+        xn = q * xd + (d - i) * a * xn
+        xd *= q
+    return a ** lo * xn // math.factorial(d - lo), b ** d
+
+
 class SBinomTail(StructPoly):
     """sum_{i=lo}^{d} C(d,i) t^i (1-t)^{d-i}, summed exactly in integers."""
 
@@ -549,41 +573,17 @@ class SBinomTail(StructPoly):
         self.d = d
         self.lo = lo
         self.degree = d
-        self._memo = {}
 
     def ints(self, t):
-        """(N, b^d) at t = a/b, memoized: with c = b - a, the tail is
-        N / b^d for N = sum_{i>=lo} C(d,i) a^i c^(d-i).  The terms' ratio
-        is (d-i) a / ((i+1) c), so the sum over i >= lo is the term at lo
-        times the nested 1 + r_lo (1 + r_(lo+1) (1 + ...)), summed from the
-        inside as one fraction xn / xd.  Its denominator xd is
-        c^(d-lo) d!/lo!, so N = a^lo xn / (d-lo)!, an exact division.  At
-        c = 0 (t = 1) xd is 0 and N = a^d = b^d, the tail's value 1.  With
-        lo > d no term is summed: (0, 1)."""
-        if t in self._memo:
-            return self._memo[t]
-        d, lo = self.d, self.lo
-        a, b = t.numerator, t.denominator
-        if lo > d:
-            out = 0, 1
-        else:
-            c = b - a
-            xn = xd = 1
-            for i in range(d - 1, lo - 1, -1):
-                q = (i + 1) * c
-                xn = q * xd + (d - i) * a * xn
-                xd *= q
-            out = a ** lo * xn // math.factorial(d - lo), b ** d
-        if len(self._memo) >= 4096:
-            self._memo.clear()
-        self._memo[t] = out
-        return out
+        return _tail_ints(self.d, self.lo, t)
 
     def to_json(self):
         return {"kind": "binom_tail", "d": self.d, "lo": self.lo}
 
 
 def poly_from_json(d):
+    if not isinstance(d, dict):
+        raise ValueError("a polynomial node is not a JSON object: %r" % (d,))
     k = d.get("kind")
     if k is None:
         return UniPoly.from_json(d)

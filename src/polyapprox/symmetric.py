@@ -31,8 +31,9 @@ class SymSpec:
     values: list
 
     def __post_init__(self):
-        if type(self.n) is not int or len(self.values) != self.n + 1:
-            raise ValueError("need an integer n and n+1 weight values")
+        if (type(self.n) is not int or self.n < 0
+                or len(self.values) != self.n + 1):
+            raise ValueError("need an integer n >= 0 and n+1 weight values")
         self.values = [as_fraction(v) for v in self.values]
         if any(abs(v.numerator) > v.denominator for v in self.values):
             raise ValueError("spectrum values must lie in [-1, 1]")

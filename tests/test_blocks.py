@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,8 @@ from polyapprox.blocks import (dyadic_decay_poly,
                                reciprocal_approx, reciprocal_corollary,
                                reciprocal_power_approx,
                                reciprocal_power_error_bound)
-from polyapprox.numcore import PrecisionError, SBinomTail, UniPoly
+from polyapprox.numcore import (PrecisionError, SBinomTail, UniPoly,
+                                _tail_ints)
 
 GRID_DENOM = 4
 
@@ -94,14 +96,33 @@ def test_amplifier_check_rejects_a_degree_too_low(monkeypatch):
     # Chernoff's degree meets eps on the exact tail; a quarter of it does
     # not, and the one check says so.
     u_bad, u_good, eps = Fraction(1, 4), Fraction(1, 2), Fraction(1, 1000)
-    d, lo = blocks._amplifier_degree(u_bad, u_good, eps)
-    tail = SBinomTail(d, lo)
+    tail = blocks._amplifier_degree(u_bad, u_good, eps)
     assert tail.eval(u_bad) <= eps and 1 - tail.eval(u_good) <= eps
+    d = tail.d
     monkeypatch.setattr(blocks, "SBinomTail",
                         lambda d, lo: SBinomTail(d // 4, lo // 4))
     with pytest.raises(PrecisionError, match="degree-%d binomial amplifier "
                        "misses its target" % d):
         blocks._amplifier_degree(u_bad, u_good, eps)
+
+
+@pytest.mark.parametrize("bad, good, meets", [
+    (1000, 999000, True), (1001, 999000, False), (1000, 998999, False)],
+    ids=["at-eps", "above-eps-at-u_bad", "below-1-eps-at-u_good"])
+def test_amplifier_check_reads_both_ends_exactly(monkeypatch, bad, good,
+                                                 meets):
+    # The check compares the tail's unreduced pairs, here over 10^6, with
+    # eps = 1/1000: a tail at exactly eps at u_bad and 1 - eps at u_good
+    # meets the target, and one unit more at either end misses it.
+    u_bad, u_good, eps = Fraction(1, 4), Fraction(1, 2), Fraction(1, 1000)
+    tail = SimpleNamespace(ints={u_bad: (bad, 10 ** 6),
+                                 u_good: (good, 10 ** 6)}.get)
+    monkeypatch.setattr(blocks, "SBinomTail", lambda d, lo: tail)
+    if meets:
+        assert blocks._amplifier_degree(u_bad, u_good, eps) is tail
+    else:
+        with pytest.raises(PrecisionError, match="misses its target"):
+            blocks._amplifier_degree(u_bad, u_good, eps)
 
 
 def test_or_continuous_contract():
@@ -127,10 +148,31 @@ def test_interval_indicator_contract(d):
         assert abs(p.eval(t)) * t ** d <= eps, (d, t)
 
 
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_interval_indicator_takes_the_smallest_taylor_degree(d):
+    # D is the smallest degree from 5d + 1 up whose Taylor error bound at
+    # distance 5/6 from 1 is at most eps/2, the reciprocal power's share.
+    eps = Fraction(1, 8) / math.ceil((4 * math.e) ** (d + 1))
+    D = interval_indicator(Fraction(32, 3), d, eps).parts[1].outer.degree
+
+    def bound(D):
+        return reciprocal_power_error_bound(d, D, Fraction(1, 6))
+
+    assert bound(D) <= eps / 2
+    assert D == 5 * d + 1 or bound(D - 1) > eps / 2
+
+
 def test_interval_indicator_cached():
+    # A second build of the same indicator reads its amplifier check and
+    # its values from the one tail memo, keyed by value: it adds no miss.
+    points = _grid(0, 4)
     a = interval_indicator(Fraction(32, 3), 2, Fraction(1, 8))
+    first = [a.eval(t) for t in points]
+    misses = _tail_ints.cache_info().misses
     b = interval_indicator(Fraction(32, 3), 2, Fraction(1, 8))
-    assert a is b
+    assert b is not a
+    assert [b.eval(t) for t in points] == first
+    assert _tail_ints.cache_info().misses == misses
 
 
 def _reciprocal_power_by_poly_arithmetic(d, D):
@@ -154,21 +196,18 @@ def test_reciprocal_power_matches_poly_arithmetic(d, D):
     assert all(type(c) is Fraction for c in got.coeffs)
 
 
-def test_interval_indicator_cache_is_bounded(monkeypatch):
-    built = []
-
-    def fake_build(n, d, eps):
-        built.append((n, d, eps))
-        return object()
-
-    monkeypatch.setattr(blocks, "_build_indicator", fake_build)
-    monkeypatch.setattr(blocks, "_INDICATOR_CACHE", {})
-    for i in range(10 * blocks._INDICATOR_CACHE_MAX):
-        interval_indicator(3 + i, 1, Fraction(1, 8))
-        assert len(blocks._INDICATOR_CACHE) <= blocks._INDICATOR_CACHE_MAX
-    a = interval_indicator(1000, 2, Fraction(1, 8))
-    assert interval_indicator(1000, 2, Fraction(1, 8)) is a
-    assert len(built) == 10 * blocks._INDICATOR_CACHE_MAX + 1
+def test_binom_tails_built_apart_share_memo_entries():
+    # A tail's value depends only on (d, lo, t): a tail built apart from
+    # another reads the other's entries, and a different lo does not.
+    _tail_ints.cache_clear()
+    points = [Fraction(i, 7) for i in range(8)]
+    first = [SBinomTail(11, 4).eval(t) for t in points]
+    assert [SBinomTail(11, 4).eval(t) for t in points] == first
+    info = _tail_ints.cache_info()
+    assert (info.hits, info.misses) == (len(points), len(points))
+    SBinomTail(11, 5).eval(points[1])
+    info = _tail_ints.cache_info()
+    assert (info.hits, info.misses) == (len(points), len(points) + 1)
 
 
 def test_input_validation():

@@ -259,6 +259,23 @@ def _set_last_ell(value):
     return tamper
 
 
+def _empty_spectrum(doc):
+    # n = -1 with no weight: the measure ran over no weight and read 0
+    doc.update({"n": -1, "values": [], "exact_on": []})
+
+
+def _number_in_a_product(doc):
+    # a child that is no JSON object ended in an AttributeError (exit 1)
+    doc.update({"kind": "prod", "parts": [5], "certified_eps_exact": "1/1"})
+
+
+def _number_as_an_outer(doc):
+    poly = {k: doc[k] for k in ("backend", "coeffs", "precision_bits")}
+    doc.update({"kind": "comp", "outer": 5,
+                "inner": {"kind": "dense", "poly": poly},
+                "certified_eps_exact": "1/1"})
+
+
 def _unrecognized_target(doc):
     doc["target"] = "cube"
 
@@ -319,6 +336,9 @@ SAMPLING_8_2 = ["--target", "sampling", "--n", "8", "--k", "2", "--seed", "1"]
     (SURJ_8_2, _set("n", -1)),
     (SURJ_8_2, _set_last_ell(lambda r: r + 1)),
     (SURJ_8_2, _set_last_ell(lambda r: True)),
+    (AND_4, _empty_spectrum),
+    (AND_4, _number_in_a_product),
+    (AND_4, _number_as_an_outer),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):

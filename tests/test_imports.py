@@ -2,8 +2,8 @@
 parameter of its functions is read in the function's body, every top-level
 definition and class method is used somewhere, every dataclass field is
 read, only numcore knows the scalar backends, writes a Fraction and
-touches a float's bits through libmp, and only SymApprox.measured builds a
-symmetric approximant with its claims.
+touches a float's bits through libmp, only SymApprox.measured builds a
+symmetric approximant with its claims, and every cache is bounded.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -357,3 +357,83 @@ def test_the_scan_sees_an_unread_field():
                     "def f(r):\n    r.c = 1\n    return r.a\n")
     assert _unread_fields({"m": mod}, []) == ["m.R.b (line 5)",
                                               "m.R.c (line 6)"]
+
+
+def _callee(node):
+    """The name a call or decorator looks up: f for f and f(...), and
+    attr for m.attr and m.attr(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_empty_container(node):
+    return ((isinstance(node, ast.Dict) and not node.keys)
+            or (isinstance(node, (ast.List, ast.Set)) and not node.elts)
+            or (isinstance(node, ast.Call) and not node.args
+                and not node.keywords and isinstance(node.func, ast.Name)
+                and node.func.id in ("set", "dict")))
+
+
+def _unbounded_caches(tree):
+    """'what (line N)' for every store the module may grow without bound:
+    an lru_cache not called with an integer maxsize, functools.cache on a
+    function that takes arguments, and an empty {}, [], set() or dict()
+    bound at module or class level or to a self attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            takes = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            for dec in node.decorator_list:
+                if _callee(dec) == "lru_cache":
+                    size = ([] if not isinstance(dec, ast.Call) else
+                            dec.args[:1] + [k.value for k in dec.keywords
+                                            if k.arg == "maxsize"])
+                    bad = not size or type(getattr(size[0], "value",
+                                                   None)) is not int
+                else:
+                    bad = _callee(dec) == "cache" and any(takes)
+                if bad:
+                    found.append((dec.lineno, "%s on %s" % (ast.unparse(dec),
+                                                            node.name)))
+        elif (isinstance(node, (ast.Assign, ast.AnnAssign))
+              and _is_empty_container(node.value)):
+            targets = getattr(node, "targets", None) or [node.target]
+            at_top = any(node in c.body for c in [tree] + [
+                c for c in tree.body if isinstance(c, ast.ClassDef)])
+            on_self = any(isinstance(t, ast.Attribute)
+                          and getattr(t.value, "id", None) == "self"
+                          for t in targets)
+            if at_top or on_self:
+                found.append((node.lineno, ast.unparse(node)))
+    return ["%s (line %d)" % (what, line) for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_cache_is_bounded(path):
+    # A memo is one lru_cache with a stated maxsize, keyed by value; a
+    # module or object that collects entries into a container of its own
+    # holds them as long as the process or the object lives.
+    found = _unbounded_caches(ast.parse(path.read_text(), str(path)))
+    assert not found, "%s has an unbounded cache: %s" % (
+        path.name, ", ".join(found))
+
+
+def test_the_scan_sees_an_unbounded_cache():
+    tree = ast.parse("import functools\n"
+                     "X = {}\nY: list = []\nZ = {1: 2}\n"
+                     "@functools.lru_cache(maxsize=None)\ndef f(a):\n"
+                     "    seen = set()\n    return a\n"
+                     "@lru_cache(maxsize=4096)\ndef g(a):\n    return a\n"
+                     "@lru_cache\ndef h(a):\n    return a\n"
+                     "@functools.cache\ndef k():\n    return 1\n"
+                     "@functools.cache\ndef m(a):\n    return a\n"
+                     "class C:\n    memo = dict()\n"
+                     "    def __init__(self):\n        self.memo = set()\n"
+                     "        self.parts = [1]\n")
+    assert _unbounded_caches(tree) == [
+        "X = {} (line 2)", "Y: list = [] (line 3)",
+        "functools.lru_cache(maxsize=None) on f (line 5)",
+        "lru_cache on h (line 12)", "functools.cache on m (line 18)",
+        "memo = dict() (line 22)", "self.memo = set() (line 24)"]

@@ -603,17 +603,20 @@ def test_binom_tail_matches_direct_sum():
 
 
 def test_binom_tail_memo_holds_at_most_4096_points():
-    # The memo is cleared once it is full, never grown past 4096 points,
-    # and a value taken again after the clear is the same exact sum.
+    # The one tail memo drops its least recently used point once it is
+    # full, never grows past 4096 points, and a value taken again after
+    # its point was dropped is the same exact sum.
     d, lo = 5, 2
     tail = SBinomTail(d, lo)
+    numcore._tail_ints.cache_clear()
     points = [Fraction(i, 5000) for i in range(4999)]
     for u in points + points[:10]:
         direct = sum(math.comb(d, i) * u ** i * (1 - u) ** (d - i)
                      for i in range(lo, d + 1))
         assert tail.eval(u) == direct
-        assert len(tail._memo) <= 4096
-    assert len(tail._memo) == 4999 + 10 - 4096
+        assert numcore._tail_ints.cache_info().currsize <= 4096
+    info = numcore._tail_ints.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (4096, 0, 4999 + 10)
 
 
 def test_binom_tail_endpoints():
