@@ -14,8 +14,8 @@ import mpmath
 from mpmath import mp
 
 from .numcore import (DEFAULT_PREC, PrecisionError, SBinomTail, SComp, SProd,
-                      UniPoly, as_fraction, to_mpf)
-from .chebyshev import cheb_eval, cheb_poly
+                      UniPoly, as_fraction)
+from .chebyshev import cheb_eval, cheb_poly, to_mpf
 
 
 def dyadic_decay_poly(n, d):

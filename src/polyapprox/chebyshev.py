@@ -6,7 +6,21 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .numcore import DEFAULT_PREC, UniPoly, to_mpf
+from .numcore import DEFAULT_PREC, UniPoly
+
+
+def to_mpf(x, prec):
+    """The prec-bit mpf nearest an int, Fraction, float or mpf (ties to
+    even), rounded once; the ambient precision never enters."""
+    num, den = x.as_integer_ratio() if isinstance(x, Fraction) else (x, 1)
+    return mpmath.fdiv(num, den, prec=prec, rounding="n")
+
+
+def from_mpf(x):
+    """The exact value of a finite mpf, a dyadic Fraction.  man_exp holds
+    the absolute mantissa, so the sign is read off x."""
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * int(man) * Fraction(2) ** exp
 
 
 def cheb_poly(d, prec=None):
@@ -45,15 +59,16 @@ def cheb_eval_closed(d, t, prec=DEFAULT_PREC):
 
 
 def cheb_roots(d, prec=DEFAULT_PREC):
-    """cos((2i-1)pi/2d) for i = 1..d, decreasing."""
+    """cos((2i-1)pi/2d) for i = 1..d at prec bits, decreasing, exact."""
     with mp.workprec(prec):
-        return [mpmath.cos((2 * i - 1) * mpmath.pi / (2 * d)) for i in range(1, d + 1)]
+        return [from_mpf(mpmath.cos((2 * i - 1) * mpmath.pi / (2 * d)))
+                for i in range(1, d + 1)]
 
 
 def cheb_extrema(d, prec=DEFAULT_PREC):
-    """cos(i pi/d) for i = 0..d; T_d alternates +-1 there."""
+    """cos(i pi/d) for i = 0..d at prec bits, exact; T_d alternates +-1."""
     with mp.workprec(prec):
-        return [mpmath.cos(i * mpmath.pi / d) for i in range(d + 1)]
+        return [from_mpf(mpmath.cos(i * mpmath.pi / d)) for i in range(d + 1)]
 
 
 def cheb_factored(d, prec=DEFAULT_PREC):

@@ -9,9 +9,9 @@ verify reads an artifact with its class's from_json and measures it again
 with the class's measured, the one exact pass construct made
 (numcore.max_error, at the precisions the artifact records).  It compares
 the exact maximum error with the exact claim, certified_eps_exact, with no
-slack, the claimed degree with the degree of the serialized polynomial and,
-for a symmetric approximant, exact_on with the weights where that pass
-found no error.
+slack, the readable certified_eps with that claim as a float, the claimed
+degree with the degree of the serialized polynomial and, for a symmetric
+approximant, exact_on with the weights where that pass found no error.
 """
 
 import argparse
@@ -25,8 +25,8 @@ import mpmath
 from mpmath import mp
 
 from . import bounds as bounds_mod
-from .numcore import (DEFAULT_PREC, PrecisionError, SplitMix64, exact_value,
-                      scalar_from_json)
+from .numcore import (DEFAULT_PREC, PrecisionError, SplitMix64,
+                      fraction_from_json)
 from .oracle import minimax_lp
 from .symmetric import (SymApprox, SymSpec, and_or_approx, and_or_min_degree,
                         exact_weight_approx, sampling_min_degree)
@@ -35,7 +35,7 @@ from .composed import surjectivity_approx, BlockSymApprox
 
 
 def _parse_fraction(s):
-    return scalar_from_json(s) if "/" in s else Fraction(s)
+    return fraction_from_json(s) if "/" in s else Fraction(s)
 
 
 def _precision(s):
@@ -78,7 +78,7 @@ def cmd_construct(args):
     if eps <= 0:
         raise ValueError("--eps must be positive, got %s" % args.eps)
     a = TARGETS[args.target](args, eps)
-    if exact_value(a.certified_eps) > eps:
+    if a.certified_eps > eps:
         raise PrecisionError("certified error %.6g exceeds --eps %s at %d bits"
                              % (float(a.certified_eps), args.eps, args.prec))
     _emit(a.to_json(), args.out)
@@ -98,12 +98,13 @@ def cmd_verify(args):
         raise ValueError("unrecognized artifact")
     if type(doc.get("degree")) is not int:
         raise ValueError("the claimed degree is not an integer")
+    if type(doc.get("certified_eps")) is not float:
+        raise ValueError("the readable certified_eps is not a float")
     try:
         approx = cls.from_json(doc)
         # every claim measured again, from the fields measured takes, by
         # the pass construct made
         fresh = cls.measured(*(getattr(approx, f) for f in fields))
-        claimed = exact_value(approx.certified_eps)
     except TypeError as exc:
         # well-formed JSON with a field of the wrong type
         raise ValueError("artifact field of the wrong type: %s" % exc) from exc
@@ -111,8 +112,11 @@ def cmd_verify(args):
         print("FAIL: claimed degree %r, the polynomial has degree %d"
               % (doc["degree"], approx.degree))
         return 3
-    if fresh.certified_eps > claimed:
+    if fresh.certified_eps > approx.certified_eps:
         print("FAIL: certified error claim does not hold")
+        return 3
+    if doc["certified_eps"] != float(approx.certified_eps):
+        print("FAIL: certified_eps is not certified_eps_exact as a float")
         return 3
     # a BlockSymApprox claims no exact_on
     exact = getattr(fresh, "exact_on", None)
@@ -264,7 +268,7 @@ def main(argv=None):
     except PrecisionError as exc:
         print("rejected: %s" % exc, file=sys.stderr)
         return 4
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, OverflowError) as exc:
         print("invalid configuration: %s" % exc, file=sys.stderr)
         return 2
 

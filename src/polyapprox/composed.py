@@ -10,8 +10,8 @@ from itertools import combinations, permutations
 import math
 
 from .numcore import (DEFAULT_PREC, UniPoly, as_fraction, certify,
-                      exact_value, horner_ints, max_error, scalar_from_json,
-                      scalar_to_json, to_mpf)
+                      horner_ints, max_error, scalar_from_json,
+                      scalar_to_json, to_dyadic)
 from .chebyshev import cheb_eval, cheb_poly
 from .symmetric import and_or_min_degree
 from .oracle import multilinear_interpolant
@@ -216,13 +216,13 @@ class BlockSymApprox:
         # value(w) = (sum_ell M_ell sum_S T[w_S]) / den in integers, with
         # q(k) = T[k] / lq, mu_ell = M_ell / lm and den = lq * lm: at an
         # integer k every q(k) has the denominator lq = q.den.
-        mus = [(ell, exact_value(mu)) for ell, mu in self.terms]
         q = self.q if self.q is not None else UniPoly.zero()
         lq = q.den
         table = [horner_ints(q.nums, lq, k)[0] for k in range(self.n + 1)]
-        lm = math.lcm(*(mu.denominator for _, mu in mus))
+        lm = math.lcm(*(mu.denominator for _, mu in self.terms))
         terms = [(ell, mu.numerator * (lm // mu.denominator),
-                  list(combinations(range(self.r), ell))) for ell, mu in mus]
+                  list(combinations(range(self.r), ell)))
+                 for ell, mu in self.terms]
         return terms, table, lq, lq * lm
 
     def ints(self, weights):
@@ -314,8 +314,8 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     # outer rounds each of them once.
     mu = _finite_differences(h)
     if outer.prec is not None:
-        mu = [to_mpf(m, outer.prec) for m in mu]
-    weight = sum(abs(exact_value(mu[ell])) * math.comb(r, ell)
+        mu = [to_dyadic(m, outer.prec) for m in mu]
+    weight = sum(abs(mu[ell]) * math.comb(r, ell)
                  for ell in range(1, r + 1))
     slack = eps - outer_err
     if slack <= 0:

@@ -1,13 +1,16 @@
-"""Exact and big-float polynomials: dense univariate ones, and structured
+"""Exact and dyadic polynomials: dense univariate ones, and structured
 (factored) ones for constructions whose dense expansion is out of reach.
 
 Precision is the one scalar knob: None is exact (fractions.Fraction), an
-integer is mpmath mpf at that many bits, and only this module names the
-derived backend, "rational" or "float".  Mixing precisions is an error,
-never a silent coercion.  Every mpf is a dyadic rational, so a UniPoly is
-one exact integer form at any precision, its arithmetic runs in integers,
-and a float result rounds once per coefficient.  A float construction
-builds its polynomial once and certifies it exactly.
+integer is a dyadic float of that many significant bits, and only this
+module names the derived backend, "rational" or "float".  Mixing
+precisions is an error, never a silent coercion.  A UniPoly is one exact
+integer form at any precision, its arithmetic runs in integers, and a
+float result rounds once per coefficient.  Every scalar this module takes
+or returns is an int or a Fraction; a rounded one, or one read from hex,
+is a Dyadic, which JSON spells in hex.  No mpmath: a construction converts
+each mpf its transcendental maths makes to a Fraction once.  A float
+construction builds its polynomial once and certifies it exactly.
 
 Every polynomial, dense or structured, has one evaluation: ints(t), the
 unreduced integer pair (numerator, denominator) of its exact value at a
@@ -16,7 +19,7 @@ dense and evaluates exactly, a product multiplies its parts' pairs, and the
 binomial tail is summed exactly in integers.  max_error() takes the exact
 maximum over the measured points, comparing integer pairs, and the points
 where the error is 0 in the same pass; certify() rounds a float
-construction's maximum up to its precision.
+construction's maximum up to prec significant bits.
 """
 
 from fractions import Fraction
@@ -24,9 +27,6 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 import math
 import re
-
-import mpmath
-from mpmath import libmp, mp
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -52,35 +52,44 @@ def as_fraction(x):
     raise BackendMismatchError("expected an exact rational, got %r" % type(x))
 
 
-def exact_value(x):
-    """The exact rational value of an int, Fraction or finite mpf: an mpf is
-    man * 2**exp."""
-    if isinstance(x, mpmath.mpf):
-        sign, man, exp, _ = x._mpf_
-        if not man and exp:
-            raise ValueError("no exact value for %r" % x)
-        v = Fraction(int(man) << exp) if exp >= 0 else Fraction(int(man), 1 << -exp)
-        return -v if sign else v
-    return as_fraction(x)
+class Dyadic(Fraction):
+    """A rounded Fraction, or one read from hex: JSON spells it in hex.
+    Arithmetic on it returns a plain Fraction."""
+    __slots__ = ()
 
 
-def round_up(x, prec):
-    """The smallest prec-bit mpf >= the rational x.  make_mpf keeps the
-    rounded value as it is; mpf(tuple) would round it again, to nearest at
-    the ambient precision."""
+def _dyadic(m, e):
+    """m * 2**e as a Dyadic."""
+    return Dyadic(m << e) if e >= 0 else Dyadic(m, 1 << -e)
+
+
+def _round(n, den, prec, up=False):
+    """(m, e) with m 2^e the prec-bit float nearest n / den, ties to even,
+    or with up the least one at or above it.
+
+    One divmod gives a quotient q of prec + 1 or prec + 2 bits, and the
+    remainder as a sticky bit.  A cut of c bits from q is, to nearest,
+    (q + 2^(c-1) - 1 + b) >> c, with b the last kept bit or the sticky bit:
+    it carries past half a unit, or at half with an odd last bit.  Up, a
+    positive q carries when anything is cut."""
+    a = -n if n < 0 else n
+    if not a:
+        return 0, 0
+    s = prec + 1 + den.bit_length() - a.bit_length()
+    q, rem = divmod(a << s, den) if s >= 0 else divmod(a, den << -s)
+    c = q.bit_length() - prec
+    if up:
+        q = (q >> c) + (n > 0 and bool(rem or q & (1 << c) - 1))
+    else:
+        q = (q + (1 << c - 1) - 1 + (q >> c & 1 | (rem != 0))) >> c
+    return (-q if n < 0 else q), c - s
+
+
+def to_dyadic(x, prec, up=False):
+    """The prec-bit Dyadic nearest the rational x, ties to even, or with up
+    the least one at or above x."""
     x = as_fraction(x)
-    return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, prec,
-                                           libmp.round_ceiling))
-
-
-def to_mpf(x, prec):
-    """The prec-bit mpf nearest an int, Fraction, float or mpf (ties to
-    even), rounded once; the ambient precision never enters."""
-    if isinstance(x, mpmath.mpf):
-        return mp.make_mpf(libmp.mpf_pos(x._mpf_, prec, libmp.round_nearest))
-    x = Fraction(x)
-    return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, prec,
-                                           libmp.round_nearest))
+    return _dyadic(*_round(x.numerator, x.denominator, prec, up))
 
 
 def _to_hex(man, exp):
@@ -104,26 +113,15 @@ def _from_hex(s):
     return (-man if m[1] else man) >> tz, exp + tz
 
 
-def mpf_to_hex(x):
-    tup = x._mpf_ if isinstance(x, mpmath.mpf) else mpmath.mpf(x)._mpf_
-    sign, man, exp, _ = tup
-    return _to_hex(-int(man) if sign else int(man), exp)
-
-
-def mpf_from_hex(s):
-    return mp.make_mpf(libmp.from_man_exp(*_from_hex(s)))
-
-
 def scalar_to_json(x):
-    """A Fraction as "a/b", in hex past Python's 4300-digit int-to-str
-    limit, and an mpf as hex."""
-    if isinstance(x, (int, Fraction)):
-        f = Fraction(x)
-        try:
-            return "%d/%d" % (f.numerator, f.denominator)
-        except ValueError:
-            return "%#x/%#x" % (f.numerator, f.denominator)
-    return mpf_to_hex(x)
+    """A Dyadic in hex, any other int or Fraction as "a/b", in hex past
+    Python's 4300-digit int-to-str limit."""
+    if isinstance(x, Dyadic):
+        return _to_hex(x.numerator, 1 - x.denominator.bit_length())
+    try:
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:
+        return "%#x/%#x" % (x.numerator, x.denominator)
 
 
 def point_to_json(t):
@@ -134,15 +132,23 @@ def point_to_json(t):
         return scalar_to_json(t)
 
 
+def fraction_from_json(s):
+    """The Fraction spelled "a/b": ASCII decimal, "-?[0-9]+/[0-9]+", or
+    both in 0x hex, as scalar_to_json writes it; ValueError on any other
+    spelling."""
+    m = re.fullmatch(r"(-?[0-9]+)/([0-9]+)|(-?0x[0-9a-f]+)/(0x[0-9a-f]+)", s)
+    if m is None:
+        raise ValueError("not a fraction a/b: %r" % s)
+    num, den = ((int(m[1]), int(m[2])) if m[1] else
+                (int(m[3], 16), int(m[4], 16)))
+    if den == 0:
+        raise ValueError("zero denominator in %s" % s)
+    return Fraction(num, den)
+
+
 def scalar_from_json(s):
-    """Parse "a/b" (decimal, or 0x hex) as a Fraction, mpf hex as an mpf."""
-    if "/" in s:
-        num, den = (int(x, 16) if x.lstrip("-").startswith("0x") else int(x)
-                    for x in s.split("/"))
-        if den == 0:
-            raise ValueError("zero denominator in %s" % s)
-        return Fraction(num, den)
-    return mpf_from_hex(s)
+    """A Fraction from "a/b", a Dyadic from hex "[-]0x<hex>p<exp>"."""
+    return fraction_from_json(s) if "/" in s else _dyadic(*_from_hex(s))
 
 
 def _lowest(nums, den, prec):
@@ -150,32 +156,17 @@ def _lowest(nums, den, prec):
     trailing zero: exact if prec is None, else each coefficient rounded
     once, to nearest at prec bits (ties to even), over a power-of-two den.
 
-    A cut of c > 0 bits from a >= 0 is (a + 2^(c-1) - 1 + b) >> c, with b
-    the last kept bit: it carries when the cut part exceeds half a unit,
-    or equals it with an odd last bit.  Over a power-of-two den the cut
-    bits are shifted back in place.  Over any other den one divmod gives a
-    quotient of more than prec bits, cut with the remainder or-ed into b
-    as a sticky bit, and each rounded value is m 2^e.  A correctly rounded
-    value is unique, so the result is libmp's bit for bit.  The common
-    power of two is stripped once at the end."""
+    Over a den that is not a power of two each coefficient is _round's
+    m 2^e.  Over a power-of-two den, the common case, _round's cut runs in
+    line with no divmod, and the cut bits are shifted back in place.  The
+    common power of two is stripped once at the end."""
     while nums and not nums[-1]:
         nums.pop()
     if prec is None:
         g = math.gcd(den, *nums)
         return ([n // g for n in nums], den // g) if g > 1 else (nums, den)
     if den & (den - 1):
-        dbits = den.bit_length()
-        parts = []
-        for n in nums:
-            a = -n if n < 0 else n
-            if not a:
-                parts.append((0, 0))
-                continue
-            s = prec + 1 + dbits - a.bit_length()
-            q, rem = divmod(a << s, den) if s >= 0 else divmod(a, den << -s)
-            c = q.bit_length() - prec
-            q = (q + (1 << c - 1) - 1 + (q >> c & 1 | (rem != 0))) >> c
-            parts.append((-q if n < 0 else q, c - s))
+        parts = [_round(n, den, prec) for n in nums]
         low = min([0] + [e for _, e in parts])
         nums = [m << e - low for m, e in parts]
         den = 1 << -low
@@ -257,14 +248,11 @@ class UniPoly:
     __slots__ = ("nums", "den", "prec")
 
     def __init__(self, coeffs, prec=None):
-        if prec is None:
-            values = [as_fraction(c) for c in coeffs]
-        else:
-            if prec < 1:
-                raise ValueError("float precision must be at least 1 bit, "
-                                 "got %r" % prec)
-            values = [exact_value(c) if isinstance(c, mpmath.mpf)
-                      else Fraction(c) for c in coeffs]
+        if prec is not None and prec < 1:
+            raise ValueError("float precision must be at least 1 bit, got %r"
+                             % prec)
+        convert = as_fraction if prec is None else Fraction
+        values = [convert(c) for c in coeffs]
         self.prec = prec
         den = math.lcm(*(v.denominator for v in values))
         nums = [v.numerator * (den // v.denominator) for v in values]
@@ -277,11 +265,8 @@ class UniPoly:
 
     @property
     def coeffs(self):
-        """Read-only: Fractions, or mpfs holding the exact dyadic values."""
-        if self.prec is None:
-            return [Fraction(n, self.den) for n in self.nums]
-        exp = 1 - self.den.bit_length()
-        return [mp.make_mpf(libmp.from_man_exp(n, exp)) for n in self.nums]
+        """Read-only: the exact values, Fractions on either backend."""
+        return [Fraction(n, self.den) for n in self.nums]
 
     @property
     def degree(self):
@@ -297,10 +282,9 @@ class UniPoly:
 
     @classmethod
     def from_roots(cls, roots, prec=None):
-        value = as_fraction if prec is None else exact_value
         p = cls.constant(1, prec)
         for r in roots:
-            p = p * cls([-value(r), 1], prec)
+            p = p * cls([-as_fraction(r), 1], prec)
         return p
 
     def _check(self, other):
@@ -344,7 +328,7 @@ class UniPoly:
                                self.den * other.den)
 
     def scale(self, c):
-        c = as_fraction(c) if self.prec is None else exact_value(c)
+        c = as_fraction(c)
         return self._from_ints([n * c.numerator for n in self.nums],
                                self.den * c.denominator)
 
@@ -375,8 +359,7 @@ class UniPoly:
         self(a*t + b) = G(alpha*t + beta) / (L D^deg) for the integer
         polynomial G(y) = sum_j N_j D^(deg-j) y^j: an integer Taylor shift
         of G by beta (repeated synthetic division), then t scaled by alpha."""
-        value = as_fraction if self.prec is None else exact_value
-        a, b = value(a), value(b)
+        a, b = as_fraction(a), as_fraction(b)
         nums, den = self.nums, self.den
         if not nums:
             return self._from_ints([], 1)
@@ -419,11 +402,7 @@ class UniPoly:
         is no polynomial at that precision, and raises ValueError."""
         backend = d["backend"]
         if backend == RATIONAL:
-            coeffs = [scalar_from_json(s) for s in d["coeffs"]]
-            if not all(isinstance(c, Fraction) for c in coeffs):
-                raise ValueError("rational polynomial with a float "
-                                 "coefficient")
-            return cls(coeffs)
+            return cls([fraction_from_json(s) for s in d["coeffs"]])
         if backend != FLOAT:
             raise ValueError("unknown backend %r" % backend)
         prec = d["precision_bits"]
@@ -605,7 +584,7 @@ def min_degree(build, eps, lo, hi):
 
     def probe(d):
         obj = build(d)
-        return obj if exact_value(obj.certified_eps) <= eps else None
+        return obj if obj.certified_eps <= eps else None
 
     bad, d, step = lo - 1, lo, 1
     while (best := probe(d)) is None:
@@ -651,8 +630,8 @@ def max_error(poly, pairs, exact=None):
 
 def certify(err, prec):
     """The reported error of a construction: err itself if it is exact
-    (prec None), else err rounded up to a prec-bit mpf."""
-    return err if prec is None else round_up(err, prec)
+    (prec None), else err rounded up to prec significant bits."""
+    return err if prec is None else to_dyadic(err, prec, up=True)
 
 
 # ---------------------------------------------------------------------------

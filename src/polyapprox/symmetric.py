@@ -16,9 +16,10 @@ import mpmath
 from mpmath import mp
 
 from .numcore import (DEFAULT_PREC, SComp, UniPoly, as_fraction, certify,
-                      lagrange_interpolate, max_error, min_degree,
-                      poly_from_json, scalar_from_json, scalar_to_json)
-from .chebyshev import cheb_eval, cheb_poly
+                      fraction_from_json, lagrange_interpolate, max_error,
+                      min_degree, poly_from_json, scalar_from_json,
+                      scalar_to_json)
+from .chebyshev import cheb_eval, cheb_poly, from_mpf
 
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -100,7 +101,7 @@ class SymApprox:
     @classmethod
     def from_json(cls, doc):
         """The inverse of to_json; the degree is the polynomial's."""
-        spec = SymSpec(doc["n"], [scalar_from_json(v) for v in doc["values"]])
+        spec = SymSpec(doc["n"], list(map(fraction_from_json, doc["values"])))
         exact = doc["exact_on"]
         if not (isinstance(exact, list) and len(set(exact)) == len(exact)
                 and all(type(w) is int and 0 <= w <= spec.n for w in exact)):
@@ -121,7 +122,7 @@ def single_zero_factor(n, m, prec=DEFAULT_PREC):
         cm = mpmath.cos(mpmath.pi / (2 * d))
         a = (1 - cm) / (n - m)
         b = cm - a * m
-        return cheb_poly(d, prec).compose_affine(a, b)
+        return cheb_poly(d, prec).compose_affine(from_mpf(a), from_mpf(b))
 
 
 def _zeroed_bump(r, top, width, zeros, prec):
@@ -129,11 +130,10 @@ def _zeroed_bump(r, top, width, zeros, prec):
     each weight in zeros: value 1 at top, 0 on zeros, Chebyshev damping on
     [0, width].  Caller measures the rest."""
     with mp.workprec(prec):
-        peak = cheb_eval(r, Fraction(top, width), prec)
-        p = cheb_poly(r, prec).compose_affine(Fraction(1, width), 0)
-        p = p.scale(1 / peak)
-        for i in zeros:
-            p = p * single_zero_factor(top, i, prec)
+        scale = from_mpf(1 / cheb_eval(r, Fraction(top, width), prec))
+    p = cheb_poly(r, prec).compose_affine(Fraction(1, width), 0).scale(scale)
+    for i in zeros:
+        p = p * single_zero_factor(top, i, prec)
     return p
 
 

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyapprox.chebyshev import (cheb_eval, cheb_eval_closed, cheb_extrema,
                                   cheb_factored, cheb_poly, cheb_roots,
-                                  derivative_lower_bound, growth_lower_bounds)
-from polyapprox.numcore import exact_value
+                                  derivative_lower_bound, from_mpf,
+                                  growth_lower_bounds, to_mpf)
+from polyapprox.numcore import to_dyadic
 
 
 def test_known_coefficients():
@@ -23,8 +24,8 @@ def test_known_coefficients():
 @settings(max_examples=40, deadline=None)
 def test_float_cheb_poly_rounds_the_exact_coefficients_once(d, prec):
     got = cheb_poly(d, prec).coeffs
-    assert [c._mpf_ for c in got] == \
-        [c._mpf_ for c in cheb_poly(d).to_float(prec).coeffs]
+    assert got == cheb_poly(d).to_float(prec).coeffs
+    assert got == [to_dyadic(c, prec) for c in cheb_poly(d).coeffs]
 
 
 def test_cosine_identity():
@@ -59,17 +60,18 @@ def test_roots_and_extrema():
     p = cheb_poly(d, prec=128)
     tol = Fraction(1, 2 ** 110)
     for r in cheb_roots(d, 128):
-        assert abs(p.eval(exact_value(r))) < tol
+        assert type(r) is Fraction and abs(p.eval(r)) < tol
     for e in cheb_extrema(d, 128):
-        assert abs(abs(p.eval(exact_value(e))) - 1) < tol
+        assert type(e) is Fraction and abs(abs(p.eval(e)) - 1) < tol
+    with mp.workprec(128):
+        assert cheb_roots(d, 128)[0] == from_mpf(mpmath.cos(mpmath.pi / 18))
 
 
 def test_factored_form_matches_dense():
     d = 8
     f = cheb_factored(d, 128)
-    with mp.workprec(128):
-        points = (mpmath.mpf(1) / 3, mpmath.mpf(-4) / 5, mpmath.mpf(2))
-    for t in map(exact_value, points):
+    for t in (to_dyadic(Fraction(1, 3), 128), to_dyadic(Fraction(-4, 5), 128),
+              2):
         assert abs(f.eval(t) - cheb_eval(d, t)) < Fraction(1, 2 ** 90)
 
 
@@ -100,3 +102,41 @@ def test_derivative_lower_bound_is_d_squared():
         p = cheb_poly(d).derivative()
         assert p.eval(1) == d * d
         assert derivative_lower_bound(d) <= d * d
+
+
+def test_from_mpf_keeps_the_sign():
+    # man_exp holds the absolute mantissa: -0.375 is (3, -3)
+    assert from_mpf(mpmath.mpf(-0.375)) == Fraction(-3, 8)
+    assert from_mpf(mpmath.mpf(0.375)) == Fraction(3, 8)
+    assert from_mpf(mpmath.mpf(-6)) == -6 and from_mpf(mpmath.mpf(0)) == 0
+
+
+def test_to_mpf_rounds_a_fraction_once():
+    # Rounding the numerator first turns 2^60 + 33 into 2^60 at 53 bits, and
+    # the quotient then lands one ulp below the nearest float.
+    x = Fraction(2 ** 60 + 33, 3)
+    assert from_mpf(to_mpf(x, 53)) == to_dyadic(x, 53) == 384307168202282368
+    with mp.workprec(256):
+        wide = mpmath.mpf(x.numerator) / x.denominator
+    assert from_mpf(to_mpf(wide, 53)) == to_dyadic(from_mpf(wide), 53)
+
+
+@given(st.one_of(
+           st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+           st.builds(Fraction, st.integers(min_value=-10 ** 40,
+                                           max_value=10 ** 40),
+                     st.integers(min_value=1, max_value=10 ** 40)),
+           st.builds(lambda m, e: m * Fraction(2) ** e,
+                     st.integers(min_value=-2 ** 600, max_value=2 ** 600),
+                     st.integers(min_value=-700, max_value=700))),
+       st.sampled_from([24, 53, 256, 512]), st.sampled_from([24, 53, 1024]))
+@example(Fraction(2 ** 60 + 33, 3), 53, 53)
+@settings(max_examples=100, deadline=None)
+def test_to_mpf_is_the_nearest_float(x, prec, ambient):
+    # numcore's nearest rounding is the reference; the ambient precision
+    # never enters
+    with mp.workprec(ambient):
+        got = to_mpf(x, prec)
+        again = to_mpf(got, prec)
+    assert from_mpf(got) == to_dyadic(x, prec)
+    assert from_mpf(again) == from_mpf(got)

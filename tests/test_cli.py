@@ -9,7 +9,7 @@ import pytest
 from polyapprox import cli, symmetric
 from polyapprox.cli import main
 from polyapprox.extension import extend_approx
-from polyapprox.numcore import exact_value, scalar_from_json
+from polyapprox.numcore import scalar_from_json
 from polyapprox.symmetric import SymApprox, SymSpec, sampling_approx
 
 
@@ -103,7 +103,7 @@ def test_surjectivity_with_a_float_outer_constructs_and_verifies(tmp_path,
     assert capsys.readouterr().out.strip() == "OK"
     doc = json.loads(out.read_text())
     assert [t["ell"] for t in doc["terms"]] == [0, 1, 2, 3]
-    assert not any("/" in t["mu"] for t in doc["terms"])    # mpf, rounded once
+    assert not any("/" in t["mu"] for t in doc["terms"])    # hex, rounded once
     assert doc["certified_eps"] <= 0.5
 
 
@@ -264,6 +264,37 @@ def _empty_spectrum(doc):
     doc.update({"n": -1, "values": [], "exact_on": []})
 
 
+def _spell_first_value(spelling):
+    # weight 0's value, 0, in a spelling the writer never writes; int()
+    # read each side of the "/" and accepted it
+    def tamper(doc):
+        doc["values"][0] = spelling
+    return tamper
+
+
+def _arabic_indic_last_value(doc):
+    doc["values"][-1] = "\u0661/\u0661"
+
+
+def _spaced_exact_claim(doc):
+    num, den = doc["certified_eps_exact"].split("/")
+    doc["certified_eps_exact"] = " +%s/ %s" % (num, den)
+
+
+def _plus_mu(doc):
+    doc["terms"][0]["mu"] = "+" + doc["terms"][0]["mu"]
+
+
+def _mixed_hex_and_decimal_mu(doc):
+    num, den = doc["terms"][0]["mu"].split("/")
+    doc["terms"][0]["mu"] = "%#x/%s" % (int(num), den)
+
+
+def _claim_past_every_float(doc):
+    # no float holds it, so construct could not have written it
+    doc["certified_eps_exact"] = "1" + "0" * 400 + "/1"
+
+
 def _number_in_a_product(doc):
     # a child that is no JSON object ended in an AttributeError (exit 1)
     doc.update({"kind": "prod", "parts": [5], "certified_eps_exact": "1/1"})
@@ -339,6 +370,25 @@ SAMPLING_8_2 = ["--target", "sampling", "--n", "8", "--k", "2", "--seed", "1"]
     (AND_4, _empty_spectrum),
     (AND_4, _number_in_a_product),
     (AND_4, _number_as_an_outer),
+    # the readable certified_eps is no JSON float: verify printed OK
+    (AND_4, _set("certified_eps", 5)),
+    (AND_4, _set("certified_eps", -1)),
+    (AND_4, _set("certified_eps", "x")),
+    (AND_4, _set("certified_eps", None)),
+    (AND_4, _set("certified_eps", [0.5])),
+    (SURJ_8_2, _set("certified_eps", "0.25")),
+    # scalar spellings the writer never writes, each read as the value
+    (AND_4, _spell_first_value(" 0/1")),
+    (AND_4, _spell_first_value("+0_0/1")),
+    (AND_4, _spell_first_value("0/ 1")),
+    (AND_4, _spell_first_value("0/-7")),
+    (AND_4, _spell_first_value("0/1 ")),
+    (AND_4, _spell_first_value("0X0/0X1")),
+    (AND_4, _arabic_indic_last_value),
+    (SAMPLING_8_2, _spaced_exact_claim),
+    (SURJ_8_2, _plus_mu),
+    (SURJ_8_2, _mixed_hex_and_decimal_mu),
+    (AND_4, _claim_past_every_float),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -350,6 +400,22 @@ def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [AND_4, SURJ_8_2])
+def test_verify_rejects_a_readable_claim_that_is_not_the_exact_one(argv,
+                                                                   tmp_path,
+                                                                   capsys):
+    # certified_eps is certified_eps_exact as a float; any other float is a
+    # claim verify does not check, and the number a reader sees first
+    out = tmp_path / "r.json"
+    assert run(["construct"] + argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["certified_eps"] = 2 * doc["certified_eps"] + 1
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    assert "FAIL: certified_eps" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [AND_4, SURJ_8_2])
@@ -842,8 +908,8 @@ def test_small_support_at_28_bits_builds_the_default_polynomial(tmp_path,
     capsys.readouterr()
     assert _canonical(docs[0]) == _canonical(docs[1])
     coarse, fine = (scalar_from_json(d["certified_eps_exact"]) for d in docs)
-    assert coarse.man.bit_length() <= 28 < fine.man.bit_length()
-    assert exact_value(coarse) >= exact_value(fine)
+    assert coarse.numerator.bit_length() <= 28 < fine.numerator.bit_length()
+    assert coarse >= fine
 
 
 def test_exact_at_an_eps_below_every_float(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from polyapprox.extension import (coeff_norm_bound, extend_approx,
                                   extrapolation_bound, small_support_approx,
                                   sym_multilinear_norms)
-from polyapprox.numcore import (SplitMix64, UniPoly, exact_value,
-                                lagrange_interpolate, max_error)
+from polyapprox.numcore import (SplitMix64, UniPoly, lagrange_interpolate,
+                                max_error)
 from polyapprox.symmetric import SymApprox, SymSpec
 
 
@@ -89,7 +89,7 @@ def test_extend_certified_error_holds_exhaustively():
     assert float(a.certified_eps) <= 1 / 8
     targets = [(w, spec.values[w] if w <= 3 else Fraction(0))
                for w in range(n + 1)]
-    assert max_error(a.poly, targets) <= exact_value(a.certified_eps)
+    assert max_error(a.poly, targets) <= a.certified_eps
 
 
 def test_small_support_pipeline():
@@ -99,8 +99,7 @@ def test_small_support_pipeline():
     a = small_support_approx(spec, Fraction(1, 8))
     assert float(a.certified_eps) <= 1 / 8
     for w in range(n + 1):
-        assert abs(a.poly.eval(w) - spec.values[w]) <= \
-            exact_value(a.certified_eps)
+        assert abs(a.poly.eval(w) - spec.values[w]) <= a.certified_eps
 
 
 def test_small_support_zero_function():

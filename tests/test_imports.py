@@ -1,9 +1,10 @@
 """Every name a polyapprox module imports is read in that module, every
 parameter of its functions is read in the function's body, every top-level
 definition and class method is used somewhere, every dataclass field is
-read, only numcore knows the scalar backends, writes a Fraction and
-touches a float's bits through libmp, only SymApprox.measured builds a
-symmetric approximant with its claims, and every cache is bounded.
+read, only numcore knows the scalar backends and writes a Fraction, no
+module touches a float's bits through libmp and numcore imports no
+mpmath, only SymApprox.measured builds a symmetric approximant with its
+claims, and every cache is bounded.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -172,11 +173,11 @@ def _libmp_uses(tree):
     return sorted(lines)
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numcore"],
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_numcore_touches_libmp(path):
-    # numcore rounds, writes and reads every float's bits, so a float's bit
-    # format lives in one module.
+    # numcore rounds, writes and reads every float's bits in integers, and
+    # a construction converts each mpf it makes through its public value:
+    # no module reads an mpf's raw bits.
     lines = _libmp_uses(ast.parse(path.read_text(), str(path)))
     assert not lines, "%s touches libmp or an mpf's bits (lines %s)" % (
         path.name, lines)
@@ -187,6 +188,33 @@ def test_the_scan_sees_libmp():
                      "from mpmath.libmp import from_man_exp\n"
                      "x = mpmath.libmp.fzero\ny = z._mpf_\nw = mp.prec\n")
     assert _libmp_uses(tree) == [1, 2, 3, 4, 5]
+
+
+def _mpmath_imports(tree):
+    """The line of every import of mpmath or of a module inside it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Import)
+                      and any(a.name.split(".")[0] == "mpmath"
+                              for a in node.names))
+                  or (isinstance(node, ast.ImportFrom)
+                      and (node.module or "").split(".")[0] == "mpmath"))
+
+
+def test_numcore_imports_no_mpmath():
+    # Every scalar numcore takes or returns is an int or a Fraction; mpmath
+    # is the constructions' transcendental maths, not the measure's.
+    path = SRC / "numcore.py"
+    lines = _mpmath_imports(ast.parse(path.read_text(), str(path)))
+    assert not lines, "numcore imports mpmath (lines %s)" % lines
+
+
+def test_the_scan_sees_an_mpmath_import():
+    tree = ast.parse("import mpmath\nfrom mpmath import mp\n"
+                     "import mpmath.libmp as lm\n"
+                     "from fractions import Fraction\n"
+                     "import mpmathx\nfrom . import mpmath\n"
+                     "def f():\n    import mpmath\n")
+    assert _mpmath_imports(tree) == [1, 2, 3, 8]
 
 
 def _is_stub(fn):

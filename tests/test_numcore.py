@@ -9,12 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyapprox import numcore
-from polyapprox.numcore import (BackendMismatchError, SplitMix64, SBinomTail,
-                                SComp, SProd, StructPoly, UniPoly,
-                                as_fraction, exact_value, lagrange_interpolate,
-                                max_error, min_degree, mpf_from_hex,
-                                mpf_to_hex, poly_from_json, round_up,
-                                scalar_from_json, scalar_to_json, to_mpf)
+from polyapprox.numcore import (BackendMismatchError, Dyadic, SplitMix64,
+                                SBinomTail, SComp, SProd, StructPoly, UniPoly,
+                                as_fraction, certify, lagrange_interpolate,
+                                max_error, min_degree, poly_from_json,
+                                scalar_from_json, scalar_to_json, to_dyadic)
 from polyapprox.oracle import minimax_lp
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=64)
@@ -27,16 +26,26 @@ def test_as_fraction():
         as_fraction(0.5)
 
 
+def _mpf_hex(x):
+    # Reference: the dyadic x as mpmath normalizes it, an odd mantissa and
+    # its exponent, spelled "[-]0x<man>p<exp>"; 0 is "0x0p0".
+    sign, man, exp, _ = libmp.from_man_exp(
+        x.numerator, 1 - x.denominator.bit_length())
+    return "%s0x%xp%d" % ("-" if sign else "", man, exp)
+
+
 def test_mpf_hex_round_trip_is_lossless_at_high_precision():
     with mp.workprec(256):
         x = mpmath.mpf(1) / 9
-        neg = -x
-    # parsed at the ambient 53-bit default: every bit must come back, with
-    # either sign
-    for v in (x, neg):
-        assert mpf_from_hex(mpf_to_hex(v))._mpf_ == v._mpf_
-    assert mpf_to_hex(mpmath.mpf(0)) == "0x0p0"
-    assert mpf_from_hex("0x0p0") == 0
+    # a 256-bit value is spelled as mpmath's mantissa and exponent, and
+    # every bit comes back, with either sign
+    for v in (to_dyadic(Fraction(1, 9), 256), to_dyadic(Fraction(-1, 9), 256)):
+        s = scalar_to_json(v)
+        assert s == _mpf_hex(v) and s.lstrip("-") == "0x%xp%d" % x.man_exp
+        back = scalar_from_json(s)
+        assert type(back) is Dyadic and back == v
+    assert scalar_to_json(to_dyadic(0, 256)) == "0x0p0"
+    assert scalar_from_json("0x0p0") == 0
 
 
 @pytest.mark.parametrize("s", ["12ffp-8", "ffp-8", "-12ffp-8", "0x-ffp-8",
@@ -45,15 +54,16 @@ def test_mpf_hex_round_trip_is_lossless_at_high_precision():
 def test_hex_reader_requires_the_0x_spelling(s):
     # "12ffp-8" was read as 0xffp-8, its first two characters dropped unread
     with pytest.raises(ValueError):
-        mpf_from_hex(s)
+        numcore._from_hex(s)
     with pytest.raises(ValueError):
         scalar_from_json(s)
 
 
 def test_hex_reader_reads_both_signs():
-    assert mpf_from_hex("0xffp-8") == Fraction(255, 256)
-    assert mpf_from_hex("-0x3p1") == -6
-    assert mpf_from_hex("-0x0p0") == 0
+    for s, v in (("0xffp-8", Fraction(255, 256)), ("-0x3p1", -6),
+                 ("-0x0p0", 0)):
+        got = scalar_from_json(s)
+        assert got == v and type(got) is Dyadic
 
 
 def test_mpf_hex_not_rerounded_at_global_precision():
@@ -61,11 +71,11 @@ def test_mpf_hex_not_rerounded_at_global_precision():
     # context is the 53-bit default
     assert mp.prec == 53
     for sign in (1, -1):
-        with mp.workprec(256):
-            x = sign * mpmath.mpf(1) / 3
-        y = mpf_from_hex(mpf_to_hex(x))
-        with mp.workprec(256):
-            assert abs(y - x) < mpmath.mpf(2) ** -250
+        x = to_dyadic(Fraction(sign, 3), 256)
+        for ambient in (24, 53):
+            with mp.workprec(ambient):
+                assert scalar_from_json(scalar_to_json(x)) == x
+        assert abs(x - Fraction(sign, 3)) < Fraction(1, 2 ** 257)
 
 
 def test_scalar_json_round_trip():
@@ -74,8 +84,9 @@ def test_scalar_json_round_trip():
     # past Python's 4300-digit limit on decimal int strings, with either sign
     for x in (Fraction(10 ** 5000 + 1, 3), Fraction(-7, 10 ** 5000 + 3)):
         assert scalar_from_json(scalar_to_json(x)) == x
-    with mp.workprec(128):
-        x = mpmath.mpf(7) / 11
+    # a Dyadic is spelled in hex and reads back as one
+    x = to_dyadic(Fraction(7, 11), 128)
+    assert "/" not in scalar_to_json(x)
     assert scalar_from_json(scalar_to_json(x)) == x
 
 
@@ -166,26 +177,29 @@ def test_float_exact_eval_matches_hex_parsed_fraction_sum(coeffs, t, prec):
     want = sum((c * Fraction(t) ** i for i, c in enumerate(ref)), Fraction(0))
     assert p.eval(t) == want
     assert Fraction(*p.ints(t)) == want
-    assert [exact_value(c) for c in p.coeffs] == ref
+    assert p.coeffs == ref
 
 
-def test_exact_value_and_round_up():
-    with mp.workprec(200):
-        x = -mpmath.mpf(5) / 7
-    assert exact_value(x) == _hex_value(mpf_to_hex(x))
-    assert exact_value(mpmath.mpf(0)) == 0 and exact_value(Fraction(2, 3)) == Fraction(2, 3)
+def _mantissa_bits(x):
+    # The significant bits of a dyadic: its numerator's odd part.
+    n = abs(x.numerator)
+    return (n // (n & -n)).bit_length() if n else 0
+
+
+def test_certify_rounds_up_to_prec_bits():
+    assert certify(Fraction(1, 3), None) == Fraction(1, 3)
     for v, prec in ((Fraction(1, 3), 24), (Fraction(10 ** 40 + 1, 7), 128),
-                    (Fraction(3, 4), 8), (Fraction(0), 53)):
-        up = round_up(v, prec)
-        assert up._mpf_[3] <= prec              # a prec-bit dyadic ...
-        assert exact_value(up) >= v             # ... at or above v ...
-        assert up == to_mpf(up, prec)
+                    (Fraction(3, 4), 8), (Fraction(0), 53),
+                    (Fraction(1, 3), 256)):
+        up = certify(v, prec)
+        den = up.denominator
+        assert type(up) is Dyadic and den & (den - 1) == 0
+        assert _mantissa_bits(up) <= prec      # a prec-bit dyadic ...
+        assert up >= v                          # ... at or above v ...
         if v:                                   # ... with none between
-            man, exp = up.man_exp
-            step = Fraction(2) ** (exp - (prec - up._mpf_[3]))
-            assert exact_value(up) - step < v
-    # built at the caller's 53 bits, mpf(tuple) would round 1/3 to nearest
-    assert exact_value(round_up(Fraction(1, 3), 256)) > Fraction(1, 3)
+            ulp = Fraction(2) ** (up.numerator.bit_length()
+                                  - den.bit_length() + 1 - prec)
+            assert up - ulp < v
 
 
 def _exact_tail(d, lo, t):
@@ -446,7 +460,7 @@ def test_a_backend_name_in_place_of_a_precision_is_a_type_error(make, stale,
 
 def test_one_bit_float_precision_still_builds():
     p = UniPoly([Fraction(1, 3), 5], 1)
-    assert [exact_value(c) for c in p.coeffs] == [Fraction(1, 4), 4]
+    assert p.coeffs == [Fraction(1, 4), 4]
 
 
 def test_unipoly_zero_degree_convention():
@@ -703,19 +717,17 @@ def test_float_neg_and_derivative_keep_the_working_precision():
     # Outside any workprec block the ambient precision is 53 bits; negating
     # or differentiating a 512-bit polynomial must still round at 512.
     p = UniPoly([1, Fraction(1, 3), Fraction(1, 3)], 512)
-    assert (-p).coeffs[1]._mpf_ == to_mpf(Fraction(-1, 3), 512)._mpf_
-    assert (UniPoly([1], 512) - p).coeffs[2]._mpf_ == \
-        to_mpf(Fraction(-1, 3), 512)._mpf_
-    assert p.derivative().coeffs[1]._mpf_ == to_mpf(Fraction(2, 3), 512)._mpf_
+    assert (-p).coeffs[1] == to_dyadic(Fraction(-1, 3), 512)
+    assert (UniPoly([1], 512) - p).coeffs[2] == to_dyadic(Fraction(-1, 3), 512)
+    assert p.derivative().coeffs[1] == to_dyadic(Fraction(2, 3), 512)
 
 
 def test_float_from_roots_keeps_the_working_precision():
     # A 512-bit root negated at the ambient 53 bits would keep 53 of them.
     assert mp.prec == 53
-    r = to_mpf(Fraction(1, 3), 512)
+    r = to_dyadic(Fraction(1, 3), 512)
     p = UniPoly.from_roots([r, r], 512)
-    v = exact_value(r)
-    assert _values(p) == [_nearest(v * v, 512), -2 * v, 1]
+    assert p.coeffs == [_nearest(r * r, 512), -2 * r, 1]
 
 
 def _nearest(x, prec):
@@ -752,36 +764,7 @@ def _compose_affine_ref(coeffs, a, b):
     return out
 
 
-def _values(p):
-    return [exact_value(c) for c in p.coeffs]
-
-
-def test_to_mpf_rounds_a_fraction_once():
-    # Rounding the numerator first turns 2^60 + 33 into 2^60 at 53 bits, and
-    # the quotient then lands one ulp below the nearest float.
-    x = Fraction(2 ** 60 + 33, 3)
-    assert exact_value(to_mpf(x, 53)) == _nearest(x, 53) == 384307168202282368
-    with mp.workprec(256):
-        wide = mpmath.mpf(x.numerator) / x.denominator
-    assert exact_value(to_mpf(wide, 53)) == _nearest(exact_value(wide), 53)
-
-
 PRECS = [24, 53, 256, 512]
-
-
-@given(st.one_of(mixed_coeffs, st.builds(
-           lambda m, e: m * Fraction(2) ** e,
-           st.integers(min_value=-2 ** 600, max_value=2 ** 600),
-           st.integers(min_value=-700, max_value=700))),
-       st.sampled_from(PRECS), st.sampled_from([24, 53, 1024]))
-@example(Fraction(2 ** 60 + 33, 3), 53, 53)
-@settings(max_examples=100, deadline=None)
-def test_to_mpf_is_the_nearest_float(x, prec, ambient):
-    with mp.workprec(ambient):
-        got = to_mpf(x, prec)
-        again = to_mpf(mp.make_mpf(got._mpf_), prec)
-    assert exact_value(got) == _nearest(Fraction(x), prec)
-    assert again._mpf_ == got._mpf_
 
 
 def _dyadics(prec):
@@ -813,16 +796,15 @@ SPREAD = [Fraction(3, 2 ** 450), 0, -(2 ** 455 + 1), Fraction(-5, 2 ** 480)]
 def test_float_arithmetic_is_the_exact_result_rounded_once(pair, c, a, b):
     prec, xs, ys = pair
     p, q = UniPoly(xs, prec), UniPoly(ys, prec)
-    ep, eq = _values(p), _values(q)
-    assert _values(p * q) == [_nearest(v, prec) for v in _mul_ref(ep, eq)]
-    assert _values(p.scale(c)) == ([_nearest(c * v, prec) for v in ep]
-                                   if c else [])
+    ep, eq = p.coeffs, q.coeffs
+    assert (p * q).coeffs == [_nearest(v, prec) for v in _mul_ref(ep, eq)]
+    assert p.scale(c).coeffs == ([_nearest(c * v, prec) for v in ep]
+                                 if c else [])
     want = [_nearest(v, prec) for v in _compose_affine_ref(ep, a, b)]
-    assert _values(p.compose_affine(a, b)) == want
-    ma, mb = to_mpf(a, prec), to_mpf(b, prec)     # mpf arguments: exact values
-    want = [_nearest(v, prec) for v in
-            _compose_affine_ref(ep, exact_value(ma), exact_value(mb))]
-    assert _values(p.compose_affine(ma, mb)) == want
+    assert p.compose_affine(a, b).coeffs == want
+    ma, mb = to_dyadic(a, prec), to_dyadic(b, prec)   # Dyadic arguments
+    want = [_nearest(v, prec) for v in _compose_affine_ref(ep, ma, mb)]
+    assert p.compose_affine(ma, mb).coeffs == want
 
 
 @given(float_pairs, scalars, scalars)
@@ -832,7 +814,7 @@ def test_float_arithmetic_ignores_the_ambient_precision(pair, a, b):
     p, q = UniPoly(xs, prec), UniPoly(ys, prec)
 
     def results():
-        return [[c._mpf_ for c in r.coeffs]
+        return [r.coeffs
                 for r in (p * q, p.scale(a), p.compose_affine(a, b), q ** 3)]
 
     want = results()
@@ -881,7 +863,7 @@ def test_every_result_is_in_lowest_terms(backend, xs, ys, c, a, b, k):
         assert r.backend == kind and r.prec == prec, name
         assert r.den > 0 and math.gcd(r.den, *r.nums) == 1, name
         assert not r.nums or r.nums[-1] != 0, name
-        values = [exact_value(v) for v in r.coeffs]
+        values = r.coeffs
         assert values == [Fraction(n, r.den) for n in r.nums], name
         assert r.den == math.lcm(*(v.denominator for v in values)), name
         for other, s in results.items():
@@ -952,6 +934,39 @@ def test_float_rounding_matches_libmp(case):
     assert not rnums or rnums[-1]
 
 
+@given(_rounding_cases())
+@example(([1, -1, 3, -3], 3, 1))
+@example(([2 ** 53 + 1, -(2 ** 53 + 1)], 1, 53))     # one bit past: a carry
+@example(([(2 ** 512 - 1) * 2 + 1], 2, 512))          # carries to 2^512
+@example(([2 ** 1100 + 1, -(2 ** 1100 + 1)], 3, 2))
+@settings(max_examples=300, deadline=None)
+def test_rounding_up_and_to_nearest_match_libmp(case):
+    # The ceiling shares _lowest's divmod and sticky bit; both roundings
+    # of each coefficient are libmp's, and to_dyadic makes a Dyadic.
+    nums, den, prec = case
+    for n in nums:
+        for up, rnd in ((True, libmp.round_ceiling),
+                        (False, libmp.round_nearest)):
+            sign, man, exp, _ = libmp.from_rational(n, den, prec, rnd)
+            want = (-1) ** sign * int(man) * Fraction(2) ** exp
+            m, e = numcore._round(n, den, prec, up)
+            assert m * Fraction(2) ** e == want
+            got = to_dyadic(Fraction(n, den), prec, up)
+            assert type(got) is Dyadic and got == want
+
+
+def test_numcore_takes_no_mpf():
+    # Every scalar numcore takes is an int or a Fraction: an mpf is a type
+    # error, never read through its bits.
+    x = mpmath.mpf(1) / 4
+    p = UniPoly([1, 2], 53)
+    for call in (lambda: UniPoly([x], 53), lambda: UniPoly([x]),
+                 lambda: p.scale(x), lambda: p.compose_affine(x, 0),
+                 lambda: UniPoly.from_roots([x], 53), lambda: certify(x, 53)):
+        with pytest.raises(TypeError):
+            call()
+
+
 @given(st.lists(mixed_coeffs, max_size=8), st.integers(min_value=1,
                                                        max_value=512))
 @example([Fraction(1, 3), 0, -(2 ** 600 + 1), Fraction(-5, 2 ** 480)], 512)
@@ -960,7 +975,7 @@ def test_float_rounding_matches_libmp(case):
 def test_float_json_is_mpf_hex_and_round_trips(coeffs, prec):
     p = UniPoly(coeffs, prec)
     doc = p.to_json()
-    assert doc["coeffs"] == [mpf_to_hex(c) for c in p.coeffs]
+    assert doc["coeffs"] == [_mpf_hex(c) for c in p.coeffs]
     assert doc["precision_bits"] == prec
     q = UniPoly.from_json(json.loads(json.dumps(doc)))
     assert q == p and q.prec == prec

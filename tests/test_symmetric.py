@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from polyapprox import symmetric
-from polyapprox.numcore import (FLOAT, RATIONAL, SplitMix64, exact_value,
-                                min_degree, poly_from_json, to_mpf)
+from polyapprox.numcore import (FLOAT, RATIONAL, Dyadic, SplitMix64,
+                                min_degree, poly_from_json)
 from polyapprox.symmetric import (SymApprox, SymSpec, _sampling_exponent,
                                   and_or_approx, and_or_min_degree,
                                   exact_weight_approx, sampling_approx,
@@ -27,7 +27,7 @@ def _check(approx):
     spec = approx.spec
     worst = max(abs(approx.poly.eval(w) - spec.values[w])
                 for w in range(spec.n + 1))
-    assert worst <= exact_value(approx.certified_eps)
+    assert worst <= approx.certified_eps
 
 
 def test_spec_validation():
@@ -273,8 +273,11 @@ def _rounded_up(x, prec):
 def test_float_certified_eps_is_the_rounded_up_exact_error(build, prec):
     a = build(prec)
     assert a.poly.backend == FLOAT
-    assert a.certified_eps._mpf_ == to_mpf(a.certified_eps, prec)._mpf_
-    assert _claim(a) == _rounded_up(_exact_error(a), prec)
+    claim, den = a.certified_eps, a.certified_eps.denominator
+    assert type(claim) is Dyadic and den & (den - 1) == 0
+    n = claim.numerator
+    assert (n // (n & -n)).bit_length() <= prec     # at most prec bits
+    assert claim == _claim(a) == _rounded_up(_exact_error(a), prec)
 
 
 def test_sampling_exponent_at_an_eps_below_every_float():
