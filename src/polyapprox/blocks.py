@@ -122,9 +122,7 @@ def or_continuous_approx(n, eps):
     n = as_fraction(n)
     if n <= 2:
         raise ValueError("need n > 2")
-    c = int(math.ceil(math.sqrt(n)))
-    while (c - 1) ** 2 >= n:
-        c -= 1
+    c = math.isqrt(math.ceil(n) - 1) + 1      # ceil(sqrt(n)), in integers
     q = cheb_poly(c).compose_affine(Fraction(-1, 1) / n, 1 + Fraction(2, 1) / n)
     peak = q.eval(0)          # exact maximum of q on [0, n]
     qstar = (q + UniPoly([1])).scale(Fraction(1) / (peak + 1))

@@ -5,8 +5,8 @@ constructions."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, permutations
+from functools import cached_property, reduce
+from itertools import combinations, permutations, product
 import math
 
 from .numcore import (DEFAULT_PREC, UniPoly, as_fraction, certify,
@@ -18,74 +18,31 @@ from .oracle import multilinear_interpolant
 
 
 # ---------------------------------------------------------------------------
-# Conjunction-norm ledger.  Expression trees over n boolean variables; the
-# bound follows the calculus rules, the expansion witnesses them.
+# Conjunction-norm ledger.  Expressions over n boolean variables, one
+# constructor per calculus rule: the bound follows the rule, the expansion
+# witnesses it.
 
 
-class PiExpr:
-    pass
+@dataclass(frozen=True)
+class Pi:
+    """A ledger entry: the conjunction-norm bound by the calculus rules, the
+    witnessing decomposition {(plain, negated): coeff} into conjunctions,
+    and the direct evaluator x -> Fraction."""
+    bound: Fraction
+    expansion: dict
+    value: object
 
 
-@dataclass
-class PConst(PiExpr):
-    c: Fraction
+_EMPTY = frozenset()
 
 
-@dataclass
-class PConj(PiExpr):
-    plain: frozenset
-    negated: frozenset
-
-
-@dataclass
-class PDisj(PiExpr):
-    plain: frozenset
-    negated: frozenset
-
-
-@dataclass
-class PSum(PiExpr):
-    parts: list
-
-
-@dataclass
-class PScale(PiExpr):
-    c: Fraction
-    base: PiExpr
-
-
-@dataclass
-class PProd(PiExpr):
-    parts: list
-
-
-@dataclass
-class PComp(PiExpr):
-    poly: UniPoly
-    base: PiExpr
-
-
-def pi_norm_bound(e):
-    """Upper bound on the conjunction norm, by the calculus rules."""
-    if isinstance(e, PConst):
-        return abs(as_fraction(e.c))
-    if isinstance(e, PConj):
-        return Fraction(1)
-    if isinstance(e, PDisj):
-        return Fraction(2) if (e.plain or e.negated) else Fraction(0)
-    if isinstance(e, PSum):
-        return sum(map(pi_norm_bound, e.parts), Fraction(0))
-    if isinstance(e, PScale):
-        return abs(as_fraction(e.c)) * pi_norm_bound(e.base)
-    if isinstance(e, PProd):
-        out = Fraction(1)
-        for p in e.parts:
-            out *= pi_norm_bound(p)
-        return out
-    if isinstance(e, PComp):
-        inner = max(Fraction(1), pi_norm_bound(e.base))
-        return inner ** max(e.poly.degree, 0) * e.poly.norm()
-    raise TypeError("not a PiExpr")
+def _merge(expansions):
+    """The sum of expansions, zero coefficients dropped."""
+    out = {}
+    for ex in expansions:
+        for k, v in ex.items():
+            out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def _expand_mul(a, b):
@@ -100,64 +57,58 @@ def _expand_mul(a, b):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def pi_expand(e):
-    """Explicit decomposition into conjunctions {(plain, negated): coeff},
-    mirroring the rule that produced each bound."""
-    E = frozenset()
-    if isinstance(e, PConst):
-        return {(E, E): as_fraction(e.c)} if e.c != 0 else {}
-    if isinstance(e, PConj):
-        return {(e.plain, e.negated): Fraction(1)}
-    if isinstance(e, PDisj):
-        if not (e.plain or e.negated):
-            return {}
-        return {(E, E): Fraction(1), (e.negated, e.plain): Fraction(-1)}
-    if isinstance(e, PSum):
-        out = {}
-        for p in e.parts:
-            for k, v in pi_expand(p).items():
-                out[k] = out.get(k, Fraction(0)) + v
-        return {k: v for k, v in out.items() if v != 0}
-    if isinstance(e, PScale):
-        return {k: as_fraction(e.c) * v for k, v in pi_expand(e.base).items()
-                if e.c != 0}
-    if isinstance(e, PProd):
-        out = {(E, E): Fraction(1)}
-        for p in e.parts:
-            out = _expand_mul(out, pi_expand(p))
-        return out
-    if isinstance(e, PComp):
-        base = pi_expand(e.base)
-        acc = {}
-        for c in reversed(e.poly.coeffs):
-            acc = _expand_mul(acc, base)
-            if c != 0:
-                acc[(E, E)] = acc.get((E, E), Fraction(0)) + as_fraction(c)
-        return {k: v for k, v in acc.items() if v != 0}
-    raise TypeError("not a PiExpr")
+def PConst(c):
+    c = as_fraction(c)
+    return Pi(abs(c), {(_EMPTY, _EMPTY): c} if c else {}, lambda x: c)
 
 
-def pi_eval(e, x):
-    if isinstance(e, PConst):
-        return as_fraction(e.c)
-    if isinstance(e, PConj):
-        return Fraction(int(all(x[i] for i in e.plain)
-                            and not any(x[i] for i in e.negated)))
-    if isinstance(e, PDisj):
-        return Fraction(int(any(x[i] for i in e.plain)
-                            or any(not x[i] for i in e.negated)))
-    if isinstance(e, PSum):
-        return sum(pi_eval(p, x) for p in e.parts)
-    if isinstance(e, PScale):
-        return as_fraction(e.c) * pi_eval(e.base, x)
-    if isinstance(e, PProd):
-        out = Fraction(1)
-        for p in e.parts:
-            out *= pi_eval(p, x)
-        return out
-    if isinstance(e, PComp):
-        return e.poly.eval(pi_eval(e.base, x))
-    raise TypeError("not a PiExpr")
+def PConj(plain, negated):
+    """AND of the plain literals and the negations of the negated ones:
+    norm 1."""
+    return Pi(Fraction(1), {(plain, negated): Fraction(1)},
+              lambda x: Fraction(int(all(x[i] for i in plain)
+                                     and not any(x[i] for i in negated))))
+
+
+def PDisj(plain, negated):
+    """OR of the literals, 1 - PConj(negated, plain) by De Morgan: norm 2,
+    or the constant 0 with no literal.  Its value is read directly."""
+    if not (plain or negated):
+        return PConst(0)
+    rule = PSum([PConst(1), PScale(-1, PConj(negated, plain))])
+    return Pi(rule.bound, rule.expansion, lambda x: Fraction(int(
+        any(x[i] for i in plain) or any(not x[i] for i in negated))))
+
+
+def PSum(parts):
+    return Pi(sum((p.bound for p in parts), Fraction(0)),
+              _merge(p.expansion for p in parts),
+              lambda x: sum((p.value(x) for p in parts), Fraction(0)))
+
+
+def PScale(c, base):
+    c = as_fraction(c)
+    return Pi(abs(c) * base.bound,
+              {k: c * v for k, v in base.expansion.items()} if c else {},
+              lambda x: c * base.value(x))
+
+
+def PProd(parts):
+    return Pi(math.prod((p.bound for p in parts), start=Fraction(1)),
+              reduce(_expand_mul, (p.expansion for p in parts),
+                     {(_EMPTY, _EMPTY): Fraction(1)}),
+              lambda x: math.prod((p.value(x) for p in parts),
+                                  start=Fraction(1)))
+
+
+def PComp(poly, base):
+    """poly(base): norm at most |poly|_1 max(1, |base|)^deg; the expansion
+    is Horner's rule on base's."""
+    acc = {}
+    for c in reversed(poly.coeffs):
+        acc = _merge([_expand_mul(acc, base.expansion), {(_EMPTY, _EMPTY): c}])
+    return Pi(max(Fraction(1), base.bound) ** max(poly.degree, 0)
+              * poly.norm(), acc, lambda x: poly.eval(base.value(x)))
 
 
 def expansion_eval(expansion, x):
@@ -275,9 +226,7 @@ def surj_value(weights):
 def _outer_third(r):
     """Chebyshev outer polynomial for error target 1/3: exact rational,
     P(v) = T_m((1+v)/r)/T_m(1+1/r), m = ceil(sqrt(3r))."""
-    m = math.isqrt(3 * r)
-    if m * m < 3 * r:
-        m += 1
+    m = math.isqrt(3 * r - 1) + 1
     peak = cheb_eval(m, 1 + Fraction(1, r))
     p = cheb_poly(m).compose_affine(Fraction(1, r), Fraction(1, r))
     return p.scale(Fraction(1) / peak)
@@ -406,54 +355,35 @@ def selector_compose(fs, M, N, n, b, eps):
     def f_union(S, x):
         return 1 if any(fs[i](x) for i in S) else 0
 
-    inner_deg = 0
-    for i in range(N):
-        mi = multilinear_interpolant(M, lambda x, i=i: fs[i](x))
-        inner_deg = max(inner_deg, mi.degree)
+    inner_deg = max((multilinear_interpolant(M, f).degree for f in fs),
+                    default=0)
 
+    # Built once per live ell: its ordered disjoint block tuples and unions.
     blocks = list(combinations(range(N), b))
-
-    def evaluate(x, y):
-        tot = a[0] if a else Fraction(0)
-        for ell in range(1, len(a)):
-            if a[ell] == 0:
-                continue
-            tuples = [c for c in permutations(blocks, ell)
-                      if all(not (set(c[i]) & set(c[j]))
-                             for i in range(ell) for j in range(i + 1, ell))]
-            acc = Fraction(0)
-            for tup in tuples:
-                union = set().union(*tup)
-                if not all(y[i] for i in union):
-                    continue
-                s = Fraction(0)
-                for rS in range(1, ell + 1):
-                    for S in combinations(range(ell), rS):
-                        u = frozenset().union(*(tup[i] for i in S))
-                        s += (-1) ** (rS + 1) * f_union(u, x)
-                acc += s
-            mean = acc / len(tuples)
+    live = []
+    for ell in range(1, len(a)):
+        if a[ell] != 0:
+            tuples = [(set().union(*c), c) for c in permutations(blocks, ell)
+                      if len(set().union(*c)) == b * ell]
             scale = (a[ell] * math.comb(k, ell) * math.comb(N, b * ell)
-                     / Fraction(math.comb(n, b * ell)))
-            tot += scale * mean
+                     / Fraction(math.comb(n, b * ell) * len(tuples)))
+            live.append((ell, tuples, scale))
+
+    def evaluate(x, selected):
+        tot = a[0] if a else Fraction(0)
+        for ell, tuples, scale in live:
+            acc = 0
+            for union, tup in tuples:
+                if not union <= selected:
+                    continue
+                for rS in range(1, ell + 1):
+                    for S in combinations(tup, rS):
+                        acc += (-1) ** (rS + 1) * f_union(set().union(*S), x)
+            tot += scale * acc
         return tot
 
-    worst = Fraction(0)
-    for x in _cube(M):
-        for y in _fixed_weight(N, n):
-            truth = 1 if any(y[i] and fs[i](x) for i in range(N)) else 0
-            worst = max(worst, abs(evaluate(x, y) - truth))
+    worst = max(abs(evaluate(x, selected) - f_union(selected, x))
+                for x in product((0, 1), repeat=M)
+                for selected in map(set, combinations(range(N), n)))
     return SelectorApprox(N, n, b, a, worst, inner_deg + d_out * b)
 
-
-def _cube(m):
-    for i in range(2 ** m):
-        yield tuple((i >> j) & 1 for j in range(m))
-
-
-def _fixed_weight(N, n):
-    for S in combinations(range(N), n):
-        y = [0] * N
-        for i in S:
-            y[i] = 1
-        yield tuple(y)

@@ -89,9 +89,7 @@ def _extended(approx, target, m, ind, prec):
 def _extend_from_point(approx, target, n, delta):
     # one certified weight only: damp with a normalized Chebyshev power
     reps = max(1, _log2_ceil(1 / delta))
-    c = math.isqrt(n)
-    if c * c < n:
-        c += 1
+    c = math.isqrt(n - 1) + 1
     T = cheb_poly(c).compose_affine(Fraction(-1, n), 1 + Fraction(1, n))
     T = T ** reps
     poly = T.scale(approx.spec.values[0] / T.eval(0))

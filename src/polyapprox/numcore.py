@@ -33,6 +33,11 @@ FLOAT = "float"
 
 DEFAULT_PREC = 256
 
+# The largest |exponent| of a hex scalar, and the largest exponent spread
+# of a float polynomial: 2^20 bits, 128 KB.  A float construction writes
+# exponents of about twice its precision.
+MAX_EXP = 1 << 20
+
 
 class BackendMismatchError(TypeError):
     pass
@@ -102,7 +107,7 @@ def _to_hex(man, exp):
 
 def _from_hex(s):
     """(man, exp) of a hex string "[-]0x<hex digits>p<exp>", man odd, (0, 0)
-    for zero; ValueError on any other spelling."""
+    for zero; ValueError on any other spelling or an |exp| past MAX_EXP."""
     m = re.fullmatch(r"(-?)0x([0-9a-f]+)p(-?[0-9]+)", s)
     if m is None:
         raise ValueError("not a hex float: %r" % s)
@@ -110,6 +115,8 @@ def _from_hex(s):
     if not man:
         return 0, 0
     tz = (man & -man).bit_length() - 1
+    if abs(exp + tz) > MAX_EXP:
+        raise ValueError("hex exponent past %d: %.40s" % (MAX_EXP, s))
     return (-man if m[1] else man) >> tz, exp + tz
 
 
@@ -416,7 +423,10 @@ class UniPoly:
             if abs(man).bit_length() > prec:
                 raise ValueError("coefficient %s has more than %d significant "
                                  "bits" % (s, prec))
-        low = min([0] + [e for _, e in parts])
+        exps = [e for _, e in parts]
+        low = min([0] + exps)
+        if max([0] + exps) - low > MAX_EXP:
+            raise ValueError("exponents spread over more than %d" % MAX_EXP)
         p = cls.__new__(cls)
         p.prec = prec
         p.nums, p.den = [m << e - low for m, e in parts], 1 << -low

@@ -151,20 +151,18 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
         raise ValueError("which must be 'and' or 'or'")
     spec = SymSpec.and_spec(n) if which == "and" else SymSpec.or_spec(n)
     if d >= n:
-        p = lagrange_interpolate(range(n + 1), SymSpec.and_spec(n).values)
-    else:
-        r, ell = _and_or_shape(n, d)
-        # value 1 at n, zeros at n-ell+1 .. n-1
-        base = _zeroed_bump(r, n, n - ell, range(n - ell + 1, n), prec)
-        # The damping factor M is the exact maximum below weight n; scale
-        # divides by 1 + M exactly and rounds each coefficient once.
-        M = max_error(base, ((w, 0) for w in range(n)))
-        p = base.scale(1 / (1 + M))
+        return SymApprox.interpolant(spec)
+    r, ell = _and_or_shape(n, d)
+    # value 1 at n, zeros at n-ell+1 .. n-1
+    base = _zeroed_bump(r, n, n - ell, range(n - ell + 1, n), prec)
+    # The damping factor M is the exact maximum below weight n; scale
+    # divides by 1 + M exactly and rounds each coefficient once.
+    M = max_error(base, ((w, 0) for w in range(n)))
+    p = base.scale(1 / (1 + M))
     if which == "or":
         # OR reflects the AND polynomial: one basis polynomial, not n
         p = UniPoly([1], p.prec) - p.compose_affine(-1, n)
-    return SymApprox.measured(
-        spec, p, "interpolant" if d >= n else "chebyshev-damped", p.prec)
+    return SymApprox.measured(spec, p, "chebyshev-damped", p.prec)
 
 
 def and_or_min_degree(n, which, eps, prec=DEFAULT_PREC):

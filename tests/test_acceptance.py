@@ -7,7 +7,6 @@ vs oracle degree gap).  Tolerances are pinned next to each use.
 """
 
 import itertools
-import json
 import math
 import time
 from fractions import Fraction
@@ -15,7 +14,6 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from polyapprox.blocks import interval_indicator
 from polyapprox.bounds import C_SEL, consistency_sweep, ed_closed, kdnf_closed
 from polyapprox.chebyshev import cheb_eval, to_mpf
 from polyapprox.cli import main as cli_main

@@ -136,6 +136,13 @@ def test_or_continuous_contract():
         assert -eps <= p.eval(t) <= eps, t
 
 
+@pytest.mark.parametrize("n, c", [(16, 4), (16 + Fraction(1, 10 ** 20), 5),
+                                  (Fraction(15999, 1000), 4), (17, 5)])
+def test_or_continuous_bump_degree_is_the_exact_ceiling_of_sqrt_n(n, c):
+    # float(16 + 10^-20) is 16.0, so a float square root took c = 4
+    assert or_continuous_approx(Fraction(n), Fraction(1, 8)).inner.degree == c
+
+
 @pytest.mark.parametrize("d", [0, 2])
 def test_interval_indicator_contract(d):
     n, eps = 64, Fraction(1, 8)

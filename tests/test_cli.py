@@ -316,6 +316,15 @@ def _hex_coefficient_in_an_exact_poly(doc):
     doc["coeffs"][0] = "0x1p-1"
 
 
+def _set_coefficients(*spellings):
+    # hex exponents past MAX_EXP, or spread over more than it: each was
+    # shifted into an integer of that many bits before anything read it
+    def tamper(doc):
+        assert doc["backend"] == "float"
+        doc["coeffs"][:len(spellings)] = spellings
+    return tamper
+
+
 AND_1 = ["--target", "and", "--n", "1"]
 AND_4 = ["--target", "and", "--n", "4"]
 AND_8 = ["--target", "and", "--n", "8"]
@@ -389,6 +398,11 @@ SAMPLING_8_2 = ["--target", "sampling", "--n", "8", "--k", "2", "--seed", "1"]
     (SURJ_8_2, _plus_mu),
     (SURJ_8_2, _mixed_hex_and_decimal_mu),
     (AND_4, _claim_past_every_float),
+    # hex exponents past numcore.MAX_EXP = 2^20
+    (AND_4, _set("certified_eps_exact", "0x1p50000000")),
+    (AND_4, _set("certified_eps_exact", "0x1p-100000000")),
+    (AND_8, _set_coefficients("0x1p-1048577")),
+    (AND_8, _set_coefficients("0x1p1048576", "0x1p-1")),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):

@@ -10,11 +10,10 @@ from polyapprox import composed
 from polyapprox.chebyshev import to_mpf
 from polyapprox.composed import (PComp, PConj, PConst, PDisj, PProd, PScale,
                                  PSum, _weight_vectors, expansion_eval,
-                                 expansion_norm, homogenize_eval, pi_eval,
-                                 pi_expand, pi_norm_bound, selector_compose,
-                                 surj_outer_eval, surj_value,
-                                 surjectivity_approx)
-from polyapprox.numcore import SplitMix64, max_error
+                                 expansion_norm, homogenize_eval,
+                                 selector_compose, surj_outer_eval,
+                                 surj_value, surjectivity_approx)
+from polyapprox.numcore import SplitMix64, UniPoly, max_error
 from polyapprox.oracle import MultiPoly
 from polyapprox.symmetric import and_or_min_degree
 
@@ -27,14 +26,18 @@ def _random_pi_expr(rng, nvars, depth):
         plain = frozenset({rng.randint(0, nvars - 1)})
         neg = frozenset({rng.randint(0, nvars - 1)}) - plain
         return PConj(plain, neg) if kind == 1 else PDisj(plain, neg)
-    kind = rng.randint(0, 2)
+    kind = rng.randint(0, 3)
     a = _random_pi_expr(rng, nvars, depth - 1)
     b = _random_pi_expr(rng, nvars, depth - 1)
     if kind == 0:
         return PSum([a, b])
     if kind == 1:
         return PScale(rng.fraction(), a)
-    return PProd([a, b])
+    if kind == 2:
+        return PProd([a, b])
+    # a small exact polynomial of degree 0..2 over a random base
+    poly = UniPoly([rng.fraction() for _ in range(rng.randint(1, 3))])
+    return PComp(poly, a)
 
 
 def test_pi_expansion_matches_pointwise():
@@ -42,16 +45,15 @@ def test_pi_expansion_matches_pointwise():
     nvars = 4
     for trial in range(25):
         e = _random_pi_expr(rng, nvars, 2)
-        ex = pi_expand(e)
         for x in itertools.product((0, 1), repeat=nvars):
-            assert expansion_eval(ex, x) == pi_eval(e, x), trial
+            assert expansion_eval(e.expansion, x) == e.value(x), trial
 
 
 def test_pi_norm_bounds_expansion():
     rng = SplitMix64(19)
     for trial in range(25):
         e = _random_pi_expr(rng, 4, 2)
-        assert expansion_norm(pi_expand(e)) <= pi_norm_bound(e), trial
+        assert expansion_norm(e.expansion) <= e.bound, trial
 
 
 def _ordered_weight_vectors(r, n):

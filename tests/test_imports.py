@@ -1,10 +1,10 @@
-"""Every name a polyapprox module imports is read in that module, every
-parameter of its functions is read in the function's body, every top-level
-definition and class method is used somewhere, every dataclass field is
-read, only numcore knows the scalar backends and writes a Fraction, no
-module touches a float's bits through libmp and numcore imports no
-mpmath, only SymApprox.measured builds a symmetric approximant with its
-claims, and every cache is bounded.
+"""Every name a polyapprox module or a test file imports is read in that
+file, every parameter of its functions is read in the function's body,
+every top-level definition and class method is used somewhere, every
+dataclass field is read, only numcore knows the scalar backends and writes
+a Fraction, no module touches a float's bits through libmp and numcore
+imports no mpmath, only SymApprox.measured builds a symmetric approximant
+with its claims, and every cache is bounded.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -44,7 +44,7 @@ def test_every_module_is_scanned():
                                          "blocks", "symmetric", "cli"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_every_imported_name_is_read(path):
     tree = ast.parse(path.read_text(), str(path))
     read = _read(tree)

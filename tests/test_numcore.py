@@ -66,6 +66,21 @@ def test_hex_reader_reads_both_signs():
         assert got == v and type(got) is Dyadic
 
 
+def test_hex_reader_bounds_the_exponent():
+    # the exponent is checked before any shift: 0x1p50000000 was a 6 MB
+    # integer, 0x1p-100000000 a 12.5 MB denominator
+    top = numcore.MAX_EXP
+    for s, v in (("0x1p%d" % top, Fraction(2) ** top),
+                 ("-0x3p-%d" % top, -3 / Fraction(2) ** top),
+                 ("0x2p-%d" % (top + 1), 1 / Fraction(2) ** top),
+                 ("0x0p%d" % (10 * top), 0)):
+        assert scalar_from_json(s) == v, s
+    for s in ("0x1p%d" % (top + 1), "-0x1p-%d" % (top + 1), "0x2p%d" % top,
+              "0x1p50000000", "0x1p-100000000"):
+        with pytest.raises(ValueError, match="hex exponent past"):
+            scalar_from_json(s)
+
+
 def test_mpf_hex_not_rerounded_at_global_precision():
     # 256-bit values must survive serialization even when the ambient
     # context is the 53-bit default
@@ -996,6 +1011,17 @@ def test_float_from_json_reads_a_coefficient_as_it_is():
     for prec in (True, 8.0, "8"):
         with pytest.raises(ValueError, match="at least 1 bit"):
             UniPoly.from_json(dict(doc, precision_bits=prec))
+    # each exponent within MAX_EXP, the shift to one denominator is bounded
+    # too: the spread of the exponents, 0 included
+    top = numcore.MAX_EXP
+    for coeffs in (["0x1p-%d" % top, "0x1p0"], ["0x1p%d" % top],
+                   ["0x1p-%d" % top, "0x0p0"]):
+        UniPoly.from_json(dict(doc, coeffs=coeffs))
+    for coeffs in (["0x1p-%d" % top, "0x1p1"], ["0x1p-1", "0x1p%d" % top]):
+        with pytest.raises(ValueError, match="exponents spread over more than"):
+            UniPoly.from_json(dict(doc, coeffs=coeffs))
+    with pytest.raises(ValueError, match="hex exponent past"):
+        UniPoly.from_json(dict(doc, coeffs=["0x1p-%d" % (top + 1)]))
 
 
 def test_splitmix_deterministic():
