@@ -25,10 +25,10 @@ def dyadic_decay_poly(n, d):
     all raised to the d-th power and normalized at 0.  Exact rational."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1, d >= 0")
-    levels = int(math.ceil(math.log2(n))) if n > 1 else 0
+    levels = (math.ceil(n) - 1).bit_length()
     prod = UniPoly([1])
     for i in range(levels + 1):
-        c = int(math.ceil(math.sqrt(n / 2 ** i)))
+        c = math.isqrt(-(-n // 2 ** i) - 1) + 1
         prod = prod * cheb_poly(c).compose_affine(Fraction(-1, n),
                                                   1 + Fraction(2 ** i, n))
     prod = prod ** d

@@ -33,10 +33,10 @@ FLOAT = "float"
 
 DEFAULT_PREC = 256
 
-# The largest |exponent| of a hex scalar, and the largest exponent spread
-# of a float polynomial: 2^20 bits, 128 KB.  A float construction writes
-# exponents of about twice its precision.
-MAX_EXP = 1 << 20
+# 2^20 bits (128 KB) bounds a hex |exponent| and a float polynomial's
+# exponent spread; 2^22 bits (512 KB) bounds its numerators over one
+# denominator, in total.  Float constructions write exponents of ~2 x prec.
+MAX_EXP, MAX_BITS = 1 << 20, 1 << 22
 
 
 class BackendMismatchError(TypeError):
@@ -55,6 +55,12 @@ def as_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     raise BackendMismatchError("expected an exact rational, got %r" % type(x))
+
+
+def _over_lcm(xs):
+    """(L, [x L for x in xs]), L the lcm of the rationals' denominators."""
+    L = math.lcm(*(x.denominator for x in xs))
+    return L, [x.numerator * (L // x.denominator) for x in xs]
 
 
 class Dyadic(Fraction):
@@ -261,8 +267,7 @@ class UniPoly:
         convert = as_fraction if prec is None else Fraction
         values = [convert(c) for c in coeffs]
         self.prec = prec
-        den = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
+        den, nums = _over_lcm(values)
         self.nums, self.den = _lowest(nums, den, prec)
 
     @property
@@ -371,9 +376,7 @@ class UniPoly:
         if not nums:
             return self._from_ints([], 1)
         deg = len(nums) - 1
-        D = math.lcm(a.denominator, b.denominator)
-        alpha = a.numerator * (D // a.denominator)
-        beta = b.numerator * (D // b.denominator)
+        D, (alpha, beta) = _over_lcm((a, b))
         g = [n * D ** (deg - j) for j, n in enumerate(nums)]
         if beta:
             for i in range(deg):
@@ -427,6 +430,8 @@ class UniPoly:
         low = min([0] + exps)
         if max([0] + exps) - low > MAX_EXP:
             raise ValueError("exponents spread over more than %d" % MAX_EXP)
+        if sum(m.bit_length() + e - low for m, e in parts if m) > MAX_BITS:
+            raise ValueError("numerators of more than %d bits" % MAX_BITS)
         p = cls.__new__(cls)
         p.prec = prec
         p.nums, p.den = [m << e - low for m, e in parts], 1 << -low
@@ -435,30 +440,34 @@ class UniPoly:
         return p
 
 
-def lagrange_interpolate(nodes, values):
-    """Unique degree <= len(nodes)-1 polynomial through the given points,
-    exact, in integers: on the nodes scaled to integers s_i = Q t_i, Q the
-    lcm of their denominators, L(y) = prod_j (y - s_j) is built once, and
-    sum_i f_i B_i / B_i(s_i), with B_i = L / (y - s_i) by synthetic division,
-    is summed over one denominator.  y = Q t scales coefficient k by Q^k."""
-    nodes, values = ([as_fraction(x) for x in xs] for xs in (nodes, values))
-    if len(values) != len(nodes) or len(set(nodes)) != len(nodes):
-        raise ValueError("need distinct nodes and one value per node")
-    Q = math.lcm(*(t.denominator for t in nodes))
-    s = [t.numerator * (Q // t.denominator) for t in nodes]
+def _interpolate_ints(s, Q, nums, den):
+    """The exact polynomial with value nums[i] / den at t = s[i] / Q, s[i]
+    distinct integers, den > 0: with L(y) = prod_j (y - s_j) and B_i =
+    L / (y - s_i) by synthetic division, sum_i nums_i B_i / B_i(s_i) over one
+    denominator, in integers; y = Q t scales coefficient k by Q^k."""
     L = [1]
     for sj in s:
         L = [a - sj * b for a, b in zip([0] + L, L + [0])]
-    nums, den = [0] * len(s), 1
-    for si, fi in zip(s, values):
-        if fi:
+    out, D = [0] * len(s), 1
+    for si, ni in zip(s, nums):
+        if ni:
             basis = list(accumulate(L[:0:-1], lambda b, c: c + si * b))[::-1]
-            e = fi.denominator * horner_ints(basis, 1, si)[0]
-            g = math.lcm(den, e)
-            c, r, den = fi.numerator * (g // e), g // den, g
-            nums = [n * r + c * b for n, b in zip(nums, basis)]
-    return UniPoly.zero()._from_ints([n * Q ** k for k, n in enumerate(nums)],
-                                     den)
+            e = horner_ints(basis, 1, si)[0]
+            g = math.lcm(D, e)
+            c, r, D = ni * (g // e), g // D, g
+            out = [n * r + c * b for n, b in zip(out, basis)]
+    return UniPoly.zero()._from_ints([n * Q ** k for k, n in enumerate(out)],
+                                     D * den)
+
+
+def lagrange_interpolate(nodes, values):
+    """Unique degree <= len(nodes)-1 polynomial through the given points,
+    exact: _interpolate_ints on the nodes and values over their lcms."""
+    nodes, values = ([as_fraction(x) for x in xs] for xs in (nodes, values))
+    if len(values) != len(nodes) or len(set(nodes)) != len(nodes):
+        raise ValueError("need distinct nodes and one value per node")
+    (Q, s), (F, g) = _over_lcm(nodes), _over_lcm(values)
+    return _interpolate_ints(s, Q, g, F)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from fractions import Fraction
 from itertools import combinations
 import math
 
-from .numcore import (UniPoly, as_fraction, lagrange_interpolate,
-                      point_to_json, scalar_to_json)
+from .numcore import (UniPoly, _interpolate_ints, _over_lcm, as_fraction,
+                      horner_ints, lagrange_interpolate, point_to_json,
+                      scalar_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,9 @@ def minimax_lp(nodes, values, degree):
     levelled error |h| on a (degree+2)-point reference.  The search ends when
     |h| equals the maximum error over all nodes: the de la Vallee Poussin
     certificate that no polynomial of this degree does better.  Raises
-    ArithmeticError rather than return a result without that certificate."""
+    ArithmeticError rather than return a result without that certificate.
+    Per node it runs in integers: with s_i = Q t_i, g_i = F f_i over lcms and
+    p = nums/den, r_i = g_i den Q^d - F sum_k nums_k Q^(d-k) s_i^k."""
     nodes = [as_fraction(t) for t in nodes]
     values = [as_fraction(v) for v in values]
     if len(set(nodes)) != len(nodes):
@@ -48,30 +51,34 @@ def minimax_lp(nodes, values, degree):
         p = lagrange_interpolate(nodes, values)
         return MinimaxResult(Fraction(0), p, list(nodes))
     d = degree
-    order = sorted(range(len(nodes)), key=nodes.__getitem__)
+    (Q, s), (F, g) = _over_lcm(nodes), _over_lcm(values)
+    order = sorted(range(len(s)), key=s.__getitem__)
     # reference: d+2 node indices in increasing node order, evenly spread
-    ref = [order[j * (len(nodes) - 1) // (d + 1)] for j in range(d + 2)]
+    ref = [order[j * (len(s) - 1) // (d + 1)] for j in range(d + 2)]
     last = None
     while True:
         p, h = _level([nodes[i] for i in ref], [values[i] for i in ref], d)
         if last is not None and abs(h) <= last:
             raise ArithmeticError("exchange did not raise the levelled error")
         last = abs(h)
-        errs = [f - p.eval(t) for t, f in zip(nodes, values)]
-        worst = max(range(len(nodes)), key=lambda i: abs(errs[i]))
-        if abs(errs[worst]) <= abs(h):
+        S = p.den * Q ** d          # r_i = S F (f_i - p(t_i))
+        P = [F * n * Q ** (d - k) for k, n in enumerate(p.nums)]
+        r = [gi * S - horner_ints(P, 1, si)[0] for si, gi in zip(s, g)]
+        a = list(map(abs, r))
+        worst = a.index(max(a))
+        H = h * S * F               # an integer if the reference levels
+        if a[worst] <= abs(H):
             break
-        ref = _exchange(ref, worst, errs, nodes, h)
-    eps = abs(h)
+        ref = _exchange(ref, worst, r, s, h)
     # certificate: the residual levels at +-eps with alternating sign on the
     # reference, and no node exceeds eps
     for j, i in enumerate(ref):
-        if errs[i] != (-1) ** j * h or (j and nodes[ref[j - 1]] >= nodes[i]):
+        if r[i] != (-1) ** j * H or (j and s[ref[j - 1]] >= s[i]):
             raise ArithmeticError("reference does not equioscillate")
-    if p.degree > d or max(map(abs, errs)) != eps:
+    E = abs(H.numerator)            # H = r[ref[0]], an integer
+    if p.degree > d or a[worst] != E:
         raise ArithmeticError("exchange ended without a certificate")
-    active = [t for t, e in zip(nodes, errs) if abs(e) == eps]
-    return MinimaxResult(eps, p, active)
+    return MinimaxResult(abs(h), p, [t for t, x in zip(nodes, a) if x == E])
 
 
 def _exchange(ref, new, errs, nodes, h):
@@ -107,23 +114,22 @@ def minimax_reference(nodes, values, degree):
 
 def _level(ts, fs, d):
     """The degree <= d polynomial p and level h with p(t_j) + (-1)^j h = f_j
-    on the d+2 increasing nodes ts, in closed form.  The (d+1)-th divided
-    difference sum_j w_j g(t_j), w_j = 1 / prod_{k != j} (t_j - t_k),
-    vanishes for g = p, so h = sum_j w_j f_j / sum_j (-1)^j w_j.  On
-    increasing nodes the w_j alternate in sign, so that sum is never 0.
-    Both sums scale alike, so h is the same on the integer nodes s_j = Q t_j
-    (Q the lcm of the denominators, every product Q^(d+1) times larger) with
-    the integer weights M / prod_{k != j} (s_j - s_k), M the products' lcm."""
-    Q = math.lcm(*(t.denominator for t in ts))
-    s = [t.numerator * (Q // t.denominator) for t in ts]
-    prods = [math.prod(a - b for b in s if b != a) for a in s]
+    on the d+2 increasing nodes ts, in closed form and in integers.  The
+    (d+1)-th divided difference sum_j w_j g(t_j), w_j = 1 / prod_{k != j}
+    (t_j - t_k), vanishes for g = p, and on increasing nodes w_j has the
+    sign of (-1)^(d+1-j), so h = sum_j (-1)^j |w_j| f_j / sum_j |w_j|.  Both
+    sums scale alike: on s_j = Q t_j and g_j = F f_j (Q, F the lcms of the
+    denominators) |w_j| = M / |prod_{k != j} (s_j - s_k)|, M the products'
+    lcm, and h = A / (F W) in integers."""
+    (Q, s), (F, g) = _over_lcm(ts), _over_lcm(fs)
+    prods = [abs(math.prod(a - b for b in s if b != a)) for a in s]
     M = math.lcm(*prods)
     w = [M // p for p in prods]
-    h = (sum(wj * f for wj, f in zip(w, fs))
-         / sum(wj if j % 2 == 0 else -wj for j, wj in enumerate(w)))
-    p = lagrange_interpolate(ts[:d + 1], [f - (-1) ** j * h
-                                          for j, f in enumerate(fs[:d + 1])])
-    return p, h
+    A = sum((-1) ** j * wj * gj for j, (wj, gj) in enumerate(zip(w, g)))
+    W = sum(w)
+    p = _interpolate_ints(s[:d + 1], Q, [gj * W - (-1) ** j * A for j, gj
+                                         in enumerate(g[:d + 1])], F * W)
+    return p, Fraction(A, F * W)
 
 
 def eps_profile(nodes, values, max_degree):

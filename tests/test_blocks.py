@@ -30,6 +30,13 @@ def test_dyadic_decay_properties():
             assert abs(p.eval(t)) * t ** d <= 1, (n, d, t)
 
 
+def test_dyadic_decay_ceilings_are_exact():
+    # just past 16 there are levels 0..5 with Chebyshev degrees 5, 3, 3, 2,
+    # 2, 1; the float ceilings of log2 and sqrt rounded to those of 16
+    assert dyadic_decay_poly(16, 1).degree == 4 + 3 + 2 + 2 + 1
+    assert dyadic_decay_poly(16 + Fraction(1, 10 ** 20), 1).degree == 16
+
+
 def test_reciprocal_sandwich():
     for n, d in ((8, 3), (20, 5)):
         p, eps = reciprocal_approx(n, d)

@@ -10,6 +10,7 @@ from polyapprox import cli, symmetric
 from polyapprox.cli import main
 from polyapprox.extension import extend_approx
 from polyapprox.numcore import scalar_from_json
+from polyapprox.oracle import minimax_lp
 from polyapprox.symmetric import SymApprox, SymSpec, sampling_approx
 
 
@@ -403,6 +404,9 @@ SAMPLING_8_2 = ["--target", "sampling", "--n", "8", "--k", "2", "--seed", "1"]
     (AND_4, _set("certified_eps_exact", "0x1p-100000000")),
     (AND_8, _set_coefficients("0x1p-1048577")),
     (AND_8, _set_coefficients("0x1p1048576", "0x1p-1")),
+    # each exponent within MAX_EXP, but 400 numerators of 2^20 bits each
+    # over the common denominator: 53 MB before numcore.MAX_BITS
+    (AND_8, _set_coefficients("0x1p-1", *400 * ["0x1p1048575"])),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -846,6 +850,27 @@ def test_golden_coefficients_match_the_recorded_artifacts(name, golden):
     for data in golden(name):
         digest.update(_canonical(json.loads(data)).encode())
     assert digest.hexdigest() == CANONICAL_SHA256[name]
+
+
+def test_symmetric_golden_artifacts_are_no_better_than_the_optimum(golden):
+    # By de la Vallee Poussin no polynomial of degree D beats the minimax
+    # error eps_star on the weights 0..n: a certified error below it is a
+    # bug in the measure or in the oracle.
+    covered = []
+    for name in sorted(GOLDEN_ARGV):
+        for data in golden(name):
+            doc = json.loads(data)
+            n, degree = doc["n"], doc["degree"]
+            if "values" not in doc or degree >= n:
+                continue
+            values = [scalar_from_json(v) for v in doc["values"]]
+            best = minimax_lp(range(n + 1), values, degree).eps_star
+            assert scalar_from_json(doc["certified_eps_exact"]) >= best
+            covered.append((name, n, degree))
+    assert sorted(covered) == [("float", 16, 4), ("float", 24, 5),
+                               ("float", 32, 6), ("prec", 24, 12),
+                               ("prec", 24, 12), ("prec", 24, 12),
+                               ("prec", 24, 12)]
 
 
 def _recipe_degree(target, n, k, seed, eps):

@@ -1022,6 +1022,16 @@ def test_float_from_json_reads_a_coefficient_as_it_is():
             UniPoly.from_json(dict(doc, coeffs=coeffs))
     with pytest.raises(ValueError, match="hex exponent past"):
         UniPoly.from_json(dict(doc, coeffs=["0x1p-%d" % (top + 1)]))
+    # and so is their total: over the common denominator each numerator
+    # below takes 2^20 + 1 bits, so three read and four are past MAX_BITS
+    # (400 took 53 MB before anything bounded the total)
+    big = "0x1p%d" % (top - 1)
+    three = UniPoly.from_json(dict(doc, coeffs=["0x1p-1"] + 3 * [big]))
+    assert three.degree == 3
+    for k in (4, 400):
+        with pytest.raises(ValueError, match="more than %d bits" %
+                           numcore.MAX_BITS):
+            UniPoly.from_json(dict(doc, coeffs=["0x1p-1"] + k * [big]))
 
 
 def test_splitmix_deterministic():

@@ -70,6 +70,57 @@ def test_ladder_results_match_golden_hash():
     assert digest.hexdigest() == LADDER_SHA256
 
 
+# sha256 over the sorted-key JSON of every result of _oracle_corpus(),
+# recorded with the exchange that measured its residuals as Fractions: the
+# best approximation is unique, so a faster exchange must keep every byte.
+ORACLE_SHA256 = "d6d42dcc29da65bde442d313e6efc05cab205127f9c57a8d2ee7028a137a739d"
+
+
+def _oracle_corpus():
+    """(nodes, values, degree) of each solve: the AND and OR ladders at
+    n = 16, 24 and 32 up to their first eps_star <= 1/3 (at degrees 3, 4
+    and 4), seeded 2^-16 spectra at (n, d) = (16, 4), (16, 8) and (32, 8),
+    shuffled rational nodes of mixed sign and denominator, and one
+    interpolant (d >= N - 1)."""
+    for n, stop in ((16, 3), (24, 4), (32, 4)):
+        for vals in ([0] * n + [1], [0] + [1] * n):
+            for d in range(stop + 1):
+                yield list(range(n + 1)), vals, d
+    rng = SplitMix64(2028)
+    for n, d in ((16, 4), (16, 8), (32, 8)):
+        yield list(range(n + 1)), [rng.fraction() for _ in range(n + 1)], d
+    for trial in range(8):
+        nodes = []
+        while len(nodes) < 6 + trial:
+            t = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+            if t not in nodes:
+                nodes.append(t)
+        vals = [rng.fraction() for _ in nodes]
+        yield nodes, vals, rng.randint(1, len(nodes) - 2)
+    yield nodes, vals, len(nodes) - 1
+
+
+def test_oracle_corpus_matches_golden_hash():
+    digest = hashlib.sha256()
+    for nodes, vals, d in _oracle_corpus():
+        res = minimax_lp(nodes, vals, d)
+        digest.update(json.dumps(res.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == ORACLE_SHA256
+
+
+def test_exchange_evaluates_no_unipoly(monkeypatch):
+    # every residual of the exchange is one integer Horner sum: UniPoly.eval
+    # is never called below the interpolation degree
+    cases = [c for c in _oracle_corpus() if c[2] < len(c[0]) - 1][-10:]
+    want = [minimax_lp(*c).to_json() for c in cases]
+
+    def no_eval(self, t):
+        raise AssertionError("UniPoly.eval called")
+
+    monkeypatch.setattr(UniPoly, "eval", no_eval)
+    assert [minimax_lp(*c).to_json() for c in cases] == want
+
+
 def test_to_json_writes_a_point_past_the_int_to_str_limit():
     # str() raises past 4300 digits; the point is written in hex and reads
     # back exactly, and every other point keeps its str() spelling
