@@ -144,9 +144,8 @@ def interval_indicator(n, d, eps):
     p1, _ = reciprocal_corollary(n + 1)
     p1 = p1.compose_affine(1, 1)       # sandwich 1/(2(t+1)) .. 1/(t+1) on [0,n]
     D = 5 * d + 1
-    # the smallest D with (5/6)^(D+1) C(D+d, d) d <= eps/2, in integers
-    while (2 * d * math.comb(D + d, d) * 5 ** (D + 1) * eps.denominator
-           > eps.numerator * 6 ** (D + 1)):
+    # the smallest D >= 5d + 1 with (5/6)^(D+1) C(D+d, d) d <= eps/2
+    while reciprocal_power_error_bound(d, D, Fraction(1, 6)) > eps / 2:
         D += 1
     p2 = reciprocal_power_approx(d, D)
     eps3 = min(eps / (2 * math.comb(D + d, d)), eps / 4)

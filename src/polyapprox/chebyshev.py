@@ -85,8 +85,3 @@ def growth_lower_bounds(d, delta):
     with mp.workprec(DEFAULT_PREC):
         dd = to_mpf(delta, DEFAULT_PREC)
         return (1 + d * d * dd, mpmath.mpf(2) ** (d * mpmath.sqrt(dd) - 1))
-
-
-def derivative_lower_bound(d):
-    """T_d'(t) >= d^2 for every t >= 1."""
-    return d * d

@@ -55,6 +55,8 @@ def _emit(obj, path):
 
 
 def _random_low_support(n, k, seed):
+    if n >= 0 and not 0 <= k <= n:        # SymSpec rejects n < 0
+        raise ValueError("--k must lie in 0..%d, got %d" % (n, k))
     rng = SplitMix64(seed)
     values = [rng.fraction() for _ in range(k + 1)] + [0] * (n - k)
     return SymSpec(n, values)

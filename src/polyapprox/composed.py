@@ -1,7 +1,8 @@
 """Composed approximants: surjectivity over a column grid, disjunction
-selectors over function families, slack-variable homogenization, and the
-conjunction-norm bookkeeping that justifies symmetrization of composed
-constructions."""
+selectors over function families, and the conjunction-norm bookkeeping that
+justifies symmetrization of composed constructions.  Its expansions are the
+one form of a multilinear polynomial over the cube: interpolated from a
+function, averaged over blocks of variables, and evaluated on weights."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,6 @@ from .numcore import (DEFAULT_PREC, UniPoly, as_fraction, certify,
                       scalar_to_json, to_dyadic)
 from .chebyshev import cheb_eval, cheb_poly
 from .symmetric import and_or_min_degree
-from .oracle import multilinear_interpolant
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,83 @@ def expansion_eval(expansion, x):
 
 def expansion_norm(expansion):
     return sum(map(abs, expansion.values()), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Multilinear polynomials over {0,1}^n: expansions whose every key is a
+# monomial (S, frozenset()).
+
+
+def multilinear_interpolant(nvars, f):
+    """The unique multilinear polynomial agreeing with f on all 0/1 inputs.
+    Built by the weight-ascending correction recursion."""
+    p = {}
+    for w in range(nvars + 1):
+        for sup in combinations(range(nvars), w):
+            x = [0] * nvars
+            for i in sup:
+                x[i] = 1
+            delta = as_fraction(f(tuple(x))) - expansion_eval(p, x)
+            if delta != 0:
+                p[frozenset(sup), _EMPTY] = delta
+    return p
+
+
+def symmetrize(expansion, blocks):
+    """Average of a monomial expansion over permutations acting within each
+    block.
+
+    Returns a dict mapping per-block monomial degree tuples (s_1..s_k) to
+    coefficients; the symmetrized value at block weights (t_1..t_k) is
+    sum coeff * prod C(t_b, s_b).  A monomial with s_b variables in block b
+    contributes coeff / prod C(n_b, s_b)."""
+    idx = {}
+    for bi, blk in enumerate(blocks):
+        for v in blk:
+            idx[v] = bi
+    out = {}
+    for (s, _), c in expansion.items():
+        sig = [0] * len(blocks)
+        for v in s:
+            sig[idx[v]] += 1
+        sig = tuple(sig)
+        w = c
+        for bi, sb in enumerate(sig):
+            w /= math.comb(len(blocks[bi]), sb)
+        out[sig] = out.get(sig, Fraction(0)) + w
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def sym_eval(sym, weights):
+    tot = Fraction(0)
+    for sig, c in sym.items():
+        prod = c
+        for sb, t in zip(sig, weights):
+            prod *= math.comb(t, sb)
+        tot += prod
+    return tot
+
+
+def sym_to_unipoly(sym):
+    """Single-block symmetrization as a dense polynomial in the weight,
+    using C(t, s) = t(t-1)...(t-s+1)/s!."""
+    p = UniPoly.zero()
+    for (s,), c in sym.items():
+        binom = UniPoly([1])
+        for i in range(s):
+            binom = binom * UniPoly([-i, 1])
+        p = p + binom.scale(Fraction(c, math.factorial(s)))
+    return p
+
+
+def incl_excl_expand(k):
+    """prod_{i<k} f_i as a signed combination of disjunctions:
+    returns [(sign, subset)] with sign = (-1)^(|S|+1) over nonempty S."""
+    out = []
+    for r in range(1, k + 1):
+        for sub in combinations(range(k), r):
+            out.append(((-1) ** (r + 1), frozenset(sub)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -296,42 +373,13 @@ def surj_outer_eval(r, eps, weights, prec=DEFAULT_PREC):
 
 
 # ---------------------------------------------------------------------------
-# Slack-variable homogenization.
-
-
-def homogenize_eval(mpoly, zvars, nz, x, t):
-    """Average mpoly over completions of the z-block at weight t: a monomial
-    using s slack variables picks up C(t,s)/C(nz,s).  Exact."""
-    zset = frozenset(zvars)
-    tot = Fraction(0)
-    for s, c in mpoly.terms.items():
-        zpart = s & zset
-        rest = s - zset
-        if not all(x[i] for i in rest):
-            continue
-        k = len(zpart)
-        tot += c * Fraction(math.comb(t, k), math.comb(nz, k))
-    return tot
-
-
-# ---------------------------------------------------------------------------
 # Selector composition: F(x, y) = OR_i (y_i AND f_i(x)) on |y| = n.
 
 
 @dataclass
 class SelectorApprox:
-    N: int
-    n: int
-    b: int
-    a: list
     certified_eps: object
     degree: int
-
-    def to_json(self):
-        return {"N": self.N, "n": self.n, "b": self.b,
-                "a": [str(v) for v in self.a],
-                "certified_eps": float(self.certified_eps),
-                "degree": self.degree}
 
 
 def _or_symmetric_coeffs(k, eps, prec):
@@ -355,10 +403,12 @@ def selector_compose(fs, M, N, n, b, eps):
     def f_union(S, x):
         return 1 if any(fs[i](x) for i in S) else 0
 
-    inner_deg = max((multilinear_interpolant(M, f).degree for f in fs),
-                    default=0)
+    # each f's multilinear degree, -1 for the zero polynomial
+    inner_deg = max((max((len(p | q) for p, q in multilinear_interpolant(M, f)),
+                         default=-1) for f in fs), default=0)
 
-    # Built once per live ell: its ordered disjoint block tuples and unions.
+    # Built once per live ell: its ordered disjoint block tuples and unions,
+    # and the inclusion-exclusion of a tuple's conjunction.
     blocks = list(combinations(range(N), b))
     live = []
     for ell in range(1, len(a)):
@@ -367,23 +417,21 @@ def selector_compose(fs, M, N, n, b, eps):
                       if len(set().union(*c)) == b * ell]
             scale = (a[ell] * math.comb(k, ell) * math.comb(N, b * ell)
                      / Fraction(math.comb(n, b * ell) * len(tuples)))
-            live.append((ell, tuples, scale))
+            live.append((tuples, scale, incl_excl_expand(ell)))
 
     def evaluate(x, selected):
         tot = a[0] if a else Fraction(0)
-        for ell, tuples, scale in live:
+        for tuples, scale, signed in live:
             acc = 0
             for union, tup in tuples:
-                if not union <= selected:
-                    continue
-                for rS in range(1, ell + 1):
-                    for S in combinations(tup, rS):
-                        acc += (-1) ** (rS + 1) * f_union(set().union(*S), x)
+                if union <= selected:
+                    acc += sum(sign * f_union(set().union(*(tup[i] for i in S)),
+                                              x) for sign, S in signed)
             tot += scale * acc
         return tot
 
     worst = max(abs(evaluate(x, selected) - f_union(selected, x))
                 for x in product((0, 1), repeat=M)
                 for selected in map(set, combinations(range(N), n)))
-    return SelectorApprox(N, n, b, a, worst, inner_deg + d_out * b)
+    return SelectorApprox(worst, inner_deg + d_out * b)
 

@@ -164,6 +164,14 @@ def scalar_from_json(s):
     return fraction_from_json(s) if "/" in s else _dyadic(*_from_hex(s))
 
 
+def json_array(doc, key):
+    """doc[key], which must be a JSON array: an object there would be read
+    as the list of its keys."""
+    if type(doc[key]) is not list:
+        raise ValueError("%s is not a JSON array" % key)
+    return doc[key]
+
+
 def _lowest(nums, den, prec):
     """(nums, den) for sum_i nums[i] / den t^i in lowest terms, with no
     trailing zero: exact if prec is None, else each coefficient rounded
@@ -410,19 +418,19 @@ class UniPoly:
         """The inverse of to_json.  A float coefficient is read as it is,
         never rounded: one with more than precision_bits significant bits
         is no polynomial at that precision, and raises ValueError."""
-        backend = d["backend"]
+        backend, coeffs = d["backend"], json_array(d, "coeffs")
         if backend == RATIONAL:
-            return cls([fraction_from_json(s) for s in d["coeffs"]])
+            return cls([fraction_from_json(s) for s in coeffs])
         if backend != FLOAT:
             raise ValueError("unknown backend %r" % backend)
         prec = d["precision_bits"]
         if type(prec) is not int or prec < 1:
             raise ValueError("float precision must be an integer of at least "
                              "1 bit, got %r" % (prec,))
-        if any("/" in s for s in d["coeffs"]):
+        if any("/" in s for s in coeffs):
             raise ValueError("float polynomial with a rational coefficient")
-        parts = [_from_hex(s) for s in d["coeffs"]]
-        for (man, _), s in zip(parts, d["coeffs"]):
+        parts = [_from_hex(s) for s in coeffs]
+        for (man, _), s in zip(parts, coeffs):
             if abs(man).bit_length() > prec:
                 raise ValueError("coefficient %s has more than %d significant "
                                  "bits" % (s, prec))

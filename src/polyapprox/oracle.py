@@ -1,6 +1,5 @@
-"""Independent ground-truth machinery: exact-rational minimax over finite
-node sets (exact exchange and an alternation-based cross-check), multilinear
-interpolation, symmetrization, and inclusion-exclusion expansion."""
+"""Independent ground truth: exact-rational minimax over finite node sets,
+by exact exchange and by an alternation-based cross-check."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,10 +9,6 @@ import math
 from .numcore import (UniPoly, _interpolate_ints, _over_lcm, as_fraction,
                       horner_ints, lagrange_interpolate, point_to_json,
                       scalar_to_json)
-
-
-# ---------------------------------------------------------------------------
-# Minimax over finite node sets.
 
 
 @dataclass
@@ -130,112 +125,3 @@ def _level(ts, fs, d):
     p = _interpolate_ints(s[:d + 1], Q, [gj * W - (-1) ** j * A for j, gj
                                          in enumerate(g[:d + 1])], F * W)
     return p, Fraction(A, F * W)
-
-
-def eps_profile(nodes, values, max_degree):
-    """eps_star for every degree 0..max_degree (monotone nonincreasing)."""
-    return [minimax_lp(nodes, values, d).eps_star for d in range(max_degree + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Multilinear polynomials over {0,1}^n, as {frozenset: coeff} maps.
-
-
-class MultiPoly:
-    def __init__(self, terms=None):
-        self.terms = {frozenset(k): as_fraction(v)
-                      for k, v in (terms or {}).items() if v != 0}
-
-    @property
-    def degree(self):
-        return max((len(s) for s in self.terms), default=-1)
-
-    def eval(self, x):
-        """x is an indexable 0/1 assignment."""
-        tot = Fraction(0)
-        for s, c in self.terms.items():
-            if all(x[i] for i in s):
-                tot += c
-        return tot
-
-    def norm(self):
-        return sum(map(abs, self.terms.values()), Fraction(0))
-
-    def add_term(self, s, c):
-        s = frozenset(s)
-        c = self.terms.get(s, Fraction(0)) + c
-        if c == 0:
-            self.terms.pop(s, None)
-        else:
-            self.terms[s] = c
-
-
-def multilinear_interpolant(nvars, f):
-    """The unique multilinear polynomial agreeing with f on all 0/1 inputs.
-    Built by the weight-ascending correction recursion."""
-    p = MultiPoly()
-    for w in range(nvars + 1):
-        for sup in combinations(range(nvars), w):
-            x = [0] * nvars
-            for i in sup:
-                x[i] = 1
-            delta = as_fraction(f(tuple(x))) - p.eval(x)
-            if delta != 0:
-                p.add_term(sup, delta)
-    return p
-
-
-def symmetrize(mpoly, blocks):
-    """Average of mpoly over permutations acting within each block.
-
-    Returns a dict mapping per-block monomial degree tuples (s_1..s_k) to
-    coefficients; the symmetrized value at block weights (t_1..t_k) is
-    sum coeff * prod C(t_b, s_b).  A monomial with s_b variables in block b
-    contributes coeff / prod C(n_b, s_b)."""
-    idx = {}
-    for bi, blk in enumerate(blocks):
-        for v in blk:
-            idx[v] = bi
-    out = {}
-    for s, c in mpoly.terms.items():
-        sig = [0] * len(blocks)
-        for v in s:
-            sig[idx[v]] += 1
-        sig = tuple(sig)
-        w = c
-        for bi, sb in enumerate(sig):
-            w /= math.comb(len(blocks[bi]), sb)
-        out[sig] = out.get(sig, Fraction(0)) + w
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def sym_eval(sym, weights):
-    tot = Fraction(0)
-    for sig, c in sym.items():
-        prod = c
-        for sb, t in zip(sig, weights):
-            prod *= math.comb(t, sb)
-        tot += prod
-    return tot
-
-
-def sym_to_unipoly(sym):
-    """Single-block symmetrization as a dense polynomial in the weight,
-    using C(t, s) = t(t-1)...(t-s+1)/s!."""
-    p = UniPoly.zero()
-    for (s,), c in sym.items():
-        binom = UniPoly([1])
-        for i in range(s):
-            binom = binom * UniPoly([-i, 1])
-        p = p + binom.scale(Fraction(c, math.factorial(s)))
-    return p
-
-
-def incl_excl_expand(k):
-    """prod_{i<k} f_i as a signed combination of disjunctions:
-    returns [(sign, subset)] with sign = (-1)^(|S|+1) over nonempty S."""
-    out = []
-    for r in range(1, k + 1):
-        for sub in combinations(range(k), r):
-            out.append(((-1) ** (r + 1), frozenset(sub)))
-    return out

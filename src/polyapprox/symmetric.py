@@ -16,13 +16,18 @@ import mpmath
 from mpmath import mp
 
 from .numcore import (DEFAULT_PREC, SComp, UniPoly, as_fraction, certify,
-                      fraction_from_json, lagrange_interpolate, max_error,
-                      min_degree, poly_from_json, scalar_from_json,
+                      fraction_from_json, json_array, lagrange_interpolate,
+                      max_error, min_degree, poly_from_json, scalar_from_json,
                       scalar_to_json)
 from .chebyshev import cheb_eval, cheb_poly, from_mpf
 
 
 ZERO, ONE = Fraction(0), Fraction(1)
+# the construction label of every SymApprox a construction builds
+CONSTRUCTIONS = frozenset({
+    "interpolant", "chebyshev-damped", "zeroed-chebyshev",
+    "boundary-decomposition", "sampled-nodes", "extension",
+    "extension-passthrough", "extension-point", "zero"})
 
 
 @dataclass
@@ -101,14 +106,18 @@ class SymApprox:
     @classmethod
     def from_json(cls, doc):
         """The inverse of to_json; the degree is the polynomial's."""
-        spec = SymSpec(doc["n"], list(map(fraction_from_json, doc["values"])))
+        spec = SymSpec(doc["n"], [fraction_from_json(v)
+                                  for v in json_array(doc, "values")])
         exact = doc["exact_on"]
         if not (isinstance(exact, list) and len(set(exact)) == len(exact)
                 and all(type(w) is int and 0 <= w <= spec.n for w in exact)):
             raise ValueError("exact_on must list distinct weights 0..n")
+        label = doc["construction"]
+        if type(label) is not str or label not in CONSTRUCTIONS:
+            raise ValueError("unknown construction %.40r" % (label,))
         return cls(spec, poly_from_json(doc),
-                   scalar_from_json(doc["certified_eps_exact"]),
-                   doc["construction"], set(exact))
+                   scalar_from_json(doc["certified_eps_exact"]), label,
+                   set(exact))
 
 
 def single_zero_factor(n, m, prec=DEFAULT_PREC):

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyapprox.chebyshev import (cheb_eval, cheb_eval_closed, cheb_extrema,
                                   cheb_factored, cheb_poly, cheb_roots,
-                                  derivative_lower_bound, from_mpf,
-                                  growth_lower_bounds, to_mpf)
+                                  from_mpf, growth_lower_bounds, to_mpf)
 from polyapprox.numcore import to_dyadic
 
 
@@ -100,7 +99,6 @@ def test_derivative_lower_bound_is_d_squared():
     for d in (1, 3, 10):
         p = cheb_poly(d).derivative()
         assert p.eval(1) == d * d
-        assert derivative_lower_bound(d) <= d * d
 
 
 def test_from_mpf_keeps_the_sign():

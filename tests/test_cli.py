@@ -72,6 +72,19 @@ def test_surjectivity_without_columns_exits_2(r_flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["sampling", "small-support"])
+@pytest.mark.parametrize("k", ["-1", "9"])
+def test_k_outside_0_to_n_exits_2(target, k, tmp_path, capsys):
+    # --k -1 wrote a zero spectrum of degree -1 with exit 0, and --k 9 on
+    # 8 rows was reported as a wrong count of weight values
+    out = tmp_path / "x.json"
+    rc = run(["construct", "--target", target, "--n", "8", "--k", k,
+              "--out", str(out)])
+    assert rc == 2
+    assert "--k must lie in 0..8, got " + k in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_verify_round_trips(tmp_path, capsys):
     cases = [
         ["construct", "--target", "and", "--n", "12"],
@@ -254,6 +267,18 @@ def _set(field, value):
     return tamper
 
 
+def _as_an_object(field):
+    # a JSON object where an array belongs was read as the list of its keys
+    def tamper(doc):
+        doc[field] = dict.fromkeys(doc[field], 0)
+    return tamper
+
+
+def _inner_coefficients_as_an_object(doc):
+    poly = doc["inner"]["poly"]
+    poly["coeffs"] = dict.fromkeys(poly["coeffs"], 0)
+
+
 def _set_last_ell(value):
     def tamper(doc):
         doc["terms"][-1]["ell"] = value(doc["r"])
@@ -332,6 +357,8 @@ AND_8 = ["--target", "and", "--n", "8"]
 SURJ_8_2 = ["--target", "surjectivity", "--n", "8", "--r", "2"]
 # 4k >= n: the exact interpolant, one dense rational polynomial
 SAMPLING_8_2 = ["--target", "sampling", "--n", "8", "--k", "2", "--seed", "1"]
+# 4k < n: the sampled-node composition, whose inner is dense
+SAMPLING_16_1 = ["--target", "sampling", "--n", "16", "--k", "1", "--seed", "1"]
 
 
 @pytest.mark.parametrize("argv, tamper", [
@@ -407,6 +434,15 @@ SAMPLING_8_2 = ["--target", "sampling", "--n", "8", "--k", "2", "--seed", "1"]
     # each exponent within MAX_EXP, but 400 numerators of 2^20 bits each
     # over the common denominator: 53 MB before numcore.MAX_BITS
     (AND_8, _set_coefficients("0x1p-1", *400 * ["0x1p1048575"])),
+    # a label no construction writes: verify printed OK
+    (AND_4, _set("construction", 5)),
+    (AND_4, _set("construction", None)),
+    (AND_4, _set("construction", [1])),
+    (AND_4, _set("construction", "nonsense-label")),
+    # each object's keys are the array it replaces: verify printed OK
+    (SAMPLING_16_1, _inner_coefficients_as_an_object),
+    (AND_4, _as_an_object("coeffs")),
+    (AND_1, _as_an_object("values")),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):

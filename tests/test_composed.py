@@ -10,11 +10,10 @@ from polyapprox import composed
 from polyapprox.chebyshev import to_mpf
 from polyapprox.composed import (PComp, PConj, PConst, PDisj, PProd, PScale,
                                  PSum, _weight_vectors, expansion_eval,
-                                 expansion_norm, homogenize_eval,
-                                 selector_compose, surj_outer_eval,
-                                 surj_value, surjectivity_approx)
+                                 expansion_norm, selector_compose, sym_eval,
+                                 surj_outer_eval, surj_value,
+                                 surjectivity_approx, symmetrize)
 from polyapprox.numcore import SplitMix64, UniPoly, max_error
-from polyapprox.oracle import MultiPoly
 from polyapprox.symmetric import and_or_min_degree
 
 
@@ -174,27 +173,26 @@ def test_surjectivity_outer_cross_validation():
 
 def test_or_subset_coefficients_keep_the_working_precision():
     # a_ell are the exact finite differences of the OR weight polynomial g,
-    # so sum_ell C(w, ell) a_ell gives g(w) back exactly, and a selector's
-    # JSON keeps every bit of them.
+    # so sum_ell C(w, ell) a_ell gives g(w) back exactly.
     k, eps, prec = 16, Fraction(1, 4), 512
-    coeffs, degree = composed._or_symmetric_coeffs(k, eps, prec)
+    coeffs, _ = composed._or_symmetric_coeffs(k, eps, prec)
     g = and_or_min_degree(k, "or", eps / 2, prec).poly
     assert g.backend == "float" and len(coeffs) > 2
     assert all(type(a) is Fraction for a in coeffs)
     for w in range(len(coeffs)):
         back = sum(math.comb(w, ell) * coeffs[ell] for ell in range(w + 1))
         assert back == g.eval(w), w
-    doc = composed.SelectorApprox(k, k, 1, coeffs, Fraction(0), degree).to_json()
-    assert [Fraction(s) for s in doc["a"]] == coeffs
 
 
 def test_homogenize_matches_average():
-    # averaging the z-variables over a fixed-weight slice
-    p = MultiPoly({frozenset(): Fraction(1, 3),
-                   frozenset({0}): Fraction(2),
-                   frozenset({0, 1}): Fraction(-1, 2),
-                   frozenset({2}): Fraction(1)})
+    # averaging the z-variables over a fixed-weight slice is symmetrizing
+    # over the z-block, with the other variable a block of its own
+    p = {(frozenset(), frozenset()): Fraction(1, 3),
+         (frozenset({0}), frozenset()): Fraction(2),
+         (frozenset({0, 1}), frozenset()): Fraction(-1, 2),
+         (frozenset({2}), frozenset()): Fraction(1)}
     zvars, nz = [0, 1], 2
+    sym = symmetrize(p, [zvars, [2]])
     for t in range(nz + 1):
         slices = [z for z in itertools.product((0, 1), repeat=nz)
                   if sum(z) == t]
@@ -202,9 +200,9 @@ def test_homogenize_matches_average():
             vals = []
             for z in slices:
                 x = list(z) + list(x2)
-                vals.append(p.eval(x))
+                vals.append(expansion_eval(p, x))
             avg = sum(vals) / len(vals)
-            got = homogenize_eval(p, zvars, nz, {2: x2[0]}, t)
+            got = sym_eval(sym, (t, x2[0]))
             assert got == avg, (t, x2)
 
 

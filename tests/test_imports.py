@@ -3,8 +3,9 @@ file, every parameter of its functions is read in the function's body,
 every top-level definition and class method is used somewhere, every
 dataclass field is read, only numcore knows the scalar backends and writes
 a Fraction, no module touches a float's bits through libmp and numcore
-imports no mpmath, only SymApprox.measured builds a symmetric approximant
-with its claims, and every cache is bounded.
+imports no mpmath, the oracle imports only numcore, only SymApprox.measured
+builds a symmetric approximant with its claims, every construction label is
+one verify reads, and every cache is bounded.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -198,6 +199,97 @@ def _mpmath_imports(tree):
                               for a in node.names))
                   or (isinstance(node, ast.ImportFrom)
                       and (node.module or "").split(".")[0] == "mpmath"))
+
+
+def _package_imports(tree):
+    """'module (line N)' for every polyapprox module the tree imports, by a
+    relative import or by an absolute one of polyapprox."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "polyapprox":
+                    continue
+                parts = parts[1:]
+            names = (parts[:1] if parts and parts[0] else
+                     [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names
+                     if a.name.startswith("polyapprox.")]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names]
+    return ["%s (line %d)" % (name, line) for line, name in sorted(out)]
+
+
+def test_oracle_imports_only_numcore():
+    # The oracle is the ground truth the constructions are checked against,
+    # so it shares only numcore's integer kernels with them.
+    path = SRC / "oracle.py"
+    found = [m for m in _package_imports(ast.parse(path.read_text(), str(path)))
+             if not m.startswith("numcore ")]
+    assert not found, "oracle imports more than numcore: %s" % ", ".join(found)
+
+
+def test_the_scan_sees_a_package_import():
+    tree = ast.parse("from .numcore import UniPoly\nfrom . import composed\n"
+                     "from .symmetric import SymSpec\nimport polyapprox.blocks\n"
+                     "from polyapprox.chebyshev import cheb_poly\n"
+                     "from polyapprox import cli\nfrom fractions import Fraction\n"
+                     "import math\ndef f():\n    from .extension import g\n")
+    assert _package_imports(tree) == [
+        "numcore (line 1)", "composed (line 2)", "symmetric (line 3)",
+        "blocks (line 4)", "chebyshev (line 5)", "cli (line 6)",
+        "extension (line 10)"]
+
+
+def _construction_labels(tree):
+    """(label, line) for every call SymApprox.measured(...) of the module,
+    and cls.measured(...) in class SymApprox, that has no * argument: label
+    is its construction argument if that is a string literal, else None."""
+    out = []
+    for stmt in tree.body:
+        names = {"SymApprox"}
+        if isinstance(stmt, ast.ClassDef) and stmt.name == "SymApprox":
+            names.add("cls")
+        for node in ast.walk(stmt):
+            if not (isinstance(node, ast.Call) and _callee(node) == "measured"
+                    and getattr(node.func.value, "id", None) in names
+                    and not any(isinstance(a, ast.Starred) for a in node.args)):
+                continue
+            arg = node.args[2:3] + [k.value for k in node.keywords
+                                    if k.arg == "construction"]
+            label = getattr(arg[0], "value", None) if arg else None
+            out.append((label if isinstance(label, str) else None,
+                        node.lineno))
+    return sorted(out, key=lambda pair: pair[1])
+
+
+def test_every_construction_label_is_one_verify_reads():
+    # verify rejects a label outside symmetric.CONSTRUCTIONS (exit 2), so a
+    # construction that wrote one would build artifacts verify refuses.
+    from polyapprox.symmetric import CONSTRUCTIONS
+    labels = [(label, "%s (line %d)" % (p.stem, line)) for p in MODULES
+              for label, line in _construction_labels(
+                  ast.parse(p.read_text(), str(p)))]
+    bad = ["%r at %s" % pair for pair in labels if pair[0] not in CONSTRUCTIONS]
+    assert not bad, "labels verify rejects: %s" % ", ".join(bad)
+    assert {label for label, _ in labels} == CONSTRUCTIONS
+
+
+def test_the_scan_sees_a_construction_label():
+    tree = ast.parse("class SymApprox:\n"
+                     "    def interpolant(cls, s, p):\n"
+                     "        return cls.measured(s, p, 'a')\n"
+                     "class B:\n    def f(cls, n):\n"
+                     "        return cls.measured(n, 1, 'x')\n"
+                     "def g(s, p, lab):\n"
+                     "    SymApprox.measured(s, p, lab)\n"
+                     "    SymApprox.measured(s, p, construction='b')\n"
+                     "    BlockSymApprox.measured(s, p, 'y')\n"
+                     "    return SymApprox.measured(*p)\n")
+    assert _construction_labels(tree) == [("a", 3), (None, 8), ("b", 9)]
 
 
 def test_numcore_imports_no_mpmath():
