@@ -433,5 +433,7 @@ def selector_compose(fs, M, N, n, b, eps):
     worst = max(abs(evaluate(x, selected) - f_union(selected, x))
                 for x in product((0, 1), repeat=M)
                 for selected in map(set, combinations(range(N), n)))
-    return SelectorApprox(worst, inner_deg + d_out * b)
+    # with every f zero the composed polynomial is the constant a_0
+    degree = inner_deg + d_out * b if inner_deg >= 0 else 0
+    return SelectorApprox(worst, degree)
 

@@ -24,7 +24,7 @@ construction's maximum up to prec significant bits.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 import math
 import re
 
@@ -448,34 +448,43 @@ class UniPoly:
         return p
 
 
-def _interpolate_ints(s, Q, nums, den):
-    """The exact polynomial with value nums[i] / den at t = s[i] / Q, s[i]
-    distinct integers, den > 0: with L(y) = prod_j (y - s_j) and B_i =
-    L / (y - s_i) by synthetic division, sum_i nums_i B_i / B_i(s_i) over one
-    denominator, in integers; y = Q t scales coefficient k by Q^k."""
+def _interpolate_ints(s, nums):
+    """(c, D): the integer polynomial sum_k c_k y^k / D with value nums[i]
+    at y = s[i], s distinct integers.  With L(y) = prod_j (y - s_j), each
+    basis polynomial B_i = L / (y - s_i) comes by synthetic division and
+    B_i(s_i) = e_i = prod_{j != i} (s_i - s_j), so the sum of nums_i B_i / e_i
+    is taken over D = lcm |e_i| in integers."""
     L = [1]
     for sj in s:
         L = [a - sj * b for a, b in zip([0] + L, L + [0])]
-    out, D = [0] * len(s), 1
-    for si, ni in zip(s, nums):
+    e = [math.prod(si - sj for sj in s if sj != si) for si in s]
+    D = math.lcm(*e)
+    out = [0] * len(s)
+    for si, ni, ei in zip(s, nums, e):
         if ni:
-            basis = list(accumulate(L[:0:-1], lambda b, c: c + si * b))[::-1]
-            e = horner_ints(basis, 1, si)[0]
-            g = math.lcm(D, e)
-            c, r, D = ni * (g // e), g // D, g
-            out = [n * r + c * b for n, b in zip(out, basis)]
-    return UniPoly.zero()._from_ints([n * Q ** k for k, n in enumerate(out)],
-                                     D * den)
+            c, b = ni * (D // ei), 1
+            for k in range(len(s) - 1, -1, -1):
+                out[k] += c * b
+                b = L[k] + si * b
+    return out, D
+
+
+def _from_scaled(c, Q, den):
+    """The exact UniPoly sum_k c_k (Q t)^k / den, from integers."""
+    return UniPoly.zero()._from_ints([n * Q ** k for k, n in enumerate(c)],
+                                     den)
 
 
 def lagrange_interpolate(nodes, values):
     """Unique degree <= len(nodes)-1 polynomial through the given points,
-    exact: _interpolate_ints on the nodes and values over their lcms."""
+    exact: _interpolate_ints on the nodes and values over their lcms, with
+    y = Q t."""
     nodes, values = ([as_fraction(x) for x in xs] for xs in (nodes, values))
     if len(values) != len(nodes) or len(set(nodes)) != len(nodes):
         raise ValueError("need distinct nodes and one value per node")
     (Q, s), (F, g) = _over_lcm(nodes), _over_lcm(values)
-    return _interpolate_ints(s, Q, g, F)
+    c, D = _interpolate_ints(s, g)
+    return _from_scaled(c, Q, D * F)
 
 
 # ---------------------------------------------------------------------------

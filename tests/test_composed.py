@@ -211,6 +211,13 @@ def _random_tables(rng, M, count):
     return [{x: rng.randint(0, 1) for x in cube} for _ in range(count)]
 
 
+def test_selector_compose_of_zero_functions_claims_degree_zero():
+    # every f zero: the composed polynomial is the constant a_0
+    zero = [lambda x: 0] * 4
+    s = selector_compose(zero, 2, 4, 2, 1, Fraction(1, 4))
+    assert s.degree == 0 and s.certified_eps <= Fraction(1, 4)
+
+
 def test_selector_compose_exhaustive():
     rng = SplitMix64(3)
     M, N, n, b = 3, 4, 2, 1

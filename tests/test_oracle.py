@@ -2,11 +2,14 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from polyapprox import oracle
-from polyapprox.numcore import SplitMix64, UniPoly, scalar_from_json
+from polyapprox.numcore import (BackendMismatchError, SplitMix64, UniPoly,
+                                min_degree, scalar_from_json)
 from polyapprox.composed import (expansion_eval, incl_excl_expand,
                                  multilinear_interpolant, sym_eval,
                                  sym_to_unipoly, symmetrize)
@@ -162,34 +165,124 @@ def test_exchange_raises_without_certificate(monkeypatch):
     nodes, vals = list(range(5)), [0, 0, 0, 0, 1]
     level = oracle._level
 
-    def off_level(ts, fs, d):
-        p, h = level(ts, fs, d)
-        return p + UniPoly([Fraction(1, 1000)]), h
+    def off_level(s, g, d):
+        # C shifted by 1 / den: the reference no longer levels
+        c, den, H = level(s, g, d)
+        return [c[0] + 1] + c[1:], den, H
 
-    def inflated_level(ts, fs, d):
-        p, h = level(ts, fs, d)
-        return p, 2 * h
+    def inflated_level(s, g, d):
+        c, den, H = level(s, g, d)
+        return c, den, 2 * H
 
-    for fake in (off_level, inflated_level):
+    for fake, raised in ((off_level, "did not raise the levelled error"),
+                         (inflated_level, "does not equioscillate")):
         monkeypatch.setattr(oracle, "_level", fake)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match=raised):
             minimax_lp(nodes, vals, 1)
+    # a reference one node short levels exactly but certifies nothing
+    monkeypatch.setattr(oracle, "_level", level)
+    exchange = oracle._exchange
+    monkeypatch.setattr(oracle, "_exchange", lambda *a: exchange(*a)[:-1])
+    with pytest.raises(ArithmeticError, match="does not equioscillate"):
+        minimax_lp(list(range(7)), [0, 1, 0, 0, 1, 1, 0], 1)
 
 
 def test_level_solves_its_defining_system():
-    # p(t_j) + (-1)^j h = f_j on d + 2 increasing rational nodes, deg p <= d
+    # sum_k c_k s_j^k + (-1)^j H = g_j den on d + 2 increasing integers,
+    # len(c) = d + 1 and den > 0
     rng = SplitMix64(41)
     for trial in range(60):
         d = rng.randint(0, 5)
-        ts = set()
-        while len(ts) < d + 2:
-            ts.add(Fraction(rng.randint(-40, 40), rng.randint(1, 7)))
-        ts = sorted(ts)
-        fs = [rng.fraction() for _ in ts]
-        p, h = oracle._level(ts, fs, d)
-        assert p.degree <= d, trial
-        assert all(p.eval(t) + (-1) ** j * h == f
-                   for j, (t, f) in enumerate(zip(ts, fs))), trial
+        s = set()
+        while len(s) < d + 2:
+            s.add(rng.randint(-300, 300))
+        s = sorted(s)
+        g = [rng.randint(-2 ** 16, 2 ** 16) for _ in s]
+        c, den, H = oracle._level(s, g, d)
+        assert len(c) == d + 1 and den > 0, trial
+        assert all(sum(ck * sj ** k for k, ck in enumerate(c)) + (-1) ** j * H
+                   == gj * den for j, (sj, gj) in enumerate(zip(s, g))), trial
+
+
+def _spectrum(kind, n):
+    """AND's weight spectrum, or exact k = 2: the indicator of weight n - 2."""
+    return [0] * n + [1] if kind == "and" else [int(w == n - 2)
+                                                for w in range(n + 1)]
+
+
+def test_multiple_exchange_levels_a_few_times(monkeypatch):
+    # a count, not a clock: a single-point exchange took 125 and 48
+    level, calls = oracle._level, []
+
+    def counted(s, g, d):
+        calls.append(d)
+        return level(s, g, d)
+
+    monkeypatch.setattr(oracle, "_level", counted)
+    for kind, n, d in (("exact", 256, 44), ("and", 256, 22)):
+        del calls[:]
+        minimax_lp(range(n + 1), _spectrum(kind, n), d)
+        assert 1 <= len(calls) <= 8, (kind, len(calls))
+
+
+def test_least_certified_degree_at_eps_one_eighth():
+    # min_degree over the oracle: the degree-D solve certifies eps* <= 1/8
+    # from above, the degree-(D - 1) one eps* > 1/8 from below
+    for kind, n, D, above, below in (("exact", 64, 23, 0.1034, 0.1319),
+                                     ("and", 64, 11, 0.1092, 0.1351)):
+        nodes, vals = list(range(n + 1)), _spectrum(kind, n)
+        solved = {}
+
+        def build(d):
+            solved[d] = minimax_lp(nodes, vals, d)
+            return SimpleNamespace(d=d, certified_eps=solved[d].eps_star)
+
+        assert min_degree(build, Fraction(1, 8), 0, n).d == D, kind
+        assert D - 1 in solved, kind
+        for d, want in ((D, above), (D - 1, below)):
+            assert _certificate_ok(nodes, vals, d, solved[d]), (kind, d)
+            assert round(float(solved[d].eps_star), 4) == want, (kind, d)
+        assert solved[D].eps_star <= Fraction(1, 8) < solved[D - 1].eps_star
+
+
+_fracs = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@st.composite
+def _minimax_cases(draw):
+    """(nodes, values, d): at most 9 distinct mixed-sign rationals, and
+    values that are arbitrary, on a polynomial of degree <= d (h = 0 at
+    the start) or 0/1 (tied residuals)."""
+    nodes = draw(st.lists(_fracs, min_size=2, max_size=9, unique=True))
+    d = draw(st.integers(min_value=0, max_value=len(nodes) - 1))
+    kind = draw(st.sampled_from(["any", "poly", "bits"]))
+    if kind == "poly":
+        q = UniPoly(draw(st.lists(_fracs, min_size=1, max_size=d + 1)))
+        vals = [q.eval(t) for t in nodes]
+    elif kind == "bits":
+        vals = draw(st.lists(st.integers(0, 1), min_size=len(nodes),
+                             max_size=len(nodes)))
+    else:
+        vals = draw(st.lists(_fracs, min_size=len(nodes),
+                             max_size=len(nodes)))
+    return nodes, vals, d
+
+
+@given(_minimax_cases())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_exchange_matches_reference_on_random_node_sets(case):
+    nodes, vals, d = case
+    res = minimax_lp(nodes, vals, d)
+    assert res.eps_star == minimax_reference(nodes, vals, d)
+    assert _certificate_ok(nodes, vals, d, res)
+
+
+def test_float_input_is_a_backend_mismatch():
+    for nodes, vals in (([0, 0.5, 1], [0, 1, 1]), ([0, 1, 2], [0, 1.0, 1])):
+        with pytest.raises(BackendMismatchError):
+            minimax_lp(nodes, vals, 1)
+        with pytest.raises(BackendMismatchError):
+            minimax_reference(nodes, vals, 1)
 
 
 def test_repeated_node_rejected():
