@@ -10,12 +10,9 @@ force, while evaluation of the factored form is cheap.
 from fractions import Fraction
 import math
 
-import mpmath
-from mpmath import mp
-
-from .numcore import (DEFAULT_PREC, PrecisionError, SBinomTail, SComp, SProd,
-                      UniPoly, as_fraction)
-from .chebyshev import cheb_eval, cheb_poly, to_mpf
+from .numcore import (PrecisionError, SBinomTail, SComp, SProd, UniPoly,
+                      as_fraction)
+from .chebyshev import cheb_eval, cheb_poly
 
 
 def dyadic_decay_poly(n, d):
@@ -89,19 +86,19 @@ def reciprocal_power_error_bound(d, D, u):
 def _amplifier_degree(u_bad, u_good, eps):
     """The exact-threshold binomial tail that maps [0, u_bad] below eps and
     [u_good, 1] above 1 - eps (Hoeffding 1963), at the Chernoff-Hoeffding
-    degree d = ln(1/eps)/KL + 1, at least 8, and checked once.  The KL
-    estimate runs at DEFAULT_PREC bits; a degree it puts too low raises
-    PrecisionError."""
+    degree d = ln(1/eps)/KL + 1, at least 8, and checked once.  The
+    estimate is in floats, with ln(1/eps) from eps's numerator and
+    denominator so a tiny eps cannot underflow; a degree it puts too low
+    raises PrecisionError."""
     mid = (u_bad + u_good) / 2
-    prec = DEFAULT_PREC
 
     def kl(a, b):
-        a, b = to_mpf(a, prec), to_mpf(b, prec)
-        return a * mpmath.log(a / b) + (1 - a) * mpmath.log((1 - a) / (1 - b))
+        a, b = float(a), float(b)
+        return a * math.log(a / b) + (1 - a) * math.log((1 - a) / (1 - b))
 
-    with mp.workprec(prec):
-        rate = min(kl(mid, u_bad), kl(mid, u_good))
-        est = int(mpmath.log(1 / to_mpf(eps, prec)) / rate) + 1
+    rate = min(kl(mid, u_bad), kl(mid, u_good))
+    est = int((math.log(eps.denominator) - math.log(eps.numerator))
+              / rate) + 1
     d = max(8, est)
     lo = int(math.ceil(mid * d))
     tail = SBinomTail(d, lo)

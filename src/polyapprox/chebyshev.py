@@ -2,25 +2,48 @@
 evaluation, node sets, and the growth facts the constructions lean on."""
 
 from fractions import Fraction
+from functools import lru_cache
+import math
 
-import mpmath
-from mpmath import mp
-
-from .numcore import DEFAULT_PREC, UniPoly
-
-
-def to_mpf(x, prec):
-    """The prec-bit mpf nearest an int, Fraction, float or mpf (ties to
-    even), rounded once; the ambient precision never enters."""
-    num, den = x.as_integer_ratio() if isinstance(x, Fraction) else (x, 1)
-    return mpmath.fdiv(num, den, prec=prec, rounding="n")
+from .numcore import DEFAULT_PREC, UniPoly, to_dyadic
 
 
-def from_mpf(x):
-    """The exact value of a finite mpf, a dyadic Fraction.  man_exp holds
-    the absolute mantissa, so the sign is read off x."""
-    man, exp = x.man_exp
-    return (-1 if x < 0 else 1) * int(man) * Fraction(2) ** exp
+@lru_cache(maxsize=32)
+def pi_fixed(bits):
+    """An integer within 2 of pi 2^bits: Machin's pi = 16 atan(1/5) -
+    4 atan(1/239), each arctangent's series summed in fixed point with
+    guard bits above the one unit each of its terms may lose."""
+    guard = bits.bit_length() + 8
+    one = 1 << bits + guard
+
+    def atan_inv(x):
+        total, power, k = 0, one // x, 1
+        while power:
+            total += power // k if k % 4 == 1 else -(power // k)
+            power //= x * x
+            k += 2
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239) >> guard
+
+
+def cos_pi(p, q, prec):
+    """cos(pi p/q) for integers p and q > 0, a prec-bit Dyadic from Python
+    ints alone: a Taylor series in fixed point with 20 guard bits, far more
+    than the truncation error its terms and pi gather, rounded once.
+    Deterministic and within 2^-prec, but not always correctly rounded: a
+    construction certifies whatever it returns by the exact measure."""
+    p = min(p % (2 * q), -p % (2 * q))      # cos is even, of period 2 pi
+    bits = prec + 20
+    x = pi_fixed(bits) * p // q             # in [0, pi]
+    x2 = x * x >> bits
+    total = term = 1 << bits
+    k = 0
+    while term:
+        k += 2
+        term = (term * x2 >> bits) // (k * (k - 1))
+        total += term if k % 4 == 0 else -term
+    return to_dyadic(Fraction(total, 1 << bits), prec)
 
 
 def cheb_poly(d, prec=None):
@@ -34,41 +57,31 @@ def cheb_poly(d, prec=None):
     return UniPoly(t1 if d else t0, prec)
 
 
-def cheb_eval(d, t, prec=None):
-    """T_d(t) by the recurrence; exact when t is rational and prec is None."""
-    if prec is None:
-        t = t if isinstance(t, Fraction) else Fraction(t)
-        a, b = Fraction(1), t
-        for _ in range(d):
-            a, b = b, 2 * t * b - a
-        return a
-    with mp.workprec(prec):
-        tt = to_mpf(t, prec)
-        a, b = mpmath.mpf(1), tt
-        for _ in range(d):
-            a, b = b, 2 * tt * b - a
-        return a
+def cheb_eval(d, t):
+    """T_d(t) by the recurrence, in t's own arithmetic: exact for an int or
+    a Fraction."""
+    a, b = t ** 0, t
+    for _ in range(d):
+        a, b = b, 2 * t * b - a
+    return a
 
 
-def cheb_eval_closed(d, t, prec=DEFAULT_PREC):
-    """((t - sqrt(t^2-1))^d + (t + sqrt(t^2-1))^d) / 2, valid for |t| >= 1."""
-    with mp.workprec(prec):
-        tt = to_mpf(t, prec)
-        s = mpmath.sqrt(tt * tt - 1)
-        return ((tt - s) ** d + (tt + s) ** d) / 2
+def cheb_eval_closed(d, t):
+    """((t - s)^d + (t + s)^d) / 2 with s = sqrt(t^2 - 1), binomially
+    expanded: the odd powers of s cancel, so for a rational t it is
+    sum_i C(d, 2i) t^(d-2i) (t^2 - 1)^i, exact."""
+    return sum(math.comb(d, 2 * i) * t ** (d - 2 * i) * (t * t - 1) ** i
+               for i in range(d // 2 + 1))
 
 
 def cheb_roots(d, prec=DEFAULT_PREC):
     """cos((2i-1)pi/2d) for i = 1..d at prec bits, decreasing, exact."""
-    with mp.workprec(prec):
-        return [from_mpf(mpmath.cos((2 * i - 1) * mpmath.pi / (2 * d)))
-                for i in range(1, d + 1)]
+    return [cos_pi(2 * i - 1, 2 * d, prec) for i in range(1, d + 1)]
 
 
 def cheb_extrema(d, prec=DEFAULT_PREC):
     """cos(i pi/d) for i = 0..d at prec bits, exact; T_d alternates +-1."""
-    with mp.workprec(prec):
-        return [from_mpf(mpmath.cos(i * mpmath.pi / d)) for i in range(d + 1)]
+    return [cos_pi(i, d, prec) for i in range(d + 1)]
 
 
 def cheb_factored(d, prec=DEFAULT_PREC):
@@ -80,8 +93,6 @@ def cheb_factored(d, prec=DEFAULT_PREC):
 
 
 def growth_lower_bounds(d, delta):
-    """Lower bounds on T_d(1 + delta) for delta in [0, 1]:
-    returns (1 + d^2 delta, 2^(d sqrt(delta) - 1)) at DEFAULT_PREC bits."""
-    with mp.workprec(DEFAULT_PREC):
-        dd = to_mpf(delta, DEFAULT_PREC)
-        return (1 + d * d * dd, mpmath.mpf(2) ** (d * mpmath.sqrt(dd) - 1))
+    """Lower bounds on T_d(1 + delta) for delta in [0, 1]: the exact
+    1 + d^2 delta and the float 2^(d sqrt(delta) - 1)."""
+    return 1 + d * d * delta, 2 ** (d * math.sqrt(delta) - 1)

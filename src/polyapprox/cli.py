@@ -21,9 +21,6 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
-
 from . import bounds as bounds_mod
 from .numcore import (DEFAULT_PREC, PrecisionError, SplitMix64,
                       fraction_from_json)
@@ -194,14 +191,12 @@ def cmd_selftest(args):
             return
         checks.append((name, bool(ok), ""))
 
-    from .chebyshev import cheb_eval
+    from .chebyshev import cheb_eval, cos_pi
 
-    def cheb_identity():
-        with mp.workprec(256):
-            return abs(cheb_eval(16, mpmath.cos(mpmath.mpf(1) / 3), 256)
-                       - mpmath.cos(mpmath.mpf(16) / 3)) < mpmath.mpf(2) ** -200
-
-    check("chebyshev-identity", cheb_identity)
+    # T_16(cos(pi/48)) = cos(pi/3) = 1/2, from a 256-bit cosine
+    check("chebyshev-identity",
+          lambda: abs(cheb_eval(16, cos_pi(1, 48, 256)) - Fraction(1, 2))
+          < Fraction(1, 2 ** 200))
     check("oracle-or2", lambda: minimax_lp([0, 1, 2], [0, 1, 1], 1).eps_star
           == Fraction(1, 4))
     check("and-approx", lambda: float(and_or_approx(8, 5).certified_eps) <= 1/3)

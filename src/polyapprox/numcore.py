@@ -8,9 +8,8 @@ precisions is an error, never a silent coercion.  A UniPoly is one exact
 integer form at any precision, its arithmetic runs in integers, and a
 float result rounds once per coefficient.  Every scalar this module takes
 or returns is an int or a Fraction; a rounded one, or one read from hex,
-is a Dyadic, which JSON spells in hex.  No mpmath: a construction converts
-each mpf its transcendental maths makes to a Fraction once.  A float
-construction builds its polynomial once and certifies it exactly.
+is a Dyadic, which JSON spells in hex.  A float construction builds its
+polynomial once and certifies it exactly.
 
 Every polynomial, dense or structured, has one evaluation: ints(t), the
 unreduced integer pair (numerator, denominator) of its exact value at a

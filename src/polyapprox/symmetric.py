@@ -12,14 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-import mpmath
-from mpmath import mp
-
 from .numcore import (DEFAULT_PREC, SComp, UniPoly, as_fraction, certify,
                       fraction_from_json, json_array, lagrange_interpolate,
                       max_error, min_degree, poly_from_json, scalar_from_json,
-                      scalar_to_json)
-from .chebyshev import cheb_eval, cheb_poly, from_mpf
+                      scalar_to_json, to_dyadic)
+from .chebyshev import cheb_eval, cheb_poly, cos_pi, pi_fixed
 
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -122,24 +119,24 @@ class SymApprox:
 
 def single_zero_factor(n, m, prec=DEFAULT_PREC):
     """T restricted to one zero: value 1 at n, 0 at m, |.| <= 1 on [0, n].
-    Degree ceil((pi/4) sqrt(n/(n-m)))."""
+    Degree ceil((pi/4) sqrt(n/(n-m))): the least d with d^2 >= x for
+    x = pi^2 n / (16 (n - m)), which is never an integer, so
+    d = isqrt(floor(x)) + 1, with floor(x) taken in integers from a pi
+    within 2^(1 - bits)."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    with mp.workprec(prec):
-        d = int(mpmath.ceil(mpmath.pi / 4 * mpmath.sqrt(mpmath.mpf(n) / (n - m))))
-        d = max(d, 1)
-        cm = mpmath.cos(mpmath.pi / (2 * d))
-        a = (1 - cm) / (n - m)
-        b = cm - a * m
-        return cheb_poly(d, prec).compose_affine(from_mpf(a), from_mpf(b))
+    bits = 64 + 2 * n.bit_length()
+    d = math.isqrt(pi_fixed(bits) ** 2 * n // (16 * (n - m) << 2 * bits)) + 1
+    cm = cos_pi(1, 2 * d, prec)
+    a = (1 - cm) / (n - m)
+    return cheb_poly(d, prec).compose_affine(a, cm - a * m)
 
 
 def _zeroed_bump(r, top, width, zeros, prec):
     """T_r(t / width) scaled to 1 at top, times a single_zero_factor for
     each weight in zeros: value 1 at top, 0 on zeros, Chebyshev damping on
     [0, width].  Caller measures the rest."""
-    with mp.workprec(prec):
-        scale = from_mpf(1 / cheb_eval(r, Fraction(top, width), prec))
+    scale = to_dyadic(1 / cheb_eval(r, Fraction(top, width)), prec)
     p = cheb_poly(r, prec).compose_affine(Fraction(1, width), 0).scale(scale)
     for i in zeros:
         p = p * single_zero_factor(top, i, prec)

@@ -15,7 +15,7 @@ import mpmath
 from mpmath import mp
 
 from polyapprox.bounds import C_SEL, consistency_sweep, ed_closed, kdnf_closed
-from polyapprox.chebyshev import cheb_eval, to_mpf
+from polyapprox.chebyshev import cheb_eval
 from polyapprox.cli import main as cli_main
 from polyapprox.composed import (_weight_vectors, selector_compose, surj_value,
                                  surjectivity_approx)
@@ -49,7 +49,7 @@ def test_criterion_01_chebyshev():
         for d in range(1, 65):
             for j in range(100):
                 theta = mpmath.mpf(2 * j + 1) / 100
-                if abs(cheb_eval(d, mpmath.cos(theta), 256)
+                if abs(cheb_eval(d, mpmath.cos(theta))
                        - mpmath.cos(d * theta)) > tol:
                     ok = False
     growth_bad = 0
@@ -190,13 +190,10 @@ def test_criterion_07_surjectivity():
     details = []
     for n, r in ((8, 2), (12, 3), (16, 4)):
         a = surjectivity_approx(n, r)
-        with mp.workprec(256):
-            worst = mpmath.mpf(0)
-            for wv in _weight_vectors(r, n):
-                e = abs(a.eval(wv) - surj_value(wv))
-                worst = max(worst, to_mpf(e, 256))
-            if worst > to_mpf(Fraction(1, 3), 256):
-                ok = False
+        worst = max(abs(a.eval(wv) - surj_value(wv))
+                    for wv in _weight_vectors(r, n))
+        if worst > Fraction(1, 3):
+            ok = False
         cap = K_SURJ * math.sqrt(n) * r ** 0.25
         details.append("(%d,%d) deg=%d cap=%.1f" % (n, r, a.degree, cap))
         if a.degree > cap:

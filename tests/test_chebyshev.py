@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyapprox.chebyshev import (cheb_eval, cheb_eval_closed, cheb_extrema,
-                                  cheb_factored, cheb_poly, cheb_roots,
-                                  from_mpf, growth_lower_bounds, to_mpf)
-from polyapprox.numcore import to_dyadic
+                                  cheb_factored, cheb_poly, cheb_roots, cos_pi,
+                                  growth_lower_bounds, pi_fixed)
+from polyapprox.numcore import Dyadic, to_dyadic
 
 
 def test_known_coefficients():
@@ -31,7 +31,7 @@ def test_cosine_identity():
         for d in (1, 2, 7, 16, 33, 64):
             for j in range(8):
                 theta = mpmath.mpf(2 * j + 1) / 17
-                lhs = cheb_eval(d, mpmath.cos(theta), 256)
+                lhs = cheb_eval(d, mpmath.cos(theta))
                 assert abs(lhs - mpmath.cos(d * theta)) < mpmath.mpf(2) ** -200
 
 
@@ -43,13 +43,10 @@ def test_composition_identity_exact():
 
 
 def test_closed_form_matches_recurrence_outside_unit_interval():
-    with mp.workprec(128):
-        for d in (1, 5, 12, 40):
-            for t in (Fraction(11, 10), Fraction(2), Fraction(7, 2)):
-                a = cheb_eval_closed(d, t, 128)
-                exact = cheb_eval(d, t)
-                b = mpmath.mpf(exact.numerator) / exact.denominator
-                assert abs(a - b) / abs(b) < mpmath.mpf(2) ** -100
+    for d in (0, 1, 5, 12, 40):
+        for t in (Fraction(11, 10), Fraction(2), Fraction(7, 2),
+                  Fraction(-1, 3)):
+            assert cheb_eval_closed(d, t) == cheb_eval(d, t)
 
 
 def test_roots_and_extrema():
@@ -58,11 +55,51 @@ def test_roots_and_extrema():
     p = cheb_poly(d, prec=128)
     tol = Fraction(1, 2 ** 110)
     for r in cheb_roots(d, 128):
-        assert type(r) is Fraction and abs(p.eval(r)) < tol
+        assert type(r) is Dyadic and abs(p.eval(r)) < tol
     for e in cheb_extrema(d, 128):
-        assert type(e) is Fraction and abs(abs(p.eval(e)) - 1) < tol
-    with mp.workprec(128):
-        assert cheb_roots(d, 128)[0] == from_mpf(mpmath.cos(mpmath.pi / 18))
+        assert type(e) is Dyadic and abs(abs(p.eval(e)) - 1) < tol
+    r = cheb_roots(d, 128)[0]
+    with mp.workprec(256):
+        assert abs(mpmath.mpf(r.numerator) / r.denominator
+                   - mpmath.cos(mpmath.pi / 18)) <= mpmath.mpf(2) ** -128
+
+
+def test_cos_pi_is_within_2_to_the_minus_prec():
+    # mpmath is the reference: for every 0 <= p <= q <= 200 the integer
+    # cosine is within 2^-prec of cos(pi p/q), though not always the
+    # correctly rounded value.  The reference takes mpmath's cos(pi/q) to
+    # cos(pi p/q) by the recurrence c_(p+1) = 2 c_1 c_p - c_(p-1), and
+    # compares in integers at 2^-1100.
+    bits = 1100
+    with mp.workprec(bits + 32):
+        for q in range(1, 201):
+            c1 = mpmath.cospi(mpmath.mpf(1) / q)
+            ref = [mpmath.mpf(1), c1]
+            for _ in range(q - 1):
+                ref.append(2 * c1 * ref[-1] - ref[-2])
+            for p in range(q + 1):
+                r = int(mpmath.nint(mpmath.ldexp(ref[p], bits)))
+                for prec in (53, 256, 1024):
+                    c = cos_pi(p, q, prec)
+                    err = abs((c.numerator << bits) - r * c.denominator)
+                    assert err <= c.denominator << bits - prec, (p, q, prec)
+
+
+def test_cos_pi_reduces_its_argument():
+    # cos is even with period 2 pi, so every p gives the value at p mod 2q
+    # folded into [0, q]; an exact zero comes out within 2^-prec of 0
+    for q in (1, 2, 7, 48):
+        for p in range(-3 * q, 3 * q + 1):
+            assert cos_pi(p, q, 64) == cos_pi(min(p % (2 * q), -p % (2 * q)),
+                                             q, 64)
+    assert cos_pi(0, 5, 64) == 1 and cos_pi(5, 5, 64) == -1
+    assert abs(cos_pi(1, 2, 64)) < Fraction(1, 2 ** 64)
+
+
+def test_pi_fixed_is_within_2_units():
+    for bits in (0, 1, 10, 64, 276, 1044, 5000):
+        with mp.workprec(bits + 64):
+            assert abs(pi_fixed(bits) - mpmath.ldexp(mpmath.pi, bits)) < 2
 
 
 def test_factored_form_matches_dense():
@@ -99,41 +136,3 @@ def test_derivative_lower_bound_is_d_squared():
     for d in (1, 3, 10):
         p = cheb_poly(d).derivative()
         assert p.eval(1) == d * d
-
-
-def test_from_mpf_keeps_the_sign():
-    # man_exp holds the absolute mantissa: -0.375 is (3, -3)
-    assert from_mpf(mpmath.mpf(-0.375)) == Fraction(-3, 8)
-    assert from_mpf(mpmath.mpf(0.375)) == Fraction(3, 8)
-    assert from_mpf(mpmath.mpf(-6)) == -6 and from_mpf(mpmath.mpf(0)) == 0
-
-
-def test_to_mpf_rounds_a_fraction_once():
-    # Rounding the numerator first turns 2^60 + 33 into 2^60 at 53 bits, and
-    # the quotient then lands one ulp below the nearest float.
-    x = Fraction(2 ** 60 + 33, 3)
-    assert from_mpf(to_mpf(x, 53)) == to_dyadic(x, 53) == 384307168202282368
-    with mp.workprec(256):
-        wide = mpmath.mpf(x.numerator) / x.denominator
-    assert from_mpf(to_mpf(wide, 53)) == to_dyadic(from_mpf(wide), 53)
-
-
-@given(st.one_of(
-           st.integers(min_value=-10 ** 6, max_value=10 ** 6),
-           st.builds(Fraction, st.integers(min_value=-10 ** 40,
-                                           max_value=10 ** 40),
-                     st.integers(min_value=1, max_value=10 ** 40)),
-           st.builds(lambda m, e: m * Fraction(2) ** e,
-                     st.integers(min_value=-2 ** 600, max_value=2 ** 600),
-                     st.integers(min_value=-700, max_value=700))),
-       st.sampled_from([24, 53, 256, 512]), st.sampled_from([24, 53, 1024]))
-@example(Fraction(2 ** 60 + 33, 3), 53, 53)
-@settings(max_examples=100, deadline=None)
-def test_to_mpf_is_the_nearest_float(x, prec, ambient):
-    # numcore's nearest rounding is the reference; the ambient precision
-    # never enters
-    with mp.workprec(ambient):
-        got = to_mpf(x, prec)
-        again = to_mpf(got, prec)
-    assert from_mpf(got) == to_dyadic(x, prec)
-    assert from_mpf(again) == from_mpf(got)

@@ -47,7 +47,7 @@ def test_non_positive_eps_exits_2(target, eps, tmp_path, capsys):
 
 @pytest.mark.parametrize("prec", ["0", "-5"])
 def test_non_positive_prec_exits_2(prec, tmp_path, capsys):
-    # At 0 bits mpmath divides exactly, so 1/3 would never finish rounding.
+    # A float needs at least one significant bit to round to.
     out = tmp_path / "x.json"
     rc = run(["--prec", prec, "construct", "--target", "and", "--n", "8",
               "--out", str(out)])
@@ -226,8 +226,8 @@ def _over_precise_coefficient(doc):
     doc.clear()
     doc.update(symmetric.and_or_min_degree(16, "and", Fraction(1, 3),
                                            64).to_json())
-    assert doc["coeffs"][2] == "-0x16609a0e3d9e576dp-67"
-    doc["coeffs"][2] = "-0x16609a0e3d9e576d0000000001p-107"
+    assert doc["coeffs"][2] == "-0xb304d071ecf2bb67p-70"
+    doc["coeffs"][2] = "-0xb304d071ecf2bb670000000001p-110"
 
 
 def _boolean_precision(doc):
@@ -766,10 +766,16 @@ GOLDEN_ARGV = {
 # efba3abc..., prec e6e79c6f... -> d493fb3c...) when exact_on came to be
 # measured on the returned polynomial: each small-support artifact now lists
 # weights 0, 3 and 4, and the float exact-weight ones list [0] or [] instead
-# of a hand-written boundary set, with every other byte unchanged.
+# of a hand-written boundary set, with every other byte unchanged.  The
+# float and prec groups were re-recorded (float efba3abc... -> d707981b...,
+# prec d493fb3c... -> 6730b014...) when each cosine and pi came to be
+# computed in integers and single_zero_factor's affine map stayed exact
+# until compose_affine rounds it once: last bits of the AND/OR and
+# exact-weight coefficients moved, with every degree unchanged and no
+# certificate moving by more than a relative 3.5e-27.
 GOLDEN_SHA256 = "3ab2d69ce5ab625eaec91a368e1ad01a400192fa8fb160b796d6bee3dc842f14"
 FLOAT_GOLDEN_SHA256 = \
-    "efba3abc57310e39585aa49af62f9dd988acc2210cd4caacb4056d14632d6b7a"
+    "d707981bf98c8227c21fad59c855c36da2a38b5fac9737ac290f90617b694e01"
 SURJ_GOLDEN_SHA256 = \
     "8c8d9d86ab55a77cac95dfa9326de8934ff2c3d3cb4904e35cce4a6e799d446c"
 # The (24, 2) eps-1/4 surjectivity artifacts carry float conjunction
@@ -777,7 +783,7 @@ SURJ_GOLDEN_SHA256 = \
 # bytes here that depend on float UniPoly negation staying inside the
 # working precision (FLOAT_GOLDEN_SHA256 and the other shapes do not).
 PREC_GOLDEN_SHA256 = \
-    "d493fb3c42e2721daff17bd33f6af7a9ce49c117daf387bfdbceb49a3b84f9c2"
+    "6730b01401b3512d0116216c851fd4c77a2eb1a965088a95f1f600d8a3b66a39"
 
 # sha256 of each group's _canonical() artifacts, recorded from the artifacts
 # written before the certificates became exact (when each surjectivity term
@@ -787,12 +793,13 @@ PREC_GOLDEN_SHA256 = \
 # and once more (065549e9... -> 5fdada2b...) when "binom_tail" nodes lost
 # "precision_bits"; exact (5fdada2b... -> b21fd2bd...), float (a6656479... ->
 # 9455a76e...) and prec (d016cfb4... -> 3164c19a...) when exact_on came to
-# be measured.
+# be measured; float (9455a76e... -> f9ab8450...) and prec (3164c19a... ->
+# 0a2f44c0...) when the cosines came to be computed in integers.
 CANONICAL_SHA256 = {
     "exact": "b21fd2bdcec79a8edb467ce58ca42bc6af6f82c47ebd7ce334b85358f50f26a0",
-    "float": "9455a76e3cc1819ab695383d9f77653c173aacaa2191d7dac6c037e4b23dad34",
+    "float": "f9ab8450f153df4871538d6cdd7e952a3c47f4c530bf8092250919bb8a5a5f2c",
     "surj": "c6ddd99af1e7a91a1effeb7b68eff86674720dda445674d8d4f8dbda8964c35d",
-    "prec": "3164c19afbcc562fa0cfa297c7f9dc2f655bce3a4498387511f7ccad738e21d1",
+    "prec": "0a2f44c09ce60cba5ce2f34ac220338b040e3c958ebf80d0bb4c3f0eb19544ad",
 }
 
 

@@ -2,12 +2,9 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
 import pytest
 
 from polyapprox import composed
-from polyapprox.chebyshev import to_mpf
 from polyapprox.composed import (PComp, PConj, PConst, PDisj, PProd, PScale,
                                  PSum, _weight_vectors, expansion_eval,
                                  expansion_norm, selector_compose, sym_eval,
@@ -97,11 +94,9 @@ def test_surj_value():
 def test_surjectivity_certified_exhaustively(n, r):
     a = surjectivity_approx(n, r)
     assert float(a.certified_eps) <= 1 / 3
-    with mp.workprec(256):
-        worst = mpmath.mpf(0)
-        for wv in _ordered_weight_vectors(r, n):
-            worst = max(worst, to_mpf(abs(a.eval(wv) - surj_value(wv)), 256))
-        assert worst <= to_mpf(a.certified_eps, 256) + mpmath.mpf(2) ** -100
+    worst = max(abs(a.eval(wv) - surj_value(wv))
+                for wv in _ordered_weight_vectors(r, n))
+    assert worst <= a.certified_eps + Fraction(1, 2 ** 100)
 
 
 def test_surjectivity_more_columns_than_rows_is_constant_zero():
@@ -162,13 +157,11 @@ def test_surjectivity_outer_cross_validation():
     # must match the full evaluation on unanimous weight vectors
     n, r = 8, 2
     a = surjectivity_approx(n, r)
-    with mp.workprec(256):
-        for j in range(r + 1):
-            wv = tuple([1] * (r - j) + [0] * j)
-            full = to_mpf(a.eval(wv), 256)
-            outer = to_mpf(surj_outer_eval(r, Fraction(1, 3), wv, 256), 256)
-            assert abs(full - outer) <= \
-                to_mpf(a.certified_eps, 256) + mpmath.mpf(2) ** -60
+    for j in range(r + 1):
+        wv = tuple([1] * (r - j) + [0] * j)
+        full = a.eval(wv)
+        outer = surj_outer_eval(r, Fraction(1, 3), wv, 256)
+        assert abs(full - outer) <= a.certified_eps + Fraction(1, 2 ** 60)
 
 
 def test_or_subset_coefficients_keep_the_working_precision():

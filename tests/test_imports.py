@@ -2,8 +2,8 @@
 file, every parameter of its functions is read in the function's body,
 every top-level definition and class method is used somewhere, every
 dataclass field is read, only numcore knows the scalar backends and writes
-a Fraction, no module touches a float's bits through libmp and numcore
-imports no mpmath, the oracle imports only numcore, only SymApprox.measured
+a Fraction, no module touches a float's bits through libmp or imports
+mpmath, the oracle imports only numcore, only SymApprox.measured
 builds a symmetric approximant with its claims, every construction label is
 one verify reads, and every cache is bounded.
 
@@ -177,8 +177,7 @@ def _libmp_uses(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_numcore_touches_libmp(path):
     # numcore rounds, writes and reads every float's bits in integers, and
-    # a construction converts each mpf it makes through its public value:
-    # no module reads an mpf's raw bits.
+    # no module makes an mpf: none reads libmp or an mpf's raw bits.
     lines = _libmp_uses(ast.parse(path.read_text(), str(path)))
     assert not lines, "%s touches libmp or an mpf's bits (lines %s)" % (
         path.name, lines)
@@ -292,12 +291,13 @@ def test_the_scan_sees_a_construction_label():
     assert _construction_labels(tree) == [("a", 3), (None, 8), ("b", 9)]
 
 
-def test_numcore_imports_no_mpmath():
-    # Every scalar numcore takes or returns is an int or a Fraction; mpmath
-    # is the constructions' transcendental maths, not the measure's.
-    path = SRC / "numcore.py"
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_imports_no_mpmath(path):
+    # The package needs only the standard library: every scalar is an int
+    # or a Fraction, and each cosine and pi a construction takes is
+    # computed in integers.  mpmath is a test-only reference.
     lines = _mpmath_imports(ast.parse(path.read_text(), str(path)))
-    assert not lines, "numcore imports mpmath (lines %s)" % lines
+    assert not lines, "%s imports mpmath (lines %s)" % (path.name, lines)
 
 
 def test_the_scan_sees_an_mpmath_import():
