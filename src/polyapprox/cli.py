@@ -5,13 +5,13 @@ Exit codes: 0 success, 2 invalid configuration, 3 verification failure,
 polynomial, rounded up to --prec bits for a float target or a binomial
 tail, so a higher --prec may help.
 
-verify reads an artifact with its class's from_json and measures it again
-with the class's measured, the one exact pass construct made
-(numcore.max_error, at the precisions the artifact records).  It compares
-the exact maximum error with the exact claim, certified_eps_exact, with no
-slack, the readable certified_eps with that claim as a float, the claimed
-degree with the degree of the serialized polynomial and, for a symmetric
-approximant, exact_on with the weights where that pass found no error.
+verify reads an artifact with the from_json of the class ARTIFACTS maps its
+"target" to, and measures it again with remeasured, the one exact pass
+construct made (numcore.max_error, at the precisions the artifact records).
+It compares the exact maximum error with the exact claim,
+certified_eps_exact, with no slack, the readable certified_eps with that
+claim as a float, the claimed degree with the serialized polynomial's, and
+exact_on with the weights where that pass found no error.
 """
 
 import argparse
@@ -70,6 +70,8 @@ TARGETS = {
         _random_low_support(a.n, a.k, a.seed), eps, a.prec),
     "surjectivity": lambda a, eps: surjectivity_approx(a.n, a.r, eps, a.prec),
 }
+# verify's class for each artifact, by the "target" the artifact writes
+ARTIFACTS = {"spectrum": SymApprox, "surjectivity": BlockSymApprox}
 
 
 def cmd_construct(args):
@@ -89,21 +91,16 @@ def cmd_verify(args):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("artifact is not a JSON object")
-    if "terms" in doc:
-        cls, fields = BlockSymApprox, ("n", "r", "q", "terms")
-    elif doc.get("target") == "spectrum":
-        cls, fields = SymApprox, ("spec", "poly", "construction")
-    else:
+    target = doc.get("target")
+    if type(target) is not str or target not in ARTIFACTS:
         raise ValueError("unrecognized artifact")
     if type(doc.get("degree")) is not int:
         raise ValueError("the claimed degree is not an integer")
     if type(doc.get("certified_eps")) is not float:
         raise ValueError("the readable certified_eps is not a float")
     try:
-        approx = cls.from_json(doc)
-        # every claim measured again, from the fields measured takes, by
-        # the pass construct made
-        fresh = cls.measured(*(getattr(approx, f) for f in fields))
+        approx = ARTIFACTS[target].from_json(doc)
+        fresh = approx.remeasured()
     except TypeError as exc:
         # well-formed JSON with a field of the wrong type
         raise ValueError("artifact field of the wrong type: %s" % exc) from exc
@@ -117,11 +114,9 @@ def cmd_verify(args):
     if doc["certified_eps"] != float(approx.certified_eps):
         print("FAIL: certified_eps is not certified_eps_exact as a float")
         return 3
-    # a BlockSymApprox claims no exact_on
-    exact = getattr(fresh, "exact_on", None)
-    if exact != getattr(approx, "exact_on", None):
+    if fresh.exact_on != approx.exact_on:
         print("FAIL: claimed exact_on %s, the polynomial is exact on %s"
-              % (sorted(approx.exact_on), sorted(exact)))
+              % (sorted(approx.exact_on), sorted(fresh.exact_on)))
         return 3
     print("OK")
     return 0

@@ -213,6 +213,7 @@ class BlockSymApprox:
     q: object                    # UniPoly, or None with only the constant left
     terms: list                  # (ell, mu); ell = 0 is the constant term
     certified_eps: object
+    exact_on = None              # claimed for no weight vector: see README
 
     @classmethod
     def measured(cls, n, r, q, terms, prec=None):
@@ -231,6 +232,10 @@ class BlockSymApprox:
         out.certified_eps = certify(max_error(out, (
             (wv, surj_value(wv)) for wv in _weight_vectors(r, n))), prec)
         return out
+
+    def remeasured(self):
+        """measured again, exactly, on the fields from_json read."""
+        return self.measured(self.n, self.r, self.q, self.terms)
 
     @property
     def degree(self):
@@ -269,7 +274,8 @@ class BlockSymApprox:
         return Fraction(*self.ints(weights))
 
     def to_json(self):
-        return {"n": self.n, "r": self.r, "degree": self.degree,
+        return {"target": "surjectivity", "n": self.n, "r": self.r,
+                "degree": self.degree,
                 "q": self.q.to_json() if self.q is not None else None,
                 "terms": [{"ell": ell, "mu": scalar_to_json(mu)}
                           for ell, mu in self.terms],

@@ -101,8 +101,7 @@ def small_support_approx(spec, eps, prec=DEFAULT_PREC):
     2k-slice and extend, certified by the exact maximum rounded up to prec
     bits; only that rounding can take it above eps."""
     eps = as_fraction(eps)
-    n = spec.n
-    k = max((w for w in range(n + 1) if spec.values[w] != 0), default=-1)
+    n, k = spec.n, spec.top
     if k < 0:
         return SymApprox.measured(spec, UniPoly.zero(), "zero")
     if 2 * k >= n:

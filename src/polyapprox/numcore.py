@@ -496,26 +496,14 @@ def lagrange_interpolate(nodes, values):
 
 
 class StructPoly:
-    """A factored polynomial node.  A child is a UniPoly or another node.
-    Like a UniPoly, a node evaluates through ints(t), the unreduced integer
-    pair of its exact value at a rational t."""
-
-    def ints(self, t):
-        raise NotImplementedError
+    """A factored polynomial node.  A child is a UniPoly or another node,
+    written to JSON by its own to_json.  Like a UniPoly, a node evaluates
+    through ints(t), the unreduced integer pair of its exact value at a
+    rational t."""
 
     def eval(self, t):
         """The exact value at a rational t."""
         return Fraction(*self.ints(as_fraction(t)))
-
-    def to_json(self):
-        raise NotImplementedError
-
-
-def _child_json(p):
-    """A node's child as JSON; a dense child is wrapped as a "dense" node."""
-    if isinstance(p, UniPoly):
-        return {"kind": "dense", "poly": p.to_json()}
-    return p.to_json()
 
 
 class SProd(StructPoly):
@@ -532,7 +520,7 @@ class SProd(StructPoly):
         return num, den
 
     def to_json(self):
-        return {"kind": "prod", "parts": [_child_json(p) for p in self.parts]}
+        return {"kind": "prod", "parts": [p.to_json() for p in self.parts]}
 
 
 class SComp(StructPoly):
@@ -549,8 +537,8 @@ class SComp(StructPoly):
         return self.outer.ints(self.inner.eval(t))
 
     def to_json(self):
-        return {"kind": "comp", "outer": _child_json(self.outer),
-                "inner": _child_json(self.inner)}
+        return {"kind": "comp", "outer": self.outer.to_json(),
+                "inner": self.inner.to_json()}
 
 
 @lru_cache(maxsize=4096)
@@ -601,8 +589,6 @@ def poly_from_json(d):
     k = d.get("kind")
     if k is None:
         return UniPoly.from_json(d)
-    if k == "dense":
-        return UniPoly.from_json(d["poly"])
     if k == "prod":
         return SProd([poly_from_json(p) for p in d["parts"]])
     if k == "comp":

@@ -57,6 +57,11 @@ class SymSpec:
         v[w] = ONE
         return cls(n, v)
 
+    @property
+    def top(self):
+        """The highest weight of the support, -1 for the zero spectrum."""
+        return max((w for w, v in enumerate(self.values) if v), default=-1)
+
     def to_json(self):
         return {"target": "spectrum", "n": self.n,
                 "values": [scalar_to_json(v) for v in self.values]}
@@ -85,6 +90,10 @@ class SymApprox:
         """The exact interpolant of spec on every weight 0..n: error 0."""
         p = lagrange_interpolate(range(spec.n + 1), spec.values)
         return cls.measured(spec, p, "interpolant")
+
+    def remeasured(self):
+        """measured again, exactly, on the fields from_json read."""
+        return self.measured(self.spec, self.poly, self.construction)
 
     @property
     def degree(self):
@@ -241,7 +250,7 @@ def symmetric_approx(spec, eps, prec=DEFAULT_PREC):
 def _sampling_exponent(spec, eps):
     """The paper's exponent 5 ceil(8k + ln(1/eps)), at least 0, with k the
     top of the support."""
-    k = max((w for w in range(spec.n + 1) if spec.values[w]), default=0)
+    k = max(spec.top, 0)
     eps = as_fraction(eps)
     ln = math.log(eps.denominator) - math.log(eps.numerator)
     return max(0, 5 * math.ceil(8 * k + ln))
@@ -264,8 +273,7 @@ def sampled_nodes_approx(spec, d):
     """The sampled-node approximant at exponent d; exact rational, recording
     the coefficient norm of its dense factor as pq_norm.  Exact at weights
     <= 2k and >= n-k, with k the top of the support."""
-    n = spec.n
-    k = max((w for w in range(n + 1) if spec.values[w] != 0), default=-1)
+    n, k = spec.n, spec.top
     if k <= 0 or 4 * k >= n:
         return SymApprox.interpolant(spec)
     E = n // (2 * k)

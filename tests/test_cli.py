@@ -180,8 +180,7 @@ def _numeric_exact_claim(doc):
 def _negative_power(doc):
     # 1/(2 + w) is no polynomial, though its error is within the raised claim
     doc.update({"kind": "pow", "k": -1, "certified_eps_exact": "1/1",
-                "base": {"kind": "dense", "poly": {"backend": "rational",
-                                                   "coeffs": ["2/1", "1/1"]}}})
+                "base": {"backend": "rational", "coeffs": ["2/1", "1/1"]}})
 
 
 def _zero_denominator_claim(doc):
@@ -214,7 +213,7 @@ def _tail_inside_a_composition(doc):
     # once per point; a binomial tail there is rejected.  The degree claim
     # is the node's.
     poly = {k: doc[k] for k in ("backend", "coeffs", "precision_bits")}
-    doc.update({"kind": "comp", "outer": {"kind": "dense", "poly": poly},
+    doc.update({"kind": "comp", "outer": poly,
                 "inner": {"kind": "binom_tail", "d": 4, "lo": 2},
                 "degree": 4 * doc["degree"], "certified_eps_exact": "1/1"})
 
@@ -275,7 +274,7 @@ def _as_an_object(field):
 
 
 def _inner_coefficients_as_an_object(doc):
-    poly = doc["inner"]["poly"]
+    poly = doc["inner"]
     poly["coeffs"] = dict.fromkeys(poly["coeffs"], 0)
 
 
@@ -328,13 +327,22 @@ def _number_in_a_product(doc):
 
 def _number_as_an_outer(doc):
     poly = {k: doc[k] for k in ("backend", "coeffs", "precision_bits")}
-    doc.update({"kind": "comp", "outer": 5,
-                "inner": {"kind": "dense", "poly": poly},
+    doc.update({"kind": "comp", "outer": 5, "inner": poly,
                 "certified_eps_exact": "1/1"})
 
 
 def _unrecognized_target(doc):
     doc["target"] = "cube"
+
+
+def _dense_node(doc):
+    # a dense child in the wrapper older artifacts wrote it in
+    doc["inner"] = {"kind": "dense", "poly": doc["inner"]}
+
+
+def _no_target(doc):
+    # a surjectivity artifact written before it named its target
+    del doc["target"]
 
 
 def _hex_coefficient_in_an_exact_poly(doc):
@@ -349,6 +357,18 @@ def _set_coefficients(*spellings):
         assert doc["backend"] == "float"
         doc["coeffs"][:len(spellings)] = spellings
     return tamper
+
+
+# The message of each tamper that must be rejected for its own reason, and
+# not for a node spelling around it.
+REASONS = {
+    _negative_power: "unknown structured polynomial kind 'pow'",
+    _tail_inside_a_composition: "a composition's inner must be dense",
+    _number_as_an_outer: "a polynomial node is not a JSON object: 5",
+    _inner_coefficients_as_an_object: "coeffs is not a JSON array",
+    _dense_node: "unknown structured polynomial kind 'dense'",
+    _no_target: "unrecognized artifact",
+}
 
 
 AND_1 = ["--target", "and", "--n", "1"]
@@ -443,6 +463,9 @@ SAMPLING_16_1 = ["--target", "sampling", "--n", "16", "--k", "1", "--seed", "1"]
     (SAMPLING_16_1, _inner_coefficients_as_an_object),
     (AND_4, _as_an_object("coeffs")),
     (AND_1, _as_an_object("values")),
+    (SAMPLING_16_1, _dense_node),
+    (SURJ_8_2, _no_target),
+    (AND_4, _set("target", ["spectrum"])),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -453,7 +476,9 @@ def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
-    assert "invalid configuration" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert REASONS.get(tamper, "") in err
 
 
 @pytest.mark.parametrize("argv", [AND_4, SURJ_8_2])
@@ -507,6 +532,20 @@ def test_verify_rejects_a_wrong_exact_on_claim_with_exit_3(argv, change,
     capsys.readouterr()
     assert run(["verify", str(out)]) == 3
     assert "FAIL: claimed exact_on" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", list(cli.TARGETS))
+def test_every_target_writes_the_target_verify_reads_it_as(target, tmp_path,
+                                                           capsys):
+    # verify finds an artifact's class by its "target" alone
+    a = cli.TARGETS[target](SimpleNamespace(n=8, k=1, r=2, seed=1, prec=64),
+                            Fraction(1, 3))
+    doc = a.to_json()
+    assert cli.ARTIFACTS[doc["target"]] is type(a)
+    out = tmp_path / "a.json"
+    out.write_text(json.dumps(doc))
+    assert run(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == "OK\n"
 
 
 @pytest.mark.parametrize("text", ["[1]", "null", "\"terms\""])
@@ -772,18 +811,24 @@ GOLDEN_ARGV = {
 # computed in integers and single_zero_factor's affine map stayed exact
 # until compose_affine rounds it once: last bits of the AND/OR and
 # exact-weight coefficients moved, with every degree unchanged and no
-# certificate moving by more than a relative 3.5e-27.
-GOLDEN_SHA256 = "3ab2d69ce5ab625eaec91a368e1ad01a400192fa8fb160b796d6bee3dc842f14"
+# certificate moving by more than a relative 3.5e-27.  Every group was
+# re-recorded (exact 3ab2d69c... -> 608d03d4..., float d707981b... ->
+# 016d0643..., surj 8c8d9d86... -> 31f9b6c0..., prec 6730b014... ->
+# 29847d17...) when a node's dense child came to be written as a dense
+# polynomial is at the top level, without the {"kind": "dense", "poly": ...}
+# wrapper, and a surjectivity artifact came to name its "target": every
+# degree, certified error and exact_on unchanged.
+GOLDEN_SHA256 = "608d03d49c54090d45a076f9ecb490134c6bdef13dc833de6b5609bbce8482ca"
 FLOAT_GOLDEN_SHA256 = \
-    "d707981bf98c8227c21fad59c855c36da2a38b5fac9737ac290f90617b694e01"
+    "016d0643df8805e4d87f5ecad3175989510409d97145ced28d14cc07fcf68bab"
 SURJ_GOLDEN_SHA256 = \
-    "8c8d9d86ab55a77cac95dfa9326de8934ff2c3d3cb4904e35cce4a6e799d446c"
+    "31f9b6c0facdc5718dcedca9a8fae6644dcc37c46099d37efa4c8d0c393d18da"
 # The (24, 2) eps-1/4 surjectivity artifacts carry float conjunction
 # polynomials, q = 1 - OR, at the full working precision; these are the only
 # bytes here that depend on float UniPoly negation staying inside the
 # working precision (FLOAT_GOLDEN_SHA256 and the other shapes do not).
 PREC_GOLDEN_SHA256 = \
-    "6730b01401b3512d0116216c851fd4c77a2eb1a965088a95f1f600d8a3b66a39"
+    "29847d173a5c94295334c481f077cdeb464087aedf1637cba822dacdb9102eae"
 
 # sha256 of each group's _canonical() artifacts, recorded from the artifacts
 # written before the certificates became exact (when each surjectivity term
@@ -794,12 +839,15 @@ PREC_GOLDEN_SHA256 = \
 # "precision_bits"; exact (5fdada2b... -> b21fd2bd...), float (a6656479... ->
 # 9455a76e...) and prec (d016cfb4... -> 3164c19a...) when exact_on came to
 # be measured; float (9455a76e... -> f9ab8450...) and prec (3164c19a... ->
-# 0a2f44c0...) when the cosines came to be computed in integers.
+# 0a2f44c0...) when the cosines came to be computed in integers; all four
+# (exact b21fd2bd... -> 888986cd..., float f9ab8450... -> 5cd0d74f..., surj
+# c6ddd99a... -> cc167424..., prec 0a2f44c0... -> 07a4df81...) when the
+# "dense" wrapper went and surjectivity came to write its "target".
 CANONICAL_SHA256 = {
-    "exact": "b21fd2bdcec79a8edb467ce58ca42bc6af6f82c47ebd7ce334b85358f50f26a0",
-    "float": "f9ab8450f153df4871538d6cdd7e952a3c47f4c530bf8092250919bb8a5a5f2c",
-    "surj": "c6ddd99af1e7a91a1effeb7b68eff86674720dda445674d8d4f8dbda8964c35d",
-    "prec": "0a2f44c09ce60cba5ce2f34ac220338b040e3c958ebf80d0bb4c3f0eb19544ad",
+    "exact": "888986cdf5eb8d01d2dc0b07e41c0902ce9db70684c7b7036e51bb0d95e2fa47",
+    "float": "5cd0d74faa4dbd4eb94900db3e24cd012b9dd4d7c217fbd5ac220906592655cc",
+    "surj": "cc1674248d95c89d955e40bdb49cbc857e3f850317848ed927c753ee1596aa0b",
+    "prec": "07a4df81227224bbdbe95843541549f95c77e98d877397f8b544e93bb779f7e2",
 }
 
 

@@ -686,9 +686,10 @@ def test_poly_json_round_trip_every_struct_kind():
         assert json.dumps(r.to_json(), sort_keys=True) == text, kind
         for t in (0, Fraction(1, 3), 1):
             assert r.ints(t) == s.ints(t), (kind, t)
-    # A dense child is written as a "dense" node and read back as a UniPoly.
+    # A dense child is written as a dense polynomial is at the top level,
+    # and read back as a UniPoly.
     child = kinds[SProd].to_json()["parts"][0]
-    assert child == {"kind": "dense", "poly": dense.to_json()}
+    assert child == dense.to_json()
     assert poly_from_json(child) == dense
 
 
