@@ -598,21 +598,34 @@ def poly_from_json(d):
     raise ValueError("unknown structured polynomial kind %r" % k)
 
 
-def min_degree(build, eps, lo, hi):
+def min_degree(build, eps, lo, hi, guess=None):
     """build(d) at the smallest d in [lo, hi] with certified_eps <= eps, for
-    an error that falls with d: gallop up from lo, then bisect, building no
-    d twice.  Raises PrecisionError if d = hi misses eps."""
+    an error that falls with d: probe guess (clamped to [lo, hi], lo if
+    None), gallop down from it while probes meet eps or up while they miss,
+    then bisect, building no d twice.  Raises PrecisionError if d = hi
+    misses eps."""
 
     def probe(d):
         obj = build(d)
         return obj if obj.certified_eps <= eps else None
 
-    bad, d, step = lo - 1, lo, 1
-    while (best := probe(d)) is None:
+    d = lo if guess is None else min(max(guess, lo), hi)
+    bad, step = lo - 1, 1
+    best = probe(d)
+    while best is not None and d > lo:
+        mid = max(d - step, lo)
+        obj = probe(mid)
+        if obj is None:
+            bad = mid
+            break
+        d, best = mid, obj
+        step *= 2
+    while best is None:
         if d == hi:
             raise PrecisionError("no degree up to %d meets the target" % hi)
         bad, d = d, min(d + step, hi)
         step *= 2
+        best = probe(d)
     while d - bad > 1:
         mid = (bad + d) // 2
         obj = probe(mid)

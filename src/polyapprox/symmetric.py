@@ -8,6 +8,7 @@ polynomial, rounded up to its working precision), never an asymptotic
 estimate, and the weights where it is exact in the same pass.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -180,10 +181,36 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
     return SymApprox.measured(spec, p, "chebyshev-damped", p.prec)
 
 
+def _and_or_guess(n, eps):
+    """The least d < n whose shape (r, ell) has the closed-form error
+    1/(1 + T_r(n/(n - ell))) <= eps, that is r acosh(n/(n - ell)) >=
+    acosh(1/eps - 1), else n; 1 for eps >= 1/2.  The left side never falls
+    with d, so this bisects over d in floats, with ln(1/eps) from eps's
+    numerator and denominator so a tiny eps cannot overflow.  Floats only
+    steer the search: min_degree returns the same d from any guess wherever
+    the certified error falls with d (ROADMAP item 11 has where it does
+    not)."""
+    if 2 * eps >= 1:
+        return 1
+    ly = (math.log(eps.denominator) - math.log(eps.numerator)
+          + math.log1p(-float(eps)))                  # ln(1/eps - 1) > 0
+    target = ly + math.log1p(math.sqrt(-math.expm1(-2 * ly)))
+
+    def reaches(d):
+        r, ell = _and_or_shape(n, d)
+        return r * math.acosh(n / (n - ell)) >= target
+
+    return bisect_left(range(1, n), True, key=reaches) + 1
+
+
 def and_or_min_degree(n, which, eps, prec=DEFAULT_PREC):
     """and_or_approx at the smallest d whose certified error is <= eps.  The
-    error falls with d, and d >= n is the exact interpolant.  Degrees with
-    the same (r, ell) share one build."""
+    error falls with d, and d >= n is the exact interpolant.  The search
+    starts at _and_or_guess, and degrees with the same (r, ell) share one
+    build."""
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise ValueError("need eps > 0")
     built = {}
 
     def build(d):
@@ -192,7 +219,7 @@ def and_or_min_degree(n, which, eps, prec=DEFAULT_PREC):
             built[key] = and_or_approx(n, d, which, prec)
         return built[key]
 
-    return min_degree(build, eps, 1, max(n, 1))
+    return min_degree(build, eps, 1, max(n, 1), _and_or_guess(n, eps))
 
 
 def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):

@@ -345,6 +345,18 @@ def _no_target(doc):
     del doc["target"]
 
 
+def _surjectivity_on_4000_rows(doc):
+    # (8, 2) edited to (4000, 2): 4 004 001 weight vectors, and verify took
+    # 17.8 s to measure them
+    doc["n"] = 4000
+
+
+def _surjectivity_with_20_of_40_columns(doc):
+    # C(40, 20) column subsets at each of 67 vectors: no memory holds them
+    doc["r"] = 40
+    doc["terms"][-1]["ell"] = 20
+
+
 def _hex_coefficient_in_an_exact_poly(doc):
     assert doc["backend"] == "rational"
     doc["coeffs"][0] = "0x1p-1"
@@ -368,6 +380,8 @@ REASONS = {
     _inner_coefficients_as_an_object: "coeffs is not a JSON array",
     _dense_node: "unknown structured polynomial kind 'dense'",
     _no_target: "unrecognized artifact",
+    _surjectivity_on_4000_rows: "more than 8388608 subset sums",
+    _surjectivity_with_20_of_40_columns: "more than 8388608 subset sums",
 }
 
 
@@ -466,6 +480,8 @@ SAMPLING_16_1 = ["--target", "sampling", "--n", "16", "--k", "1", "--seed", "1"]
     (SAMPLING_16_1, _dense_node),
     (SURJ_8_2, _no_target),
     (AND_4, _set("target", ["spectrum"])),
+    (SURJ_8_2, _surjectivity_on_4000_rows),
+    (SURJ_8_2, _surjectivity_with_20_of_40_columns),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -495,6 +511,20 @@ def test_verify_rejects_a_readable_claim_that_is_not_the_exact_one(argv,
     capsys.readouterr()
     assert run(["verify", str(out)]) == 3
     assert "FAIL: certified_eps" in capsys.readouterr().out
+
+
+def test_verify_measures_a_surjectivity_artifact_with_5000_columns(
+        tmp_path, capsys):
+    # (0, 5000) has one weight vector, all zeros; enumerating it recursed
+    # 5000 deep and ended in a RecursionError traceback (exit 1).
+    out = tmp_path / "c.json"
+    assert run(["construct"] + SURJ_8_2 + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc.update(n=0, r=5000, degree=0, terms=doc["terms"][:1])
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    assert "FAIL: certified error" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [AND_4, SURJ_8_2])
@@ -931,6 +961,32 @@ def test_float_artifact_bytes_ignore_the_ambient_precision(ambient, tmp_path):
     with mp.workprec(ambient):
         digest = _digest(_build(GOLDEN_ARGV["prec"], tmp_path))
     assert digest == PREC_GOLDEN_SHA256
+
+
+def test_golden_and_or_searches_build_at_most_three_shapes(monkeypatch,
+                                                          tmp_path):
+    # and_or_min_degree starts at its closed-form estimate: a search that
+    # builds more than 3 shapes means the estimate has drifted from
+    # _and_or_shape.  A count, not a timing.
+    real_search, real_build = symmetric.min_degree, symmetric.and_or_approx
+    builds = []
+
+    def search(*args):
+        builds.append(0)
+        return real_search(*args)
+
+    def build(*args):
+        builds[-1] += 1
+        return real_build(*args)
+
+    monkeypatch.setattr(symmetric, "min_degree", search)
+    monkeypatch.setattr(symmetric, "and_or_approx", build)
+    argvs = [argv for group in GOLDEN_ARGV.values() for argv in group
+             if argv[argv.index("--target") + 1] in ("and", "or",
+                                                     "surjectivity")]
+    _build(argvs, tmp_path)
+    assert len(argvs) == 16 and len(builds) >= 16
+    assert max(builds) <= 3, builds
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))

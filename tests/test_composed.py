@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from polyapprox import composed
-from polyapprox.composed import (PComp, PConj, PConst, PDisj, PProd, PScale,
-                                 PSum, _weight_vectors, expansion_eval,
+from polyapprox.composed import (MAX_MEASURE, PComp, PConj, PConst, PDisj,
+                                 PProd, PScale, PSum, _count_weight_vectors,
+                                 _measure_cost, _weight_vectors,
+                                 expansion_eval,
                                  expansion_norm, selector_compose, sym_eval,
                                  surj_outer_eval, surj_value,
                                  surjectivity_approx, symmetrize)
@@ -70,6 +72,26 @@ def test_weight_vectors_enumeration():
                                for v in _ordered_weight_vectors(r, n)})
     assert len(list(_weight_vectors(4, 16))) == 359
     assert len(_ordered_weight_vectors(4, 16)) == 4845
+
+
+def test_measure_cost_is_the_vectors_times_the_subsets():
+    for r in range(1, 7):
+        for n in range(13):
+            vecs = len(list(_weight_vectors(r, n)))
+            assert _count_weight_vectors(r, n, MAX_MEASURE) == vecs, (r, n)
+            assert (_measure_cost(n, r, range(r + 1))
+                    == vecs * (r + 2 ** r)), (r, n)
+    assert _count_weight_vectors(6, 48, MAX_MEASURE) == 78701
+    assert _measure_cost(48, 6, range(6)) == 5430369 <= MAX_MEASURE
+    # past the cap a cost may stop early, but stays above it, and no
+    # binomial or partition count runs to the end
+    assert _count_weight_vectors(2, 4000, 10 ** 9) == 4004001
+    for n, r, ells in ((4000, 2, [0, 1, 2]), (8, 40, [0, 1, 20]),
+                       (10 ** 18, 10 ** 6, [1]), (8, 10 ** 18, [10 ** 17])):
+        assert _measure_cost(n, r, ells) > MAX_MEASURE, (n, r)
+    # the enumeration recurses only as deep as the nonzero weights
+    assert list(_weight_vectors(5000, 1)) == [(0,) * 5000,
+                                             (1,) + (0,) * 4999]
 
 
 @pytest.mark.parametrize("n,r", [(8, 2), (12, 3), (16, 4)])

@@ -702,18 +702,25 @@ def test_dense_child_enclosure_is_exact_at_its_precision():
 
 
 @given(st.sampled_from([0, 1]), st.integers(min_value=1, max_value=100),
-       st.integers(min_value=0, max_value=110))
-@example(lo=0, hi=10, threshold=0)     # answer at d = lo = 0
-@example(lo=1, hi=10, threshold=1)     # answer at d = lo = 1
-@example(lo=0, hi=10, threshold=10)    # answer at hi
-@example(lo=1, hi=10, threshold=10)
-@example(lo=1, hi=1, threshold=1)      # a single candidate
-@example(lo=0, hi=10, threshold=11)    # hi misses eps
-@example(lo=1, hi=10, threshold=11)
+       st.integers(min_value=0, max_value=110),
+       st.one_of(st.none(), st.integers(min_value=-10, max_value=120)))
+@example(lo=0, hi=10, threshold=0, guess=None)   # answer at d = lo = 0
+@example(lo=1, hi=10, threshold=1, guess=None)   # answer at d = lo = 1
+@example(lo=0, hi=10, threshold=10, guess=None)  # answer at hi
+@example(lo=1, hi=10, threshold=10, guess=None)
+@example(lo=1, hi=1, threshold=1, guess=None)    # a single candidate
+@example(lo=0, hi=10, threshold=11, guess=None)  # hi misses eps
+@example(lo=1, hi=10, threshold=11, guess=None)
+@example(lo=1, hi=10, threshold=11, guess=10)    # hi probed first, misses
+@example(lo=0, hi=100, threshold=0, guess=100)   # gallop down to lo
+@example(lo=1, hi=100, threshold=37, guess=37)   # the guess is the answer
+@example(lo=1, hi=100, threshold=37, guess=36)   # one below it
+@example(lo=1, hi=100, threshold=37, guess=-3)   # clamped up to lo
+@example(lo=1, hi=100, threshold=37, guess=120)  # clamped down to hi
 @settings(max_examples=150, deadline=None)
-def test_min_degree_matches_linear_scan(lo, hi, threshold):
+def test_min_degree_matches_linear_scan(lo, hi, threshold, guess):
     # certified_eps = max(threshold - d, 0) falls with d and meets eps = 0
-    # exactly from d = threshold on
+    # exactly from d = threshold on; the answer does not depend on guess
     built = []
 
     def build(d):
@@ -723,9 +730,9 @@ def test_min_degree_matches_linear_scan(lo, hi, threshold):
     linear = next((d for d in range(lo, hi + 1) if d >= threshold), None)
     if linear is None:
         with pytest.raises(numcore.PrecisionError):
-            min_degree(build, 0, lo, hi)
+            min_degree(build, 0, lo, hi, guess)
     else:
-        assert min_degree(build, 0, lo, hi).d == linear
+        assert min_degree(build, 0, lo, hi, guess).d == linear
     assert len(built) == len(set(built)) and all(lo <= d <= hi for d in built)
 
 
@@ -797,6 +804,11 @@ float_pairs = st.sampled_from(PRECS).flatmap(
     lambda prec: st.tuples(st.just(prec), _dyadics(prec), _dyadics(prec)))
 scalars = st.one_of(fracs, st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
                                      st.integers(1, 10 ** 30)))
+# 127 coefficients, each exact at 256 bits, of both signs, with zeros.
+LONG_DYADIC = [Fraction((-1) ** i * (3 ** 150 + 11 * i) * (i % 5 != 2),
+                        2 ** (7 * i)) for i in range(127)]
+LONG_RATIONAL = [Fraction((-1) ** i * (i * i + 1), 3 * i + 2)
+                 for i in range(127)]
 # Magnitudes 2^-478 to 2^455 within one polynomial, with a zero between.
 SPREAD = [Fraction(3, 2 ** 450), 0, -(2 ** 455 + 1), Fraction(-5, 2 ** 480)]
 
@@ -808,6 +820,14 @@ SPREAD = [Fraction(3, 2 ** 450), 0, -(2 ** 455 + 1), Fraction(-5, 2 ** 480)]
 @example((24, [], [1, 2]), Fraction(1, 3), Fraction(0), Fraction(5))
 @example((256, [Fraction(1, 3)], [0, 0, -1]), Fraction(0), Fraction(0),
          Fraction(1, 2))
+# a shorter factor of 16 and of 17 coefficients, and 127 x 2, as in the
+# rational product
+@example((256, LONG_DYADIC[:16], LONG_DYADIC[:20]), Fraction(1, 3),
+         Fraction(-7, 5), Fraction(24))
+@example((512, LONG_DYADIC[:17], LONG_DYADIC[5:22]), Fraction(1, 3),
+         Fraction(1, 2), Fraction(-1, 7))
+@example((256, [Fraction(-3, 2 ** 250), 7], LONG_DYADIC), Fraction(5),
+         Fraction(2), Fraction(1, 3))
 @settings(max_examples=80, deadline=None)
 def test_float_arithmetic_is_the_exact_result_rounded_once(pair, c, a, b):
     prec, xs, ys = pair
@@ -846,6 +866,11 @@ def test_float_arithmetic_ignores_the_ambient_precision(pair, a, b):
 # 17-byte slot of the packed product, at either sign.
 @example([2 ** 64 - 1] * 127, [2 ** 64 - 1] * 127)
 @example([-(2 ** 64 - 1)] * 127, [2 ** 64 - 1] * 127)
+# a shorter factor of 16 and of 17 coefficients, about where a direct loop
+# and the packed product cross (ROADMAP item 1), and 127 x 2
+@example(LONG_RATIONAL[:16], LONG_RATIONAL[:20])
+@example(LONG_RATIONAL[:17], LONG_RATIONAL[3:20])
+@example(LONG_RATIONAL, [Fraction(-1, 3), 7])
 @settings(max_examples=60, deadline=None)
 def test_rational_product_matches_the_double_loop(a, b):
     p, q = UniPoly(a), UniPoly(b)

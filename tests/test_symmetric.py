@@ -8,8 +8,9 @@ from mpmath import mp
 import pytest
 
 from polyapprox import symmetric
-from polyapprox.numcore import (FLOAT, RATIONAL, Dyadic, SplitMix64,
-                                min_degree, poly_from_json)
+from polyapprox.numcore import (FLOAT, RATIONAL, BackendMismatchError,
+                                Dyadic, SplitMix64, min_degree,
+                                poly_from_json)
 from polyapprox.symmetric import (SymApprox, SymSpec, _sampling_exponent,
                                   and_or_approx, and_or_min_degree,
                                   exact_weight_approx, sampling_approx,
@@ -169,8 +170,9 @@ def test_and_or_min_degree_matches_linear_ladder(n):
 
 
 def test_and_or_min_degree_builds_each_shape_once(monkeypatch):
-    # The search probes d = 1, 2, 4, 8, 16, 32, 24, 20, 22, 21; d = 1 and 2
-    # share (r, ell) = (1, 1), and d = 21 and 22 share (11, 1).
+    # The search starts at the closed-form estimate d = 21, which meets eps,
+    # and gallops down to d = 20, which misses.  From d = 1 it probes d = 1,
+    # 2, 4, 8, 16, 32, 24, 20, 22, 21 and reaches the same artifact.
     eps = Fraction(1, 3)
     real = symmetric.and_or_approx
     want = min_degree(lambda d: real(128, d, "and", 256), eps, 1, 128)
@@ -182,7 +184,7 @@ def test_and_or_min_degree_builds_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(symmetric, "and_or_approx", spy)
     got = and_or_min_degree(128, "and", eps, 256)
-    assert probed == [1, 4, 8, 16, 32, 24, 20, 22]
+    assert probed == [21, 20]
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
@@ -299,6 +301,25 @@ def test_sampling_exponent_at_an_eps_below_every_float():
     # from the numerator and the denominator.
     spec = SymSpec(16, [Fraction(1, 2), Fraction(1, 3)] + [0] * 15)
     assert _sampling_exponent(spec, Fraction(1, 10 ** 400)) == 5 * 930
+
+
+def test_and_or_guess_at_an_eps_below_every_float():
+    # No d < 16 reaches the closed form at eps = 1/10^400, so the search
+    # starts at the interpolant; 1/eps as a float would divide by 0.0.
+    eps = Fraction(1, 10 ** 400)
+    assert symmetric._and_or_guess(16, eps) == 16
+    a = and_or_min_degree(16, "and", eps)
+    assert (a.degree, a.certified_eps) == (16, 0)
+    assert symmetric._and_or_guess(16, Fraction(1, 2)) == 1
+
+
+def test_and_or_min_degree_takes_an_exact_positive_eps():
+    # the estimate reads eps's numerator and denominator, and logs of eps
+    with pytest.raises(BackendMismatchError):
+        and_or_min_degree(16, "or", 1e-3)
+    for eps in (0, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="eps > 0"):
+            and_or_min_degree(16, "or", eps)
 
 
 @pytest.mark.parametrize("build", [
