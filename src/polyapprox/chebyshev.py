@@ -27,6 +27,7 @@ def pi_fixed(bits):
     return 16 * atan_inv(5) - 4 * atan_inv(239) >> guard
 
 
+@lru_cache(maxsize=256)
 def cos_pi(p, q, prec):
     """cos(pi p/q) for integers p and q > 0, a prec-bit Dyadic from Python
     ints alone: a Taylor series in fixed point with 20 guard bits, far more
@@ -34,8 +35,10 @@ def cos_pi(p, q, prec):
     Deterministic and within 2^-prec, but not always correctly rounded: a
     construction certifies whatever it returns by the exact measure."""
     p = min(p % (2 * q), -p % (2 * q))      # cos is even, of period 2 pi
+    neg = 2 * p > q                         # cos(pi - x) = -cos(x)
+    p = min(p, q - p)
     bits = prec + 20
-    x = pi_fixed(bits) * p // q             # in [0, pi]
+    x = pi_fixed(bits) * p // q             # in [0, pi/2]
     x2 = x * x >> bits
     total = term = 1 << bits
     k = 0
@@ -43,18 +46,24 @@ def cos_pi(p, q, prec):
         k += 2
         term = (term * x2 >> bits) // (k * (k - 1))
         total += term if k % 4 == 0 else -term
-    return to_dyadic(Fraction(total, 1 << bits), prec)
+    return to_dyadic(Fraction(-total if neg else total, 1 << bits), prec)
 
 
-def cheb_poly(d, prec=None):
-    """T_d as a dense polynomial, exact when prec is None: the recurrence on
-    integer coefficient lists, converted once (a float rounds once)."""
-    if d < 0:
-        raise ValueError("negative degree")
+@lru_cache(maxsize=64)
+def _cheb_coeffs(d):
+    """T_d's integer coefficients, a tuple, by the recurrence on lists."""
     t0, t1 = [1], [0, 1]
     for _ in range(d - 1):
         t0, t1 = t1, [2 * b - a for a, b in zip(t0 + [0, 0], [0] + t1)]
-    return UniPoly(t1 if d else t0, prec)
+    return tuple(t1 if d else t0)
+
+
+def cheb_poly(d, prec=None):
+    """T_d as a dense polynomial, exact when prec is None: _cheb_coeffs'
+    integers, converted once (a float rounds once)."""
+    if d < 0:
+        raise ValueError("negative degree")
+    return UniPoly(_cheb_coeffs(d), prec)
 
 
 def cheb_eval(d, t):

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 import math
+import operator
 import re
 
 RATIONAL = "rational"
@@ -230,30 +231,16 @@ def horner_ints(nums, den, t):
     return acc, den * bpow
 
 
-def _kronecker_mul(a, b):
+def _int_mul(a, b):
     """The coefficients of the product of two nonempty integer polynomials,
-    by Kronecker substitution: each is packed into one integer at a stride
-    of w bytes, wide enough for every product coefficient, the two integers
-    are multiplied once, and the product is unpacked.  Adding half a slot
-    to every slot keeps each packed digit nonnegative."""
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length())
-    w = bits // 8 + 1                     # every |c| < 2^bits <= 2^(8w - 1)
-    half = 1 << (8 * w - 1)
-    halves = half.to_bytes(w, "little")
-
-    def pack(c):
-        digits = b"".join((x + half).to_bytes(w, "little") for x in c)
-        return (int.from_bytes(digits, "little")
-                - int.from_bytes(halves * len(c), "little"))
-
-    n = len(a) + len(b) - 1
-    pa = pack(a)
-    prod = pa * (pa if b is a else pack(b))
-    data = (prod + int.from_bytes(halves * n, "little")).to_bytes(n * w,
-                                                                  "little")
-    return [int.from_bytes(data[i:i + w], "little") - half
-            for i in range(0, n * w, w)]
+    in a fresh list: the longer factor times each coefficient of the other,
+    added in at its offset."""
+    b, a = sorted((a, b), key=len)
+    la = len(a)
+    out = [0] * (la + len(b) - 1)
+    for j, y in enumerate(b):
+        out[j:j + la] = map(operator.add, out[j:j + la], map(y.__mul__, a))
+    return out
 
 
 class UniPoly:
@@ -307,6 +294,9 @@ class UniPoly:
         return p
 
     def _check(self, other):
+        if not isinstance(other, UniPoly):
+            raise BackendMismatchError("expected a UniPoly, got %r; scale() "
+                                       "takes a scalar" % type(other))
         if self.prec != other.prec:
             raise BackendMismatchError("mixed precisions %r / %r (None is "
                                        "exact)" % (self.prec, other.prec))
@@ -343,7 +333,7 @@ class UniPoly:
         self._check(other)
         if not self.nums or not other.nums:
             return self._from_ints([], 1)
-        return self._from_ints(_kronecker_mul(self.nums, other.nums),
+        return self._from_ints(_int_mul(self.nums, other.nums),
                                self.den * other.den)
 
     def scale(self, c):

@@ -4,9 +4,10 @@ import mpmath
 from mpmath import mp
 from hypothesis import given, settings, strategies as st
 
-from polyapprox.chebyshev import (cheb_eval, cheb_eval_closed, cheb_extrema,
-                                  cheb_factored, cheb_poly, cheb_roots, cos_pi,
-                                  growth_lower_bounds, pi_fixed)
+from polyapprox.chebyshev import (_cheb_coeffs, cheb_eval, cheb_eval_closed,
+                                  cheb_extrema, cheb_factored, cheb_poly,
+                                  cheb_roots, cos_pi, growth_lower_bounds,
+                                  pi_fixed)
 from polyapprox.numcore import Dyadic, to_dyadic
 
 
@@ -24,6 +25,23 @@ def test_float_cheb_poly_rounds_the_exact_coefficients_once(d, prec):
     got = cheb_poly(d, prec).coeffs
     assert got == cheb_poly(d).to_float(prec).coeffs
     assert got == [to_dyadic(c, prec) for c in cheb_poly(d).coeffs]
+
+
+def test_memoised_pieces_survive_the_arithmetic_built_on_them():
+    # cheb_poly and single_zero_factor build on memoised T_d coefficients
+    # and cosines: nothing done with a result may reach the memo
+    p = cheb_poly(7, 256)
+    c = cos_pi(1, 14, 256)
+    for r in (p * p, p ** 3, p + p, -p, p.compose_affine(Fraction(1, 3), c),
+              p.scale(c).derivative()):
+        assert r.prec == 256
+    again, c_again = cheb_poly(7, 256), cos_pi(1, 14, 256)
+    assert type(_cheb_coeffs(7)) is tuple
+    _cheb_coeffs.cache_clear()
+    cos_pi.cache_clear()
+    assert again == p == cheb_poly(7, 256)
+    assert c_again == c == cos_pi(1, 14, 256)
+    assert cheb_poly(7).coeffs == [Fraction(x) for x in _cheb_coeffs(7)]
 
 
 def test_cosine_identity():
@@ -94,6 +112,16 @@ def test_cos_pi_reduces_its_argument():
                                              q, 64)
     assert cos_pi(0, 5, 64) == 1 and cos_pi(5, 5, 64) == -1
     assert abs(cos_pi(1, 2, 64)) < Fraction(1, 2 ** 64)
+
+
+def test_cos_pi_folds_past_a_quarter_turn():
+    # for 2p > q the series runs at pi - x and the rounded total is negated:
+    # round to nearest even is symmetric, so the value is -cos_pi(q - p, q)
+    for q in (1, 3, 7, 48, 200):
+        for p in range(q // 2 + 1, q + 1):
+            for prec in (53, 256):
+                c = cos_pi(p, q, prec)
+                assert type(c) is Dyadic and c == -cos_pi(q - p, q, prec)
 
 
 def test_pi_fixed_is_within_2_units():

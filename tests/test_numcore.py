@@ -511,6 +511,15 @@ def test_backend_mismatch_raises():
         p * q
 
 
+def test_arithmetic_with_a_scalar_raises_and_points_to_scale():
+    # a scalar operand is a TypeError naming scale(), not an AttributeError
+    for p in (UniPoly([1, 2]), UniPoly([1, 2], 64)):
+        for c in (3, Fraction(1, 2)):
+            for op in (lambda: p * c, lambda: p + c, lambda: p - c):
+                with pytest.raises(BackendMismatchError, match=r"scale\(\)"):
+                    op()
+
+
 def test_lagrange_interpolation_reproduces_nodes():
     nodes = [0, 1, 2, 3]
     vals = [Fraction(1), Fraction(0), Fraction(1, 2), Fraction(-2)]
@@ -809,6 +818,9 @@ LONG_DYADIC = [Fraction((-1) ** i * (3 ** 150 + 11 * i) * (i % 5 != 2),
                         2 ** (7 * i)) for i in range(127)]
 LONG_RATIONAL = [Fraction((-1) ** i * (i * i + 1), 3 * i + 2)
                  for i in range(127)]
+# 40 coefficients, each exact at 1024 bits, of both signs, with zeros.
+WIDE_DYADIC = [Fraction((-1) ** i * (5 ** 440 + 13 * i) * (i % 7 != 3),
+                        2 ** (9 * i)) for i in range(40)]
 # Magnitudes 2^-478 to 2^455 within one polynomial, with a zero between.
 SPREAD = [Fraction(3, 2 ** 450), 0, -(2 ** 455 + 1), Fraction(-5, 2 ** 480)]
 
@@ -827,6 +839,14 @@ SPREAD = [Fraction(3, 2 ** 450), 0, -(2 ** 455 + 1), Fraction(-5, 2 ** 480)]
 @example((512, LONG_DYADIC[:17], LONG_DYADIC[5:22]), Fraction(1, 3),
          Fraction(1, 2), Fraction(-1, 7))
 @example((256, [Fraction(-3, 2 ** 250), 7], LONG_DYADIC), Fraction(5),
+         Fraction(2), Fraction(1, 3))
+# 1024 bits: short x long, long x short and balanced, so the convolution
+# runs over the shorter factor from either side
+@example((1024, WIDE_DYADIC[:2], WIDE_DYADIC), Fraction(1, 3),
+         Fraction(-7, 5), Fraction(24))
+@example((1024, WIDE_DYADIC, WIDE_DYADIC[7:9]), Fraction(1, 3),
+         Fraction(1, 2), Fraction(-1, 7))
+@example((1024, WIDE_DYADIC, WIDE_DYADIC[::-1]), Fraction(5),
          Fraction(2), Fraction(1, 3))
 @settings(max_examples=80, deadline=None)
 def test_float_arithmetic_is_the_exact_result_rounded_once(pair, c, a, b):
@@ -862,12 +882,12 @@ def test_float_arithmetic_ignores_the_ambient_precision(pair, a, b):
 @given(st.lists(mixed_coeffs, max_size=10), st.lists(mixed_coeffs, max_size=10))
 @example([], [1])
 @example([Fraction(1, 3), 0, Fraction(-7, 2)], [0, 0, 5])
-# 64 + 64 + 7 bits: the middle coefficient, 127 (2^64 - 1)^2, just fits the
-# 17-byte slot of the packed product, at either sign.
+# 127 x 127 coefficients of 64 bits at either sign: the middle
+# coefficient, 127 (2^64 - 1)^2, sums 127 equal products.
 @example([2 ** 64 - 1] * 127, [2 ** 64 - 1] * 127)
 @example([-(2 ** 64 - 1)] * 127, [2 ** 64 - 1] * 127)
-# a shorter factor of 16 and of 17 coefficients, about where a direct loop
-# and the packed product cross (ROADMAP item 1), and 127 x 2
+# a shorter factor of 16 and of 17 coefficients, about where a packed
+# product would start to beat the loop (ROADMAP item 1, step 6), and 127 x 2
 @example(LONG_RATIONAL[:16], LONG_RATIONAL[:20])
 @example(LONG_RATIONAL[:17], LONG_RATIONAL[3:20])
 @example(LONG_RATIONAL, [Fraction(-1, 3), 7])
