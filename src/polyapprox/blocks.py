@@ -47,7 +47,7 @@ def reciprocal_approx(n, d):
     one_minus_q = UniPoly([1]) - q
     if one_minus_q.eval(0) != 0:
         raise ArithmeticError("reciprocal construction lost its root at 0")
-    p = UniPoly(one_minus_q.coeffs[1:])
+    p = UniPoly._from_ints(one_minus_q.nums[1:], one_minus_q.den, None)
     return p, Fraction(1) / peak
 
 

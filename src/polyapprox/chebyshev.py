@@ -59,11 +59,11 @@ def _cheb_coeffs(d):
 
 
 def cheb_poly(d, prec=None):
-    """T_d as a dense polynomial, exact when prec is None: _cheb_coeffs'
-    integers, converted once (a float rounds once)."""
+    """T_d as a dense polynomial, exact when prec is None: a fresh list of
+    _cheb_coeffs' integers, converted once (a float rounds once)."""
     if d < 0:
         raise ValueError("negative degree")
-    return UniPoly(_cheb_coeffs(d), prec)
+    return UniPoly._from_ints(list(_cheb_coeffs(d)), 1, prec)
 
 
 def cheb_eval(d, t):

@@ -70,6 +70,13 @@ TARGETS = {
         _random_low_support(a.n, a.k, a.seed), eps, a.prec),
     "surjectivity": lambda a, eps: surjectivity_approx(a.n, a.r, eps, a.prec),
 }
+# bounds' families, each a closed form at the parsed arguments
+FAMILIES = {
+    "symmetric": lambda a: bounds_mod.symmetric_closed(a.n, a.k, a.delta),
+    "kdnf": lambda a: bounds_mod.kdnf_closed(a.n, a.k, a.delta),
+    "ed": lambda a: bounds_mod.ed_closed(a.n, a.k, a.delta),
+    "ed-range": lambda a: bounds_mod.ed_range_closed(a.n, a.r, a.k, a.delta),
+}
 # verify's class for each artifact, by the "target" the artifact writes
 ARTIFACTS = {"spectrum": SymApprox, "surjectivity": BlockSymApprox}
 
@@ -144,15 +151,7 @@ def cmd_bounds(args):
                              % (flag, getattr(args, flag)))
     if fam in ("ed", "ed-range") and args.k < 1:
         raise ValueError("--family %s needs --k >= 1, got %d" % (fam, args.k))
-    if fam == "symmetric":
-        val = bounds_mod.symmetric_closed(args.n, args.k, args.delta)
-    elif fam == "kdnf":
-        val = bounds_mod.kdnf_closed(args.n, args.k, args.delta)
-    elif fam == "ed":
-        val = bounds_mod.ed_closed(args.n, args.k, args.delta)
-    else:
-        val = bounds_mod.ed_range_closed(args.n, args.r, args.k, args.delta)
-    print("%.6f" % val)
+    print("%.6f" % FAMILIES[fam](args))
     return 0
 
 
@@ -235,8 +234,7 @@ def make_parser():
 
     b = sub.add_parser("bounds")
     what = b.add_mutually_exclusive_group(required=True)
-    what.add_argument("--family",
-                      choices=["symmetric", "kdnf", "ed", "ed-range"])
+    what.add_argument("--family", choices=list(FAMILIES))
     what.add_argument("--sweep", action="store_true")
     b.add_argument("--n", type=int, default=0)
     b.add_argument("--k", type=int, default=0)

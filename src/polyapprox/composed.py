@@ -181,7 +181,7 @@ def sym_eval(sym, weights):
 def sym_to_unipoly(sym):
     """Single-block symmetrization as a dense polynomial in the weight,
     using C(t, s) = t(t-1)...(t-s+1)/s!."""
-    p = UniPoly.zero()
+    p = UniPoly([])
     for (s,), c in sym.items():
         binom = UniPoly([1])
         for i in range(s):
@@ -252,7 +252,7 @@ class BlockSymApprox:
         # value(w) = (sum_ell M_ell sum_S T[w_S]) / den in integers, with
         # q(k) = T[k] / lq, mu_ell = M_ell / lm and den = lq * lm: at an
         # integer k every q(k) has the denominator lq = q.den.
-        q = self.q if self.q is not None else UniPoly.zero()
+        q = self.q if self.q is not None else UniPoly([])
         lq = q.den
         table = [horner_ints(q.nums, lq, k)[0] for k in range(self.n + 1)]
         lm = math.lcm(*(mu.denominator for _, mu in self.terms))

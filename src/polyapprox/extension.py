@@ -103,7 +103,7 @@ def small_support_approx(spec, eps, prec=DEFAULT_PREC):
     eps = as_fraction(eps)
     n, k = spec.n, spec.top
     if k < 0:
-        return SymApprox.measured(spec, UniPoly.zero(), "zero")
+        return SymApprox.measured(spec, UniPoly([]), "zero")
     if 2 * k >= n:
         return SymApprox.interpolant(spec)
     base = SymApprox.interpolant(SymSpec(2 * k, spec.values[:2 * k + 1]))

@@ -5,11 +5,12 @@ Precision is the one scalar knob: None is exact (fractions.Fraction), an
 integer is a dyadic float of that many significant bits, and only this
 module names the derived backend, "rational" or "float".  Mixing
 precisions is an error, never a silent coercion.  A UniPoly is one exact
-integer form at any precision, its arithmetic runs in integers, and a
-float result rounds once per coefficient.  Every scalar this module takes
-or returns is an int or a Fraction; a rounded one, or one read from hex,
-is a Dyadic, which JSON spells in hex.  A float construction builds its
-polynomial once and certifies it exactly.
+integer form at any precision, set only by UniPoly._from_ints, which every
+construction ends in; its arithmetic runs in integers, and a float result
+rounds once per coefficient.  Every scalar this module takes or returns is
+an int or a Fraction; a rounded one, or one read from hex, is a Dyadic,
+which JSON spells in hex.  A float construction builds its polynomial once
+and certifies it exactly.
 
 Every polynomial, dense or structured, has one evaluation: ints(t), the
 unreduced integer pair (numerator, denominator) of its exact value at a
@@ -247,22 +248,35 @@ class UniPoly:
     """Dense univariate polynomial, exact (prec None) or float at prec bits.
     Coefficient i is nums[i] / den in lowest terms (den > 0, gcd(den, *nums)
     == 1) with no trailing zero, so the zero polynomial has degree -1; for
-    floats den is a power of two.  The form is never mutated.  Every
-    operation passes its exact integer result through _from_ints: an exact
-    one is reduced by one gcd, a float one rounds each coefficient once, to
-    nearest at prec."""
+    floats den is a power of two.  The form is never mutated.  It is set in
+    one place, _from_ints, which every construction ends in: UniPoly(coeffs,
+    prec) on ints and Fractions, each operation on its exact integer result,
+    from_json, to_float.  An exact form is reduced by one gcd, a float one
+    rounds each coefficient once, to nearest at prec."""
 
     __slots__ = ("nums", "den", "prec")
 
-    def __init__(self, coeffs, prec=None):
+    def __new__(cls, coeffs, prec=None):
+        den, nums = _over_lcm([c if isinstance(c, int) else as_fraction(c)
+                               for c in coeffs])
+        return cls._from_ints(nums, den, prec)
+
+    @staticmethod
+    def _from_ints(nums, den, prec):
+        """The polynomial sum_i nums[i] / den t^i, exact if prec is None,
+        else each coefficient rounded once, to nearest at prec bits.  The
+        list nums is consumed: the caller hands over a fresh one."""
         if prec is not None and prec < 1:
             raise ValueError("float precision must be at least 1 bit, got %r"
-                             % prec)
-        convert = as_fraction if prec is None else Fraction
-        values = [convert(c) for c in coeffs]
-        self.prec = prec
-        den, nums = _over_lcm(values)
-        self.nums, self.den = _lowest(nums, den, prec)
+                             % (prec,))
+        p = object.__new__(UniPoly)
+        p.nums, p.den = _lowest(nums, den, prec)
+        p.prec = prec
+        return p
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor
+        return UniPoly, (self.coeffs, self.prec)
 
     @property
     def backend(self):
@@ -279,16 +293,8 @@ class UniPoly:
         return len(self.nums) - 1
 
     @classmethod
-    def zero(cls, prec=None):
-        return cls([], prec)
-
-    @classmethod
-    def constant(cls, c, prec=None):
-        return cls([c], prec)
-
-    @classmethod
     def from_roots(cls, roots, prec=None):
-        p = cls.constant(1, prec)
+        p = cls([1], prec)
         for r in roots:
             p = p * cls([-as_fraction(r), 1], prec)
         return p
@@ -300,14 +306,6 @@ class UniPoly:
         if self.prec != other.prec:
             raise BackendMismatchError("mixed precisions %r / %r (None is "
                                        "exact)" % (self.prec, other.prec))
-
-    def _from_ints(self, nums, den):
-        """The polynomial sum_i nums[i] / den t^i at this precision: exact,
-        or each float coefficient rounded once, to nearest at prec."""
-        p = UniPoly.__new__(UniPoly)
-        p.prec = self.prec
-        p.nums, p.den = _lowest(nums, den, self.prec)
-        return p
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and self.backend == other.backend
@@ -321,10 +319,10 @@ class UniPoly:
         den = math.lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
         return self._from_ints([x * sa + y * sb for x, y in zip_longest(
-            self.nums, other.nums, fillvalue=0)], den)
+            self.nums, other.nums, fillvalue=0)], den, self.prec)
 
     def __neg__(self):
-        return self._from_ints([-n for n in self.nums], self.den)
+        return self._from_ints([-n for n in self.nums], self.den, self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -332,19 +330,19 @@ class UniPoly:
     def __mul__(self, other):
         self._check(other)
         if not self.nums or not other.nums:
-            return self._from_ints([], 1)
+            return self._from_ints([], 1, self.prec)
         return self._from_ints(_int_mul(self.nums, other.nums),
-                               self.den * other.den)
+                               self.den * other.den, self.prec)
 
     def scale(self, c):
         c = as_fraction(c)
         return self._from_ints([n * c.numerator for n in self.nums],
-                               self.den * c.denominator)
+                               self.den * c.denominator, self.prec)
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        out = UniPoly.constant(1, self.prec)
+        out = UniPoly([1], self.prec)
         base = self
         while k:
             if k & 1:
@@ -371,7 +369,7 @@ class UniPoly:
         a, b = as_fraction(a), as_fraction(b)
         nums, den = self.nums, self.den
         if not nums:
-            return self._from_ints([], 1)
+            return self._from_ints([], 1, self.prec)
         deg = len(nums) - 1
         D, (alpha, beta) = _over_lcm((a, b))
         g = [n * D ** (deg - j) for j, n in enumerate(nums)]
@@ -380,7 +378,7 @@ class UniPoly:
                 for j in range(deg - 1, i - 1, -1):
                     g[j] += beta * g[j + 1]
         return self._from_ints([c * alpha ** i for i, c in enumerate(g)],
-                               den * D ** deg)
+                               den * D ** deg, self.prec)
 
     def norm(self):
         """Sum of absolute coefficient values, exact."""
@@ -388,10 +386,10 @@ class UniPoly:
 
     def derivative(self):
         return self._from_ints([i * n for i, n in enumerate(self.nums)][1:],
-                               self.den)
+                               self.den, self.prec)
 
     def to_float(self, prec=DEFAULT_PREC):
-        return UniPoly(self.coeffs, prec)
+        return self._from_ints(self.nums[:], self.den, prec)
 
     def to_json(self):
         if self.prec is None:
@@ -413,27 +411,25 @@ class UniPoly:
         if backend != FLOAT:
             raise ValueError("unknown backend %r" % backend)
         prec = d["precision_bits"]
-        if type(prec) is not int or prec < 1:
+        if type(prec) is not int:
             raise ValueError("float precision must be an integer of at least "
                              "1 bit, got %r" % (prec,))
         if any("/" in s for s in coeffs):
             raise ValueError("float polynomial with a rational coefficient")
         parts = [_from_hex(s) for s in coeffs]
-        for (man, _), s in zip(parts, coeffs):
-            if abs(man).bit_length() > prec:
-                raise ValueError("coefficient %s has more than %d significant "
-                                 "bits" % (s, prec))
         exps = [e for _, e in parts]
         low = min([0] + exps)
         if max([0] + exps) - low > MAX_EXP:
             raise ValueError("exponents spread over more than %d" % MAX_EXP)
         if sum(m.bit_length() + e - low for m, e in parts if m) > MAX_BITS:
             raise ValueError("numerators of more than %d bits" % MAX_BITS)
-        p = cls.__new__(cls)
-        p.prec = prec
-        p.nums, p.den = [m << e - low for m, e in parts], 1 << -low
-        while p.nums and not p.nums[-1]:
-            p.nums.pop()
+        # built before the bit check, so a precision below 1 bit is the
+        # constructor's error; a coefficient of more bits is rejected here
+        p = cls._from_ints([m << e - low for m, e in parts], 1 << -low, prec)
+        for (man, _), s in zip(parts, coeffs):
+            if abs(man).bit_length() > prec:
+                raise ValueError("coefficient %s has more than %d significant "
+                                 "bits" % (s, prec))
         return p
 
 
@@ -460,8 +456,8 @@ def _interpolate_ints(s, nums):
 
 def _from_scaled(c, Q, den):
     """The exact UniPoly sum_k c_k (Q t)^k / den, from integers."""
-    return UniPoly.zero()._from_ints([n * Q ** k for k, n in enumerate(c)],
-                                     den)
+    return UniPoly._from_ints([n * Q ** k for k, n in enumerate(c)], den,
+                              None)
 
 
 def lagrange_interpolate(nodes, values):
@@ -688,6 +684,3 @@ class SplitMix64:
     def fraction(self):
         """Uniform Fraction in [-1, 1] with denominator 2^16."""
         return Fraction(self.randint(-2 ** 16, 2 ** 16), 2 ** 16)
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]

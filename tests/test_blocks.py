@@ -192,7 +192,7 @@ def test_interval_indicator_cached():
 def _reciprocal_power_by_poly_arithmetic(d, D):
     # Reference: the Taylor section summed as Fraction polynomials.
     base = UniPoly([1, -1])
-    p = UniPoly.zero()
+    p = UniPoly([])
     pw = UniPoly([1])
     for i in range(D + 1):
         p = p + pw.scale(math.comb(i + d - 1, i))

@@ -2,7 +2,8 @@
 file, every parameter of its functions is read in the function's body,
 every top-level definition and class method is used somewhere, every
 dataclass field is read, only numcore knows the scalar backends and writes
-a Fraction, no module touches a float's bits through libmp or imports
+a Fraction, only UniPoly's one constructor sets a polynomial's integer
+form, no module touches a float's bits through libmp or imports
 mpmath, the oracle imports only numcore, only the measured of a class
 verify reads artifacts as builds an approximant with its claims, every
 construction label is one verify reads, and every cache is bounded.
@@ -94,6 +95,16 @@ def test_the_scan_sees_a_fraction_format():
     assert _fraction_formats(tree) == [1]
 
 
+def _scopes(stmt):
+    """(where, node) for a top-level statement: each statement of a class
+    as Class.method (Class. for one that is not a def), any other as the
+    def's name or <module>."""
+    if isinstance(stmt, ast.ClassDef):
+        return [("%s.%s" % (stmt.name, getattr(fn, "name", "")), fn)
+                for fn in stmt.body]
+    return [(getattr(stmt, "name", "<module>"), stmt)]
+
+
 # every class verify reads an artifact as, so a new one is scanned too
 APPROX_CLASSES = tuple(c.__name__ for c in cli.ARTIFACTS.values())
 
@@ -106,11 +117,7 @@ def _approx_builds(tree):
     <module>."""
     out = []
     for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef):
-            scopes = [("%s.%s" % (stmt.name, getattr(fn, "name", "")), fn)
-                      for fn in stmt.body]
-        else:
-            scopes = [(getattr(stmt, "name", "<module>"), stmt)]
+        scopes = _scopes(stmt)
         names = {"replace", *APPROX_CLASSES}
         if isinstance(stmt, ast.ClassDef) and stmt.name in APPROX_CLASSES:
             names.add("cls")
@@ -156,6 +163,65 @@ def test_the_scan_sees_a_block_symmetric_approximant_built():
     assert _approx_builds(tree) == [
         "BlockSymApprox.measured (line 3)", "BlockSymApprox.other (line 5)",
         "surjectivity_approx (line 7)"]
+
+
+# the one function that sets a UniPoly's nums, den and prec
+CONSTRUCTOR = "numcore.UniPoly._from_ints"
+
+
+def _form_setters(tree):
+    """'where: what (line N)' for every call of _lowest or of a __new__ and
+    every assignment to an attribute nums, den or prec, as _scopes names
+    where, in line order."""
+    found = []
+    for stmt in tree.body:
+        for where, scope in _scopes(stmt):
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Call)
+                        and _callee(node) in ("_lowest", "__new__")):
+                    what = _callee(node) + "()"
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and node.attr in ("nums", "den", "prec")):
+                    what = "." + node.attr + " ="
+                else:
+                    continue
+                found.append((node.lineno, "%s: %s" % (where, what)))
+    return ["%s (line %d)" % (what, line) for line, what in sorted(found)]
+
+
+def test_only_the_constructor_sets_a_polynomial_form():
+    # A UniPoly's integer form is reduced (exact) or rounded (float) in one
+    # place: no other function reduces with _lowest, makes a bare object
+    # with __new__, or assigns nums, den or prec, in numcore or elsewhere.
+    found = ["%s.%s" % (p.stem, s) for p in MODULES
+             for s in _form_setters(ast.parse(p.read_text(), str(p)))]
+    mine = [s for s in found if s.startswith(CONSTRUCTOR + ":")]
+    assert mine, "the scan no longer sees %s" % CONSTRUCTOR
+    rest = [s for s in found if s not in mine]
+    assert not rest, "a polynomial form set outside %s: %s" % (
+        CONSTRUCTOR, ", ".join(rest))
+
+
+def test_the_scan_sees_a_polynomial_form_set():
+    tree = ast.parse("class UniPoly:\n"
+                     "    def _from_ints(nums, den, prec):\n"
+                     "        p = object.__new__(UniPoly)\n"
+                     "        p.nums, p.den = _lowest(nums, den, prec)\n"
+                     "        p.prec = prec\n"
+                     "    def degree(self):\n"
+                     "        return len(self.nums) - 1\n"
+                     "def g(q):\n    q.den = 3\n"
+                     "    return numcore._lowest([], q.den, q.prec)\n"
+                     "x = UniPoly.__new__(UniPoly)\n")
+    assert _form_setters(tree) == [
+        "UniPoly._from_ints: __new__() (line 3)",
+        "UniPoly._from_ints: .den = (line 4)",
+        "UniPoly._from_ints: .nums = (line 4)",
+        "UniPoly._from_ints: _lowest() (line 4)",
+        "UniPoly._from_ints: .prec = (line 5)",
+        "g: .den = (line 9)", "g: _lowest() (line 10)",
+        "<module>: __new__() (line 11)"]
 
 
 def _libmp_uses(tree):
