@@ -5,13 +5,13 @@ Exit codes: 0 success, 2 invalid configuration, 3 verification failure,
 polynomial, rounded up to --prec bits for a float target or a binomial
 tail, so a higher --prec may help.
 
-verify reads an artifact with the from_json of the class ARTIFACTS maps its
-"target" to, and measures it again with remeasured, the one exact pass
-construct made (numcore.max_error, at the precisions the artifact records).
-It compares the exact maximum error with the exact claim,
+verify reads an artifact with SymApprox.from_json over the domain ARTIFACTS
+maps its "target" to, and measures it again with remeasured, the one exact
+pass construct made (numcore.max_error, at the precisions the artifact
+records).  It compares the exact maximum error with the exact claim,
 certified_eps_exact, with no slack, the readable certified_eps with that
 claim as a float, the claimed degree with the serialized polynomial's, and
-exact_on with the weights where that pass found no error.
+a spectrum's exact_on with the weights where that pass found no error.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from .oracle import minimax_lp
 from .symmetric import (SymApprox, SymSpec, and_or_approx, and_or_min_degree,
                         exact_weight_approx, sampling_min_degree)
 from .extension import small_support_approx
-from .composed import surjectivity_approx, BlockSymApprox
+from .composed import SurjSpec, surjectivity_approx
 
 
 def _parse_fraction(s):
@@ -77,8 +77,8 @@ FAMILIES = {
     "ed": lambda a: bounds_mod.ed_closed(a.n, a.k, a.delta),
     "ed-range": lambda a: bounds_mod.ed_range_closed(a.n, a.r, a.k, a.delta),
 }
-# verify's class for each artifact, by the "target" the artifact writes
-ARTIFACTS = {"spectrum": SymApprox, "surjectivity": BlockSymApprox}
+# verify's domain for each artifact, by the "target" the artifact writes
+ARTIFACTS = {"spectrum": SymSpec, "surjectivity": SurjSpec}
 
 
 def cmd_construct(args):
@@ -106,7 +106,7 @@ def cmd_verify(args):
     if type(doc.get("certified_eps")) is not float:
         raise ValueError("the readable certified_eps is not a float")
     try:
-        approx = ARTIFACTS[target].from_json(doc)
+        approx = SymApprox.from_json(doc, ARTIFACTS[target])
         fresh = approx.remeasured()
     except TypeError as exc:
         # well-formed JSON with a field of the wrong type

@@ -10,11 +10,10 @@ from functools import cached_property, reduce
 from itertools import combinations, permutations, product
 import math
 
-from .numcore import (DEFAULT_PREC, UniPoly, as_fraction, certify,
-                      horner_ints, max_error, scalar_from_json,
-                      scalar_to_json, to_dyadic)
+from .numcore import (DEFAULT_PREC, UniPoly, as_fraction, horner_ints,
+                      scalar_from_json, scalar_to_json, to_dyadic)
 from .chebyshev import cheb_eval, cheb_poly
-from .symmetric import and_or_min_degree
+from .symmetric import SymApprox, and_or_min_degree
 
 
 # ---------------------------------------------------------------------------
@@ -205,47 +204,53 @@ def incl_excl_expand(k):
 
 
 @dataclass
-class BlockSymApprox:
-    """sum_ell mu_ell sum_{|S|=ell} q(w_S) over column weight vectors w: every
-    column subset shares the one emptiness indicator q."""
+class SurjSpec:
+    """SURJ's domain: the nonincreasing column weight vectors with sum <= n
+    of an n x r grid, which suffice by column symmetry.  A shape with no
+    vector would measure 0, so n and r are checked."""
     n: int
     r: int
-    q: object                    # UniPoly, or None with only the constant left
-    terms: list                  # (ell, mu); ell = 0 is the constant term
-    certified_eps: object
-    exact_on = None              # claimed for no weight vector: see README
+    claims_exact_on = False      # nor a construction: see README
+
+    def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError("need n >= 0 rows, got %r" % (self.n,))
+        if type(self.r) is not int or self.r < 1:
+            raise ValueError("need r >= 1 columns, got %r" % (self.r,))
+
+    def pairs(self):
+        return ((wv, surj_value(wv)) for wv in _weight_vectors(self.r, self.n))
+
+    def to_json(self):
+        return {"target": "surjectivity", "n": self.n, "r": self.r}
 
     @classmethod
-    def measured(cls, n, r, q, terms, prec=None):
-        """The approximant with its error measured on it: the exact max
-        |value - SURJ| over weight vectors with sum <= n, certified at prec
-        bits (exact for None).  Both are invariant under permuting the
-        columns, so the nonincreasing vectors suffice.  A shape with no
-        vector would measure 0, so n, r and every ell are checked first."""
-        if type(n) is not int or n < 0:
-            raise ValueError("need n >= 0 rows, got %r" % (n,))
-        if type(r) is not int or r < 1:
-            raise ValueError("need r >= 1 columns, got %r" % (r,))
+    def read(cls, doc):
+        """(spec, poly, None, None) of a surjectivity artifact."""
+        if "exact_on" in doc or "construction" in doc:
+            raise ValueError("surjectivity claims no exact_on or construction")
+        spec = cls(doc["n"], doc["r"])
+        q = UniPoly.from_json(doc["q"]) if doc["q"] is not None else None
+        terms = [(t["ell"], scalar_from_json(t["mu"])) for t in doc["terms"]]
+        return spec, SSubsets(spec, q, terms), None, None
+
+
+class SSubsets:
+    """sum_ell mu_ell sum_{|S|=ell} q(w_S) at a column weight vector w of
+    spec, for terms (ell, mu): every column subset shares the one emptiness
+    indicator q, None with only the constant term, ell = 0, left."""
+
+    def __init__(self, spec, q, terms):
+        n, r = spec.n, spec.r
         if not all(type(ell) is int and 0 <= ell <= r for ell, _ in terms):
             raise ValueError("every ell must be an integer in 0..r")
         if _measure_cost(n, r, [ell for ell, _ in terms]) > MAX_MEASURE:
             raise ValueError("(%d, %d) takes more than %d subset sums to "
                              "measure" % (n, r, MAX_MEASURE))
-        out = cls(n, r, q, terms, None)
-        out.certified_eps = certify(max_error(out, (
-            (wv, surj_value(wv)) for wv in _weight_vectors(r, n))), prec)
-        return out
-
-    def remeasured(self):
-        """measured again, exactly, on the fields from_json read."""
-        return self.measured(self.n, self.r, self.q, self.terms)
-
-    @property
-    def degree(self):
-        """q's degree, or 0 with only the constant term left."""
-        if self.q is None or all(ell == 0 for ell, _ in self.terms):
-            return 0
-        return self.q.degree
+        self.spec, self.q, self.terms = spec, q, terms
+        # q's degree, or 0 with only the constant term left
+        self.degree = (0 if q is None or all(ell == 0 for ell, _ in terms)
+                       else q.degree)
 
     @cached_property
     def _integer_form(self):
@@ -254,10 +259,10 @@ class BlockSymApprox:
         # integer k every q(k) has the denominator lq = q.den.
         q = self.q if self.q is not None else UniPoly([])
         lq = q.den
-        table = [horner_ints(q.nums, lq, k)[0] for k in range(self.n + 1)]
+        table = [horner_ints(q.nums, lq, k)[0] for k in range(self.spec.n + 1)]
         lm = math.lcm(*(mu.denominator for _, mu in self.terms))
         terms = [(ell, mu.numerator * (lm // mu.denominator),
-                  list(combinations(range(self.r), ell)))
+                  list(combinations(range(self.spec.r), ell)))
                  for ell, mu in self.terms]
         return terms, table, lq, lq * lm
 
@@ -273,25 +278,13 @@ class BlockSymApprox:
 
     def eval(self, weights):
         """The exact value at a column weight vector."""
-        assert len(weights) == self.r
+        assert len(weights) == self.spec.r
         return Fraction(*self.ints(weights))
 
     def to_json(self):
-        return {"target": "surjectivity", "n": self.n, "r": self.r,
-                "degree": self.degree,
-                "q": self.q.to_json() if self.q is not None else None,
+        return {"q": self.q.to_json() if self.q is not None else None,
                 "terms": [{"ell": ell, "mu": scalar_to_json(mu)}
-                          for ell, mu in self.terms],
-                "certified_eps": float(self.certified_eps),
-                "certified_eps_exact": scalar_to_json(self.certified_eps)}
-
-    @classmethod
-    def from_json(cls, doc):
-        """The inverse of to_json; the degree is q's."""
-        q = UniPoly.from_json(doc["q"]) if doc["q"] is not None else None
-        terms = [(t["ell"], scalar_from_json(t["mu"])) for t in doc["terms"]]
-        return cls(doc["n"], doc["r"], q, terms,
-                   scalar_from_json(doc["certified_eps_exact"]))
+                          for ell, mu in self.terms]}
 
 
 # The most subset sums measuring a shape may take, its nonincreasing weight
@@ -302,7 +295,7 @@ MAX_MEASURE = 1 << 23
 
 
 def _measure_cost(n, r, ells, cap=MAX_MEASURE):
-    """The subset sums BlockSymApprox.measured takes at (n, r) with terms
+    """The subset sums measuring an SSubsets takes at (n, r) with terms
     of sizes ells, or some number above cap once it passes cap."""
     per = r
     for ell in ells:
@@ -376,11 +369,12 @@ def _finite_differences(values):
 def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     """Approximant for SURJ on an n x r grid restricted to weight <= n,
     expanded into per-column-subset emptiness terms."""
+    spec = SurjSpec(n, r)
     eps = as_fraction(eps)
-    if not 1 <= r <= n:
+    if r > n:
         # no map of n rows onto r > n columns is onto: the zero polynomial
-        # is exact.  measured rejects every other shape outside 1 <= r <= n.
-        return BlockSymApprox.measured(n, r, None, [(0, Fraction(0))])
+        # is exact.  SurjSpec rejects every other shape outside 1 <= r <= n.
+        return SymApprox.measured(spec, SSubsets(spec, None, [(0, 0)]))
     outer = _outer(r, eps, prec)
     h = [outer.eval(r - j) for j in range(r + 1)]
     outer_err = max(abs(h[j] - surj_value([1] * (r - j) + [0] * j))
@@ -402,7 +396,8 @@ def surjectivity_approx(n, r, eps=Fraction(1, 3), prec=DEFAULT_PREC):
     q = _conjunction_poly(n, budget, prec) if live else None
     terms = [(0, mu[0])] + [(ell, mu[ell]) for ell in live]
     exact = outer.prec is None and (q is None or q.prec is None)
-    return BlockSymApprox.measured(n, r, q, terms, None if exact else prec)
+    return SymApprox.measured(spec, SSubsets(spec, q, terms),
+                              prec=None if exact else prec)
 
 
 def _conjunction_poly(n, budget, prec):

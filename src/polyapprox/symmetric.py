@@ -2,10 +2,10 @@
 indicators, general symmetric spectra and the sampled low-support
 construction.
 
-Every claim is measured on the returned polynomial: SymApprox.measured
-takes the exact maximum deviation over the integer weights (for a float
-polynomial, rounded up to its working precision), never an asymptotic
-estimate, and the weights where it is exact in the same pass.
+SymApprox, the one approximant class, measures every claim on its polynomial
+over its domain (a SymSpec's weights or composed.SurjSpec's column weight
+vectors): the exact maximum deviation, rounded up for a float polynomial,
+never an asymptotic estimate, and the points where it is exact in one pass.
 """
 
 from bisect import bisect_left
@@ -33,6 +33,7 @@ class SymSpec:
     """Target symmetric function: values[w] on Hamming weight w, in [-1, 1]."""
     n: int
     values: list
+    claims_exact_on = True       # and the construction: see SymApprox
 
     def __post_init__(self):
         if (type(self.n) is not int or self.n < 0
@@ -63,27 +64,44 @@ class SymSpec:
         """The highest weight of the support, -1 for the zero spectrum."""
         return max((w for w, v in enumerate(self.values) if v), default=-1)
 
+    def pairs(self):
+        return enumerate(self.values)
+
     def to_json(self):
         return {"target": "spectrum", "n": self.n,
                 "values": [scalar_to_json(v) for v in self.values]}
 
+    @classmethod
+    def read(cls, doc):
+        """(spec, poly, construction, exact_on) of a spectrum artifact."""
+        spec = cls(doc["n"], [fraction_from_json(v)
+                              for v in json_array(doc, "values")])
+        exact = doc["exact_on"]
+        if not (isinstance(exact, list) and len(set(exact)) == len(exact)
+                and all(type(w) is int and 0 <= w <= spec.n for w in exact)):
+            raise ValueError("exact_on must list distinct weights 0..n")
+        label = doc["construction"]
+        if type(label) is not str or label not in CONSTRUCTIONS:
+            raise ValueError("unknown construction %.40r" % (label,))
+        return spec, poly_from_json(doc), label, set(exact)
+
 
 @dataclass
 class SymApprox:
-    spec: SymSpec
-    poly: object                 # UniPoly or StructPoly in the weight
+    spec: object                 # the domain: SymSpec or composed.SurjSpec
+    poly: object                 # UniPoly or a node, evaluated at its points
     certified_eps: object
-    construction: str
-    exact_on: set
+    construction: str            # both None where the domain claims
+    exact_on: set                # neither
 
     @classmethod
-    def measured(cls, spec, poly, construction, prec=None):
-        """poly, a dense polynomial or a node, as an approximant of spec with
-        every claim measured on it in one exact pass over weights 0..n: the
-        maximum error, certified at prec bits (exact for None), and exact_on,
-        the weights where the error is 0."""
-        exact = set()
-        err = max_error(poly, enumerate(spec.values), exact)
+    def measured(cls, spec, poly, construction=None, prec=None):
+        """poly, a dense polynomial or a node, as an approximant over the
+        domain spec with every claim measured on it in one exact pass over
+        spec.pairs(): the maximum error, certified at prec bits (exact for
+        None), and exact_on, the points with error 0, if spec claims it."""
+        exact = set() if spec.claims_exact_on else None
+        err = max_error(poly, spec.pairs(), exact)
         return cls(spec, poly, certify(err, prec), construction, exact)
 
     @classmethod
@@ -106,25 +124,17 @@ class SymApprox:
         d["degree"] = self.degree
         d["certified_eps"] = float(self.certified_eps)
         d["certified_eps_exact"] = scalar_to_json(self.certified_eps)
-        d["construction"] = self.construction
-        d["exact_on"] = sorted(self.exact_on)
+        if self.spec.claims_exact_on:
+            d["construction"] = self.construction
+            d["exact_on"] = sorted(self.exact_on)
         return d
 
     @classmethod
-    def from_json(cls, doc):
-        """The inverse of to_json; the degree is the polynomial's."""
-        spec = SymSpec(doc["n"], [fraction_from_json(v)
-                                  for v in json_array(doc, "values")])
-        exact = doc["exact_on"]
-        if not (isinstance(exact, list) and len(set(exact)) == len(exact)
-                and all(type(w) is int and 0 <= w <= spec.n for w in exact)):
-            raise ValueError("exact_on must list distinct weights 0..n")
-        label = doc["construction"]
-        if type(label) is not str or label not in CONSTRUCTIONS:
-            raise ValueError("unknown construction %.40r" % (label,))
-        return cls(spec, poly_from_json(doc),
-                   scalar_from_json(doc["certified_eps_exact"]), label,
-                   set(exact))
+    def from_json(cls, doc, domain):
+        """The inverse of to_json over the domain class doc is read as."""
+        spec, poly, construction, exact = domain.read(doc)
+        return cls(spec, poly, scalar_from_json(doc["certified_eps_exact"]),
+                   construction, exact)
 
 
 def single_zero_factor(n, m, prec=DEFAULT_PREC):

@@ -190,7 +190,7 @@ def test_criterion_07_surjectivity():
     details = []
     for n, r in ((8, 2), (12, 3), (16, 4)):
         a = surjectivity_approx(n, r)
-        worst = max(abs(a.eval(wv) - surj_value(wv))
+        worst = max(abs(a.poly.eval(wv) - surj_value(wv))
                     for wv in _weight_vectors(r, n))
         if worst > Fraction(1, 3):
             ok = False

@@ -482,6 +482,10 @@ SAMPLING_16_1 = ["--target", "sampling", "--n", "16", "--k", "1", "--seed", "1"]
     (AND_4, _set("target", ["spectrum"])),
     (SURJ_8_2, _surjectivity_on_4000_rows),
     (SURJ_8_2, _surjectivity_with_20_of_40_columns),
+    # claims surjectivity makes none of, each ignored: verify printed OK,
+    # and exact_on [] is false, as (8, 2) is exact on 16 of 25 vectors
+    (SURJ_8_2, _set("exact_on", [])),
+    (SURJ_8_2, _set("construction", "interpolant")),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):
@@ -567,11 +571,11 @@ def test_verify_rejects_a_wrong_exact_on_claim_with_exit_3(argv, change,
 @pytest.mark.parametrize("target", list(cli.TARGETS))
 def test_every_target_writes_the_target_verify_reads_it_as(target, tmp_path,
                                                            capsys):
-    # verify finds an artifact's class by its "target" alone
+    # verify finds an artifact's domain by its "target" alone
     a = cli.TARGETS[target](SimpleNamespace(n=8, k=1, r=2, seed=1, prec=64),
                             Fraction(1, 3))
     doc = a.to_json()
-    assert cli.ARTIFACTS[doc["target"]] is type(a)
+    assert cli.ARTIFACTS[doc["target"]] is type(a.spec)
     out = tmp_path / "a.json"
     out.write_text(json.dumps(doc))
     assert run(["verify", str(out)]) == 0
@@ -1124,7 +1128,7 @@ def _weights_it_is_exact_on(a):
     return {w for w, v in enumerate(a.spec.values) if a.poly.eval(w) == v}
 
 
-# surjectivity builds a BlockSymApprox, which claims no exact_on
+# surjectivity's domain, SurjSpec, claims no exact_on
 @pytest.mark.parametrize("build", [
     *(lambda t=t: cli.TARGETS[t](SimpleNamespace(
         n=16, k=2, r=0, seed=9, prec=128), Fraction(1, 8))

@@ -99,9 +99,9 @@ def test_sorted_maximum_equals_the_ordered_maximum(n, r):
     # SURJ and the block-symmetric form are invariant under permuting the
     # columns, so the maximum over nonincreasing vectors is the maximum.
     a = surjectivity_approx(n, r)
-    ordered = max(abs(a.eval(wv) - surj_value(wv))
+    ordered = max(abs(a.poly.eval(wv) - surj_value(wv))
                   for wv in _ordered_weight_vectors(r, n))
-    assert max_error(a, ((wv, surj_value(wv))
+    assert max_error(a.poly, ((wv, surj_value(wv))
                          for wv in _weight_vectors(r, n))) == ordered
     assert a.certified_eps >= ordered
 
@@ -116,7 +116,7 @@ def test_surj_value():
 def test_surjectivity_certified_exhaustively(n, r):
     a = surjectivity_approx(n, r)
     assert float(a.certified_eps) <= 1 / 3
-    worst = max(abs(a.eval(wv) - surj_value(wv))
+    worst = max(abs(a.poly.eval(wv) - surj_value(wv))
                 for wv in _ordered_weight_vectors(r, n))
     assert worst <= a.certified_eps + Fraction(1, 2 ** 100)
 
@@ -125,7 +125,7 @@ def test_surjectivity_more_columns_than_rows_is_constant_zero():
     a = surjectivity_approx(4, 6)
     assert a.certified_eps == 0
     for wv in _weight_vectors(6, 4):
-        assert a.eval(wv) == surj_value(wv) == 0
+        assert a.poly.eval(wv) == surj_value(wv) == 0
 
 
 def test_surjectivity_general_epsilon_path():
@@ -154,7 +154,7 @@ def test_surjectivity_degree_is_at_most_n(n, r, eps):
         # the budget needs the exact interpolant: 1 - OR on 0..n at degree n
         assert a.degree == n and a.certified_eps == 0
     if (n, r) == (24, 2):
-        assert a.degree == 11 and a.q.prec is not None
+        assert a.degree == 11 and a.poly.q.prec is not None
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -170,8 +170,8 @@ def test_surjectivity_builds_one_conjunction_polynomial(r, monkeypatch):
     monkeypatch.setattr(composed, "_conjunction_poly", spy)
     a = surjectivity_approx(8, r)
     assert len(built) == 1
-    assert len([ell for ell, _ in a.terms if ell != 0]) >= 2
-    assert a.q is built[0]
+    assert len([ell for ell, _ in a.poly.terms if ell != 0]) >= 2
+    assert a.poly.q is built[0]
 
 
 def test_surjectivity_outer_cross_validation():
@@ -181,7 +181,7 @@ def test_surjectivity_outer_cross_validation():
     a = surjectivity_approx(n, r)
     for j in range(r + 1):
         wv = tuple([1] * (r - j) + [0] * j)
-        full = a.eval(wv)
+        full = a.poly.eval(wv)
         outer = surj_outer_eval(r, Fraction(1, 3), wv, 256)
         assert abs(full - outer) <= a.certified_eps + Fraction(1, 2 ** 60)
 

@@ -105,21 +105,21 @@ def _scopes(stmt):
     return [(getattr(stmt, "name", "<module>"), stmt)]
 
 
-# every class verify reads an artifact as, so a new one is scanned too
-APPROX_CLASSES = tuple(c.__name__ for c in cli.ARTIFACTS.values())
+# the one class whose instances carry a certificate: verify reads every
+# artifact as one, over the domain cli.ARTIFACTS maps its target to
+APPROX_CLASS = "SymApprox"
 
 
 def _approx_builds(tree):
     """'where (line N)' for every call that builds an approximant:
-    SymApprox(...), BlockSymApprox(...) or a bare replace(...), the
-    dataclass copy with new fields, anywhere, and cls(...) in a method of
-    either class; where is the enclosing top-level def or Class.method, or
-    <module>."""
+    SymApprox(...) or a bare replace(...), the dataclass copy with new
+    fields, anywhere, and cls(...) in a method of the class; where is the
+    enclosing top-level def or Class.method, or <module>."""
     out = []
     for stmt in tree.body:
         scopes = _scopes(stmt)
-        names = {"replace", *APPROX_CLASSES}
-        if isinstance(stmt, ast.ClassDef) and stmt.name in APPROX_CLASSES:
+        names = {"replace", APPROX_CLASS}
+        if isinstance(stmt, ast.ClassDef) and stmt.name == APPROX_CLASS:
             names.add("cls")
         out += ["%s (line %d)" % (where, node.lineno)
                 for where, scope in scopes for node in ast.walk(scope)
@@ -129,11 +129,13 @@ def _approx_builds(tree):
 
 
 def test_only_measured_builds_a_symmetric_approximant():
-    # Every claim of a SymApprox (its certified error and exact_on) or a
-    # BlockSymApprox (its certified error) is measured on its polynomial by
-    # the class's measured; from_json reads claims back for verify to
+    # Every claim of a SymApprox (its certified error and, where its domain
+    # claims them, its construction and exact_on) is measured on its
+    # polynomial by measured; from_json reads claims back for verify to
     # measure again.  No construction states one.
-    allowed = tuple("%s.%s (" % (c, m) for c in APPROX_CLASSES
+    assert {d.__name__ for d in cli.ARTIFACTS.values()} == {"SymSpec",
+                                                           "SurjSpec"}
+    allowed = tuple("%s.%s (" % (APPROX_CLASS, m)
                     for m in ("measured", "from_json"))
     builds = [b for p in MODULES
               for b in _approx_builds(ast.parse(p.read_text(), str(p)))
@@ -152,17 +154,6 @@ def test_the_scan_sees_a_symmetric_approximant_built():
     assert _approx_builds(tree) == [
         "SymApprox.measured (line 3)", "SymApprox.other (line 5)",
         "g (line 10)", "<module> (line 11)"]
-
-
-def test_the_scan_sees_a_block_symmetric_approximant_built():
-    tree = ast.parse("class BlockSymApprox:\n"
-                     "    def measured(cls):\n        return cls(1)\n"
-                     "    def other(cls):\n        return cls(2)\n"
-                     "def surjectivity_approx(n):\n"
-                     "    return BlockSymApprox(n)\n")
-    assert _approx_builds(tree) == [
-        "BlockSymApprox.measured (line 3)", "BlockSymApprox.other (line 5)",
-        "surjectivity_approx (line 7)"]
 
 
 # the one function that sets a UniPoly's nums, den and prec
@@ -313,37 +304,58 @@ def test_the_scan_sees_a_package_import():
 
 
 def _construction_labels(tree):
-    """(label, line) for every call SymApprox.measured(...) of the module,
-    and cls.measured(...) in class SymApprox, that has no * argument: label
-    is its construction argument if that is a string literal, else None."""
+    """(label, where, line) for every call SymApprox.measured(...) of the
+    module, and cls.measured(...) in class SymApprox, that has no *
+    argument: label is its construction argument if that is a string
+    literal, else None, and where is its scope as _scopes names it."""
     out = []
     for stmt in tree.body:
         names = {"SymApprox"}
         if isinstance(stmt, ast.ClassDef) and stmt.name == "SymApprox":
             names.add("cls")
-        for node in ast.walk(stmt):
-            if not (isinstance(node, ast.Call) and _callee(node) == "measured"
-                    and getattr(node.func.value, "id", None) in names
-                    and not any(isinstance(a, ast.Starred) for a in node.args)):
-                continue
-            arg = node.args[2:3] + [k.value for k in node.keywords
-                                    if k.arg == "construction"]
-            label = getattr(arg[0], "value", None) if arg else None
-            out.append((label if isinstance(label, str) else None,
-                        node.lineno))
-    return sorted(out, key=lambda pair: pair[1])
+        for where, scope in _scopes(stmt):
+            for node in ast.walk(scope):
+                if not (isinstance(node, ast.Call)
+                        and _callee(node) == "measured"
+                        and getattr(node.func.value, "id", None) in names
+                        and not any(isinstance(a, ast.Starred)
+                                    for a in node.args)):
+                    continue
+                arg = node.args[2:3] + [k.value for k in node.keywords
+                                        if k.arg == "construction"]
+                label = getattr(arg[0], "value", None) if arg else None
+                out.append((label if isinstance(label, str) else None,
+                            where, node.lineno))
+    return sorted(out, key=lambda t: t[2])
+
+
+# The one measure that passes no label: surjectivity's domain, SurjSpec,
+# claims no construction.  Every spectrum construction must pass one.
+UNLABELLED = "composed.surjectivity_approx"
+
+
+def _labels_verify_refuses(labels):
+    """'label at module.where (line N)' for every (label, module.where,
+    line) whose label verify refuses, but for no label in UNLABELLED."""
+    from polyapprox.symmetric import CONSTRUCTIONS
+    return ["%r at %s (line %d)" % t for t in labels
+            if t[0] not in CONSTRUCTIONS and t[:2] != (None, UNLABELLED)]
+
+
+def _module_labels(stem, tree):
+    return [(label, "%s.%s" % (stem, where), line)
+            for label, where, line in _construction_labels(tree)]
 
 
 def test_every_construction_label_is_one_verify_reads():
     # verify rejects a label outside symmetric.CONSTRUCTIONS (exit 2), so a
     # construction that wrote one would build artifacts verify refuses.
     from polyapprox.symmetric import CONSTRUCTIONS
-    labels = [(label, "%s (line %d)" % (p.stem, line)) for p in MODULES
-              for label, line in _construction_labels(
-                  ast.parse(p.read_text(), str(p)))]
-    bad = ["%r at %s" % pair for pair in labels if pair[0] not in CONSTRUCTIONS]
-    assert not bad, "labels verify rejects: %s" % ", ".join(bad)
-    assert {label for label, _ in labels} == CONSTRUCTIONS
+    labels = [t for p in MODULES for t in _module_labels(
+        p.stem, ast.parse(p.read_text(), str(p)))]
+    bad = _labels_verify_refuses(labels)
+    assert not bad, "labels verify refuses: %s" % ", ".join(bad)
+    assert {label for label, _, _ in labels} == CONSTRUCTIONS | {None}
 
 
 def test_the_scan_sees_a_construction_label():
@@ -355,9 +367,24 @@ def test_the_scan_sees_a_construction_label():
                      "def g(s, p, lab):\n"
                      "    SymApprox.measured(s, p, lab)\n"
                      "    SymApprox.measured(s, p, construction='b')\n"
-                     "    BlockSymApprox.measured(s, p, 'y')\n"
+                     "    Other.measured(s, p, 'y')\n"
                      "    return SymApprox.measured(*p)\n")
-    assert _construction_labels(tree) == [("a", 3), (None, 8), ("b", 9)]
+    assert _construction_labels(tree) == [
+        ("a", "SymApprox.interpolant", 3), (None, "g", 8), ("b", "g", 9)]
+
+
+def test_the_scan_sees_a_spectrum_measure_with_no_label():
+    # Only surjectivity's measure may pass no label: a spectrum
+    # construction that forgets its label is caught, in composed too.
+    tree = ast.parse("def surjectivity_approx(s, p):\n"
+                     "    return SymApprox.measured(s, p, prec=64)\n"
+                     "def and_or_approx(s, p):\n"
+                     "    return SymApprox.measured(s, p)\n")
+    assert _labels_verify_refuses(_module_labels("composed", tree)) == [
+        "None at composed.and_or_approx (line 4)"]
+    assert _labels_verify_refuses(_module_labels("symmetric", tree)) == [
+        "None at symmetric.surjectivity_approx (line 2)",
+        "None at symmetric.and_or_approx (line 4)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

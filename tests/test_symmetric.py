@@ -8,6 +8,7 @@ from mpmath import mp
 import pytest
 
 from polyapprox import symmetric
+from polyapprox.composed import surjectivity_approx
 from polyapprox.numcore import (FLOAT, RATIONAL, BackendMismatchError,
                                 Dyadic, SplitMix64, min_degree,
                                 poly_from_json)
@@ -327,11 +328,15 @@ def test_and_or_min_degree_takes_an_exact_positive_eps():
     lambda: exact_weight_approx(20, 2, 2, Fraction(1, 8)),
     lambda: sampling_approx(SymSpec(16, [Fraction(1, 2), Fraction(-1, 3)]
                                     + [0] * 15), Fraction(1, 8)),
-], ids=["float", "zeroed-chebyshev", "structured"])
+    lambda: surjectivity_approx(8, 2),
+    # r > n: the zero polynomial, written with "q": null
+    lambda: surjectivity_approx(4, 6),
+], ids=["float", "zeroed-chebyshev", "structured", "surjectivity",
+        "surjectivity-r-above-n"])
 def test_from_json_inverts_to_json(build):
     a = build()
     text = json.dumps(a.to_json(), sort_keys=True)
-    b = SymApprox.from_json(json.loads(text))
+    b = SymApprox.from_json(json.loads(text), type(a.spec))
     assert json.dumps(b.to_json(), sort_keys=True) == text
     again = [SymApprox.measured(x.spec, x.poly, x.construction)
              for x in (a, b)]
