@@ -294,20 +294,20 @@ class SSubsets:
 MAX_MEASURE = 1 << 23
 
 
-def _measure_cost(n, r, ells, cap=MAX_MEASURE):
+def _measure_cost(n, r, ells):
     """The subset sums measuring an SSubsets takes at (n, r) with terms
-    of sizes ells, or some number above cap once it passes cap."""
+    of sizes ells, or some number above MAX_MEASURE once it passes it."""
     per = r
     for ell in ells:
         c = 1                                  # C(r, i) up to i = ell
         for i in range(min(ell, r - ell)):
             c = c * (r - i) // (i + 1)
-            if c > cap:
+            if c > MAX_MEASURE:
                 break
         per += c
-        if per > cap:
+        if per > MAX_MEASURE:
             return per
-    return _count_weight_vectors(r, n, cap // per) * per
+    return _count_weight_vectors(r, n, MAX_MEASURE // per) * per
 
 
 def _count_weight_vectors(r, n, cap):

@@ -407,7 +407,12 @@ class UniPoly:
         is no polynomial at that precision, and raises ValueError."""
         backend, coeffs = d["backend"], json_array(d, "coeffs")
         if backend == RATIONAL:
-            return cls([fraction_from_json(s) for s in coeffs])
+            fs = [fraction_from_json(s) for s in coeffs]
+            bits = math.lcm(*(f.denominator for f in fs)).bit_length()
+            if sum(f.numerator.bit_length() + bits - f.denominator.bit_length()
+                   for f in fs if f) > MAX_BITS:
+                raise ValueError("numerators of more than %d bits" % MAX_BITS)
+            return cls(fs)
         if backend != FLOAT:
             raise ValueError("unknown backend %r" % backend)
         prec = d["precision_bits"]

@@ -165,8 +165,7 @@ def _zeroed_bump(r, top, width, zeros, prec):
 
 def _and_or_shape(n, d):
     """(r, ell) of and_or_approx at d < n: the bump's Chebyshev degree
-    r = ceil(d/2) and its ell - 1 zeros below n.  It depends on d through
-    these alone."""
+    r = ceil(d/2) and its ell - 1 zeros below n."""
     return max(1, -(-d // 2)), min(d * d // (36 * n) + 1, n - 1)
 
 
@@ -193,22 +192,20 @@ def and_or_approx(n, d, which="and", prec=DEFAULT_PREC):
 
 def _and_or_guess(n, eps):
     """The least d < n whose shape (r, ell) has the closed-form error
-    1/(1 + T_r(n/(n - ell))) <= eps, that is r acosh(n/(n - ell)) >=
-    acosh(1/eps - 1), else n; 1 for eps >= 1/2.  The left side never falls
-    with d, so this bisects over d in floats, with ln(1/eps) from eps's
-    numerator and denominator so a tiny eps cannot overflow.  Floats only
-    steer the search: min_degree returns the same d from any guess wherever
-    the certified error falls with d (ROADMAP item 11 has where it does
-    not)."""
-    if 2 * eps >= 1:
-        return 1
-    ly = (math.log(eps.denominator) - math.log(eps.numerator)
-          + math.log1p(-float(eps)))                  # ln(1/eps - 1) > 0
-    target = ly + math.log1p(math.sqrt(-math.expm1(-2 * ly)))
+    1/(1 + T_r(n/m)) <= eps, m = n - ell, else n, decided in integers:
+    U_k = m^k T_k(n/m) has U_0 = 1, U_1 = n, U_(k+1) = 2n U_k - m^2 U_(k-1),
+    and the error meets eps when eps (U_r + m^r) >= m^r.  That error never
+    rises with d, so this bisects over d.  The guess only steers the search:
+    min_degree returns the same d from any guess wherever the certified
+    error falls with d (ROADMAP item 11 has where it does not)."""
 
     def reaches(d):
         r, ell = _and_or_shape(n, d)
-        return r * math.acosh(n / (n - ell)) >= target
+        m = n - ell
+        u, v = 1, n
+        for _ in range(r - 1):
+            u, v = v, 2 * n * v - m * m * u
+        return eps.numerator * (v + m ** r) >= eps.denominator * m ** r
 
     return bisect_left(range(1, n), True, key=reaches) + 1
 
@@ -216,20 +213,12 @@ def _and_or_guess(n, eps):
 def and_or_min_degree(n, which, eps, prec=DEFAULT_PREC):
     """and_or_approx at the smallest d whose certified error is <= eps.  The
     error falls with d, and d >= n is the exact interpolant.  The search
-    starts at _and_or_guess, and degrees with the same (r, ell) share one
-    build."""
+    starts at _and_or_guess."""
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("need eps > 0")
-    built = {}
-
-    def build(d):
-        key = d if d >= n else _and_or_shape(n, d)
-        if key not in built:
-            built[key] = and_or_approx(n, d, which, prec)
-        return built[key]
-
-    return min_degree(build, eps, 1, max(n, 1), _and_or_guess(n, eps))
+    return min_degree(lambda d: and_or_approx(n, d, which, prec), eps, 1,
+                      max(n, 1), _and_or_guess(n, eps))
 
 
 def exact_weight_approx(n, k, m, eps, prec=DEFAULT_PREC):

@@ -371,6 +371,14 @@ def _set_coefficients(*spellings):
     return tamper
 
 
+def _rational_coefficients_over_300_denominators(doc):
+    # 300 odd 1000-bit denominators, coprime but for small common factors:
+    # over their lcm the numerators take about 9 10^7 bits, and verify took
+    # 8.3 s to build and measure them
+    assert doc["backend"] == "rational"
+    doc["coeffs"] = ["0x1/%#x" % ((1 << 999) + 2 * i + 1) for i in range(300)]
+
+
 # The message of each tamper that must be rejected for its own reason, and
 # not for a node spelling around it.
 REASONS = {
@@ -382,6 +390,8 @@ REASONS = {
     _no_target: "unrecognized artifact",
     _surjectivity_on_4000_rows: "more than 8388608 subset sums",
     _surjectivity_with_20_of_40_columns: "more than 8388608 subset sums",
+    _rational_coefficients_over_300_denominators:
+        "numerators of more than 4194304 bits",
 }
 
 
@@ -486,6 +496,8 @@ SAMPLING_16_1 = ["--target", "sampling", "--n", "16", "--k", "1", "--seed", "1"]
     # and exact_on [] is false, as (8, 2) is exact on 16 of 25 vectors
     (SURJ_8_2, _set("exact_on", [])),
     (SURJ_8_2, _set("construction", "interpolant")),
+    # numcore.MAX_BITS on an exact polynomial's numerators over their lcm
+    (SAMPLING_8_2, _rational_coefficients_over_300_denominators),
 ])
 def test_verify_rejects_a_malformed_artifact_with_exit_2(argv, tamper,
                                                          tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every name a polyapprox module or a test file imports is read in that
 file, every parameter of its functions is read in the function's body,
-every top-level definition and class method is used somewhere, every
+every parameter default is passed by some call, every top-level
+definition and class method is used somewhere, every
 dataclass field is read, only numcore knows the scalar backends and writes
 a Fraction, only UniPoly's one constructor sets a polynomial's integer
 form, no module touches a float's bits through libmp or imports
@@ -448,6 +449,68 @@ def test_the_scan_sees_an_unread_parameter():
         "class S:\n    def g(self, t):\n        'stub'\n"
         "        raise NotImplementedError(type(self))\n")
     assert _unread_parameters(tree) == ["f(b) (line 1)", "f(rest) (line 1)"]
+
+
+def _unpassed_defaults(modules, others):
+    """'module.callee(param) (line N)' for every parameter with a default of
+    a def in the modules ({name: tree}) that no call in any tree passes, by
+    position or by keyword.  A call matches every def of the name it looks
+    up, a class's name stands for its __new__ and __init__, a method's self
+    or cls takes no position, a *args passes every position and a **kwargs
+    every keyword."""
+    passed = {}
+    for tree in list(modules.values()) + others:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                npos, kws = passed.get(_callee(call), (0, set()))
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    npos = float("inf")
+                passed[_callee(call)] = (max(npos, len(call.args)),
+                                         kws | {k.arg for k in call.keywords})
+    out = []
+    for mod, tree in modules.items():
+        owner = {fn: cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a, name = fn.args, fn.name
+            pos = [p.arg for p in a.posonlyargs + a.args]
+            if fn in owner and pos[:1] in (["self"], ["cls"]):
+                pos = pos[1:]
+            if fn in owner and name in ("__new__", "__init__"):
+                name = owner[fn]
+            first = len(pos) - len(a.defaults)
+            params = [(p, i) for i, p in enumerate(pos) if i >= first]
+            params += [(p.arg, float("inf")) for p, dflt
+                       in zip(a.kwonlyargs, a.kw_defaults) if dflt is not None]
+            npos, kws = passed.get(name, (0, set()))
+            out += ["%s.%s(%s) (line %d)" % (mod, name, p, fn.lineno)
+                    for p, i in params
+                    if npos <= i and p not in kws and None not in kws]
+    return out
+
+
+def test_every_default_is_passed_somewhere():
+    # a default that no call overrides is a constant spelled as a knob
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
+    tests = [ast.parse(p.read_text(), str(p)) for p in TESTS]
+    unpassed = _unpassed_defaults(modules, tests)
+    assert not unpassed, "defaults no call passes: %s" % ", ".join(unpassed)
+
+
+def test_the_scan_sees_a_default_no_call_passes():
+    mod = ast.parse("def f(a, b=1, c=2, *, k=3, j=4):\n    return a\n"
+                    "def g(x=0):\n    return x\n"
+                    "def h(y=0):\n    return y\n"
+                    "class C:\n"
+                    "    def __init__(self, p=1, q=2):\n        self.p = p\n"
+                    "    def m(self, s=0):\n        return s\n"
+                    "f(1, 2, k=0)\nC(5)\nC().m()\n")
+    test = ast.parse("from m import g, h\ng(*[1])\nh(**{'y': 1})\n")
+    assert _unpassed_defaults({"m": mod}, [test]) == [
+        "m.f(c) (line 1)", "m.f(j) (line 1)", "m.C(q) (line 8)",
+        "m.m(s) (line 10)"]
 
 
 def test_the_scan_sees_an_unused_import():

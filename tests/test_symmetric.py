@@ -8,6 +8,7 @@ from mpmath import mp
 import pytest
 
 from polyapprox import symmetric
+from polyapprox.chebyshev import cheb_eval
 from polyapprox.composed import surjectivity_approx
 from polyapprox.numcore import (FLOAT, RATIONAL, BackendMismatchError,
                                 Dyadic, SplitMix64, min_degree,
@@ -305,8 +306,9 @@ def test_sampling_exponent_at_an_eps_below_every_float():
 
 
 def test_and_or_guess_at_an_eps_below_every_float():
-    # No d < 16 reaches the closed form at eps = 1/10^400, so the search
-    # starts at the interpolant; 1/eps as a float would divide by 0.0.
+    # No d < 16 reaches the closed form at eps = 1/10^400, which is 0.0 as
+    # a float, so the search starts at the interpolant; the guess compares
+    # integers and forms no float of eps.
     eps = Fraction(1, 10 ** 400)
     assert symmetric._and_or_guess(16, eps) == 16
     a = and_or_min_degree(16, "and", eps)
@@ -315,12 +317,38 @@ def test_and_or_guess_at_an_eps_below_every_float():
 
 
 def test_and_or_min_degree_takes_an_exact_positive_eps():
-    # the estimate reads eps's numerator and denominator, and logs of eps
+    # eps must be exact, as the estimate compares its numerator and
+    # denominator as integers, and positive
     with pytest.raises(BackendMismatchError):
         and_or_min_degree(16, "or", 1e-3)
     for eps in (0, Fraction(-1, 3)):
         with pytest.raises(ValueError, match="eps > 0"):
             and_or_min_degree(16, "or", eps)
+
+
+def test_and_or_guess_decides_the_tie_exactly():
+    # at n = 2, d = 1 the closed form is 1/(1 + T_1(2)) = 1/3 exactly, so
+    # eps = 1/3 is met there: a tie, which a rounded test can miss
+    assert symmetric._and_or_guess(2, Fraction(1, 3)) == 1
+    for which in ("and", "or"):
+        a = and_or_min_degree(2, which, Fraction(1, 3))
+        assert (a.degree, a.certified_eps) == (2, 0), which
+
+
+def test_and_or_guess_is_the_least_d_whose_closed_form_meets_eps():
+    # the closed form 1/(1 + T_r(n/(n - ell))) in exact Fractions, at
+    # every d < n
+    epss = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 8), Fraction(7, 100),
+            Fraction(1, 100), Fraction(1, 10 ** 6), Fraction(1, 10 ** 12),
+            Fraction(1, 2 ** 64), Fraction(1, 2 ** 300), Fraction(1, 10 ** 400)]
+    for n in range(1, 65):
+        errs = []
+        for d in range(1, n):
+            r, ell = symmetric._and_or_shape(n, d)
+            errs.append(1 / (1 + cheb_eval(r, Fraction(n, n - ell))))
+        for eps in epss:
+            want = next((d for d, e in enumerate(errs, 1) if e <= eps), n)
+            assert symmetric._and_or_guess(n, eps) == want, (n, eps)
 
 
 @pytest.mark.parametrize("build", [
