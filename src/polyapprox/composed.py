@@ -278,7 +278,9 @@ class SSubsets:
 
     def eval(self, weights):
         """The exact value at a column weight vector."""
-        assert len(weights) == self.spec.r
+        if len(weights) != self.spec.r:
+            raise ValueError("a weight vector of length %d for r = %d"
+                             % (len(weights), self.spec.r))
         return Fraction(*self.ints(weights))
 
     def to_json(self):

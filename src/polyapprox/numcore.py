@@ -536,23 +536,23 @@ class SComp(StructPoly):
 def _tail_ints(d, lo, t):
     """(N, b^d) at t = a/b for the tail sum_{i>=lo} C(d,i) t^i (1-t)^(d-i),
     one memo for every tail, keyed by value: with c = b - a, the tail is
-    N / b^d for N = sum_{i>=lo} C(d,i) a^i c^(d-i).  The terms' ratio is
-    (d-i) a / ((i+1) c), so the sum over i >= lo is the term at lo times
-    the nested 1 + r_lo (1 + r_(lo+1) (1 + ...)), summed from the inside as
-    one fraction xn / xd.  Its denominator xd is c^(d-lo) d!/lo!, so
-    N = a^lo xn / (d-lo)!, an exact division.  At c = 0 (t = 1) xd is 0
-    and N = a^d = b^d, the tail's value 1.  With lo > d no term is summed:
-    (0, 1)."""
+    N / b^d for N = sum_{i>=lo} C(d,i) a^i c^(d-i).  From i = d-1 down to
+    lo, two big-by-small products and one addition a term, xd *= (i+1) c
+    and xn = xd + (d-i) a xn, sum the terms' ratios to the term at lo as
+    xn / xd, xd = c^(d-lo) d!/lo!.  So xn = (d-lo)! sum_k C(d,lo+k) a^k
+    c^(d-lo-k), an identity of integer polynomials in a and c: xn alone is
+    divisible by (d-lo)!, and N = a^lo (xn / (d-lo)!) divides before the
+    multiply.  At c = 0 (t = 1) xd is 0 and N = a^d = b^d, the tail's
+    value 1.  With lo > d no term is summed: (0, 1)."""
     a, b = t.numerator, t.denominator
     if lo > d:
         return 0, 1
     c = b - a
     xn = xd = 1
     for i in range(d - 1, lo - 1, -1):
-        q = (i + 1) * c
-        xn = q * xd + (d - i) * a * xn
-        xd *= q
-    return a ** lo * xn // math.factorial(d - lo), b ** d
+        xd *= (i + 1) * c
+        xn = xd + (d - i) * a * xn
+    return a ** lo * (xn // math.factorial(d - lo)), b ** d
 
 
 class SBinomTail(StructPoly):

@@ -112,6 +112,18 @@ def test_surj_value():
     assert surj_value(()) == 1
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_subset_form_takes_only_r_weights(r):
+    # A vector longer than r would read only its first r weights, and one
+    # shorter would read past its end: either is a ValueError, with -O too.
+    poly = surjectivity_approx(8, r).poly
+    assert poly.eval((1,) * r) == Fraction(*poly.ints((1,) * r))
+    for length in (r - 1, r + 1):
+        with pytest.raises(ValueError, match="length %d for r = %d"
+                           % (length, r)):
+            poly.eval((1,) * length)
+
+
 @pytest.mark.parametrize("n,r", [(8, 2), (12, 3)])
 def test_surjectivity_certified_exhaustively(n, r):
     a = surjectivity_approx(n, r)

@@ -7,7 +7,8 @@ a Fraction, only UniPoly's one constructor sets a polynomial's integer
 form, no module touches a float's bits through libmp or imports
 mpmath, the oracle imports only numcore, only the measured of a class
 verify reads artifacts as builds an approximant with its claims, every
-construction label is one verify reads, and every cache is bounded.
+construction label is one verify reads, every cache is bounded, and no
+module has an assert statement.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -404,6 +405,26 @@ def test_the_scan_sees_an_mpmath_import():
                      "import mpmathx\nfrom . import mpmath\n"
                      "def f():\n    import mpmath\n")
     assert _mpmath_imports(tree) == [1, 2, 3, 8]
+
+
+def _asserts(tree):
+    """The line of every assert statement of the module."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_has_no_assert(path):
+    # python -O strips every assert, so a check on a caller's input that is
+    # an assert lets a bad input through to a wrong value: it raises.
+    lines = _asserts(ast.parse(path.read_text(), str(path)))
+    assert not lines, "%s asserts (lines %s)" % (path.name, lines)
+
+
+def test_the_scan_sees_an_assert():
+    tree = ast.parse("assert x\ndef f(w):\n    assert len(w) == 2, w\n"
+                     "    return w\nif not y:\n    raise ValueError(y)\n")
+    assert _asserts(tree) == [1, 3]
 
 
 def _is_stub(fn):

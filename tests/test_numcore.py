@@ -285,6 +285,13 @@ def test_binom_tail_early_exit_is_bit_identical():
     # the amplifier of the paper's extension recipe (extend_approx from
     # weights 0..4 to n = 32), at t = k^2/784
     cases += [(1416, 755, Fraction(k * k, 784)) for k in range(29)]
+    # the amplifiers of the small-support spectra at (32, 2), where a
+    # numerator that shares primes with (d-lo)! (1296 = 2^4 3^4) and c < 0
+    # (t = 3/2) meet the division before the multiply by a^lo
+    cases += [(d, lo, t) for d, lo in ((545, 291), (575, 307), (605, 323),
+                                       (635, 339), (666, 356))
+              for t in (Fraction(1024, 2401), Fraction(1296, 2401), 0, 1,
+                        Fraction(3, 2))]
     for d, lo, t in cases:
         tail = SBinomTail(d, lo)
         want = _tail_ints_reference(d, lo, Fraction(t))
