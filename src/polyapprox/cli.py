@@ -15,7 +15,6 @@ a spectrum's exact_on with the weights where that pass found no error.
 """
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -165,8 +164,7 @@ def cmd_table(args):
                 rows.append(["ed", n, k, delta,
                              "%.3f" % bounds_mod.ed_closed(n, k, delta)])
     out = sys.stdout if not args.out else open(args.out, "w", newline="")
-    w = csv.writer(out, lineterminator="\r\n")
-    w.writerows(rows)
+    out.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
     if args.out:
         out.close()
     return 0

@@ -4,9 +4,9 @@ justifies symmetrization of composed constructions.  Its expansions are the
 one form of a multilinear polynomial over the cube: interpolated from a
 function, averaged over blocks of variables, and evaluated on weights."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, permutations, product
 import math
 
@@ -22,14 +22,10 @@ from .symmetric import SymApprox, and_or_min_degree
 # witnesses it.
 
 
-@dataclass(frozen=True)
-class Pi:
-    """A ledger entry: the conjunction-norm bound by the calculus rules, the
-    witnessing decomposition {(plain, negated): coeff} into conjunctions,
-    and the direct evaluator x -> Fraction."""
-    bound: Fraction
-    expansion: dict
-    value: object
+# A ledger entry: the conjunction-norm bound by the calculus rules, the
+# witnessing decomposition {(plain, negated): coeff} into conjunctions, and
+# the direct evaluator x -> Fraction.
+Pi = namedtuple("Pi", "bound expansion value")
 
 
 _EMPTY = frozenset()
@@ -203,20 +199,18 @@ def incl_excl_expand(k):
 # Surjectivity over an n x r grid of cell indicators, weight <= n.
 
 
-@dataclass
 class SurjSpec:
     """SURJ's domain: the nonincreasing column weight vectors with sum <= n
     of an n x r grid, which suffice by column symmetry.  A shape with no
     vector would measure 0, so n and r are checked."""
-    n: int
-    r: int
     claims_exact_on = False      # nor a construction: see README
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:
-            raise ValueError("need n >= 0 rows, got %r" % (self.n,))
-        if type(self.r) is not int or self.r < 1:
-            raise ValueError("need r >= 1 columns, got %r" % (self.r,))
+    def __init__(self, n, r):
+        if type(n) is not int or n < 0:
+            raise ValueError("need n >= 0 rows, got %r" % (n,))
+        if type(r) is not int or r < 1:
+            raise ValueError("need r >= 1 columns, got %r" % (r,))
+        self.n, self.r = n, r
 
     def pairs(self):
         return ((wv, surj_value(wv)) for wv in _weight_vectors(self.r, self.n))
@@ -251,20 +245,16 @@ class SSubsets:
         # q's degree, or 0 with only the constant term left
         self.degree = (0 if q is None or all(ell == 0 for ell, _ in terms)
                        else q.degree)
-
-    @cached_property
-    def _integer_form(self):
         # value(w) = (sum_ell M_ell sum_S T[w_S]) / den in integers, with
         # q(k) = T[k] / lq, mu_ell = M_ell / lm and den = lq * lm: at an
         # integer k every q(k) has the denominator lq = q.den.
-        q = self.q if self.q is not None else UniPoly([])
+        q = q if q is not None else UniPoly([])
         lq = q.den
-        table = [horner_ints(q.nums, lq, k)[0] for k in range(self.spec.n + 1)]
-        lm = math.lcm(*(mu.denominator for _, mu in self.terms))
-        terms = [(ell, mu.numerator * (lm // mu.denominator),
-                  list(combinations(range(self.spec.r), ell)))
-                 for ell, mu in self.terms]
-        return terms, table, lq, lq * lm
+        table = [horner_ints(q.nums, lq, k)[0] for k in range(n + 1)]
+        lm = math.lcm(*(mu.denominator for _, mu in terms))
+        self._integer_form = ([(ell, mu.numerator * (lm // mu.denominator),
+                                list(combinations(range(r), ell)))
+                               for ell, mu in terms], table, lq, lq * lm)
 
     def ints(self, weights):
         """The unreduced integer pair of the exact value at a column weight
@@ -422,10 +412,7 @@ def surj_outer_eval(r, eps, weights, prec=DEFAULT_PREC):
 # Selector composition: F(x, y) = OR_i (y_i AND f_i(x)) on |y| = n.
 
 
-@dataclass
-class SelectorApprox:
-    certified_eps: object
-    degree: int
+SelectorApprox = namedtuple("SelectorApprox", "certified_eps degree")
 
 
 def _or_symmetric_coeffs(k, eps, prec):

@@ -2,21 +2,19 @@
 by exact exchange and by an alternation-based cross-check."""
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 import math
 
-from .numcore import (BackendMismatchError, UniPoly, _from_scaled,
-                      _interpolate_ints, _over_lcm, as_fraction,
-                      point_to_json, scalar_to_json)
+from .numcore import (BackendMismatchError, _from_scaled, _interpolate_ints,
+                      _over_lcm, as_fraction, point_to_json, scalar_to_json)
 
 
-@dataclass
 class MinimaxResult:
-    eps_star: Fraction
-    poly: UniPoly
-    active_points: list
+    def __init__(self, eps_star, poly, active_points):
+        self.eps_star = eps_star
+        self.poly = poly
+        self.active_points = active_points
 
     def to_json(self):
         d = self.poly.to_json()

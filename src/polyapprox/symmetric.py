@@ -9,7 +9,6 @@ never an asymptotic estimate, and the points where it is exact in one pass.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -28,18 +27,15 @@ CONSTRUCTIONS = frozenset({
     "extension-passthrough", "extension-point", "zero"})
 
 
-@dataclass
 class SymSpec:
     """Target symmetric function: values[w] on Hamming weight w, in [-1, 1]."""
-    n: int
-    values: list
     claims_exact_on = True       # and the construction: see SymApprox
 
-    def __post_init__(self):
-        if (type(self.n) is not int or self.n < 0
-                or len(self.values) != self.n + 1):
+    def __init__(self, n, values):
+        if type(n) is not int or n < 0 or len(values) != n + 1:
             raise ValueError("need an integer n >= 0 and n+1 weight values")
-        self.values = [as_fraction(v) for v in self.values]
+        self.n = n
+        self.values = [as_fraction(v) for v in values]
         if any(abs(v.numerator) > v.denominator for v in self.values):
             raise ValueError("spectrum values must lie in [-1, 1]")
 
@@ -86,13 +82,13 @@ class SymSpec:
         return spec, poly_from_json(doc), label, set(exact)
 
 
-@dataclass
 class SymApprox:
-    spec: object                 # the domain: SymSpec or composed.SurjSpec
-    poly: object                 # UniPoly or a node, evaluated at its points
-    certified_eps: object
-    construction: str            # both None where the domain claims
-    exact_on: set                # neither
+    def __init__(self, spec, poly, certified_eps, construction, exact_on):
+        self.spec = spec         # the domain: SymSpec or composed.SurjSpec
+        self.poly = poly         # UniPoly or a node, evaluated at its points
+        self.certified_eps = certified_eps
+        self.construction = construction    # both None where the domain
+        self.exact_on = exact_on            # claims neither
 
     @classmethod
     def measured(cls, spec, poly, construction=None, prec=None):

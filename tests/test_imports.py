@@ -1,14 +1,15 @@
 """Every name a polyapprox module or a test file imports is read in that
 file, every parameter of its functions is read in the function's body,
 every parameter default is passed by some call, every top-level
-definition and class method is used somewhere, every
-dataclass field is read, only numcore knows the scalar backends and writes
+definition and class method is used somewhere, every record field is
+read, only numcore knows the scalar backends and writes
 a Fraction, only UniPoly's one constructor sets a polynomial's integer
 form, no module touches a float's bits through libmp or imports
 mpmath, the oracle imports only numcore, only the measured of a class
 verify reads artifacts as builds an approximant with its claims, every
-construction label is one verify reads, every cache is bounded, and no
-module has an assert statement.
+construction label is one verify reads, every cache is bounded, no
+module has an assert statement, and importing the CLI loads no
+dataclasses, inspect or csv.
 
 No linter ships with the package, so these ast scans stand in for
 unused-import, unused-argument and unused-definition checks: an import, a
@@ -16,7 +17,10 @@ parameter, a definition or a field left behind by a deletion fails here.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -114,8 +118,8 @@ APPROX_CLASS = "SymApprox"
 
 def _approx_builds(tree):
     """'where (line N)' for every call that builds an approximant:
-    SymApprox(...) or a bare replace(...), the dataclass copy with new
-    fields, anywhere, and cls(...) in a method of the class; where is the
+    SymApprox(...) or a bare replace(...), a copy with new fields,
+    anywhere, and cls(...) in a method of the class; where is the
     enclosing top-level def or Class.method, or <module>."""
     out = []
     for stmt in tree.body:
@@ -619,44 +623,74 @@ def test_the_scan_sees_an_orphaned_method():
     assert _orphans({"m": mod}, [test]) == ["m.C.f (line 4)"]
 
 
-def _dataclass_fields(tree):
-    """(class, field, line) for every annotated field of a @dataclass."""
-    out = []
-    for cls in ast.walk(tree):
-        if (isinstance(cls, ast.ClassDef)
-                and any("dataclass" in ast.unparse(d)
-                        for d in cls.decorator_list)):
-            out += [(cls.name, stmt.target.id, stmt.lineno)
-                    for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)]
-    return out
+def _record_fields(tree):
+    """(class, field, line) for every record field of the module: each
+    self.<name> a class's __init__ assigns, and each field of a
+    namedtuple(...) call, in line order."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if getattr(fn, "name", None) == "__init__":
+                    for t in ast.walk(fn):
+                        if (isinstance(t, ast.Attribute)
+                                and isinstance(t.ctx, ast.Store)
+                                and getattr(t.value, "id", None) == "self"):
+                            out.setdefault((node.name, t.attr), t.lineno)
+        elif isinstance(node, ast.Call) and _callee(node) == "namedtuple":
+            for field in node.args[1].value.replace(",", " ").split():
+                out.setdefault((node.args[0].value, field), node.lineno)
+    return sorted(((cls, field, line) for (cls, field), line in out.items()),
+                  key=lambda f: f[2])
 
 
 def _unread_fields(modules, others):
-    """'module.class.field' for every dataclass field of the modules ({name:
+    """'module.class.field' for every record field of the modules ({name:
     tree}) that no tree reads as an attribute."""
     read = {node.attr for tree in list(modules.values()) + others
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return ["%s.%s.%s (line %d)" % (mod, cls, field, line)
             for mod, tree in modules.items()
-            for cls, field, line in _dataclass_fields(tree) if field not in read]
+            for cls, field, line in _record_fields(tree) if field not in read]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
     tests = [ast.parse(p.read_text(), str(p)) for p in TESTS]
+    # the six records, plain classes and namedtuples, are among those scanned
+    scanned = {cls for tree in modules.values()
+               for cls, _, _ in _record_fields(tree)}
+    assert scanned >= {"SymSpec", "SymApprox", "SurjSpec", "MinimaxResult",
+                       "Pi", "SelectorApprox"}
     unread = _unread_fields(modules, tests)
     assert not unread, "fields never read: %s" % ", ".join(unread)
 
 
 def test_the_scan_sees_an_unread_field():
-    mod = ast.parse("from dataclasses import dataclass\n"
-                    "@dataclass\nclass R:\n    a: int\n    b: int\n"
-                    "    c: int = 0\n"
-                    "def f(r):\n    r.c = 1\n    return r.a\n")
-    assert _unread_fields({"m": mod}, []) == ["m.R.b (line 5)",
-                                              "m.R.c (line 6)"]
+    mod = ast.parse("from collections import namedtuple\n"
+                    "P = namedtuple('P', 'a, b')\n"
+                    "class R:\n"
+                    "    def __init__(self, a):\n"
+                    "        self.a, self.d = a, 0\n"
+                    "        self.e = 1\n"
+                    "    def f(self):\n        self.g = 2\n"
+                    "        return self.a\n"
+                    "def h(p):\n    p.e = 1\n    return p.a\n")
+    assert _unread_fields({"m": mod}, []) == [
+        "m.P.b (line 2)", "m.R.d (line 5)", "m.R.e (line 6)"]
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_csv():
+    # A CLI call computes about a millisecond; these modules (inspect pulls
+    # in ast, dis and tokenize) would cost several times that to import.
+    code = "import sys, polyapprox.cli\nprint(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    loaded = set(run.stdout.split())
+    assert "polyapprox.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "csv"}
 
 
 def _callee(node):
